@@ -58,15 +58,31 @@ std::uint64_t AtomicCounter::try_fetch_decrement_n(std::size_t thread_hint,
   return bounded_decrement_n(value_.value, n, stalls_, thread_hint);
 }
 
-std::int64_t CasCounter::fetch_increment(std::size_t thread_hint) {
+std::int64_t CasCounter::add(std::size_t thread_hint, std::int64_t k) {
   std::int64_t cur = value_.value.load(std::memory_order_relaxed);
   std::uint64_t retries = 0;
-  while (!value_.value.compare_exchange_weak(cur, cur + 1,
+  while (!value_.value.compare_exchange_weak(cur, cur + k,
                                              std::memory_order_relaxed)) {
     ++retries;
   }
   stalls_.add(thread_hint, retries);
   return cur;
+}
+
+std::int64_t CasCounter::fetch_increment(std::size_t thread_hint) {
+  return add(thread_hint, 1);
+}
+
+void CasCounter::fetch_increment_batch(std::size_t thread_hint, std::size_t k,
+                                       std::int64_t* out_values) {
+  const std::int64_t base = add(thread_hint, static_cast<std::int64_t>(k));
+  for (std::size_t i = 0; i < k; ++i) {
+    out_values[i] = base + static_cast<std::int64_t>(i);
+  }
+}
+
+void CasCounter::refund_n(std::size_t thread_hint, std::uint64_t n) {
+  add(thread_hint, static_cast<std::int64_t>(n));
 }
 
 bool CasCounter::try_fetch_decrement(std::size_t thread_hint,

@@ -13,12 +13,28 @@
 
 namespace cnet::rt {
 
+// Every bulk op on a central counter is one atomic step, whatever its size:
+// a k-token batch claims the contiguous block base..base+k-1 and a refund
+// adds n, each with a single RMW (or lock hold).
+
 // One shared cache line, advanced by fetch_add. Wait-free but a sequential
 // bottleneck: every operation serializes on the same location.
 class AtomicCounter final : public Counter {
  public:
   std::int64_t fetch_increment(std::size_t) override {
     return value_.value.fetch_add(1, std::memory_order_relaxed);
+  }
+  void fetch_increment_batch(std::size_t, std::size_t k,
+                             std::int64_t* out_values) override {
+    const std::int64_t base = value_.value.fetch_add(
+        static_cast<std::int64_t>(k), std::memory_order_relaxed);
+    for (std::size_t i = 0; i < k; ++i) {
+      out_values[i] = base + static_cast<std::int64_t>(i);
+    }
+  }
+  void refund_n(std::size_t, std::uint64_t n) override {
+    value_.value.fetch_add(static_cast<std::int64_t>(n),
+                           std::memory_order_relaxed);
   }
   bool try_fetch_decrement(std::size_t thread_hint,
                            std::int64_t* reclaimed = nullptr) override;
@@ -37,6 +53,9 @@ class AtomicCounter final : public Counter {
 class CasCounter final : public Counter {
  public:
   std::int64_t fetch_increment(std::size_t thread_hint) override;
+  void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
+                             std::int64_t* out_values) override;
+  void refund_n(std::size_t thread_hint, std::uint64_t n) override;
   bool try_fetch_decrement(std::size_t thread_hint,
                            std::int64_t* reclaimed = nullptr) override;
   std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
@@ -45,6 +64,9 @@ class CasCounter final : public Counter {
   std::uint64_t stall_count() const override { return stalls_.total(); }
 
  private:
+  // One CAS loop advancing the word by k; returns the pre-add value.
+  std::int64_t add(std::size_t thread_hint, std::int64_t k);
+
   util::Padded<std::atomic<std::int64_t>> value_{};
   util::StallSlots stalls_;
 };
@@ -55,6 +77,15 @@ class MutexCounter final : public Counter {
   std::int64_t fetch_increment(std::size_t) override {
     const util::MutexLock lock(mu_);
     return value_++;
+  }
+  void fetch_increment_batch(std::size_t, std::size_t k,
+                             std::int64_t* out_values) override {
+    const util::MutexLock lock(mu_);
+    for (std::size_t i = 0; i < k; ++i) out_values[i] = value_++;
+  }
+  void refund_n(std::size_t, std::uint64_t n) override {
+    const util::MutexLock lock(mu_);
+    value_ += static_cast<std::int64_t>(n);
   }
   bool try_fetch_decrement(std::size_t,
                            std::int64_t* reclaimed = nullptr) override {

@@ -5,7 +5,6 @@
 // can swap them freely.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -30,7 +29,8 @@ class Counter {
   // back-to-back fetch_increment calls could have returned — no gaps, no
   // duplicates across concurrent callers. The default loops over
   // fetch_increment; batching backends override it to amortize the atomic
-  // traffic (one RMW per balancer per batch instead of per token).
+  // traffic: a central counter claims the whole block with one RMW, a
+  // batched network with one RMW per balancer touched instead of per token.
   virtual void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
                                      std::int64_t* out_values) {
     for (std::size_t i = 0; i < k; ++i) {
@@ -67,23 +67,19 @@ class Counter {
     return got;
   }
 
-  // Returns `n` previously claimed values to the pool. Count-wise this is
-  // exactly `n` increments with the values discarded — the default does
-  // just that, in bounded chunks — but it is a distinct operation so
-  // instrumentation layers can tell *refund* traffic (the un-consume of an
-  // all-or-nothing shortfall, or a release of tokens granted earlier) from
-  // organic refills: svc::AdaptiveCounter keeps refunds out of the
-  // stall-rate window its switch decision samples, so a pure-reject storm
-  // cannot masquerade as load.
+  // Returns `n` tokens to the pool: the value-free bulk add. Count-wise
+  // this is exactly `n` increments with the values discarded — the default
+  // does just that, one fetch_increment per token — but no value buffer
+  // exists, so backends override it with one bulk step for any n (central:
+  // one RMW; batched network: one traversal pass). It carries every
+  // give-back: the un-consume of an all-or-nothing shortfall, a release of
+  // tokens granted earlier, a respec migration, and a bucket's constructor
+  // seed. It is a distinct operation so instrumentation layers can tell
+  // give-backs from organic refills: svc::AdaptiveCounter keeps refunds
+  // out of the stall-rate window its switch decision samples, so a
+  // pure-reject storm cannot masquerade as load.
   virtual void refund_n(std::size_t thread_hint, std::uint64_t n) {
-    constexpr std::size_t kChunk = 256;
-    std::int64_t scratch[kChunk];
-    while (n > 0) {
-      const auto k =
-          static_cast<std::size_t>(std::min<std::uint64_t>(n, kChunk));
-      fetch_increment_batch(thread_hint, k, scratch);
-      n -= k;
-    }
+    for (; n > 0; --n) fetch_increment(thread_hint);
   }
 
   virtual std::string name() const = 0;

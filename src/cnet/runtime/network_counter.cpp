@@ -133,11 +133,23 @@ std::uint64_t NetworkCounter::try_fetch_decrement_n(std::size_t thread_hint,
 void BatchedNetworkCounter::fetch_increment_batch(std::size_t thread_hint,
                                                   std::size_t k,
                                                   std::int64_t* out_values) {
+  batch_pass(thread_hint, k, out_values);
+}
+
+void BatchedNetworkCounter::refund_n(std::size_t thread_hint,
+                                     std::uint64_t n) {
+  batch_pass(thread_hint, n, nullptr);
+}
+
+void BatchedNetworkCounter::batch_pass(std::size_t thread_hint,
+                                       std::uint64_t k,
+                                       std::int64_t* out_values) {
   if (k == 0) return;
   if (k == 1) {
     // The batch machinery costs Θ(balancers) in scratch resets per call;
     // a lone token is cheaper on the per-token path.
-    out_values[0] = fetch_increment(thread_hint);
+    const std::int64_t v = fetch_increment(thread_hint);
+    if (out_values != nullptr) out_values[0] = v;
     return;
   }
   // One scratch per thread, shared across instances: traverse_batch resizes
@@ -147,11 +159,10 @@ void BatchedNetworkCounter::fetch_increment_batch(std::size_t thread_hint,
   wire_counts.assign(net_.width_out(), 0);
 
   std::uint64_t local_stalls = 0;
-  net_.traverse_batch(thread_hint % net_.width_in(),
-                      static_cast<std::uint64_t>(k), mode_, &local_stalls,
+  net_.traverse_batch(thread_hint % net_.width_in(), k, mode_, &local_stalls,
                       scratch, wire_counts.data());
   stalls_.add(thread_hint, local_stalls);
-  traversals_.add(thread_hint, static_cast<std::uint64_t>(k));
+  traversals_.add(thread_hint, k);
   batch_passes_.add(thread_hint, 1);
 
   const auto t = static_cast<std::int64_t>(net_.width_out());
@@ -162,6 +173,7 @@ void BatchedNetworkCounter::fetch_increment_batch(std::size_t thread_hint,
     // One cell RMW claims the wire's whole contiguous block of values.
     const std::int64_t base = cells_[wire].value.fetch_add(
         static_cast<std::int64_t>(count) * t, std::memory_order_relaxed);
+    if (out_values == nullptr) continue;  // a refund: count only
     for (std::uint64_t j = 0; j < count; ++j) {
       out_values[filled++] = base + static_cast<std::int64_t>(j) * t;
     }

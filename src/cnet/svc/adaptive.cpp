@@ -69,7 +69,7 @@ void AdaptiveCounter::refund_n(std::size_t thread_hint, std::uint64_t n) {
   // for exclusion. Attribution is exact for the atomic (and mutex) cold
   // kinds, whose increments are wait-free (lock-silent) and provoke no
   // stalls at all: nothing is banked. Only a CAS cold word stalls on the
-  // refund increments; its bracket reads the shared lifetime total, which
+  // refund's one CAS loop; its bracket reads the shared lifetime total, which
   // can pick up other threads' concurrent stalls, so the banked delta is
   // capped at the refunded token count — the over-exclusion stays
   // proportional to refund volume instead of tiling wall time, and steady
@@ -77,20 +77,13 @@ void AdaptiveCounter::refund_n(std::size_t thread_hint, std::uint64_t n) {
   // (Post-switch the probe is dead, so no tracking is needed.)
   const bool track = cold_increments_stall_ &&
                      !switched_.load(std::memory_order_relaxed);
-  const std::uint64_t total = n;
   const std::uint64_t before = track ? cold_->stall_count() : 0;
-  constexpr std::uint64_t kChunk = 256;
-  std::int64_t scratch[kChunk];
-  while (n > 0) {
-    const auto k = static_cast<std::size_t>(std::min(n, kChunk));
-    engine_.read(thread_hint, [&](rt::Counter& c) {
-      c.fetch_increment_batch(thread_hint, k, scratch);
-      return 0;
-    });
-    n -= k;
-  }
+  engine_.read(thread_hint, [&](rt::Counter& c) {
+    c.refund_n(thread_hint, n);
+    return 0;
+  });
   if (track) {
-    refund_stalls_.fetch_add(std::min(cold_->stall_count() - before, total),
+    refund_stalls_.fetch_add(std::min(cold_->stall_count() - before, n),
                              std::memory_order_relaxed);
   }
   // Deliberately no after_ops(): refunds are not load.
@@ -145,21 +138,16 @@ void AdaptiveCounter::do_switch(std::size_t thread_hint) {
   // reclaim. Values are pool tokens (no identity), so only the count must
   // be conserved — and it is, exactly: consumers racing with the drain see
   // tokens in one pool or the other, never in both.
+  // The re-inject is a give-back (refund_n), like a bucket respec's.
   engine_.commit(std::move(hot_staged_),
                  [&](rt::Counter& cold, rt::Counter& hot) {
                    std::uint64_t moved = 0;
                    constexpr std::uint64_t kChunk = 256;
-                   std::int64_t scratch[kChunk];
                    for (std::uint64_t got; (got = cold.try_fetch_decrement_n(
                                                 thread_hint, kChunk)) != 0;) {
                      moved += got;
                    }
-                   for (std::uint64_t left = moved; left > 0;) {
-                     const auto k =
-                         static_cast<std::size_t>(std::min(left, kChunk));
-                     hot.fetch_increment_batch(thread_hint, k, scratch);
-                     left -= k;
-                   }
+                   hot.refund_n(thread_hint, moved);
                  });
   switched_.store(true, std::memory_order_release);
 }

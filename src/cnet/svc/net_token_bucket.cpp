@@ -24,7 +24,9 @@ NetTokenBucket::NetTokenBucket(std::unique_ptr<rt::Counter> pool)
 
 NetTokenBucket::NetTokenBucket(std::unique_ptr<rt::Counter> pool, Config cfg)
     : engine_(make_state(std::move(pool), cfg.refill_chunk)) {
-  if (cfg.initial_tokens > 0) refill(0, cfg.initial_tokens);
+  // The seed is a give-back, not organic load (no overload manager can be
+  // attached yet): one bulk refund_n step, not refill_chunk-sized batches.
+  refund(0, cfg.initial_tokens);
 }
 
 std::uint64_t NetTokenBucket::consume(std::size_t thread_hint,

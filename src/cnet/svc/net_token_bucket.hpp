@@ -40,6 +40,7 @@ class OverloadManager;
 class NetTokenBucket : public Reconfigurable {
  public:
   struct Config {
+    // Seeded through refund() in one bulk step: a seed is not load.
     std::uint64_t initial_tokens = 0;
     // Tokens pushed per backend batch call during refill (1..256).
     std::size_t refill_chunk = 64;
@@ -74,20 +75,16 @@ class NetTokenBucket : public Reconfigurable {
   // read as a rejection (the bucket_consume plan pins the same contract).
   std::uint64_t consume(std::size_t thread_hint, std::uint64_t tokens,
                         ConsumeOptions opts = kAllOrNothing);
-  [[deprecated("pass svc::ConsumeOptions (kPartialOk / kAllOrNothing)")]]
-  std::uint64_t consume(std::size_t thread_hint, std::uint64_t tokens,
-                        bool allow_partial) {
-    return consume(thread_hint, tokens, ConsumeOptions{allow_partial});
-  }
 
   // Adds `tokens` to the pool via the backend's batched increment path.
   void refill(std::size_t thread_hint, std::uint64_t tokens);
 
   // Returns previously consumed tokens to the pool. Count-wise identical
-  // to refill(), but routed through Counter::refund_n so give-backs — the
-  // all-or-nothing shortfall un-consume above, or a QuotaHierarchy release
-  // — are never charged to an adaptive backend's load probe as organic
-  // refill traffic.
+  // to refill(), but routed through Counter::refund_n — one bulk step for
+  // any count, no refill_chunk batching — so give-backs (the all-or-nothing
+  // shortfall un-consume above, a QuotaHierarchy release, the constructor's
+  // initial_tokens seed) are never charged to an adaptive backend's load
+  // probe as organic refill traffic.
   void refund(std::size_t thread_hint, std::uint64_t tokens);
 
   // Applies a staged pool replacement mid-traffic (ReconfigEngine commit):

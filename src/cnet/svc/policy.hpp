@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace cnet::svc {
@@ -58,9 +57,8 @@ constexpr std::int64_t elimination_pair_value(std::size_t num_slots,
 }
 
 // How a consume/acquire settles a short pool, as one options struct rather
-// than the historic bare `bool allow_partial` positional argument (which
-// read as line noise at call sites and left no room to grow). Passed by
-// value through every consume-shaped call in the service layer —
+// than a bare positional bool (which read as line noise at call sites).
+// Passed by value through every consume-shaped call in the service layer —
 // NetTokenBucket::consume, QuotaHierarchy::acquire, and the shared rules
 // below — and by the simulator's pool models, so live code and model agree
 // on the same struct.
@@ -68,11 +66,6 @@ struct ConsumeOptions {
   // A short pool yields a partial grab (possibly 0) instead of the
   // all-or-nothing refund-and-reject.
   bool partial_ok = false;
-  // Reserved for the admission-latency roadmap items; carried through the
-  // call chain but not yet acted on anywhere. deadline is a caller clock
-  // instant (0 = none); priority classes order shedding, 0 = highest.
-  double deadline = 0.0;
-  std::uint8_t priority = 0;
 };
 
 // The two common settlements, named so call sites read as intent.
@@ -105,15 +98,6 @@ std::uint64_t bucket_consume(std::uint64_t tokens, ConsumeOptions opts,
     got = 0;
   }
   return got;
-}
-
-template <class TakeN, class PutN>
-[[deprecated("pass svc::ConsumeOptions (kPartialOk / kAllOrNothing)")]]
-std::uint64_t bucket_consume(std::uint64_t tokens, bool allow_partial,
-                             TakeN&& take_n, PutN&& put_n) {
-  return bucket_consume(tokens, ConsumeOptions{allow_partial},
-                        std::forward<TakeN>(take_n),
-                        std::forward<PutN>(put_n));
 }
 
 // ---------------------------------------------------------------------------
@@ -169,15 +153,6 @@ constexpr QuotaSettlement quota_settle(std::uint64_t tokens,
   if (from_child + from_parent == tokens) return {true, 0, 0};
   if (opts.partial_ok && from_child + from_parent > 0) return {true, 0, 0};
   return {false, from_child, from_parent};
-}
-
-[[deprecated("pass svc::ConsumeOptions (kPartialOk / kAllOrNothing)")]]
-constexpr QuotaSettlement quota_settle(std::uint64_t tokens,
-                                       std::uint64_t from_child,
-                                       std::uint64_t from_parent,
-                                       bool allow_partial) noexcept {
-  return quota_settle(tokens, from_child, from_parent,
-                      ConsumeOptions{allow_partial});
 }
 
 // Composition of a successful (or rejected) two-level acquire.
@@ -250,22 +225,6 @@ QuotaGrantPlan quota_acquire(std::uint64_t tokens, TakeChild&& take_child,
   if (settle.refund_child > 0) put_child(settle.refund_child);
   if (reserved > 0) unreserve(reserved);
   return plan;
-}
-
-template <class TakeChild, class Reserve, class Unreserve, class TakeParent,
-          class PutChild, class PutParent>
-[[deprecated("pass svc::ConsumeOptions (kPartialOk / kAllOrNothing)")]]
-QuotaGrantPlan quota_acquire(std::uint64_t tokens, TakeChild&& take_child,
-                             Reserve&& reserve, Unreserve&& unreserve,
-                             TakeParent&& take_parent, PutChild&& put_child,
-                             PutParent&& put_parent, bool allow_partial) {
-  return quota_acquire(tokens, std::forward<TakeChild>(take_child),
-                       std::forward<Reserve>(reserve),
-                       std::forward<Unreserve>(unreserve),
-                       std::forward<TakeParent>(take_parent),
-                       std::forward<PutChild>(put_child),
-                       std::forward<PutParent>(put_parent),
-                       ConsumeOptions{allow_partial});
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 // Counter::fetch_increment_batch) must be interchangeable — same no-gap /
 // no-duplicate value sets sequentially, and exact-range union when both
 // paths race on one instance. One parameterized fixture sweeps all five
-// backends through the svc factory.
+// backends through the svc factory. The bulk paths follow: a central batch
+// is one contiguous block, and refund_n(n) adds exactly n on every pool
+// spec (the batched network in a single pass).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,6 +110,94 @@ TEST_P(BatchEquivalence, ConcurrentDefaultAndOverrideCallersAreExactRange) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, BatchEquivalence,
                          ::testing::ValuesIn(kAllBackendKinds),
                          test::backend_param_name);
+
+// Central counters claim a whole batch with one RMW (or one lock hold), so
+// every batch is the contiguous block base..base+k-1, and concurrent
+// batches tile the value range with no duplicates and no gaps.
+class CentralBatch : public ::testing::TestWithParam<BackendKind> {};
+
+void expect_contiguous_block(const std::int64_t* values, std::size_t k) {
+  for (std::size_t i = 1; i < k; ++i) {
+    ASSERT_EQ(values[i], values[0] + static_cast<std::int64_t>(i))
+        << "batch of " << k << " is not one contiguous block";
+  }
+}
+
+TEST_P(CentralBatch, EachBatchIsOneContiguousBlock) {
+  const auto counter = make_counter(GetParam());
+  std::int64_t buf[32];
+  std::int64_t next = 0;
+  for (const std::size_t k : kSizes) {
+    counter->fetch_increment_batch(0, k, buf);
+    EXPECT_EQ(buf[0], next);
+    expect_contiguous_block(buf, k);
+    next += static_cast<std::int64_t>(k);
+  }
+}
+
+TEST_P(CentralBatch, ConcurrentBatchesTileTheRangeExactly) {
+  const auto counter = make_counter(GetParam());
+  constexpr std::size_t kThreads = 4, kCalls = 500;
+  std::vector<std::vector<std::int64_t>> got(kThreads);
+  {
+    std::vector<std::jthread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        std::int64_t buf[32];
+        for (std::size_t i = 0; i < kCalls; ++i) {
+          const std::size_t k = kSizes[(t + i) % std::size(kSizes)];
+          counter->fetch_increment_batch(t, k, buf);
+          expect_contiguous_block(buf, k);
+          got[t].insert(got[t].end(), buf, buf + k);
+        }
+      });
+    }
+  }
+  std::vector<std::int64_t> all;
+  for (auto& v : got) all.insert(all.end(), v.begin(), v.end());
+  expect_exact_range(std::move(all));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CentralKinds, CentralBatch,
+    ::testing::Values(BackendKind::kCentralAtomic, BackendKind::kCentralCas,
+                      BackendKind::kCentralMutex),
+    test::backend_param_name);
+
+// refund_n(n) is count-wise exactly n increments on every pool spec: a
+// drain from quiescence takes back exactly n, whatever bulk step the
+// backend used to add them.
+class RefundN : public ::testing::TestWithParam<BackendSpec> {};
+
+std::uint64_t drain(rt::Counter& counter) {
+  std::uint64_t total = 0;
+  for (std::uint64_t got; (got = counter.try_fetch_decrement_n(0, 256)) != 0;) {
+    total += got;
+  }
+  return total;
+}
+
+TEST_P(RefundN, DrainReturnsExactlyTheRefundedCount) {
+  for (const std::uint64_t n : {1u, 7u, 300u, 16384u}) {
+    const auto counter = make_counter(GetParam());
+    counter->refund_n(1, n);
+    EXPECT_EQ(drain(*counter), n) << "refund_n(" << n << ")";
+    EXPECT_FALSE(counter->try_fetch_decrement(0)) << "refund_n(" << n << ")";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSpecs, RefundN,
+                         ::testing::ValuesIn(test::all_pool_backend_specs()),
+                         test::backend_spec_param_name);
+
+TEST(BatchedNetworkRefund, OneBatchPassForAnyCount) {
+  // No 256-token chunking: 16384 tokens enter in one traverse_batch.
+  const auto counter = make_counter(BackendKind::kBatchedNetwork);
+  counter->refund_n(0, 16384);
+  EXPECT_EQ(counter->traversal_count(), 16384u);
+  EXPECT_EQ(counter->batch_pass_count(), 1u);
+  EXPECT_EQ(drain(*counter), 16384u);
+}
 
 }  // namespace
 }  // namespace cnet::svc

@@ -224,11 +224,18 @@ TEST(DistLeases, ExpiryRenewalPartitionHammerConservesExactly) {
 
   constexpr std::size_t kNodes = 4;
   constexpr std::uint64_t kIters = 1500;
+  // Nodes keep going past kIters until the clock has run one whole
+  // partition/heal cycle, so expiries, the partition and the heal always
+  // race live traffic.
+  constexpr std::uint64_t kCycleTicks = 64;
   std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> ticks{0};
   std::vector<std::thread> threads;
   for (std::size_t node = 0; node < kNodes; ++node) {
     threads.emplace_back([&, node] {
-      for (std::uint64_t i = 0; i < kIters; ++i) {
+      for (std::uint64_t i = 0;
+           i < kIters || ticks.load(std::memory_order_acquire) < kCycleTicks;
+           ++i) {
         if (i % 8 == 0) cluster.renew(node, node, 32);
         cluster.admit(node, node, 1 + i % 3);
       }
@@ -238,8 +245,9 @@ TEST(DistLeases, ExpiryRenewalPartitionHammerConservesExactly) {
     std::uint64_t t = 0;
     while (!stop.load(std::memory_order_acquire)) {
       cluster.advance(kNodes, ++t);
-      if (t % 64 == 17) cluster.partition(2);
-      if (t % 64 == 49) cluster.heal(kNodes, 2);
+      if (t % kCycleTicks == 17) cluster.partition(2);
+      if (t % kCycleTicks == 49) cluster.heal(kNodes, 2);
+      ticks.store(t, std::memory_order_release);
     }
   });
   for (std::size_t node = 0; node < kNodes; ++node) threads[node].join();

@@ -139,7 +139,9 @@ TEST(AdaptiveCounter, RefundStormDoesNotFeedTheSwitchProbe) {
   auto counter = std::make_unique<AdaptiveCounter>();
   auto* adaptive = counter.get();
   NetTokenBucket bucket(std::move(counter), {.initial_tokens = 5});
-  const std::uint64_t base = adaptive->stats().ops();  // the initial refill
+  // The constructor seed is a give-back too: it charges the probe nothing.
+  const std::uint64_t base = adaptive->stats().ops();
+  EXPECT_EQ(base, 0u) << "the initial_tokens seed was charged as load";
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(bucket.consume(0, 10, kAllOrNothing), 0u);
   }

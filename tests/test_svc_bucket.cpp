@@ -165,6 +165,13 @@ TEST_P(BucketSpecs, ShortfallRefundConservesThePool) {
   EXPECT_EQ(drain(bucket), 7u) << "the refund path minted or lost tokens";
 }
 
+TEST_P(BucketSpecs, LargeInitialSeedDrainsExactly) {
+  // The constructor seeds initial_tokens through refund_n in one bulk step;
+  // every composition must end up holding exactly that many.
+  NetTokenBucket bucket(make_counter(GetParam()), {.initial_tokens = 16384});
+  EXPECT_EQ(drain(bucket), 16384u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSpecs, BucketSpecs,
                          ::testing::ValuesIn(test::all_pool_backend_specs()),
                          test::backend_spec_param_name);

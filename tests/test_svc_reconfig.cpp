@@ -256,6 +256,8 @@ TEST(ReconfigHammer, BucketConservesTokensUnderConcurrentRespecs) {
   // through every sweep spec. At quiescence conservation must be exact:
   // refilled == consumed + remaining, and never-over-admit held throughout
   // (each consume was bounded by a pool that only ever held real tokens).
+  // Workers keep going past kRounds until a commit has been delivered, so
+  // at least one commit always overlaps live traffic.
   constexpr std::size_t kWorkers = 4;
   constexpr std::size_t kReconfigurers = 2;
   constexpr std::uint64_t kRounds = 2000;
@@ -264,13 +266,17 @@ TEST(ReconfigHammer, BucketConservesTokensUnderConcurrentRespecs) {
       make_counter(BackendSpec{BackendKind::kCentralAtomic, false}),
       NetTokenBucket::Config{0, 32});
   const auto specs = respec_sweep_specs();
+  std::atomic<bool> committed{false};
+  bucket.subscribe(
+      [&](std::uint64_t) { committed.store(true, std::memory_order_release); });
 
   std::atomic<std::uint64_t> consumed{0}, refilled{0};
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   for (std::size_t w = 0; w < kWorkers; ++w) {
     threads.emplace_back([&, w] {
-      for (std::uint64_t i = 0; i < kRounds; ++i) {
+      for (std::uint64_t i = 0;
+           i < kRounds || !committed.load(std::memory_order_acquire); ++i) {
         bucket.refill(w, 3);
         refilled.fetch_add(3, std::memory_order_relaxed);
         consumed.fetch_add(bucket.consume(w, 2, kPartialOk),
@@ -306,7 +312,8 @@ TEST(ReconfigHammer, BucketConservesTokensUnderConcurrentRespecs) {
 TEST(ReconfigHammer, QuotaStaysReleaseExactUnderConcurrentReweighs) {
   // Tenant threads acquire/release against live reweighs. At quiescence,
   // after every held grant is released: borrowed == 0 for all tenants and
-  // the parent pool holds exactly its initial count again.
+  // the parent pool holds exactly its initial count again. Tenants keep
+  // going past kRounds until a reweigh commit has been delivered.
   constexpr std::size_t kTenants = 4;
   constexpr std::uint64_t kRounds = 1500;
   QuotaHierarchy::Config cfg;
@@ -318,13 +325,17 @@ TEST(ReconfigHammer, QuotaStaysReleaseExactUnderConcurrentReweighs) {
                              {.initial_tokens = 10, .weight = 2},
                              {.initial_tokens = 10, .weight = 1},
                              {.initial_tokens = 10, .weight = 1}});
+  std::atomic<bool> committed{false};
+  quota.subscribe(
+      [&](std::uint64_t) { committed.store(true, std::memory_order_release); });
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kTenants; ++t) {
     threads.emplace_back([&, t] {
       std::vector<QuotaHierarchy::Grant> held;
-      for (std::uint64_t i = 0; i < kRounds; ++i) {
+      for (std::uint64_t i = 0;
+           i < kRounds || !committed.load(std::memory_order_acquire); ++i) {
         const auto grant = quota.acquire(t, t, 1 + i % 7);
         if (grant.admitted) held.push_back(grant);
         if (held.size() > 4 || (!held.empty() && i % 3 == 0)) {
