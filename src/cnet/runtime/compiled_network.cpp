@@ -1,5 +1,7 @@
 #include "cnet/runtime/compiled_network.hpp"
 
+#include <utility>
+
 #include "cnet/util/ensure.hpp"
 
 namespace cnet::rt {
@@ -8,16 +10,16 @@ const char* balancer_mode_name(BalancerMode mode) noexcept {
   return mode == BalancerMode::kFetchAdd ? "fetch-add" : "cas-retry";
 }
 
-CompiledNetwork::CompiledNetwork(const topo::Topology& net) {
-  num_nodes_ = net.num_balancers();
-  width_out_ = net.width_out();
-  nodes_ = std::make_unique<Node[]>(num_nodes_);
-
+CompiledShape::CompiledShape(const topo::Topology& net)
+    : width_out_(net.width_out()) {
+  const std::size_t num_nodes = net.num_balancers();
+  fanout_.resize(num_nodes);
+  route_base_.resize(num_nodes);
   std::size_t total_ports = 0;
-  for (std::uint32_t b = 0; b < num_nodes_; ++b) {
+  for (std::uint32_t b = 0; b < num_nodes; ++b) {
     const auto& bal = net.balancer(topo::BalancerId{b});
-    nodes_[b].fanout = static_cast<std::uint32_t>(bal.fan_out());
-    nodes_[b].route_base = static_cast<std::uint32_t>(total_ports);
+    fanout_[b] = static_cast<std::uint32_t>(bal.fan_out());
+    route_base_[b] = static_cast<std::uint32_t>(total_ports);
     total_ports += bal.fan_out();
   }
   route_.resize(total_ports);
@@ -29,7 +31,7 @@ CompiledNetwork::CompiledNetwork(const topo::Topology& net) {
     }
     return static_cast<std::int32_t>(end.balancer.value);
   };
-  for (std::uint32_t b = 0; b < num_nodes_; ++b) {
+  for (std::uint32_t b = 0; b < num_nodes; ++b) {
     const auto& bal = net.balancer(topo::BalancerId{b});
     for (std::size_t port = 0; port < bal.fan_out(); ++port) {
       const std::int32_t dest = encode(bal.outputs[port]);
@@ -37,12 +39,29 @@ CompiledNetwork::CompiledNetwork(const topo::Topology& net) {
       // traversal propagates counts in index order and relies on it.
       CNET_ENSURE(dest < 0 || dest > static_cast<std::int32_t>(b),
                   "balancer indices must be topologically ordered");
-      route_[nodes_[b].route_base + port] = dest;
+      route_[route_base_[b] + port] = dest;
     }
   }
   entry_.reserve(net.width_in());
   for (const topo::WireId in : net.input_wires()) {
     entry_.push_back(encode(in));
+  }
+}
+
+CompiledNetwork::CompiledNetwork(const topo::Topology& net)
+    : CompiledNetwork(std::make_shared<const CompiledShape>(net)) {}
+
+CompiledNetwork::CompiledNetwork(std::shared_ptr<const CompiledShape> shape)
+    : shape_(std::move(shape)),
+      num_nodes_(shape_->num_balancers()),
+      width_in_(shape_->width_in()),
+      width_out_(shape_->width_out()),
+      nodes_(std::make_unique<Node[]>(num_nodes_)),
+      route_(shape_->route_.data()),
+      entry_(shape_->entry_.data()) {
+  for (std::size_t b = 0; b < num_nodes_; ++b) {
+    nodes_[b].fanout = shape_->fanout_[b];
+    nodes_[b].route_base = shape_->route_base_[b];
   }
 }
 
@@ -57,9 +76,9 @@ std::uint32_t euclid_mod(std::int64_t v, std::uint32_t m) noexcept {
 
 }  // namespace
 
-std::size_t CompiledNetwork::traverse(std::size_t input_wire,
-                                      BalancerMode mode,
-                                      std::uint64_t* stalls) noexcept {
+std::size_t CompiledNetwork::traverse(
+    std::size_t input_wire, BalancerMode mode,
+    std::uint64_t* stalls) noexcept(kNoexcept) {
   std::int32_t at = entry_[input_wire];
   while (at >= 0) {
     Node& node = nodes_[static_cast<std::size_t>(at)];
@@ -82,9 +101,9 @@ std::size_t CompiledNetwork::traverse(std::size_t input_wire,
   return static_cast<std::size_t>(~at);
 }
 
-std::size_t CompiledNetwork::traverse_anti(std::size_t input_wire,
-                                           BalancerMode mode,
-                                           std::uint64_t* stalls) noexcept {
+std::size_t CompiledNetwork::traverse_anti(
+    std::size_t input_wire, BalancerMode mode,
+    std::uint64_t* stalls) noexcept(kNoexcept) {
   std::int32_t at = entry_[input_wire];
   while (at >= 0) {
     Node& node = nodes_[static_cast<std::size_t>(at)];
@@ -106,10 +125,10 @@ std::size_t CompiledNetwork::traverse_anti(std::size_t input_wire,
   return static_cast<std::size_t>(~at);
 }
 
-void CompiledNetwork::traverse_batch(std::size_t input_wire, std::uint64_t k,
-                                     BalancerMode mode, std::uint64_t* stalls,
-                                     BatchScratch& scratch,
-                                     std::uint64_t* out_counts) noexcept {
+void CompiledNetwork::traverse_batch(
+    std::size_t input_wire, std::uint64_t k, BalancerMode mode,
+    std::uint64_t* stalls, BatchScratch& scratch,
+    std::uint64_t* out_counts) noexcept(kNoexcept) {
   if (k == 0) return;
   const std::int32_t first = entry_[input_wire];
   if (first < 0) {
@@ -163,7 +182,7 @@ void CompiledNetwork::traverse_batch(std::size_t input_wire, std::uint64_t k,
   }
 }
 
-void CompiledNetwork::reset() noexcept {
+void CompiledNetwork::reset() noexcept(kNoexcept) {
   for (std::size_t b = 0; b < num_nodes_; ++b) {
     nodes_[b].state.store(0, std::memory_order_relaxed);
   }

@@ -3,18 +3,26 @@
 // next token leaves on; wires are routing-table entries. Tokens are threads
 // traversing the structure.
 //
+// The two parts live apart. The wiring — every balancer's fanout and the
+// routing table — is fixed and identical in every instance of a network, so
+// it is compiled once into an immutable CompiledShape that any number of
+// CompiledNetworks share. Each CompiledNetwork owns only its balancer state
+// words, one padded Node per balancer with that balancer's fanout and route
+// base copied in, so a traversal step reads its state and its routing from
+// one cache line.
+//
 // Two balancer disciplines are provided:
 //   * kFetchAdd — the state advances with one atomic fetch_add (wait-free);
 //   * kCasRetry — a CAS loop; every failed CAS is one observed stall, the
 //     hardware analogue of the Dwork-et-al. stall measure.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "cnet/topology/topology.hpp"
+#include "cnet/util/atomic.hpp"
 #include "cnet/util/cacheline.hpp"
 
 namespace cnet::rt {
@@ -32,29 +40,64 @@ class BatchScratch {
   std::vector<std::uint64_t> pending_;
 };
 
+// The immutable wiring of one network, compiled from its Topology. Holds no
+// state a token changes, so one shape may back any number of
+// CompiledNetworks on any threads.
+class CompiledShape {
+ public:
+  explicit CompiledShape(const topo::Topology& net);
+
+  CompiledShape(const CompiledShape&) = delete;
+  CompiledShape& operator=(const CompiledShape&) = delete;
+
+  std::size_t width_in() const noexcept { return entry_.size(); }
+  std::size_t width_out() const noexcept { return width_out_; }
+  std::size_t num_balancers() const noexcept { return fanout_.size(); }
+
+ private:
+  friend class CompiledNetwork;
+  std::size_t width_out_ = 0;
+  // Per balancer, in topological index order.
+  std::vector<std::uint32_t> fanout_;
+  std::vector<std::uint32_t> route_base_;
+  // Route entries: >= 0 is a balancer index, negative is ~output_position.
+  std::vector<std::int32_t> route_;
+  std::vector<std::int32_t> entry_;
+};
+
 class CompiledNetwork {
  public:
+  // Compiles a private shape for `net`.
   explicit CompiledNetwork(const topo::Topology& net);
+  // A fresh instance (every balancer state 0) on a shared shape.
+  explicit CompiledNetwork(std::shared_ptr<const CompiledShape> shape);
 
   CompiledNetwork(const CompiledNetwork&) = delete;
   CompiledNetwork& operator=(const CompiledNetwork&) = delete;
 
-  std::size_t width_in() const noexcept { return entry_.size(); }
+  std::size_t width_in() const noexcept { return width_in_; }
   std::size_t width_out() const noexcept { return width_out_; }
   std::size_t num_balancers() const noexcept { return num_nodes_; }
+  const std::shared_ptr<const CompiledShape>& shape() const noexcept {
+    return shape_;
+  }
+
+  // The traversals are noexcept except in a CNET_SCHED_CHECK build, where
+  // every balancer step is a schedule-checker step that may unwind.
+  static constexpr bool kNoexcept = !util::kSchedCheckEnabled;
 
   // Shepherds one token from `input_wire` (< width_in()) to an output wire,
   // whose index is returned. When `mode` is kCasRetry, the number of failed
   // CAS attempts is added to *stalls (which must be non-null in that mode).
   std::size_t traverse(std::size_t input_wire, BalancerMode mode,
-                       std::uint64_t* stalls) noexcept;
+                       std::uint64_t* stalls) noexcept(kNoexcept);
 
   // Shepherds one *antitoken* (Aiello et al.; paper §1.4.2): each visited
   // balancer's state moves back by one and the antitoken leaves on the wire
   // the state lands on — exactly undoing one token transition. Used to
   // implement Fetch&Decrement.
   std::size_t traverse_anti(std::size_t input_wire, BalancerMode mode,
-                            std::uint64_t* stalls) noexcept;
+                            std::uint64_t* stalls) noexcept(kNoexcept);
 
   // Shepherds `k` tokens from `input_wire` in one pass. Each visited
   // balancer advances its state by a single fetch_add(m) — m being the
@@ -71,25 +114,27 @@ class CompiledNetwork {
   void traverse_batch(std::size_t input_wire, std::uint64_t k,
                       BalancerMode mode, std::uint64_t* stalls,
                       BatchScratch& scratch,
-                      std::uint64_t* out_counts) noexcept;
+                      std::uint64_t* out_counts) noexcept(kNoexcept);
 
   // Resets all balancer states to 0 (only call while quiescent).
-  void reset() noexcept;
+  void reset() noexcept(kNoexcept);
 
  private:
   struct alignas(util::kCacheLine) Node {
     // Signed: antitokens can drive the cumulative balance below zero.
-    std::atomic<std::int64_t> state{0};
+    util::Atomic<std::int64_t> state{0};
     std::uint32_t fanout = 0;
     std::uint32_t route_base = 0;
   };
 
-  // Route entries: >= 0 is a balancer index, negative is ~output_position.
+  std::shared_ptr<const CompiledShape> shape_;
   std::size_t num_nodes_ = 0;
+  std::size_t width_in_ = 0;
   std::size_t width_out_ = 0;
   std::unique_ptr<Node[]> nodes_;
-  std::vector<std::int32_t> route_;
-  std::vector<std::int32_t> entry_;
+  // Into shape_'s tables, which outlive this instance through shape_.
+  const std::int32_t* route_ = nullptr;
+  const std::int32_t* entry_ = nullptr;
 };
 
 }  // namespace cnet::rt

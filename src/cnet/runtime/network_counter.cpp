@@ -1,6 +1,7 @@
 #include "cnet/runtime/network_counter.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "cnet/util/ensure.hpp"
 
@@ -8,8 +9,13 @@ namespace cnet::rt {
 
 NetworkCounter::NetworkCounter(const topo::Topology& net, std::string label,
                                BalancerMode mode)
-    : net_(net), label_(std::move(label)), mode_(mode),
-      cells_(net.width_out()), stalls_(), traversals_() {
+    : NetworkCounter(std::make_shared<const CompiledShape>(net),
+                     std::move(label), mode) {}
+
+NetworkCounter::NetworkCounter(std::shared_ptr<const CompiledShape> shape,
+                               std::string label, BalancerMode mode)
+    : net_(std::move(shape)), label_(std::move(label)), mode_(mode),
+      cells_(net_.width_out()) {
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     cells_[i].value.store(static_cast<std::int64_t>(i),
                           std::memory_order_relaxed);

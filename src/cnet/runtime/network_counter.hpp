@@ -5,13 +5,13 @@
 // exactly the values 0, 1, 2, ... with no gaps or duplicates once quiescent.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cnet/runtime/compiled_network.hpp"
 #include "cnet/runtime/counter.hpp"
+#include "cnet/util/atomic.hpp"
 #include "cnet/util/cacheline.hpp"
 #include "cnet/util/stall_slots.hpp"
 
@@ -21,6 +21,10 @@ class NetworkCounter : public Counter {
  public:
   // `label` names the network family in benchmark output, e.g. "C(8,16)".
   NetworkCounter(const topo::Topology& net, std::string label,
+                 BalancerMode mode = BalancerMode::kFetchAdd);
+  // A fresh counter on a shared compiled shape: its own balancer states and
+  // exit cells, the shape's wiring. Counters on one shape are independent.
+  NetworkCounter(std::shared_ptr<const CompiledShape> shape, std::string label,
                  BalancerMode mode = BalancerMode::kFetchAdd);
 
   std::int64_t fetch_increment(std::size_t thread_hint) override;
@@ -76,6 +80,14 @@ class NetworkCounter : public Counter {
 
   std::size_t width_in() const noexcept { return net_.width_in(); }
   std::size_t width_out() const noexcept { return net_.width_out(); }
+  const std::shared_ptr<const CompiledShape>& shape() const noexcept {
+    return net_.shape();
+  }
+  // Exit wire `wire`'s cell: the next value a token leaving on it takes.
+  // Meaningful while quiescent.
+  std::int64_t exit_cell(std::size_t wire) const {
+    return cells_[wire].value.load(std::memory_order_relaxed);
+  }
 
  protected:
   // Shared with BatchedNetworkCounter, whose batch path claims values from
@@ -83,7 +95,7 @@ class NetworkCounter : public Counter {
   CompiledNetwork net_;
   std::string label_;
   BalancerMode mode_;
-  std::vector<util::Padded<std::atomic<std::int64_t>>> cells_;
+  std::vector<util::Padded<util::Atomic<std::int64_t>>> cells_;
   util::StallSlots stalls_;
   util::StallSlots traversals_;
   util::StallSlots batch_passes_;

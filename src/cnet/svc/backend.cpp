@@ -1,11 +1,14 @@
 #include "cnet/svc/backend.hpp"
 
 #include <string>
+#include <vector>
 
 #include "cnet/core/counting.hpp"
 #include "cnet/runtime/central.hpp"
 #include "cnet/runtime/network_counter.hpp"
 #include "cnet/svc/adaptive.hpp"
+#include "cnet/util/mutex.hpp"
+#include "cnet/util/thread_annotations.hpp"
 
 namespace cnet::svc {
 
@@ -87,6 +90,44 @@ ParseResult parse_backend_spec(std::string_view name) {
   return result;
 }
 
+namespace {
+
+// One compiled C(w,t) per (w,t) for the whole process: the wiring is
+// immutable, so every network-backed counter of a shape shares it and owns
+// only its balancer states and exit cells. The lock is taken only when a
+// counter is built, never on a traversal. Shapes are never evicted; each is
+// a few KB, and only valid (w,t) pairs get in (make_counting throws first).
+class ShapeMemo {
+ public:
+  std::shared_ptr<const rt::CompiledShape> get(std::size_t w, std::size_t t) {
+    const util::MutexLock lock(mu_);
+    for (const Entry& e : shapes_) {
+      if (e.w == w && e.t == t) return e.shape;
+    }
+    auto shape =
+        std::make_shared<const rt::CompiledShape>(core::make_counting(w, t));
+    shapes_.push_back({w, t, shape});
+    return shape;
+  }
+
+ private:
+  struct Entry {
+    std::size_t w, t;
+    std::shared_ptr<const rt::CompiledShape> shape;
+  };
+  util::Mutex mu_;
+  // A process sees a handful of shapes, so a scan is all the lookup needs.
+  std::vector<Entry> shapes_ CNET_GUARDED_BY(mu_);
+};
+
+std::shared_ptr<const rt::CompiledShape> counting_shape(std::size_t w,
+                                                        std::size_t t) {
+  static ShapeMemo memo;
+  return memo.get(w, t);
+}
+
+}  // namespace
+
 std::unique_ptr<rt::Counter> make_counter(BackendKind kind,
                                           const BackendConfig& cfg) {
   const auto label = [&cfg](const char* prefix) {
@@ -102,12 +143,11 @@ std::unique_ptr<rt::Counter> make_counter(BackendKind kind,
       return std::make_unique<rt::MutexCounter>();
     case BackendKind::kNetwork:
       return std::make_unique<rt::NetworkCounter>(
-          core::make_counting(cfg.width_in, cfg.width_out), label(""),
-          cfg.mode);
+          counting_shape(cfg.width_in, cfg.width_out), label(""), cfg.mode);
     case BackendKind::kBatchedNetwork:
       return std::make_unique<rt::BatchedNetworkCounter>(
-          core::make_counting(cfg.width_in, cfg.width_out),
-          label("batched "), cfg.mode);
+          counting_shape(cfg.width_in, cfg.width_out), label("batched "),
+          cfg.mode);
     case BackendKind::kAdaptive: {
       AdaptiveCounter::Config acfg;
       acfg.net = cfg;

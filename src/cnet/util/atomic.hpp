@@ -1,8 +1,9 @@
 // util::Atomic<T> — std::atomic<T> behind the schedule checker's seam.
 //
-// Every protocol word whose interleavings the checker explores (StallSlots
-// tallies, EliminationLayer exchange slots, ReconfigEngine reader slots
-// and active-state pointer, the quota borrow reservation) is declared as
+// Every protocol word whose interleavings the checker explores (balancer
+// states and exit cells of the network counters, StallSlots tallies,
+// EliminationLayer exchange slots, ReconfigEngine reader slots and
+// active-state pointer, the quota borrow reservation) is declared as
 // util::Atomic instead of std::atomic. With CNET_SCHED_CHECK off this is a
 // pure forwarding shim over std::atomic — same layout, same memory orders,
 // inline calls, zero overhead. With it on, each operation first announces

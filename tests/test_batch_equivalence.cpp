@@ -6,14 +6,18 @@
 // paths race on one instance. One parameterized fixture sweeps all five
 // backends through the svc factory. The bulk paths follow: a central batch
 // is one contiguous block, and refund_n(n) adds exactly n on every pool
-// spec (the batched network in a single pass).
+// spec (the batched network in a single pass). Last, the factory's shape
+// memo: one compiled C(w,t) per (w,t), even under racing first builds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "cnet/runtime/counter.hpp"
+#include "cnet/runtime/network_counter.hpp"
 #include "cnet/svc/backend.hpp"
 #include "test_svc_util.hpp"
 #include "test_util.hpp"
@@ -197,6 +201,59 @@ TEST(BatchedNetworkRefund, OneBatchPassForAnyCount) {
   EXPECT_EQ(counter->traversal_count(), 16384u);
   EXPECT_EQ(counter->batch_pass_count(), 1u);
   EXPECT_EQ(drain(*counter), 16384u);
+}
+
+// make_counter compiles each C(w,t) once per process: every network-backed
+// counter of one (w,t) gets the same immutable wiring.
+const rt::CompiledShape* shape_of(const rt::Counter& counter) {
+  return dynamic_cast<const rt::NetworkCounter&>(counter).shape().get();
+}
+
+BackendConfig shape_config(std::size_t w, std::size_t t) {
+  BackendConfig cfg;
+  cfg.width_in = w;
+  cfg.width_out = t;
+  return cfg;
+}
+
+TEST(ShapeMemo, EqualShapesShareOneCompile) {
+  const auto plain = make_counter(BackendKind::kNetwork, shape_config(4, 8));
+  const auto batched =
+      make_counter(BackendKind::kBatchedNetwork, shape_config(4, 8));
+  const auto wider_out =
+      make_counter(BackendKind::kBatchedNetwork, shape_config(4, 12));
+  const auto wider_in =
+      make_counter(BackendKind::kBatchedNetwork, shape_config(8, 8));
+  EXPECT_EQ(shape_of(*plain), shape_of(*batched));
+  EXPECT_NE(shape_of(*plain), shape_of(*wider_out));
+  EXPECT_NE(shape_of(*plain), shape_of(*wider_in));
+  EXPECT_EQ(shape_of(*wider_out)->width_out(), 12u);
+  EXPECT_EQ(shape_of(*wider_in)->width_in(), 8u);
+  // Sharing the wiring shares no state.
+  EXPECT_EQ(plain->fetch_increment(0), 0);
+  EXPECT_EQ(batched->fetch_increment(0), 0);
+}
+
+TEST(ShapeMemo, RacingFirstBuildsGetOneShape) {
+  // No other test in this binary builds C(16,32), so the threads race the
+  // shape's first compile.
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::unique_ptr<rt::Counter>> built(kThreads);
+  {
+    std::latch start(kThreads);
+    std::vector<std::jthread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        start.arrive_and_wait();
+        built[t] = make_counter(BackendKind::kBatchedNetwork,
+                                shape_config(16, 32));
+      });
+    }
+  }
+  for (const auto& counter : built) {
+    EXPECT_EQ(shape_of(*counter), shape_of(*built[0]));
+    EXPECT_EQ(counter->fetch_increment(0), 0);
+  }
 }
 
 }  // namespace

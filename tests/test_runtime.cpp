@@ -1,10 +1,11 @@
 // Concurrent runtime: compiled networks, network counters under real
-// threads, both balancer disciplines.
+// threads, both balancer disciplines, counters sharing one compiled shape.
 #include "cnet/runtime/network_counter.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "cnet/baselines/periodic.hpp"
 #include "cnet/core/counting.hpp"
 #include "cnet/runtime/compiled_network.hpp"
+#include "cnet/util/prng.hpp"
 #include "test_util.hpp"
 
 namespace cnet::rt {
@@ -141,6 +143,87 @@ TEST(NetworkCounter, NameAndWidthsExposed) {
   EXPECT_EQ(counter.name(), "C(4,12)");
   EXPECT_EQ(counter.width_in(), 4u);
   EXPECT_EQ(counter.width_out(), 12u);
+}
+
+// A counter on a shared compiled shape is the same machine as one that
+// compiled its own: one seeded stream of every op kind gives bit-identical
+// results and leaves bit-identical exit cells, in both balancer modes.
+TEST(SharedShape, OpStreamMatchesTopologyCounter) {
+  const auto net = core::make_counting(8, 24);
+  const auto shape = std::make_shared<const CompiledShape>(net);
+  for (const BalancerMode mode :
+       {BalancerMode::kFetchAdd, BalancerMode::kCasRetry}) {
+    BatchedNetworkCounter own(net, "own", mode);
+    BatchedNetworkCounter shared(shape, "shared", mode);
+    util::Xoshiro256 rng(1998);
+    std::int64_t own_buf[32], shared_buf[32];
+    for (int op = 0; op < 4000; ++op) {
+      const std::size_t hint = rng.below(8);
+      switch (rng.below(5)) {
+        case 0:
+          ASSERT_EQ(own.fetch_increment(hint), shared.fetch_increment(hint));
+          break;
+        case 1: {
+          const std::size_t k = 1 + rng.below(32);
+          own.fetch_increment_batch(hint, k, own_buf);
+          shared.fetch_increment_batch(hint, k, shared_buf);
+          ASSERT_TRUE(std::equal(own_buf, own_buf + k, shared_buf)) << op;
+          break;
+        }
+        case 2: {
+          std::int64_t own_v = -1, shared_v = -1;
+          ASSERT_EQ(own.try_fetch_decrement(hint, &own_v),
+                    shared.try_fetch_decrement(hint, &shared_v));
+          ASSERT_EQ(own_v, shared_v);
+          break;
+        }
+        case 3: {
+          const std::uint64_t n = rng.below(48);
+          ASSERT_EQ(own.try_fetch_decrement_n(hint, n),
+                    shared.try_fetch_decrement_n(hint, n));
+          break;
+        }
+        default: {
+          const std::uint64_t n = rng.below(64);
+          own.refund_n(hint, n);
+          shared.refund_n(hint, n);
+          break;
+        }
+      }
+    }
+    for (std::size_t wire = 0; wire < own.width_out(); ++wire) {
+      EXPECT_EQ(own.exit_cell(wire), shared.exit_cell(wire)) << wire;
+    }
+    EXPECT_EQ(own.traversal_count(), shared.traversal_count());
+    EXPECT_EQ(own.batch_pass_count(), shared.batch_pass_count());
+  }
+}
+
+// Counters on one shape share only the wiring: each has its own balancer
+// states and exit cells, so each hands out exactly 0..n-1.
+TEST(SharedShape, CountersOnOneShapeAreIndependent) {
+  const auto shape =
+      std::make_shared<const CompiledShape>(core::make_counting(4, 8));
+  NetworkCounter a(shape, "a");
+  NetworkCounter b(shape, "b");
+  EXPECT_EQ(a.shape(), b.shape());
+  std::int64_t next_a = 0, next_b = 0;
+  for (std::size_t i = 0; i < 600; ++i) {
+    ASSERT_EQ(a.fetch_increment(i % 4), next_a++);
+    if (i % 3 != 0) ASSERT_EQ(b.fetch_increment((i + 1) % 4), next_b++);
+  }
+  // And under concurrency: two threads per counter, both at once.
+  NetworkCounter c(shape, "c");
+  NetworkCounter d(shape, "d");
+  std::vector<std::int64_t> got_c, got_d;
+  {
+    std::jthread on_c([&] { got_c = hammer(c, 2, 3000); });
+    std::jthread on_d([&] { got_d = hammer(d, 2, 3000); });
+  }
+  EXPECT_TRUE(test::is_exact_range(
+      std::vector<seq::Value>(got_c.begin(), got_c.end())));
+  EXPECT_TRUE(test::is_exact_range(
+      std::vector<seq::Value>(got_d.begin(), got_d.end())));
 }
 
 }  // namespace

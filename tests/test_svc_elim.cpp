@@ -2,11 +2,15 @@
 // protocol (catch, deposit/withdraw, pair-value agreement) and the headline
 // guarantee of the front-end — a paired increment/decrement cancels locally
 // and never sends a token into the backing network (its traversal counter
-// stays untouched).
+// stays untouched). Also the backend-spec parser the elim+ prefix goes
+// through, with a seeded property test over malformed spec strings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +18,8 @@
 #include "cnet/runtime/network_counter.hpp"
 #include "cnet/svc/backend.hpp"
 #include "cnet/svc/elimination.hpp"
+#include "cnet/util/prng.hpp"
+#include "test_svc_util.hpp"
 
 namespace cnet::svc {
 namespace {
@@ -172,6 +178,77 @@ TEST(BackendSpec, ParseFailuresNameTheReason) {
       << trailing.error;
   EXPECT_NE(trailing.error.find("\"central-atomic\""), std::string::npos)
       << trailing.error;
+}
+
+TEST(BackendSpec, EveryNameRoundTrips) {
+  for (const BackendSpec& spec : test::all_pool_backend_specs()) {
+    const std::string name = backend_spec_name(spec);
+    const auto parsed = parse_backend_spec(name);
+    ASSERT_TRUE(parsed.has_value()) << name << ": " << parsed.error;
+    EXPECT_TRUE(parsed.error.empty()) << name;
+    EXPECT_EQ(parsed->kind, spec.kind) << name;
+    EXPECT_EQ(parsed->elimination, spec.elimination) << name;
+    EXPECT_EQ(backend_spec_name(*parsed), name);
+  }
+}
+
+// One seeded malformation of a spec string: truncation, appended junk, a
+// doubled prefix, or flipped letter case.
+std::string mutate_spec(std::string s, util::Xoshiro256& rng) {
+  static constexpr char kJunk[] = {'x', '-', '+', ' ', '9', 'Z', '\0', '.'};
+  switch (rng.below(4)) {
+    case 0:
+      s.resize(rng.below(s.size() + 1));
+      break;
+    case 1:
+      for (std::uint64_t n = 1 + rng.below(4); n > 0; --n) {
+        s += kJunk[rng.below(std::size(kJunk))];
+      }
+      break;
+    case 2:
+      // Either a second "elim+" or a repeat of the string's own head.
+      s = rng.below(2) == 0 ? "elim+" + s
+                            : s.substr(0, 1 + rng.below(s.size() + 1)) + s;
+      break;
+    default:
+      for (std::uint64_t n = 1 + rng.below(3); n > 0 && !s.empty(); --n) {
+        char& c = s[rng.below(s.size())];
+        if (std::isalpha(static_cast<unsigned char>(c))) {
+          c = static_cast<char>(
+              std::islower(static_cast<unsigned char>(c))
+                  ? std::toupper(static_cast<unsigned char>(c))
+                  : std::tolower(static_cast<unsigned char>(c)));
+        }
+      }
+      break;
+  }
+  return s;
+}
+
+TEST(BackendSpec, SeededMutationsParseOrExplainNeverThrow) {
+  const auto specs = test::all_pool_backend_specs();
+  util::Xoshiro256 rng(0x5bec'1998);
+  std::size_t parsed_count = 0, rejected_count = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string s = backend_spec_name(specs[rng.below(specs.size())]);
+    for (std::uint64_t rounds = 1 + rng.below(3); rounds > 0; --rounds) {
+      s = mutate_spec(std::move(s), rng);
+    }
+    ParseResult result;
+    ASSERT_NO_THROW(result = parse_backend_spec(s)) << '"' << s << '"';
+    if (result.has_value()) {
+      // Only a canonical name parses, so the parse names the input back.
+      EXPECT_TRUE(result.error.empty()) << '"' << s << '"';
+      EXPECT_EQ(backend_spec_name(*result), s);
+      ++parsed_count;
+    } else {
+      EXPECT_FALSE(result.error.empty()) << '"' << s << '"';
+      ++rejected_count;
+    }
+  }
+  // The seed reaches both outcomes.
+  EXPECT_GT(parsed_count, 0u);
+  EXPECT_GT(rejected_count, 0u);
 }
 
 TEST(BackendSpec, FactoryComposesTheDecorator) {
