@@ -34,17 +34,20 @@ using namespace cnet;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
-bench::LoadGenConfig config_for(std::size_t threads) {
+// --smoke shrinks every phase so CI can drive each topology's live
+// traversal in a few seconds.
+bench::LoadGenConfig config_for(std::size_t threads, bool smoke) {
   bench::LoadGenConfig cfg;
   cfg.threads = threads;
-  cfg.warmup_seconds = 0.1;
-  cfg.measure_seconds = 0.3;
+  cfg.warmup_seconds = smoke ? 0.01 : 0.1;
+  cfg.measure_seconds = smoke ? 0.05 : 0.3;
   return cfg;
 }
 
 // Per-token load: one fetch_increment per op-call.
-bench::LoadGenResult hammer(rt::Counter& counter, std::size_t threads) {
-  return bench::run_loadgen(config_for(threads), [&](std::size_t t) {
+bench::LoadGenResult hammer(rt::Counter& counter, std::size_t threads,
+                            bool smoke) {
+  return bench::run_loadgen(config_for(threads, smoke), [&](std::size_t t) {
     volatile std::int64_t sink = counter.fetch_increment(t);
     (void)sink;
     return std::uint64_t{1};
@@ -53,10 +56,11 @@ bench::LoadGenResult hammer(rt::Counter& counter, std::size_t threads) {
 
 // Batched load: one fetch_increment_batch(k) per op-call, counted as k ops.
 bench::LoadGenResult hammer_batch(rt::Counter& counter, std::size_t threads,
-                                  std::size_t k) {
+                                  std::size_t k, bool smoke) {
   std::vector<std::vector<std::int64_t>> buffers(
       threads, std::vector<std::int64_t>(k));
-  return bench::run_loadgen(config_for(threads), [&, k](std::size_t t) {
+  const auto cfg = config_for(threads, smoke);
+  return bench::run_loadgen(cfg, [&, k](std::size_t t) {
     counter.fetch_increment_batch(t, k, buffers[t].data());
     volatile std::int64_t sink = buffers[t][k - 1];
     (void)sink;
@@ -107,7 +111,7 @@ int main(int argc, char** argv) {
       std::vector<std::string> row = {backend.label};
       bench::LoadGenResult last;
       for (const std::size_t n : kThreadCounts) {
-        last = hammer(*backend.counter, n);
+        last = hammer(*backend.counter, n, opts.smoke);
         row.push_back(bench::fmt_rate(last.ops_per_sec));
       }
       row.push_back(bench::fmt_ns(last.p50_ns));
@@ -117,11 +121,15 @@ int main(int argc, char** argv) {
       table.add_row(row);
     }
     bench::emit(table, opts);
-    bench::note(
-        "\nrates are tokens/sec over a 0.3s measured phase after 0.1s\n"
-        "warmup; p50/p99 are per-op latencies at n=8; stalls are CAS\n"
-        "retries accumulated across the whole run (cas backends only).",
-        opts);
+    const auto cfg = config_for(1, opts.smoke);
+    bench::note("\nrates are tokens/sec over a " +
+                    util::fmt_double(cfg.measure_seconds, 2) +
+                    "s measured phase after " +
+                    util::fmt_double(cfg.warmup_seconds, 2) +
+                    "s\nwarmup; p50/p99 are per-op latencies at n=8; stalls "
+                    "are CAS\nretries accumulated across the whole run (cas "
+                    "backends only).",
+                opts);
   }
 
   // The tentpole comparison: the same C(w, w·lgw) network traversed
@@ -140,7 +148,7 @@ int main(int argc, char** argv) {
       std::vector<std::string> row = {"per-token"};
       bench::LoadGenResult last;
       for (const std::size_t n : kThreadCounts) {
-        last = hammer(counter, n);
+        last = hammer(counter, n, opts.smoke);
         per_token_rates.push_back(last.ops_per_sec);
         row.push_back(bench::fmt_rate(last.ops_per_sec));
       }
@@ -154,7 +162,7 @@ int main(int argc, char** argv) {
       std::vector<std::string> row = {"batch k=" + std::to_string(k)};
       bench::LoadGenResult last;
       for (const std::size_t n : kThreadCounts) {
-        last = hammer_batch(counter, n, k);
+        last = hammer_batch(counter, n, k, opts.smoke);
         row.push_back(bench::fmt_rate(last.ops_per_sec));
       }
       if (k == 64) batched_at8 = last.ops_per_sec;

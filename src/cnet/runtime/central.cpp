@@ -7,7 +7,7 @@ namespace {
 // Shared bounded-decrement loop for the atomic central counters: move the
 // value back by one unless it is already zero. Failed CAS attempts count as
 // stalls, symmetrically with the increment path.
-bool bounded_decrement(std::atomic<std::int64_t>& value,
+bool bounded_decrement(util::Atomic<std::int64_t>& value,
                        std::int64_t* reclaimed, util::StallSlots& stalls,
                        std::size_t thread_hint) {
   std::int64_t cur = value.load(std::memory_order_relaxed);
@@ -26,7 +26,7 @@ bool bounded_decrement(std::atomic<std::int64_t>& value,
 }
 
 // Bulk form: one CAS takes a whole block of min(n, value) values.
-std::uint64_t bounded_decrement_n(std::atomic<std::int64_t>& value,
+std::uint64_t bounded_decrement_n(util::Atomic<std::int64_t>& value,
                                   std::uint64_t n, util::StallSlots& stalls,
                                   std::size_t thread_hint) {
   std::int64_t cur = value.load(std::memory_order_relaxed);

@@ -3,9 +3,9 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 
 #include "cnet/runtime/counter.hpp"
+#include "cnet/util/atomic.hpp"
 #include "cnet/util/cacheline.hpp"
 #include "cnet/util/mutex.hpp"
 #include "cnet/util/stall_slots.hpp"
@@ -44,7 +44,7 @@ class AtomicCounter final : public Counter {
   std::uint64_t stall_count() const override { return stalls_.total(); }
 
  private:
-  util::Padded<std::atomic<std::int64_t>> value_{};
+  util::Padded<util::Atomic<std::int64_t>> value_{};
   util::StallSlots stalls_;
 };
 
@@ -67,7 +67,7 @@ class CasCounter final : public Counter {
   // One CAS loop advancing the word by k; returns the pre-add value.
   std::int64_t add(std::size_t thread_hint, std::int64_t k);
 
-  util::Padded<std::atomic<std::int64_t>> value_{};
+  util::Padded<util::Atomic<std::int64_t>> value_{};
   util::StallSlots stalls_;
 };
 

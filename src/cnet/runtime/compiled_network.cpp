@@ -1,7 +1,9 @@
 #include "cnet/runtime/compiled_network.hpp"
 
+#include <bit>
 #include <utility>
 
+#include "cnet/util/bitops.hpp"
 #include "cnet/util/ensure.hpp"
 
 namespace cnet::rt {
@@ -14,11 +16,14 @@ CompiledShape::CompiledShape(const topo::Topology& net)
     : width_out_(net.width_out()) {
   const std::size_t num_nodes = net.num_balancers();
   fanout_.resize(num_nodes);
+  mask_.resize(num_nodes);
   route_base_.resize(num_nodes);
   std::size_t total_ports = 0;
   for (std::uint32_t b = 0; b < num_nodes; ++b) {
     const auto& bal = net.balancer(topo::BalancerId{b});
     fanout_[b] = static_cast<std::uint32_t>(bal.fan_out());
+    mask_[b] = util::is_pow2(fanout_[b]) ? fanout_[b] - 1
+                                         : CompiledNetwork::kNoMask;
     route_base_[b] = static_cast<std::uint32_t>(total_ports);
     total_ports += bal.fan_out();
   }
@@ -61,20 +66,18 @@ CompiledNetwork::CompiledNetwork(std::shared_ptr<const CompiledShape> shape)
       entry_(shape_->entry_.data()) {
   for (std::size_t b = 0; b < num_nodes_; ++b) {
     nodes_[b].fanout = shape_->fanout_[b];
+    nodes_[b].mask = shape_->mask_[b];
     nodes_[b].route_base = shape_->route_base_[b];
   }
 }
 
-namespace {
-
-// Euclidean modulo: result in [0, m) even for negative v.
-std::uint32_t euclid_mod(std::int64_t v, std::uint32_t m) noexcept {
-  const std::int64_t r = v % static_cast<std::int64_t>(m);
-  return static_cast<std::uint32_t>(r >= 0 ? r
-                                           : r + static_cast<std::int64_t>(m));
+std::uint32_t CompiledNetwork::Node::port(
+    std::int64_t ticket) const noexcept {
+  if (mask != kNoMask) return static_cast<std::uint32_t>(ticket) & mask;
+  const std::int64_t r = ticket % static_cast<std::int64_t>(fanout);
+  return static_cast<std::uint32_t>(
+      r >= 0 ? r : r + static_cast<std::int64_t>(fanout));
 }
-
-}  // namespace
 
 std::size_t CompiledNetwork::traverse(
     std::size_t input_wire, BalancerMode mode,
@@ -96,7 +99,7 @@ std::size_t CompiledNetwork::traverse(
         ++*stalls;
       }
     }
-    at = route_[node.route_base + euclid_mod(ticket, node.fanout)];
+    at = route_[node.route_base + node.port(ticket)];
   }
   return static_cast<std::size_t>(~at);
 }
@@ -120,7 +123,7 @@ std::size_t CompiledNetwork::traverse_anti(
     }
     // The antitoken leaves on the wire the state stepped back onto — the
     // wire the most recent (now cancelled) token transition used.
-    at = route_[node.route_base + euclid_mod(landed, node.fanout)];
+    at = route_[node.route_base + node.port(landed)];
   }
   return static_cast<std::size_t>(~at);
 }
@@ -162,22 +165,40 @@ void CompiledNetwork::traverse_batch(
     }
     // Tickets ticket..ticket+m-1 land round-robin on the fanout wires:
     // every wire gets m/f, and the m%f wires starting at ticket mod f
-    // (cyclically) get one more.
-    const std::uint32_t f = node.fanout;
-    const std::uint64_t per_wire = m / f;
-    const std::uint64_t extra = m % f;
-    const std::uint32_t start = euclid_mod(ticket, f);
-    for (std::uint32_t port = 0; port < f; ++port) {
-      const std::uint32_t offset = (port + f - start) % f;
-      const std::uint64_t count = per_wire + (offset < extra ? 1 : 0);
-      if (count == 0) continue;
-      const std::int32_t dest = route_[node.route_base + port];
+    // (cyclically) get one more. Zero counts are delivered too: adding 0
+    // is cheaper than a branch on the ticket-dependent count.
+    const std::int32_t* dests = route_ + node.route_base;
+    auto deliver = [&](std::int32_t dest, std::uint64_t count) {
       if (dest < 0) {
         out_counts[static_cast<std::size_t>(~dest)] += count;
         in_flight -= count;
       } else {
         pending[static_cast<std::size_t>(dest)] += count;
       }
+    };
+    const std::uint32_t f = node.fanout;
+    const std::uint32_t start = node.port(ticket);
+    if (f == 2) {
+      // The common (p,2)-balancer: an odd token leaves on the start port.
+      const std::uint64_t odd = m & 1;
+      deliver(dests[0], (m >> 1) + (odd & (start ^ 1)));
+      deliver(dests[1], (m >> 1) + (odd & start));
+      continue;
+    }
+    std::uint64_t per_wire, extra;
+    if (node.mask != kNoMask) {
+      per_wire = m >> std::countr_zero(f);
+      extra = m & node.mask;
+    } else {
+      per_wire = m / f;
+      extra = m % f;
+    }
+    // Port p's cyclic distance from the start port, (p - start) mod f,
+    // stepped along by conditional subtraction instead of a divide.
+    std::uint32_t offset = f - start;
+    for (std::uint32_t port = 0; port < f; ++port, ++offset) {
+      if (offset >= f) offset -= f;
+      deliver(dests[port], per_wire + (offset < extra ? 1 : 0));
     }
   }
 }

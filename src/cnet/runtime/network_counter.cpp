@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "cnet/util/bitops.hpp"
 #include "cnet/util/ensure.hpp"
 
 namespace cnet::rt {
@@ -15,6 +16,9 @@ NetworkCounter::NetworkCounter(const topo::Topology& net, std::string label,
 NetworkCounter::NetworkCounter(std::shared_ptr<const CompiledShape> shape,
                                std::string label, BalancerMode mode)
     : net_(std::move(shape)), label_(std::move(label)), mode_(mode),
+      entry_mask_(util::is_pow2(net_.width_in())
+                      ? net_.width_in() - 1
+                      : CompiledNetwork::kNoMask),
       cells_(net_.width_out()) {
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     cells_[i].value.store(static_cast<std::int64_t>(i),
@@ -22,10 +26,17 @@ NetworkCounter::NetworkCounter(std::shared_ptr<const CompiledShape> shape,
   }
 }
 
+std::size_t NetworkCounter::entry_wire(
+    std::size_t thread_hint) const noexcept {
+  return entry_mask_ != CompiledNetwork::kNoMask
+             ? thread_hint & entry_mask_
+             : thread_hint % net_.width_in();
+}
+
 std::int64_t NetworkCounter::fetch_increment(std::size_t thread_hint) {
   std::uint64_t local_stalls = 0;
   const std::size_t out =
-      net_.traverse(thread_hint % net_.width_in(), mode_, &local_stalls);
+      net_.traverse(entry_wire(thread_hint), mode_, &local_stalls);
   stalls_.add(thread_hint, local_stalls);
   traversals_.add(thread_hint, 1);
   // The exit cell assigns the value and advances by t (paper §1.1). One
@@ -38,7 +49,7 @@ std::int64_t NetworkCounter::fetch_increment(std::size_t thread_hint) {
 std::int64_t NetworkCounter::fetch_decrement(std::size_t thread_hint) {
   std::uint64_t local_stalls = 0;
   const std::size_t out =
-      net_.traverse_anti(thread_hint % net_.width_in(), mode_, &local_stalls);
+      net_.traverse_anti(entry_wire(thread_hint), mode_, &local_stalls);
   stalls_.add(thread_hint, local_stalls);
   traversals_.add(thread_hint, 1);
   // Undo one cell step: the reclaimed value is the new cell content.
@@ -77,7 +88,7 @@ bool NetworkCounter::try_fetch_decrement(std::size_t thread_hint,
                                          std::int64_t* reclaimed) {
   std::uint64_t local_stalls = 0;
   const std::size_t out =
-      net_.traverse_anti(thread_hint % net_.width_in(), mode_, &local_stalls);
+      net_.traverse_anti(entry_wire(thread_hint), mode_, &local_stalls);
   stalls_.add(thread_hint, local_stalls);
   traversals_.add(thread_hint, 1);
   // Fast path: the antitoken's own exit wire — under balanced traffic this
@@ -89,8 +100,8 @@ bool NetworkCounter::try_fetch_decrement(std::size_t thread_hint,
   // when every cell is at its floor during the pass, i.e. the pool is
   // genuinely empty (or being emptied concurrently). The sweep is the
   // O(t) miss path; successful consumes stay on the traversal fast path.
-  for (std::size_t i = 1; i < cells_.size(); ++i) {
-    const std::size_t wire = (out + i) % cells_.size();
+  for (std::size_t wire = out + 1, i = 1; i < cells_.size(); ++wire, ++i) {
+    if (wire == cells_.size()) wire = 0;
     if (try_claim_cell(wire, thread_hint, reclaimed)) return true;
   }
   return false;
@@ -125,12 +136,13 @@ std::uint64_t NetworkCounter::try_fetch_decrement_n(std::size_t thread_hint,
   if (n == 0) return 0;
   std::uint64_t local_stalls = 0;
   const std::size_t out =
-      net_.traverse_anti(thread_hint % net_.width_in(), mode_, &local_stalls);
+      net_.traverse_anti(entry_wire(thread_hint), mode_, &local_stalls);
   stalls_.add(thread_hint, local_stalls);
   traversals_.add(thread_hint, 1);
   std::uint64_t got = 0;
-  for (std::size_t i = 0; i < cells_.size() && got < n; ++i) {
-    const std::size_t wire = (out + i) % cells_.size();
+  for (std::size_t wire = out, i = 0; i < cells_.size() && got < n;
+       ++wire, ++i) {
+    if (wire == cells_.size()) wire = 0;
     got += try_claim_cell_n(wire, thread_hint, n - got);
   }
   return got;
@@ -165,7 +177,7 @@ void BatchedNetworkCounter::batch_pass(std::size_t thread_hint,
   wire_counts.assign(net_.width_out(), 0);
 
   std::uint64_t local_stalls = 0;
-  net_.traverse_batch(thread_hint % net_.width_in(), k, mode_, &local_stalls,
+  net_.traverse_batch(entry_wire(thread_hint), k, mode_, &local_stalls,
                       scratch, wire_counts.data());
   stalls_.add(thread_hint, local_stalls);
   traversals_.add(thread_hint, k);

@@ -95,10 +95,16 @@ class NetworkCounter : public Counter {
   CompiledNetwork net_;
   std::string label_;
   BalancerMode mode_;
+  // width_in() - 1 when width_in() is a power of two, else kNoMask.
+  std::size_t entry_mask_;
   std::vector<util::Padded<util::Atomic<std::int64_t>>> cells_;
   util::StallSlots stalls_;
   util::StallSlots traversals_;
   util::StallSlots batch_passes_;
+
+  // The input wire a token from `thread_hint` enters on: the hint mod
+  // width_in(), by mask when the width allows.
+  std::size_t entry_wire(std::size_t thread_hint) const noexcept;
 
  private:
   bool try_claim_cell(std::size_t wire, std::size_t thread_hint,

@@ -1,7 +1,8 @@
 // util::Atomic<T> — std::atomic<T> behind the schedule checker's seam.
 //
 // Every protocol word whose interleavings the checker explores (balancer
-// states and exit cells of the network counters, StallSlots tallies,
+// states and exit cells of the network counters, the value words of the
+// central atomic and CAS counters, StallSlots tallies,
 // EliminationLayer exchange slots, ReconfigEngine reader slots and
 // active-state pointer, the quota borrow reservation) is declared as
 // util::Atomic instead of std::atomic. With CNET_SCHED_CHECK off this is a

@@ -5,13 +5,15 @@
 // recording an event never becomes a contention point itself; full reads
 // sum the slots and are expected to be rare (end-of-run reporting), while
 // add_and_get exposes the writer's own slot cheaply for periodic-sampling
-// triggers (svc::LoadStats).
+// triggers (svc::LoadStats). The slot count is a power of two, so picking a
+// slot is a mask, not a divide.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "cnet/util/atomic.hpp"
+#include "cnet/util/bitops.hpp"
 #include "cnet/util/cacheline.hpp"
 #include "cnet/util/ensure.hpp"
 
@@ -28,15 +30,16 @@ class StallSlots {
   static constexpr std::size_t kDefaultSlots = 64;
 #endif
 
-  explicit StallSlots(std::size_t slots = kDefaultSlots) : slots_(slots) {
-    CNET_REQUIRE(slots > 0, "at least one stall slot");
+  explicit StallSlots(std::size_t slots = kDefaultSlots)
+      : slots_(slots), mask_(slots - 1) {
+    CNET_REQUIRE(is_pow2(slots), "stall slot count must be a power of two");
   }
 
   void add(std::size_t thread_hint,
            std::uint64_t stalls) noexcept(!kSchedCheckEnabled) {
     if (stalls != 0) {
-      slots_[thread_hint % slots_.size()].value.fetch_add(
-          stalls, std::memory_order_relaxed);
+      slots_[thread_hint & mask_].value.fetch_add(stalls,
+                                                  std::memory_order_relaxed);
     }
   }
 
@@ -46,7 +49,7 @@ class StallSlots {
   // sum on the hot path.
   std::uint64_t add_and_get(std::size_t thread_hint,
                             std::uint64_t events) noexcept(!kSchedCheckEnabled) {
-    return slots_[thread_hint % slots_.size()].value.fetch_add(
+    return slots_[thread_hint & mask_].value.fetch_add(
                events, std::memory_order_relaxed) +
            events;
   }
@@ -61,6 +64,7 @@ class StallSlots {
 
  private:
   std::vector<Padded<Atomic<std::uint64_t>>> slots_;
+  std::size_t mask_;
 };
 
 }  // namespace cnet::util

@@ -27,7 +27,8 @@ using cnet::dist::PeerCluster;
 using cnet::dist::Topology;
 
 // One node, tiny budgets, central-atomic parent: the schedule space is the
-// ledger mutex + the hierarchy's reservation words, not pool arithmetic.
+// ledger mutex + the hierarchy's reservation words, with pool arithmetic
+// one explored step per op (check_central covers that word on its own).
 std::shared_ptr<PeerCluster> tiny_cluster() {
   ClusterConfig cfg;
   cfg.parent_spec = {cnet::svc::BackendKind::kCentralAtomic, false};

@@ -2,11 +2,12 @@
 //
 // Balancer state words and exit cells are util::Atomic, so every balancer
 // step of a traversal and every exit-cell claim is one explored step. The
-// networks are tiny — C(2,2) is one balancer, C(4,4) six — to keep whole
-// traversals inside the preemption bound. The invariants are the paper's
-// counting property for racing increments, the pool's never-over-admit
-// bound for an antitoken racing a batched give-back, and independence of
-// counters that share one compiled shape.
+// networks are tiny — C(2,2) and C(2,6) are one balancer, C(4,4) six — to
+// keep whole traversals inside the preemption bound. The invariants are the
+// paper's counting property for racing increments, the pool's
+// never-over-admit bound for an antitoken racing a batched give-back or
+// racing tokens through a fanout that is not a power of two, and
+// independence of counters that share one compiled shape.
 #include <cstdint>
 #include <memory>
 
@@ -64,6 +65,27 @@ void decrement_vs_refund(TestContext& ctx) {
               "(over-admitted or lost a token)");
 }
 
+// C(2,6) is one (2,6)-balancer, so every step takes the general divide
+// route rather than the power-of-two mask. Two tokens race an antitoken on
+// an empty pool: the try-decrement takes at most one of the two tokens,
+// and a drain afterwards finds exactly the rest.
+void general_fanout(TestContext& ctx) {
+  auto pool =
+      std::make_shared<BatchedNetworkCounter>(counting_shape(2, 6), "C(2,6)");
+  auto took = std::make_shared<bool>(false);
+  ctx.spawn([pool] { pool->fetch_increment(0); });
+  ctx.spawn([pool] { pool->fetch_increment(1); });
+  ctx.spawn([pool, took] { *took = pool->try_fetch_decrement(1); });
+  ctx.join_all();
+  std::uint64_t drained = 0;
+  for (std::uint64_t got; (got = pool->try_fetch_decrement_n(0, 8)) != 0;) {
+    drained += got;
+  }
+  CNET_ENSURE(drained + (*took ? 1 : 0) == 2,
+              "drain after the race is not exactly increments - taken "
+              "(over-admitted or lost a token)");
+}
+
 // Two counters on one compiled shape, one thread each: they share wiring,
 // not state, so each hands out 0.
 void shared_shape(TestContext& ctx) {
@@ -86,6 +108,7 @@ int main(int argc, char** argv) {
           Scenario{"two_increments", Expect::kClean, two_increments},
           Scenario{"decrement_vs_refund", Expect::kClean, decrement_vs_refund},
           Scenario{"shared_shape", Expect::kClean, shared_shape},
+          Scenario{"general_fanout", Expect::kClean, general_fanout},
       },
       argc, argv);
 }

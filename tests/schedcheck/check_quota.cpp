@@ -24,10 +24,10 @@ using cnet::svc::BackendKind;
 using cnet::svc::QuotaHierarchy;
 
 // Two tenants, empty children, tiny parent: every admission is forced
-// through the parent-borrow reservation. Central-atomic backends keep the
-// pool arithmetic out of the schedule space — the explored steps are
-// exactly the reservation CAS loop, the weights read section, and the
-// commit protocol.
+// through the parent-borrow reservation. Central-atomic backends shrink
+// the pool arithmetic to one explored step per op (check_central covers
+// that word on its own) — the rest of the explored steps are the
+// reservation CAS loop, the weights read section, and the commit protocol.
 std::shared_ptr<QuotaHierarchy> tiny_quota() {
   QuotaHierarchy::Config cfg;
   cfg.parent = {BackendKind::kCentralAtomic, false};

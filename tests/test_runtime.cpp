@@ -1,11 +1,15 @@
 // Concurrent runtime: compiled networks, network counters under real
-// threads, both balancer disciplines, counters sharing one compiled shape.
+// threads, both balancer disciplines, counters sharing one compiled shape,
+// the compiled kernel against a plain reference interpreter, and the
+// StallSlots tallies.
 #include "cnet/runtime/network_counter.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +18,7 @@
 #include "cnet/core/counting.hpp"
 #include "cnet/runtime/compiled_network.hpp"
 #include "cnet/util/prng.hpp"
+#include "cnet/util/stall_slots.hpp"
 #include "test_util.hpp"
 
 namespace cnet::rt {
@@ -224,6 +229,136 @@ TEST(SharedShape, CountersOnOneShapeAreIndependent) {
       std::vector<seq::Value>(got_c.begin(), got_c.end())));
   EXPECT_TRUE(test::is_exact_range(
       std::vector<seq::Value>(got_d.begin(), got_d.end())));
+}
+
+// The balancer semantics written out plainly: one int64 state per balancer,
+// a token takes ticket s and leaves on port ((s % f) + f) % f, an antitoken
+// steps s back and leaves on the port the state lands on. A k-token batch
+// is k tokens one after another, which leaves every balancer the same
+// ticket block a batch pass reads off.
+class ReferenceNetwork {
+ public:
+  explicit ReferenceNetwork(const topo::Topology& net)
+      : net_(net), state_(net.num_balancers(), 0) {}
+
+  std::size_t traverse(std::size_t input) { return walk(input, +1); }
+  std::size_t traverse_anti(std::size_t input) { return walk(input, -1); }
+  void traverse_batch(std::size_t input, std::uint64_t k,
+                      std::vector<std::uint64_t>& out_counts) {
+    for (std::uint64_t i = 0; i < k; ++i) ++out_counts[traverse(input)];
+  }
+  std::int64_t state(std::size_t b) const { return state_[b]; }
+
+ private:
+  std::size_t walk(std::size_t input, int step) {
+    topo::WireId wire = net_.input_wires()[input];
+    for (;;) {
+      const topo::WireEnd& end = net_.consumer(wire);
+      if (end.kind == topo::WireEnd::Kind::kNetworkOutput) return end.port;
+      const topo::Balancer& bal = net_.balancer(end.balancer);
+      const auto f = static_cast<std::int64_t>(bal.fan_out());
+      std::int64_t& s = state_[end.balancer.value];
+      const std::int64_t ticket = step > 0 ? s++ : --s;
+      wire = bal.outputs[static_cast<std::size_t>(((ticket % f) + f) % f)];
+    }
+  }
+
+  const topo::Topology& net_;
+  std::vector<std::int64_t> state_;
+};
+
+// The compiled kernel routes by mask where a fanout is a power of two and
+// by a divide elsewhere; both must agree with the reference interpreter
+// bit for bit. Each seeded stream opens with antitokens so that states go
+// negative, then mixes tokens, antitokens and batches of every size the
+// split arithmetic distinguishes.
+TEST(CompiledNetwork, MatchesReferenceInterpreter) {
+  struct Case {
+    std::string name;
+    topo::Topology net;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"C(2,6)", core::make_counting(2, 6)});
+  cases.push_back({"C(4,12)", core::make_counting(4, 12)});
+  cases.push_back({"C(8,16)", core::make_counting(8, 16)});
+  cases.push_back({"C(8,24)", core::make_counting(8, 24)});
+  cases.push_back({"C(16,64)", core::make_counting(16, 64)});
+  cases.push_back({"bitonic(8)", baselines::make_bitonic(8)});
+  cases.push_back({"periodic(8)", baselines::make_periodic(8)});
+  constexpr std::uint64_t kBatchSizes[] = {2, 3, 7, 64, 768};
+  for (const Case& c : cases) {
+    for (const BalancerMode mode :
+         {BalancerMode::kFetchAdd, BalancerMode::kCasRetry}) {
+      SCOPED_TRACE(c.name + " " + balancer_mode_name(mode));
+      CompiledNetwork compiled(c.net);
+      ReferenceNetwork reference(c.net);
+      BatchScratch scratch;
+      std::uint64_t stalls = 0;
+      const std::size_t w = c.net.width_in();
+      util::Xoshiro256 rng(16 + c.net.num_balancers());
+      for (int op = 0; op < 64; ++op) {
+        const std::size_t in = rng.below(w);
+        ASSERT_EQ(compiled.traverse_anti(in, mode, &stalls),
+                  reference.traverse_anti(in))
+            << op;
+      }
+      for (int op = 0; op < 1500; ++op) {
+        const std::size_t in = rng.below(w);
+        switch (rng.below(3)) {
+          case 0:
+            ASSERT_EQ(compiled.traverse(in, mode, &stalls),
+                      reference.traverse(in))
+                << op;
+            break;
+          case 1:
+            ASSERT_EQ(compiled.traverse_anti(in, mode, &stalls),
+                      reference.traverse_anti(in))
+                << op;
+            break;
+          default: {
+            const std::uint64_t k = kBatchSizes[rng.below(5)];
+            std::vector<std::uint64_t> got(c.net.width_out(), 0);
+            std::vector<std::uint64_t> want(c.net.width_out(), 0);
+            compiled.traverse_batch(in, k, mode, &stalls, scratch, got.data());
+            reference.traverse_batch(in, k, want);
+            ASSERT_EQ(got, want) << op << " k=" << k;
+            break;
+          }
+        }
+      }
+      for (std::size_t b = 0; b < c.net.num_balancers(); ++b) {
+        EXPECT_EQ(compiled.balancer_state(b), reference.state(b)) << b;
+      }
+      EXPECT_EQ(stalls, 0u);
+    }
+  }
+}
+
+TEST(StallSlots, RejectsSlotCountsThatAreNotPowersOfTwo) {
+  for (const std::size_t slots : {0u, 3u, 6u, 24u, 100u}) {
+    EXPECT_THROW(util::StallSlots{slots}, std::invalid_argument) << slots;
+  }
+  for (const std::size_t slots : {1u, 2u, 64u}) {
+    EXPECT_NO_THROW(util::StallSlots{slots}) << slots;
+  }
+}
+
+// Hints far past the slot count fold onto slot hint mod slots: the total is
+// exact and add_and_get sees every event recorded through the same slot.
+TEST(StallSlots, TalliesExactlyUnderMaskIndexing) {
+  util::StallSlots slots(8);
+  std::uint64_t expect = 0;
+  for (std::size_t hint = 0; hint < 1000; ++hint) {
+    slots.add(hint * 7 + 3, hint % 5);
+    expect += hint % 5;
+  }
+  EXPECT_EQ(slots.total(), expect);
+  util::StallSlots same_slot(4);
+  EXPECT_EQ(same_slot.add_and_get(1, 2), 2u);
+  EXPECT_EQ(same_slot.add_and_get(5, 3), 5u);
+  EXPECT_EQ(same_slot.add_and_get(1ull << 40 | 1, 4), 9u);
+  EXPECT_EQ(same_slot.add_and_get(2, 1), 1u);
+  EXPECT_EQ(same_slot.total(), 10u);
 }
 
 }  // namespace
