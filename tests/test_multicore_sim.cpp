@@ -7,6 +7,8 @@
 // crosses, which a hand-derived scenario pins below.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "cnet/sim/multicore.hpp"
@@ -403,6 +405,521 @@ TEST(MulticoreSim, RejectsWhenThePoolRunsDry) {
       simulate_multicore({svc::BackendKind::kCentralAtomic, false}, cfg);
   EXPECT_GT(r.rejected, 0u);
   EXPECT_TRUE(r.conserved);
+}
+
+
+// ------------------------------------------------------------ value goldens
+//
+// The determinism tests above compare run A with run B, which a refactor
+// could pass while changing every number. These pin the values themselves
+// for the bench reference workloads: counts with EXPECT_EQ, virtual times
+// and rates with EXPECT_DOUBLE_EQ (the same split as the overload golden
+// trace above). Rows follow multicore_sweep_specs() order.
+
+constexpr auto kNominal = svc::OverloadTier::kNominal;
+constexpr auto kShrinkBatch = svc::OverloadTier::kShrinkBatch;
+constexpr auto kForceEliminate = svc::OverloadTier::kForceEliminate;
+constexpr auto kDegradePartial = svc::OverloadTier::kDegradePartial;
+constexpr auto kShedTenants = svc::OverloadTier::kShedTenants;
+
+void expect_same(const MulticoreResult& got, const MulticoreResult& want) {
+  EXPECT_DOUBLE_EQ(got.makespan, want.makespan);
+  EXPECT_DOUBLE_EQ(got.ops_per_vtime, want.ops_per_vtime);
+  EXPECT_EQ(got.consume_ops, want.consume_ops);
+  EXPECT_EQ(got.consumed, want.consumed);
+  EXPECT_EQ(got.rejected, want.rejected);
+  EXPECT_EQ(got.refilled, want.refilled);
+  EXPECT_EQ(got.initial_tokens, want.initial_tokens);
+  EXPECT_EQ(got.stall_events, want.stall_events);
+  EXPECT_EQ(got.final_pool, want.final_pool);
+  EXPECT_EQ(got.conserved, want.conserved);
+  EXPECT_EQ(got.elim_pairs, want.elim_pairs);
+  EXPECT_EQ(got.elim_withdrawals, want.elim_withdrawals);
+  EXPECT_EQ(got.elim_value_sum, want.elim_value_sum);
+  EXPECT_EQ(got.switched, want.switched);
+  EXPECT_DOUBLE_EQ(got.switch_time, want.switch_time);
+  EXPECT_EQ(got.ops_at_switch, want.ops_at_switch);
+}
+
+void expect_same(const QuotaSimResult& got, const QuotaSimResult& want) {
+  EXPECT_DOUBLE_EQ(got.makespan, want.makespan);
+  EXPECT_DOUBLE_EQ(got.ops_per_vtime, want.ops_per_vtime);
+  EXPECT_DOUBLE_EQ(got.goodput_per_vtime, want.goodput_per_vtime);
+  EXPECT_EQ(got.acquire_ops, want.acquire_ops);
+  EXPECT_EQ(got.admitted, want.admitted);
+  EXPECT_EQ(got.rejected, want.rejected);
+  EXPECT_EQ(got.cold_rejected, want.cold_rejected);
+  EXPECT_EQ(got.hot_rejected, want.hot_rejected);
+  EXPECT_EQ(got.granted_child_tokens, want.granted_child_tokens);
+  EXPECT_EQ(got.granted_parent_tokens, want.granted_parent_tokens);
+  EXPECT_EQ(got.parent_stalls, want.parent_stalls);
+  EXPECT_EQ(got.child_stalls, want.child_stalls);
+  EXPECT_EQ(got.conserved, want.conserved);
+  EXPECT_EQ(got.isolation, want.isolation);
+  EXPECT_EQ(got.attempts_per_tenant, want.attempts_per_tenant);
+  EXPECT_EQ(got.admitted_per_tenant, want.admitted_per_tenant);
+  EXPECT_EQ(got.limit_per_tenant, want.limit_per_tenant);
+  EXPECT_EQ(got.peak_borrowed_per_tenant, want.peak_borrowed_per_tenant);
+}
+
+void expect_same(const OverloadSimResult& got, const OverloadSimResult& want) {
+  EXPECT_DOUBLE_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.attempts, want.attempts);
+  EXPECT_EQ(got.admitted, want.admitted);
+  EXPECT_EQ(got.rejected, want.rejected);
+  EXPECT_EQ(got.degraded_admits, want.degraded_admits);
+  EXPECT_EQ(got.shed_rejects, want.shed_rejects);
+  EXPECT_EQ(got.shed_events, want.shed_events);
+  EXPECT_EQ(got.restore_events, want.restore_events);
+  EXPECT_EQ(got.shed_refunded_tokens, want.shed_refunded_tokens);
+  EXPECT_EQ(got.peak_tier, want.peak_tier);
+  EXPECT_EQ(got.final_tier, want.final_tier);
+  EXPECT_EQ(got.forced_switch, want.forced_switch);
+  EXPECT_DOUBLE_EQ(got.forced_switch_time, want.forced_switch_time);
+  ASSERT_EQ(got.transitions.size(), want.transitions.size());
+  for (std::size_t i = 0; i < want.transitions.size(); ++i) {
+    SCOPED_TRACE("transition " + std::to_string(i));
+    EXPECT_DOUBLE_EQ(got.transitions[i].time, want.transitions[i].time);
+    EXPECT_EQ(got.transitions[i].from, want.transitions[i].from);
+    EXPECT_EQ(got.transitions[i].to, want.transitions[i].to);
+    EXPECT_DOUBLE_EQ(got.transitions[i].pressure,
+                     want.transitions[i].pressure);
+  }
+  EXPECT_EQ(got.shed_rejects_per_tenant, want.shed_rejects_per_tenant);
+  EXPECT_EQ(got.conserved, want.conserved);
+  EXPECT_EQ(got.hysteresis_respected, want.hysteresis_respected);
+  EXPECT_EQ(got.recovered, want.recovered);
+}
+
+void expect_same(const ReconfigSimResult& got, const ReconfigSimResult& want) {
+  EXPECT_DOUBLE_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.consume_ops, want.consume_ops);
+  EXPECT_EQ(got.consumed, want.consumed);
+  EXPECT_EQ(got.rejected, want.rejected);
+  EXPECT_EQ(got.refilled, want.refilled);
+  EXPECT_EQ(got.initial_tokens, want.initial_tokens);
+  EXPECT_DOUBLE_EQ(got.respec_staged_time, want.respec_staged_time);
+  EXPECT_DOUBLE_EQ(got.respec_commit_time, want.respec_commit_time);
+  EXPECT_EQ(got.migrated_tokens, want.migrated_tokens);
+  EXPECT_EQ(got.staged_chunk, want.staged_chunk);
+  EXPECT_EQ(got.config_version, want.config_version);
+  EXPECT_EQ(got.old_stalls, want.old_stalls);
+  EXPECT_EQ(got.new_stalls, want.new_stalls);
+  EXPECT_EQ(got.final_pool, want.final_pool);
+  EXPECT_EQ(got.conserved, want.conserved);
+}
+
+void expect_same(const ClusterSimResult& got, const ClusterSimResult& want) {
+  EXPECT_DOUBLE_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.attempts, want.attempts);
+  EXPECT_EQ(got.admitted, want.admitted);
+  EXPECT_EQ(got.rejected, want.rejected);
+  EXPECT_EQ(got.spent, want.spent);
+  EXPECT_EQ(got.renewals, want.renewals);
+  EXPECT_EQ(got.renewal_tokens, want.renewal_tokens);
+  EXPECT_EQ(got.donations, want.donations);
+  EXPECT_EQ(got.donated_tokens, want.donated_tokens);
+  EXPECT_EQ(got.expiries, want.expiries);
+  EXPECT_EQ(got.expiry_recovered, want.expiry_recovered);
+  EXPECT_EQ(got.expiry_refunded, want.expiry_refunded);
+  EXPECT_EQ(got.debt_created, want.debt_created);
+  EXPECT_EQ(got.debt_reconciled, want.debt_reconciled);
+  EXPECT_EQ(got.partition_global_touches, want.partition_global_touches);
+  EXPECT_EQ(got.initial_tokens, want.initial_tokens);
+  EXPECT_EQ(got.final_parent_pool, want.final_parent_pool);
+  EXPECT_EQ(got.final_account_tokens, want.final_account_tokens);
+  EXPECT_EQ(got.final_local_tokens, want.final_local_tokens);
+  EXPECT_EQ(got.conserved, want.conserved);
+  EXPECT_EQ(got.debt_settled, want.debt_settled);
+  EXPECT_DOUBLE_EQ(got.p50_admission, want.p50_admission);
+  EXPECT_DOUBLE_EQ(got.p99_admission, want.p99_admission);
+  EXPECT_EQ(got.parent_stalls, want.parent_stalls);
+}
+
+// bench_tab_svc_sim's full-sweep Table B' config.
+MulticoreConfig table_b_config(std::size_t cores) {
+  MulticoreConfig cfg;
+  cfg.cores = cores;
+  cfg.ops_per_core = 2048;
+  cfg.refill_every = 256;
+  cfg.initial_tokens_per_core = 256;
+  cfg.exponential_service = true;
+  cfg.seed = 0xB10C0DE;
+  return cfg;
+}
+
+TEST(MulticoreSim, GoldenValuesTableBAt8Cores) {
+  // {makespan, ops_per_vtime, consume_ops, consumed, rejected, refilled,
+  //  initial_tokens, stall_events, final_pool, conserved, elim_pairs,
+  //  elim_withdrawals, elim_value_sum, switched, switch_time,
+  //  ops_at_switch}
+  // clang-format off
+  const MulticoreResult golden[] = {
+      {53309.08556018184, 0.30733973070132165, 16384u, 16384u, 0u, 16384u, 2048u, 112990u, 2048, true, 0u, 0u, 0, false, -1.0, 0u},  // central-atomic
+      {78171.156945686162, 0.20959137155132182, 16384u, 16384u, 0u, 16384u, 2048u, 113669u, 2048, true, 0u, 0u, 0, false, -1.0, 0u},  // central-cas
+      {94203.266471109659, 0.1739217822666973, 16384u, 16384u, 0u, 16384u, 2048u, 113922u, 2048, true, 0u, 0u, 0, false, -1.0, 0u},  // central-mutex
+      {33323.043559594757, 0.49167177573978021, 16384u, 16384u, 0u, 16384u, 2048u, 26084u, 2048, true, 0u, 0u, 0, false, -1.0, 0u},  // network
+      {17073.541217278547, 0.95961346222769961, 16384u, 16384u, 0u, 16384u, 2048u, 13137u, 2048, true, 0u, 0u, 0, false, -1.0, 0u},  // batched-network
+      {17370.928846359187, 0.94318502740479304, 16384u, 16378u, 6u, 16384u, 2048u, 16308u, 2054, true, 0u, 0u, 0, true, 815.7551880561391, 512u},  // adaptive
+      {48700.568888148715, 0.33642317480170231, 16384u, 16384u, 0u, 16384u, 2048u, 107698u, 2048, true, 3u, 16381u, -40997, false, -1.0, 0u},  // elim+central-atomic
+      {18196.280003780575, 0.90040381861545082, 16384u, 16384u, 0u, 16384u, 2048u, 12745u, 2048, true, 24u, 16360u, -187578, false, -1.0, 0u},  // elim+batched-network
+  };
+  // clang-format on
+  const auto specs = multicore_sweep_specs();
+  ASSERT_EQ(specs.size(), std::size(golden));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(svc::backend_spec_name(specs[i]));
+    expect_same(simulate_multicore(specs[i], table_b_config(8)), golden[i]);
+  }
+}
+
+TEST(QuotaSim, GoldenValuesReference16) {
+  // {makespan, ops_per_vtime, goodput_per_vtime, acquire_ops, admitted,
+  //  rejected, cold_rejected, hot_rejected, granted_child_tokens,
+  //  granted_parent_tokens, parent_stalls, child_stalls, conserved,
+  //  isolation, attempts_per_tenant, admitted_per_tenant,
+  //  limit_per_tenant, peak_borrowed_per_tenant}
+  // clang-format off
+  const QuotaSimResult golden[] = {
+      {10302.531755333461, 0.79514435815828755, 0.79514435815828755, 8192u, 8192u, 0u, 0u, 0u, 4840u, 3352u, 43711u, 5904u, true, true,
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {16, 2, 2, 2, 2, 2, 2, 2},
+       {10, 0, 0, 0, 0, 0, 0, 0}},  // central-atomic
+      {12378.334827396766, 0.66180145506072274, 0.66180145506072274, 8192u, 8192u, 0u, 0u, 0u, 5436u, 2756u, 38107u, 5288u, true, true,
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {16, 2, 2, 2, 2, 2, 2, 2},
+       {10, 0, 0, 0, 0, 0, 0, 0}},  // central-cas
+      {13228.995422934146, 0.61924581104609999, 0.61924581104609999, 8192u, 8192u, 0u, 0u, 0u, 5779u, 2413u, 34354u, 4997u, true, true,
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {16, 2, 2, 2, 2, 2, 2, 2},
+       {10, 0, 0, 0, 0, 0, 0, 0}},  // central-mutex
+      {8975.550349358522, 0.91270169305946547, 0.91270169305946547, 8192u, 8192u, 0u, 0u, 0u, 4460u, 3732u, 5896u, 6049u, true, true,
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {16, 2, 2, 2, 2, 2, 2, 2},
+       {10, 0, 0, 0, 0, 0, 0, 0}},  // network
+      {8975.550349358522, 0.91270169305946547, 0.91270169305946547, 8192u, 8192u, 0u, 0u, 0u, 4460u, 3732u, 5896u, 6049u, true, true,
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {16, 2, 2, 2, 2, 2, 2, 2},
+       {10, 0, 0, 0, 0, 0, 0, 0}},  // batched-network
+      {9245.2050518979759, 0.8860809418519322, 0.88575644931951569, 8192u, 8189u, 3u, 0u, 3u, 4447u, 3742u, 11974u, 6431u, true, true,
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {6141, 512, 512, 512, 512, 0, 0, 0},
+       {16, 2, 2, 2, 2, 2, 2, 2},
+       {10, 0, 0, 0, 0, 0, 0, 0}},  // adaptive
+      {10395.323751537459, 0.7880466444143609, 0.7880466444143609, 8192u, 8192u, 0u, 0u, 0u, 4875u, 3317u, 42525u, 5655u, true, true,
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {16, 2, 2, 2, 2, 2, 2, 2},
+       {10, 0, 0, 0, 0, 0, 0, 0}},  // elim+central-atomic
+      {9012.8198289136071, 0.9089275227403999, 0.9089275227403999, 8192u, 8192u, 0u, 0u, 0u, 4431u, 3761u, 5840u, 6480u, true, true,
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {6144, 512, 512, 512, 512, 0, 0, 0},
+       {16, 2, 2, 2, 2, 2, 2, 2},
+       {10, 0, 0, 0, 0, 0, 0, 0}},  // elim+batched-network
+  };
+  // clang-format on
+  const auto specs = multicore_sweep_specs();
+  ASSERT_EQ(specs.size(), std::size(golden));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(svc::backend_spec_name(specs[i]));
+    expect_same(simulate_quota(specs[i], quota_config(16)), golden[i]);
+  }
+}
+
+TEST(OverloadSim, GoldenValuesReference) {
+  // {makespan, attempts, admitted, rejected, degraded_admits, shed_rejects,
+  //  shed_events, restore_events, shed_refunded_tokens, peak_tier,
+  //  final_tier, forced_switch, forced_switch_time,
+  //  transitions {time, from, to, pressure}, shed_rejects_per_tenant,
+  //  conserved, hysteresis_respected, recovered}
+  // clang-format off
+  const OverloadSimResult golden[] = {
+      {5580.1720385393346, 9216u, 2654u, 5550u, 12u, 1012u, 4u, 4u, 8u,
+       kShedTenants, kNominal, false, -1.0,
+       {{128.0, kNominal, kShedTenants, 1.0},
+        {960.0, kShedTenants, kForceEliminate, 0.7204081632653061},
+        {992.0, kForceEliminate, kDegradePartial, 0.9193083573487032},
+        {1216.0, kDegradePartial, kShedTenants, 1.0},
+        {1248.0, kShedTenants, kShrinkBatch, 0.59677419354838712},
+        {1280.0, kShrinkBatch, kForceEliminate, 0.84158415841584155},
+        {1312.0, kForceEliminate, kShedTenants, 1.0},
+        {1344.0, kShedTenants, kShrinkBatch, 0.59677419354838712},
+        {1376.0, kShrinkBatch, kShedTenants, 1.0},
+        {4704.0, kShedTenants, kShrinkBatch, 0.4642857142857143},
+        {4768.0, kShrinkBatch, kNominal, 0.27777777777777779}},
+       {0, 0, 0, 0, 347, 343, 159, 163},
+       true, true, true},  // central-atomic
+      {7065.3297321904911, 9216u, 2918u, 5381u, 4u, 917u, 5u, 5u, 6u,
+       kShedTenants, kNominal, false, -1.0,
+       {{128.0, kNominal, kForceEliminate, 0.75},
+        {160.0, kForceEliminate, kShedTenants, 1.0},
+        {960.0, kShedTenants, kForceEliminate, 0.6820276497695853},
+        {992.0, kForceEliminate, kDegradePartial, 0.91691394658753711},
+        {1344.0, kDegradePartial, kForceEliminate, 0.68367346938775508},
+        {1472.0, kForceEliminate, kShedTenants, 1.0},
+        {1504.0, kShedTenants, kForceEliminate, 0.61290322580645162},
+        {1536.0, kForceEliminate, kShedTenants, 1.0},
+        {1600.0, kShedTenants, kShrinkBatch, 0.59677419354838712},
+        {1632.0, kShrinkBatch, kShedTenants, 1.0},
+        {1664.0, kShedTenants, kForceEliminate, 0.70180722891566261},
+        {1696.0, kForceEliminate, kShedTenants, 1.0},
+        {6688.0, kShedTenants, kShrinkBatch, 0.45833333333333331},
+        {6720.0, kShrinkBatch, kNominal, 0.40000000000000002},
+        {6752.0, kNominal, kDegradePartial, 0.9375},
+        {6784.0, kDegradePartial, kShrinkBatch, 0.59090909090909094},
+        {6816.0, kShrinkBatch, kNominal, 0.3125}},
+       {0, 0, 0, 0, 320, 323, 138, 136},
+       true, true, true},  // central-cas
+      {6661.6551316822724, 9216u, 2638u, 5640u, 7u, 938u, 7u, 7u, 12u,
+       kShedTenants, kNominal, false, -1.0,
+       {{128.0, kNominal, kShedTenants, 1.0},
+        {960.0, kShedTenants, kForceEliminate, 0.66504854368932043},
+        {992.0, kForceEliminate, kDegradePartial, 0.91851851851851851},
+        {1408.0, kDegradePartial, kShedTenants, 1.0},
+        {1440.0, kShedTenants, kForceEliminate, 0.62903225806451613},
+        {1472.0, kForceEliminate, kShedTenants, 1.0},
+        {1504.0, kShedTenants, kForceEliminate, 0.61290322580645162},
+        {1536.0, kForceEliminate, kShedTenants, 1.0},
+        {1568.0, kShedTenants, kShrinkBatch, 0.58064516129032262},
+        {1600.0, kShrinkBatch, kShedTenants, 1.0},
+        {1632.0, kShedTenants, kDegradePartial, 0.7931034482758621},
+        {1664.0, kDegradePartial, kShedTenants, 1.0},
+        {1856.0, kShedTenants, kForceEliminate, 0.73076923076923073},
+        {1888.0, kForceEliminate, kShedTenants, 1.0},
+        {6176.0, kShedTenants, kNominal, 0.3125}},
+       {0, 0, 0, 0, 328, 321, 146, 143},
+       true, true, true},  // central-mutex
+      {3707.2918033640285, 9216u, 3528u, 5688u, 4u, 0u, 1u, 1u, 0u,
+       kShedTenants, kNominal, false, -1.0,
+       {{224.0, kNominal, kForceEliminate, 0.81818181818181823},
+        {288.0, kForceEliminate, kDegradePartial, 0.90000000000000002},
+        {320.0, kDegradePartial, kShedTenants, 1.0},
+        {480.0, kShedTenants, kForceEliminate, 0.71951219512195119},
+        {672.0, kForceEliminate, kDegradePartial, 0.85611510791366907},
+        {1216.0, kDegradePartial, kForceEliminate, 0.73762376237623761},
+        {1568.0, kForceEliminate, kShrinkBatch, 0.57264957264957261},
+        {1664.0, kShrinkBatch, kForceEliminate, 0.71830985915492962},
+        {1728.0, kForceEliminate, kDegradePartial, 0.91304347826086951},
+        {1792.0, kDegradePartial, kForceEliminate, 0.74468085106382975},
+        {1920.0, kForceEliminate, kShrinkBatch, 0.52272727272727271},
+        {2080.0, kShrinkBatch, kNominal, 0.38095238095238093}},
+       {0, 0, 0, 0, 0, 0, 0, 0},
+       true, true, true},  // network
+      {3772.3576493603341, 9216u, 3590u, 5626u, 1u, 0u, 1u, 1u, 0u,
+       kShedTenants, kNominal, false, -1.0,
+       {{224.0, kNominal, kShrinkBatch, 0.53333333333333333},
+        {288.0, kShrinkBatch, kForceEliminate, 0.78125},
+        {352.0, kForceEliminate, kShedTenants, 1.0},
+        {480.0, kShedTenants, kDegradePartial, 0.84999999999999998},
+        {512.0, kDegradePartial, kForceEliminate, 0.68367346938775508},
+        {672.0, kForceEliminate, kDegradePartial, 0.86861313868613144},
+        {1120.0, kDegradePartial, kForceEliminate, 0.66666666666666663},
+        {1152.0, kForceEliminate, kDegradePartial, 0.89834515366430256},
+        {1408.0, kDegradePartial, kForceEliminate, 0.72222222222222221},
+        {1472.0, kForceEliminate, kShrinkBatch, 0.59677419354838712},
+        {1632.0, kShrinkBatch, kDegradePartial, 0.94047619047619047},
+        {1664.0, kDegradePartial, kShrinkBatch, 0.55555555555555558},
+        {1696.0, kShrinkBatch, kDegradePartial, 0.86363636363636365},
+        {1792.0, kDegradePartial, kShrinkBatch, 0.57999999999999996},
+        {2048.0, kShrinkBatch, kNominal, 0.39285714285714285}},
+       {0, 0, 0, 0, 0, 0, 0, 0},
+       true, true, true},  // batched-network
+      {3710.6613863285525, 9216u, 3803u, 5413u, 5u, 0u, 2u, 2u, 0u,
+       kShedTenants, kNominal, true, 128.0,
+       {{128.0, kNominal, kShedTenants, 1.0},
+        {160.0, kShedTenants, kNominal, 0.23076923076923078},
+        {224.0, kNominal, kShrinkBatch, 0.5357142857142857},
+        {256.0, kShrinkBatch, kShedTenants, 1.0},
+        {512.0, kShedTenants, kDegradePartial, 0.77272727272727271},
+        {544.0, kDegradePartial, kForceEliminate, 0.63636363636363635},
+        {640.0, kForceEliminate, kDegradePartial, 0.8623188405797102},
+        {1376.0, kDegradePartial, kForceEliminate, 0.72514619883040932},
+        {1504.0, kForceEliminate, kDegradePartial, 0.85344827586206895},
+        {1600.0, kDegradePartial, kForceEliminate, 0.72881355932203384},
+        {1632.0, kForceEliminate, kDegradePartial, 0.88181818181818183},
+        {1792.0, kDegradePartial, kForceEliminate, 0.72999999999999998},
+        {2144.0, kForceEliminate, kShrinkBatch, 0.57608695652173914},
+        {2272.0, kShrinkBatch, kNominal, 0.35555555555555557}},
+       {0, 0, 0, 0, 0, 0, 0, 0},
+       true, true, true},  // adaptive
+      {4438.7779310173546, 9216u, 2433u, 5858u, 36u, 925u, 5u, 5u, 12u,
+       kShedTenants, kNominal, false, -1.0,
+       {{96.0, kNominal, kForceEliminate, 0.75},
+        {128.0, kForceEliminate, kShedTenants, 1.0},
+        {960.0, kShedTenants, kShrinkBatch, 0.54838709677419351},
+        {992.0, kShrinkBatch, kDegradePartial, 0.8970588235294118},
+        {1152.0, kDegradePartial, kShedTenants, 0.98756218905472637},
+        {1184.0, kShedTenants, kForceEliminate, 0.62903225806451613},
+        {1280.0, kForceEliminate, kDegradePartial, 0.90175438596491231},
+        {1504.0, kDegradePartial, kShedTenants, 1.0},
+        {1536.0, kShedTenants, kShrinkBatch, 0.59677419354838712},
+        {1568.0, kShrinkBatch, kShedTenants, 1.0},
+        {1600.0, kShedTenants, kForceEliminate, 0.67045454545454541},
+        {1632.0, kForceEliminate, kShedTenants, 1.0},
+        {3680.0, kShedTenants, kDegradePartial, 0.83333333333333337},
+        {3712.0, kDegradePartial, kShrinkBatch, 0.59615384615384615},
+        {3744.0, kShrinkBatch, kForceEliminate, 0.7857142857142857},
+        {3776.0, kForceEliminate, kShrinkBatch, 0.42857142857142855},
+        {3808.0, kShrinkBatch, kNominal, 0.26190476190476192}},
+       {0, 0, 0, 0, 319, 328, 139, 139},
+       true, true, true},  // elim+central-atomic
+      {3749.4623499340782, 9216u, 3458u, 5637u, 0u, 121u, 2u, 2u, 0u,
+       kShedTenants, kNominal, false, -1.0,
+       {{128.0, kNominal, kShrinkBatch, 0.5},
+        {160.0, kShrinkBatch, kNominal, 0.29166666666666669},
+        {224.0, kNominal, kShrinkBatch, 0.6071428571428571},
+        {256.0, kShrinkBatch, kDegradePartial, 0.93333333333333335},
+        {320.0, kDegradePartial, kShedTenants, 0.96875},
+        {512.0, kShedTenants, kForceEliminate, 0.69565217391304346},
+        {640.0, kForceEliminate, kDegradePartial, 0.89570552147239269},
+        {864.0, kDegradePartial, kShedTenants, 0.9631578947368421},
+        {960.0, kShedTenants, kForceEliminate, 0.64622641509433965},
+        {992.0, kForceEliminate, kDegradePartial, 0.86037735849056607},
+        {1408.0, kDegradePartial, kForceEliminate, 0.73936170212765961},
+        {1472.0, kForceEliminate, kShrinkBatch, 0.58064516129032262},
+        {1632.0, kShrinkBatch, kForceEliminate, 0.76056338028169013},
+        {1696.0, kForceEliminate, kDegradePartial, 0.92553191489361697},
+        {1728.0, kDegradePartial, kForceEliminate, 0.66326530612244894},
+        {1824.0, kForceEliminate, kDegradePartial, 0.86904761904761907},
+        {1888.0, kDegradePartial, kForceEliminate, 0.70930232558139539},
+        {1920.0, kForceEliminate, kShrinkBatch, 0.55952380952380953},
+        {2240.0, kShrinkBatch, kNominal, 0.32558139534883723}},
+       {0, 0, 0, 0, 120, 1, 0, 0},
+       true, true, true},  // elim+batched-network
+  };
+  // clang-format on
+  const auto specs = multicore_sweep_specs();
+  ASSERT_EQ(specs.size(), std::size(golden));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(svc::backend_spec_name(specs[i]));
+    expect_same(simulate_overload(specs[i], overload_sim_reference_config()),
+                golden[i]);
+  }
+}
+
+TEST(ReconfigSim, GoldenValuesReference) {
+  // {makespan, consume_ops, consumed, rejected, refilled, initial_tokens,
+  //  respec_staged_time, respec_commit_time, migrated_tokens,
+  //  staged_chunk, config_version, old_stalls, new_stalls, final_pool,
+  //  conserved}
+  // clang-format off
+  const ReconfigSimResult golden[] = {
+      {17943.989688889873, 16384u, 15905u, 479u, 16384u, 512u, 300.0, 307.26134860564667, 303u, 16u, 2u, 1411u, 13552u, 991, true},  // central-atomic
+      {18120.814773443228, 16384u, 15894u, 490u, 16384u, 512u, 300.0, 318.6780618295773, 370u, 16u, 2u, 953u, 13576u, 1002, true},  // central-cas
+      {18051.384950336789, 16384u, 15900u, 484u, 16384u, 512u, 300.0, 324.02048113348815, 391u, 16u, 2u, 810u, 13722u, 996, true},  // central-mutex
+      {50688.496555901685, 16384u, 15872u, 512u, 16384u, 512u, 300.0, 307.69616677734183, 215u, 16u, 2u, 247u, 107863u, 1024, true},  // network
+      {50688.496555901685, 16384u, 15872u, 512u, 16384u, 512u, 300.0, 307.69616677734183, 215u, 16u, 2u, 247u, 107863u, 1024, true},  // batched-network
+      {51791.955765406252, 16384u, 15888u, 496u, 16384u, 512u, 300.0, 307.26134860564667, 303u, 16u, 2u, 1411u, 108493u, 1008, true},  // adaptive
+      {18029.732204471391, 16384u, 15894u, 490u, 16384u, 512u, 300.0, 311.25159066057097, 293u, 16u, 2u, 1403u, 13634u, 1002, true},  // elim+central-atomic
+      {48445.018804063089, 16384u, 15872u, 512u, 16384u, 512u, 300.0, 312.2042279799997, 226u, 16u, 2u, 207u, 107926u, 1024, true},  // elim+batched-network
+  };
+  // clang-format on
+  const auto specs = multicore_sweep_specs();
+  ASSERT_EQ(specs.size(), std::size(golden));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(svc::backend_spec_name(specs[i]));
+    expect_same(simulate_reconfig(specs[i], reconfig_config(specs[i])),
+                golden[i]);
+  }
+}
+
+// ---------------------------------------------------------------- cluster
+
+// bench_tab_dist's parent spec for Table G'.
+const svc::BackendSpec kClusterParent{svc::BackendKind::kBatchedNetwork,
+                                      false};
+
+// Short-TTL churn plus two scripted partitions, so leases expire on dark
+// nodes and their refunds escrow into debt until the heal.
+ClusterSimConfig partitioned_cluster(std::size_t nodes) {
+  ClusterSimConfig cfg = cluster_sim_reference_config(nodes);
+  cfg.lease_ttl = 12.0;
+  cfg.partitions.push_back({1, 42.0, 300.0});
+  cfg.partitions.push_back({nodes - 1, 90.0, 340.0});
+  return cfg;
+}
+
+ClusterSimConfig central_cluster(std::size_t nodes) {
+  ClusterSimConfig cfg = cluster_sim_reference_config(nodes);
+  cfg.leased = false;
+  return cfg;
+}
+
+TEST(ClusterSim, PartitionEscrowsAndHealSettlesExactly) {
+  for (const std::size_t nodes : {4u, 6u}) {
+    SCOPED_TRACE(std::to_string(nodes) + " nodes");
+    const auto r = simulate_cluster(kClusterParent, partitioned_cluster(nodes));
+    EXPECT_TRUE(r.conserved);
+    EXPECT_GT(r.debt_created, 0u);
+    EXPECT_TRUE(r.debt_settled);
+    EXPECT_EQ(r.partition_global_touches, 0u);
+    EXPECT_EQ(r.expiry_recovered, r.expiry_refunded);
+  }
+}
+
+TEST(ClusterSim, LeasedTailBeatsCentralCounting) {
+  for (const std::size_t nodes : {4u, 6u}) {
+    SCOPED_TRACE(std::to_string(nodes) + " nodes");
+    const auto leased =
+        simulate_cluster(kClusterParent, cluster_sim_reference_config(nodes));
+    const auto central = simulate_cluster(kClusterParent,
+                                          central_cluster(nodes));
+    EXPECT_TRUE(leased.conserved);
+    EXPECT_TRUE(central.conserved);
+    EXPECT_LT(leased.p99_admission, central.p99_admission);
+  }
+}
+
+TEST(ClusterSim, GoldenSeedDeterminism) {
+  for (const std::size_t nodes : {4u, 6u}) {
+    SCOPED_TRACE(std::to_string(nodes) + " nodes");
+    const auto a = simulate_cluster(kClusterParent, partitioned_cluster(nodes));
+    const auto b = simulate_cluster(kClusterParent, partitioned_cluster(nodes));
+    expect_same(a, b);
+  }
+}
+
+TEST(ClusterSim, GoldenValues) {
+  // {makespan, attempts, admitted, rejected, spent, renewals,
+  //  renewal_tokens, donations, donated_tokens, expiries, expiry_recovered,
+  //  expiry_refunded, debt_created, debt_reconciled,
+  //  partition_global_touches, initial_tokens, final_parent_pool,
+  //  final_account_tokens, final_local_tokens, conserved, debt_settled,
+  //  p50_admission, p99_admission, parent_stalls}
+  // Per node count: the reference, partitioned, and central configs.
+  // clang-format off
+  const ClusterSimResult golden[] = {
+      {1031.3020848229853, 1920u, 1920u, 0u, 1920u, 24u, 2020u, 14u, 764u, 38u, 356u, 356u, 0u, 0u, 0u,
+       3328u, 1082, 326, 0, true, true, 0.14779688475209163, 28.806664887504184, 1u},  // 4 nodes, reference
+      {962.65290056440881, 1920u, 1226u, 694u, 1226u, 49u, 4402u, 12u, 590u, 59u, 3432u, 3432u, 76u, 76u, 0u,
+       3328u, 1654, 448, 0, true, true, 0.15132740152293023, 98.992473192722329, 19u},  // 4 nodes, partitioned
+      {7707.7296542858721, 1920u, 1920u, 0u, 1920u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u,
+       3328u, 1408, 0, 0, true, true, 29.393827536097774, 54.748769612437847, 811u},  // 4 nodes, central
+      {973.62909076689539, 2880u, 2880u, 0u, 2880u, 31u, 2948u, 13u, 700u, 43u, 452u, 452u, 0u, 0u, 0u,
+       3968u, 636, 452, 0, true, true, 0.14215021696280949, 20.802728037602154, 2u},  // 6 nodes, reference
+      {1109.9318206586413, 2880u, 2291u, 589u, 2291u, 91u, 7267u, 50u, 2462u, 138u, 5360u, 5360u, 150u, 150u, 0u,
+       3968u, 1160, 517, 0, true, true, 0.15058806674028857, 124.86017910756185, 38u},  // 6 nodes, partitioned
+      {7721.1512333043738, 2880u, 2880u, 0u, 2880u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u,
+       3968u, 1088, 0, 0, true, true, 31.192353306180166, 55.303694012291984, 1660u},  // 6 nodes, central
+  };
+  // clang-format on
+  std::size_t i = 0;
+  for (const std::size_t nodes : {4u, 6u}) {
+    for (const ClusterSimConfig& cfg :
+         {cluster_sim_reference_config(nodes), partitioned_cluster(nodes),
+          central_cluster(nodes)}) {
+      SCOPED_TRACE(std::to_string(nodes) + " nodes, row " +
+                   std::to_string(i));
+      ASSERT_LT(i, std::size(golden));
+      expect_same(simulate_cluster(kClusterParent, cfg), golden[i++]);
+    }
+  }
+  EXPECT_EQ(i, std::size(golden));
 }
 
 }  // namespace
