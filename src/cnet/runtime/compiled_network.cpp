@@ -13,43 +13,19 @@ const char* balancer_mode_name(BalancerMode mode) noexcept {
 }
 
 CompiledShape::CompiledShape(const topo::Topology& net)
-    : width_out_(net.width_out()) {
-  const std::size_t num_nodes = net.num_balancers();
-  fanout_.resize(num_nodes);
+    : width_out_(net.width_out()), routing_(net) {
+  const std::size_t num_nodes = routing_.num_balancers();
   mask_.resize(num_nodes);
-  route_base_.resize(num_nodes);
-  std::size_t total_ports = 0;
   for (std::uint32_t b = 0; b < num_nodes; ++b) {
-    const auto& bal = net.balancer(topo::BalancerId{b});
-    fanout_[b] = static_cast<std::uint32_t>(bal.fan_out());
-    mask_[b] = util::is_pow2(fanout_[b]) ? fanout_[b] - 1
-                                         : CompiledNetwork::kNoMask;
-    route_base_[b] = static_cast<std::uint32_t>(total_ports);
-    total_ports += bal.fan_out();
-  }
-  route_.resize(total_ports);
-
-  auto encode = [&](topo::WireId wire) -> std::int32_t {
-    const auto& end = net.consumer(wire);
-    if (end.kind == topo::WireEnd::Kind::kNetworkOutput) {
-      return ~static_cast<std::int32_t>(end.port);
-    }
-    return static_cast<std::int32_t>(end.balancer.value);
-  };
-  for (std::uint32_t b = 0; b < num_nodes; ++b) {
-    const auto& bal = net.balancer(topo::BalancerId{b});
-    for (std::size_t port = 0; port < bal.fan_out(); ++port) {
-      const std::int32_t dest = encode(bal.outputs[port]);
+    const std::uint32_t fanout = routing_.fanout[b];
+    mask_[b] = util::is_pow2(fanout) ? fanout - 1 : CompiledNetwork::kNoMask;
+    for (std::uint32_t port = 0; port < fanout; ++port) {
+      const std::int32_t dest = routing_.next(b, port);
       // Balancer creation order is topological (topology.hpp): batch
       // traversal propagates counts in index order and relies on it.
       CNET_ENSURE(dest < 0 || dest > static_cast<std::int32_t>(b),
                   "balancer indices must be topologically ordered");
-      route_[route_base_[b] + port] = dest;
     }
-  }
-  entry_.reserve(net.width_in());
-  for (const topo::WireId in : net.input_wires()) {
-    entry_.push_back(encode(in));
   }
 }
 
@@ -62,12 +38,12 @@ CompiledNetwork::CompiledNetwork(std::shared_ptr<const CompiledShape> shape)
       width_in_(shape_->width_in()),
       width_out_(shape_->width_out()),
       nodes_(std::make_unique<Node[]>(num_nodes_)),
-      route_(shape_->route_.data()),
-      entry_(shape_->entry_.data()) {
+      route_(shape_->routing_.route.data()),
+      entry_(shape_->routing_.entry.data()) {
   for (std::size_t b = 0; b < num_nodes_; ++b) {
-    nodes_[b].fanout = shape_->fanout_[b];
+    nodes_[b].fanout = shape_->routing_.fanout[b];
     nodes_[b].mask = shape_->mask_[b];
-    nodes_[b].route_base = shape_->route_base_[b];
+    nodes_[b].route_base = shape_->routing_.route_base[b];
   }
 }
 

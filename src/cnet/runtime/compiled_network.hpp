@@ -4,12 +4,13 @@
 // traversing the structure.
 //
 // The two parts live apart. The wiring — every balancer's fanout and the
-// routing table — is fixed and identical in every instance of a network, so
-// it is compiled once into an immutable CompiledShape that any number of
-// CompiledNetworks share. Each CompiledNetwork owns only its balancer state
-// words, one padded Node per balancer with that balancer's fanout, port mask
-// and route base copied in, so a traversal step reads its state and its
-// routing from one cache line.
+// routing table, the topo::Routing every network walker reads — is fixed
+// and identical in every instance of a network, so it is compiled once into
+// an immutable CompiledShape that any number of CompiledNetworks share.
+// Each CompiledNetwork owns only its balancer state words, one padded Node
+// per balancer with that balancer's fanout, port mask and route base copied
+// in, so a traversal step reads its state and its routing from one cache
+// line.
 //
 // A step routes without dividing wherever it can: when a balancer's fanout
 // is a power of two — every balancer of C(w,w) and 44 of C(8,24)'s 48 —
@@ -27,6 +28,7 @@
 #include <memory>
 #include <vector>
 
+#include "cnet/topology/routing.hpp"
 #include "cnet/topology/topology.hpp"
 #include "cnet/util/atomic.hpp"
 #include "cnet/util/cacheline.hpp"
@@ -56,21 +58,19 @@ class CompiledShape {
   CompiledShape(const CompiledShape&) = delete;
   CompiledShape& operator=(const CompiledShape&) = delete;
 
-  std::size_t width_in() const noexcept { return entry_.size(); }
+  std::size_t width_in() const noexcept { return routing_.width_in(); }
   std::size_t width_out() const noexcept { return width_out_; }
-  std::size_t num_balancers() const noexcept { return fanout_.size(); }
+  std::size_t num_balancers() const noexcept {
+    return routing_.num_balancers();
+  }
 
  private:
   friend class CompiledNetwork;
   std::size_t width_out_ = 0;
-  // Per balancer, in topological index order.
-  std::vector<std::uint32_t> fanout_;
-  // fanout - 1 where the fanout is a power of two, else kNoMask.
+  topo::Routing routing_;
+  // Per balancer: fanout - 1 where the fanout is a power of two, else
+  // kNoMask.
   std::vector<std::uint32_t> mask_;
-  std::vector<std::uint32_t> route_base_;
-  // Route entries: >= 0 is a balancer index, negative is ~output_position.
-  std::vector<std::int32_t> route_;
-  std::vector<std::int32_t> entry_;
 };
 
 class CompiledNetwork {

@@ -4,55 +4,12 @@
 #include <vector>
 
 #include "cnet/seq/sequence.hpp"
+#include "cnet/topology/routing.hpp"
 #include "cnet/util/ensure.hpp"
 
 namespace cnet::sim {
 
 namespace {
-
-struct Target {
-  bool is_output = false;
-  std::uint32_t index = 0;
-};
-
-struct Routing {
-  std::vector<std::uint32_t> fanout;
-  std::vector<std::uint32_t> route_base;
-  std::vector<Target> route;
-  std::vector<Target> entry;
-};
-
-Routing compile(const topo::Topology& net) {
-  Routing r;
-  const std::size_t nb = net.num_balancers();
-  r.fanout.resize(nb);
-  r.route_base.resize(nb);
-  std::size_t ports = 0;
-  for (std::uint32_t b = 0; b < nb; ++b) {
-    const auto& bal = net.balancer(topo::BalancerId{b});
-    r.fanout[b] = static_cast<std::uint32_t>(bal.fan_out());
-    r.route_base[b] = static_cast<std::uint32_t>(ports);
-    ports += bal.fan_out();
-  }
-  r.route.resize(ports);
-  auto target_of = [&](topo::WireId wire) {
-    const auto& end = net.consumer(wire);
-    if (end.kind == topo::WireEnd::Kind::kNetworkOutput) {
-      return Target{true, end.port};
-    }
-    return Target{false, end.balancer.value};
-  };
-  for (std::uint32_t b = 0; b < nb; ++b) {
-    const auto& bal = net.balancer(topo::BalancerId{b});
-    for (std::size_t port = 0; port < bal.fan_out(); ++port) {
-      r.route[r.route_base[b] + port] = target_of(bal.outputs[port]);
-    }
-  }
-  for (const topo::WireId in : net.input_wires()) {
-    r.entry.push_back(target_of(in));
-  }
-  return r;
-}
 
 struct TokenRec {
   std::uint32_t process = 0;
@@ -76,7 +33,7 @@ struct State {
 class Explorer {
  public:
   Explorer(const topo::Topology& net, const ModelCheckConfig& cfg)
-      : net_(net), cfg_(cfg), routing_(compile(net)) {}
+      : net_(net), cfg_(cfg), routing_(net) {}
 
   ModelCheckResult run() {
     CNET_REQUIRE(cfg_.concurrency >= 1, "need at least one process");
@@ -106,11 +63,11 @@ class Explorer {
     deliver(s, token, routing_.entry[process % net_.width_in()]);
   }
 
-  void deliver(State& s, std::uint32_t token, const Target& target) {
-    if (target.is_output) {
-      exit_token(s, token, target.index);
+  void deliver(State& s, std::uint32_t token, std::int32_t dest) {
+    if (dest < 0) {
+      exit_token(s, token, static_cast<std::uint32_t>(~dest));
     } else {
-      s.queues[target.index].push_back(token);
+      s.queues[static_cast<std::size_t>(dest)].push_back(token);
     }
   }
 
@@ -130,7 +87,7 @@ class Explorer {
     s.queues[b].erase(s.queues[b].begin());
     const std::uint32_t port = s.bstate[b];
     s.bstate[b] = (s.bstate[b] + 1) % routing_.fanout[b];
-    deliver(s, token, routing_.route[routing_.route_base[b] + port]);
+    deliver(s, token, routing_.next(b, port));
   }
 
   void finalize(const State& s) {
@@ -178,7 +135,7 @@ class Explorer {
 
   const topo::Topology& net_;
   const ModelCheckConfig cfg_;
-  const Routing routing_;
+  const topo::Routing routing_;
   ModelCheckResult result_;
 };
 

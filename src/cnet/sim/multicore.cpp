@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <queue>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -14,6 +13,7 @@
 #include "cnet/dist/policy.hpp"
 #include "cnet/dist/topology.hpp"
 #include "cnet/svc/policy.hpp"
+#include "cnet/topology/routing.hpp"
 #include "cnet/util/ensure.hpp"
 #include "cnet/util/prng.hpp"
 #include "cnet/util/stats.hpp"
@@ -89,8 +89,8 @@ class CounterModel {
   virtual std::int64_t pool() const = 0;
   virtual bool pool_ever_negative() const = 0;
 
-  // Instantaneous pool bookkeeping, used for the initial fill and for the
-  // adaptive model's exact migration at the switch instant.
+  // Instantaneous pool bookkeeping: the initial fill, a deposit landing,
+  // and the exact migrations at an adaptive switch or a respec commit.
   virtual std::uint64_t drain_pool_now() = 0;
   virtual void inject_pool_now(std::uint64_t k) = 0;
 };
@@ -113,7 +113,6 @@ class PoolBase : public CounterModel {
   }
 
  protected:
-  void deposit(std::uint64_t k) { pool_ += static_cast<std::int64_t>(k); }
   std::uint64_t claim(std::uint64_t n) {
     if (pool_ < 0) ever_negative_ = true;
     const auto avail =
@@ -172,7 +171,7 @@ class CentralModel final : public PoolBase {
     const double t = schedule_rmw(static_cast<double>(k));
     eng_.at(t, [this, k, done = std::move(done)] {
       --pending_;
-      deposit(k);
+      inject_pool_now(k);
       done();
     });
   }
@@ -232,9 +231,12 @@ class NetworkModel final : public PoolBase {
  public:
   NetworkModel(Engine& eng, const topo::Topology& net, double wire_delay,
                std::size_t batch_k, ServiceDraw draw)
-      : eng_(eng), wire_(wire_delay), batch_k_(batch_k), draw_(draw) {
-    compile(net);
-  }
+      : eng_(eng),
+        wire_(wire_delay),
+        batch_k_(batch_k),
+        draw_(draw),
+        routing_(net),
+        bals_(routing_.num_balancers()) {}
 
   void increment_n(std::size_t core, std::uint64_t k, Done done) override {
     if (k == 0) {
@@ -246,7 +248,7 @@ class NetworkModel final : public PoolBase {
     // Sequential chunked traversals: the issuing core's thread walks the
     // network once per chunk, exactly like the real batch loop.
     inject(core, [this, core, k, chunk, done = std::move(done)]() mutable {
-      deposit(chunk);
+      inject_pool_now(chunk);
       increment_n(core, k - chunk, std::move(done));
     });
   }
@@ -261,57 +263,21 @@ class NetworkModel final : public PoolBase {
   std::uint64_t stalls() const override { return stalls_; }
 
  private:
-  struct Target {
-    bool is_output = false;
-    std::uint32_t index = 0;
-  };
   struct Balancer {
     bool busy = false;
     std::uint32_t state = 0;
     std::deque<Done> waiting;  // continuations of queued tokens
   };
 
-  void compile(const topo::Topology& net) {
-    const std::size_t nb = net.num_balancers();
-    bals_.resize(nb);
-    fanout_.resize(nb);
-    route_base_.resize(nb);
-    std::size_t total_ports = 0;
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      const auto& bal = net.balancer(topo::BalancerId{b});
-      fanout_[b] = static_cast<std::uint32_t>(bal.fan_out());
-      route_base_[b] = static_cast<std::uint32_t>(total_ports);
-      total_ports += bal.fan_out();
-    }
-    route_.resize(total_ports);
-    auto target_of = [&](topo::WireId wire) {
-      const auto& end = net.consumer(wire);
-      if (end.kind == topo::WireEnd::Kind::kNetworkOutput) {
-        return Target{true, end.port};
-      }
-      return Target{false, end.balancer.value};
-    };
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      const auto& bal = net.balancer(topo::BalancerId{b});
-      for (std::size_t port = 0; port < bal.fan_out(); ++port) {
-        route_[route_base_[b] + port] = target_of(bal.outputs[port]);
-      }
-    }
-    entry_.reserve(net.width_in());
-    for (const topo::WireId in : net.input_wires()) {
-      entry_.push_back(target_of(in));
-    }
-  }
-
   // Launch one traversal from the core's entry wire; on_exit runs at the
   // virtual time the token leaves the network.
   void inject(std::size_t core, Done on_exit) {
-    const Target& e = entry_[core % entry_.size()];
-    if (e.is_output) {
+    const std::int32_t e = routing_.entry[core % routing_.width_in()];
+    if (e < 0) {
       eng_.at(eng_.now(), std::move(on_exit));
       return;
     }
-    arrive(e.index, std::move(on_exit));
+    arrive(static_cast<std::uint32_t>(e), std::move(on_exit));
   }
 
   void arrive(std::uint32_t b, Done on_exit) {
@@ -335,12 +301,12 @@ class NetworkModel final : public PoolBase {
   void complete(std::uint32_t b, Done on_exit) {
     Balancer& bal = bals_[b];
     const std::uint32_t port = bal.state;
-    bal.state = (bal.state + 1) % fanout_[b];
-    const Target& next = route_[route_base_[b] + port];
-    if (next.is_output) {
+    bal.state = (bal.state + 1) % routing_.fanout[b];
+    const std::int32_t next = routing_.next(b, port);
+    if (next < 0) {
       eng_.at(eng_.now() + wire_, std::move(on_exit));
     } else {
-      const std::uint32_t nb = next.index;
+      const auto nb = static_cast<std::uint32_t>(next);
       eng_.at(eng_.now() + wire_,
               [this, nb, on_exit = std::move(on_exit)]() mutable {
                 arrive(nb, std::move(on_exit));
@@ -359,10 +325,8 @@ class NetworkModel final : public PoolBase {
   double wire_;
   std::size_t batch_k_;
   ServiceDraw draw_;
+  topo::Routing routing_;
   std::vector<Balancer> bals_;
-  std::vector<std::uint32_t> fanout_, route_base_;
-  std::vector<Target> route_;
-  std::vector<Target> entry_;
   std::uint64_t stalls_ = 0;
 };
 
@@ -378,31 +342,35 @@ class NetworkModel final : public PoolBase {
 class ElimModel final : public CounterModel {
  public:
   ElimModel(Engine& eng, std::unique_ptr<CounterModel> inner,
-            std::size_t slots, double exchange_time, double inc_wait,
-            double dec_wait, util::Xoshiro256& rng)
+            const ModelConfig& cfg, util::Xoshiro256& rng)
       : eng_(eng),
         inner_(std::move(inner)),
-        slots_(slots),
-        exchange_(exchange_time),
-        inc_wait_(inc_wait),
-        dec_wait_(dec_wait),
+        slots_(cfg.elim_slots),
+        exchange_(cfg.exchange_time),
+        inc_wait_(cfg.elim_inc_wait),
+        dec_wait_(cfg.elim_dec_wait),
         rng_(rng) {
-    CNET_REQUIRE(slots > 0, "at least one elimination slot");
+    CNET_REQUIRE(cfg.elim_slots > 0, "at least one elimination slot");
   }
 
   void increment_n(std::size_t core, std::uint64_t k, Done done) override {
     // Catch pass (any k): hand tokens to already-waiting decrements.
     std::uint64_t remaining = k;
-    while (remaining > 0 && catch_partner(Role::kDec)) --remaining;
+    while (remaining > 0 && catch_partner(SlotState::kWaitDec)) --remaining;
     if (remaining == 0) {
       eng_.at(eng_.now() + exchange_, std::move(done));
       return;
     }
     if (remaining == 1 && k == 1) {
-      // Single-op path: deposit and wait for a partner decrement. `done` is
-      // passed as a copy so the fall-through below stays valid on a full
+      // Single-op path: deposit and wait for a partner decrement (its token
+      // goes straight to it); on withdrawal the token goes to the backend.
+      // `done` is copied so the fall-through below stays valid on a full
       // slot array.
-      if (try_deposit(Role::kInc, core, /*k=*/1, done)) return;
+      if (deposit(
+              SlotState::kWaitInc, [done](std::int64_t) { done(); },
+              [this, core, done] { inner_->increment_n(core, 1, done); })) {
+        return;
+      }
     }
     inner_->increment_n(core, remaining, std::move(done));
   }
@@ -410,7 +378,7 @@ class ElimModel final : public CounterModel {
   void try_decrement_n(std::size_t core, std::uint64_t n,
                        DoneN done) override {
     std::uint64_t got = 0;
-    while (got < n && catch_partner(Role::kInc)) ++got;
+    while (got < n && catch_partner(SlotState::kWaitInc)) ++got;
     if (got == n) {
       eng_.at(eng_.now() + exchange_,
               [got, done = std::move(done)] { done(got); });
@@ -419,26 +387,18 @@ class ElimModel final : public CounterModel {
     if (n == 1 && got == 0) {
       // Single-op path: deposit; a catching increment completes us with one
       // token (the pairing continuation already runs exchange_time after
-      // the catch), the withdrawal falls through to the backend.
-      auto fulfilled = [done](std::int64_t /*pair value*/) { done(1); };
-      auto withdrawn = [this, core, done] {
-        inner_->try_decrement_n(core, 1, done);
-      };
-      if (deposit(Role::kDec, std::move(fulfilled), std::move(withdrawn))) {
+      // the catch), the withdrawal falls through to the backend. On a full
+      // slot array, so does the op itself, below.
+      if (deposit(
+              SlotState::kWaitDec, [done](std::int64_t) { done(1); },
+              [this, core, done] { inner_->try_decrement_n(core, 1, done); })) {
         return;
       }
-      inner_->try_decrement_n(core, 1, std::move(done));
-      return;
     }
-    const std::uint64_t caught = got;
-    if (caught == 0) {
-      inner_->try_decrement_n(core, n, std::move(done));
-      return;
-    }
+    // The backend claims whatever the catch pass left short.
     inner_->try_decrement_n(
-        core, n - caught,
-        [caught, done = std::move(done)](std::uint64_t inner_got) {
-          done(caught + inner_got);
+        core, n - got, [got, done = std::move(done)](std::uint64_t inner_got) {
+          done(got + inner_got);
         });
   }
 
@@ -463,86 +423,74 @@ class ElimModel final : public CounterModel {
   std::int64_t value_sum() const { return value_sum_; }
 
  private:
-  enum class Role : std::uint8_t { kInc, kDec };
+  // Empty, or holding one waiting op of the named role.
+  enum class SlotState : std::uint8_t { kEmpty, kWaitInc, kWaitDec };
   struct Slot {
-    enum class State : std::uint8_t { kEmpty, kWaitInc, kWaitDec } state =
-        State::kEmpty;
+    SlotState state = SlotState::kEmpty;
     std::uint64_t epoch = 0;
-    // Waiter continuations: on_pair runs when an opposite role catches the
-    // slot, on_withdraw when the deposit window expires first.
+    // Waiter continuation: runs when an opposite role catches the slot.
     std::function<void(std::int64_t)> on_pair;
   };
 
-  // Finds a waiter of `role` and pairs with it: the waiter's continuation
-  // fires exchange_ later, the slot returns to empty with a bumped epoch.
-  bool catch_partner(Role role) {
-    const auto want = role == Role::kInc ? Slot::State::kWaitInc
-                                         : Slot::State::kWaitDec;
+  // Scans the slots from a random start for one in state `want`; returns
+  // slots_.size() when there is none.
+  std::size_t find_slot(SlotState want) {
     const std::size_t start = static_cast<std::size_t>(
         rng_.below(static_cast<std::uint64_t>(slots_.size())));
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       const std::size_t s = (start + i) % slots_.size();
-      Slot& slot = slots_[s];
-      if (slot.state != want) continue;
-      const std::int64_t value = svc::elimination_pair_value(
-          slots_.size(), s, slot.epoch);
-      ++pairs_;
-      value_sum_ += value;
-      auto on_pair = std::move(slot.on_pair);
-      slot.state = Slot::State::kEmpty;
-      slot.on_pair = nullptr;
-      ++slot.epoch;
-      const double at = eng_.now() + exchange_;
-      eng_.at(at, [value, on_pair = std::move(on_pair)] { on_pair(value); });
-      return true;
+      if (slots_[s].state == want) return s;
     }
-    return false;
+    return slots_.size();
+  }
+
+  // Back to empty with a bumped epoch, dropping the waiter's continuation.
+  static void empty_slot(Slot& slot) {
+    slot.state = SlotState::kEmpty;
+    slot.on_pair = nullptr;
+    ++slot.epoch;
+  }
+
+  // Finds a waiter in state `waiter` and pairs with it: its continuation
+  // fires exchange_ later, the slot returns to empty with a bumped epoch.
+  bool catch_partner(SlotState waiter) {
+    const std::size_t s = find_slot(waiter);
+    if (s == slots_.size()) return false;
+    Slot& slot = slots_[s];
+    const std::int64_t value =
+        svc::elimination_pair_value(slots_.size(), s, slot.epoch);
+    ++pairs_;
+    value_sum_ += value;
+    auto on_pair = std::move(slot.on_pair);
+    empty_slot(slot);
+    eng_.at(eng_.now() + exchange_,
+            [value, on_pair = std::move(on_pair)] { on_pair(value); });
+    return true;
   }
 
   // Deposits a waiter; schedules the withdrawal at the deposit window's
   // end (per-role windows mirror the real inc_spins/dec_spins asymmetry:
   // increments wait long, decrements only briefly). Returns false when
   // every slot is occupied (fall through).
-  bool deposit(Role role, std::function<void(std::int64_t)> on_pair,
+  bool deposit(SlotState as, std::function<void(std::int64_t)> on_pair,
                Done on_withdraw) {
-    const std::size_t start = static_cast<std::size_t>(
-        rng_.below(static_cast<std::uint64_t>(slots_.size())));
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      const std::size_t s = (start + i) % slots_.size();
-      Slot& slot = slots_[s];
-      if (slot.state != Slot::State::kEmpty) continue;
-      slot.state = role == Role::kInc ? Slot::State::kWaitInc
-                                      : Slot::State::kWaitDec;
-      slot.on_pair = std::move(on_pair);
-      const std::uint64_t epoch = slot.epoch;
-      eng_.at(eng_.now() + (role == Role::kInc ? inc_wait_ : dec_wait_),
-              [this, s, epoch, on_withdraw = std::move(on_withdraw)] {
-                Slot& sl = slots_[s];
-                if (sl.epoch != epoch ||
-                    sl.state == Slot::State::kEmpty) {
-                  return;  // already paired; the pairing continuation ran
-                }
-                sl.state = Slot::State::kEmpty;
-                sl.on_pair = nullptr;
-                ++sl.epoch;
-                ++withdrawals_;
-                on_withdraw();
-              });
-      return true;
-    }
-    return false;
-  }
-
-  // Single-increment deposit: on pairing the increment op completes (its
-  // token went straight to the paired decrement); on withdrawal the token
-  // goes to the backend.
-  bool try_deposit(Role role, std::size_t core, std::uint64_t k,
-                   const Done& done) {
-    auto fulfilled = [done](std::int64_t) { done(); };
-    auto withdrawn = [this, core, k, done] {
-      inner_->increment_n(core, k, done);
-    };
-    return deposit(role, std::move(fulfilled), std::move(withdrawn));
+    const std::size_t s = find_slot(SlotState::kEmpty);
+    if (s == slots_.size()) return false;
+    Slot& slot = slots_[s];
+    slot.state = as;
+    slot.on_pair = std::move(on_pair);
+    const std::uint64_t epoch = slot.epoch;
+    eng_.at(eng_.now() + (as == SlotState::kWaitInc ? inc_wait_ : dec_wait_),
+            [this, s, epoch, on_withdraw = std::move(on_withdraw)] {
+              Slot& sl = slots_[s];
+              if (sl.epoch != epoch || sl.state == SlotState::kEmpty) {
+                return;  // already paired; the pairing continuation ran
+              }
+              empty_slot(sl);
+              ++withdrawals_;
+              on_withdraw();
+            });
+    return true;
   }
 
   Engine& eng_;
@@ -584,14 +532,11 @@ class AdaptiveModel final : public CounterModel {
 
   void try_decrement_n(std::size_t core, std::uint64_t n,
                        DoneN done) override {
-    if (switched_) {
-      // Sweep straggler deposits (pre-switch ops completing late on the
-      // cold model) before taking: the real counter's reader quiescence
-      // means a post-swap consumer can never miss a token that is only
-      // "in the other pool".
-      const std::uint64_t left = cold_->drain_pool_now();
-      if (left > 0) hot_->inject_pool_now(left);
-    }
+    // Sweep straggler deposits (pre-switch ops completing late on the cold
+    // model) before taking: the real counter's reader quiescence means a
+    // post-swap consumer can never miss a token that is only "in the other
+    // pool".
+    if (switched_) sweep_stragglers();
     active().try_decrement_n(
         core, n, [this, done = std::move(done)](std::uint64_t got) {
           // Same charging rule as the fixed AdaptiveCounter: tokens
@@ -607,18 +552,14 @@ class AdaptiveModel final : public CounterModel {
     // the switch window. The cold CentralModel tallies a stall at
     // scheduling time (inside the increment_n call), so the delta around
     // the call attributes exactly this refund's own stalls.
-    const bool track = !switched_;
-    const std::uint64_t before = track ? cold_->stalls() : 0;
+    const std::uint64_t before = cold_->stalls();
     active().refund_n(core, k, [this, done = std::move(done)] {
-      if (switched_) {
-        // Same straggler sweep as after_ops: a refund that was in flight
-        // on the cold model at the switch instant must not strand tokens.
-        const std::uint64_t left = cold_->drain_pool_now();
-        if (left > 0) hot_->inject_pool_now(left);
-      }
+      // A refund in flight on the cold model at the switch instant must
+      // not strand tokens either.
+      if (switched_) sweep_stragglers();
       done();
     });
-    if (track) refund_stalls_ += cold_->stalls() - before;
+    refund_stalls_ += cold_->stalls() - before;
   }
 
   std::uint64_t stalls() const override {
@@ -641,10 +582,11 @@ class AdaptiveModel final : public CounterModel {
   double switch_time() const { return switch_time_; }
   std::uint64_t ops_at_switch() const { return ops_at_switch_; }
 
-  // The force-eliminate actuation (AdaptiveCounter::force_switch's model
-  // counterpart): take the cold→hot swap now regardless of the stall
-  // window, with the same exact pool migration as the organic switch.
-  void force_switch_now() {
+  // The cold→hot swap with its exact pool migration. The organic switch
+  // takes it when the stall window crosses; the force-eliminate actuation
+  // (AdaptiveCounter::force_switch's model counterpart) takes it now,
+  // regardless of the window.
+  void switch_now() {
     if (switched_) return;
     switched_ = true;
     switch_time_ = eng_.now();
@@ -655,6 +597,11 @@ class AdaptiveModel final : public CounterModel {
  private:
   CounterModel& active() { return switched_ ? *hot_ : *cold_; }
 
+  void sweep_stragglers() {
+    const std::uint64_t left = cold_->drain_pool_now();
+    if (left > 0) hot_->inject_pool_now(left);
+  }
+
   void after_ops(std::uint64_t n) {
     if (switched_) {
       // Ops that were already in flight on the cold model at the switch
@@ -664,8 +611,7 @@ class AdaptiveModel final : public CounterModel {
       // remainder as each straggler completes — once the last in-flight
       // cold op lands, the cold pool is empty for good and no token is
       // stranded.
-      const std::uint64_t left = cold_->drain_pool_now();
-      if (left > 0) hot_->inject_pool_now(left);
+      sweep_stragglers();
       return;
     }
     const std::uint64_t before = ops_;
@@ -684,11 +630,7 @@ class AdaptiveModel final : public CounterModel {
         events_now >= last_events_ ? events_now - last_events_ : 0};
     last_ops_ = ops_;
     last_events_ = std::max(last_events_, events_now);
-    if (!svc::should_switch(window, tuning_)) return;
-    switched_ = true;
-    switch_time_ = eng_.now();
-    ops_at_switch_ = ops_;
-    hot_->inject_pool_now(cold_->drain_pool_now());  // exact migration
+    if (svc::should_switch(window, tuning_)) switch_now();
   }
 
   std::unique_ptr<CounterModel> cold_, hot_;
@@ -701,7 +643,16 @@ class AdaptiveModel final : public CounterModel {
   std::uint64_t refund_stalls_ = 0;
 };
 
-// ----------------------------------------------------------------- driver
+// ------------------------------------------------------------ model stack
+
+// Every core must have completed its loop: the event queue drains only
+// when no completion is pending.
+void ensure_finished(const std::vector<std::size_t>& ops_done,
+                     std::size_t ops_per_core) {
+  for (const std::size_t done : ops_done) {
+    CNET_ENSURE(done == ops_per_core, "simulated core finished early");
+  }
+}
 
 struct ModelStack {
   std::unique_ptr<CounterModel> root;
@@ -712,7 +663,7 @@ struct ModelStack {
 
 std::unique_ptr<CounterModel> make_backend_model(svc::BackendKind kind,
                                                  Engine& eng,
-                                                 const MulticoreConfig& cfg,
+                                                 const ModelConfig& cfg,
                                                  util::Xoshiro256& rng,
                                                  AdaptiveModel** adaptive) {
   const auto draw = [&](double mean) {
@@ -725,13 +676,12 @@ std::unique_ptr<CounterModel> make_backend_model(svc::BackendKind kind,
   };
   switch (kind) {
     case svc::BackendKind::kCentralAtomic:
-      return std::make_unique<CentralModel>(eng, cfg.central_slope,
-                                            draw(cfg.central_service),
-                                            /*empty_read_fast_path=*/true);
     case svc::BackendKind::kCentralCas:
-      return std::make_unique<CentralModel>(eng, cfg.cas_slope,
-                                            draw(cfg.central_service),
-                                            /*empty_read_fast_path=*/true);
+      return std::make_unique<CentralModel>(
+          eng,
+          kind == svc::BackendKind::kCentralCas ? cfg.cas_slope
+                                                : cfg.central_slope,
+          draw(cfg.central_service), /*empty_read_fast_path=*/true);
     case svc::BackendKind::kCentralMutex:
       return std::make_unique<CentralModel>(eng, cfg.mutex_slope,
                                             draw(cfg.mutex_service));
@@ -740,10 +690,8 @@ std::unique_ptr<CounterModel> make_backend_model(svc::BackendKind kind,
     case svc::BackendKind::kBatchedNetwork:
       return network(cfg.batch_k);
     case svc::BackendKind::kAdaptive: {
-      auto cold = std::make_unique<CentralModel>(eng, cfg.central_slope,
-                                                 draw(cfg.central_service),
-                                                 /*empty_read_fast_path=*/
-                                                 true);
+      auto cold = make_backend_model(svc::BackendKind::kCentralAtomic, eng,
+                                     cfg, rng, nullptr);
       auto model = std::make_unique<AdaptiveModel>(
           std::move(cold), network(cfg.batch_k), eng, cfg.tuning);
       if (adaptive != nullptr) *adaptive = model.get();
@@ -753,94 +701,139 @@ std::unique_ptr<CounterModel> make_backend_model(svc::BackendKind kind,
   return nullptr;
 }
 
+// Every driver builds its pools here, so the model knobs are validated
+// once, here: a zero batch_k deposits empty chunks forever, and a zero
+// sample interval divides by zero at the first adaptive sample (the live
+// LoadStats rejects it too).
 ModelStack make_model(const svc::BackendSpec& spec, Engine& eng,
-                      const MulticoreConfig& cfg, util::Xoshiro256& rng) {
+                      const ModelConfig& cfg, util::Xoshiro256& rng) {
+  CNET_REQUIRE(cfg.batch_k >= 1, "batch_k must be positive");
+  CNET_REQUIRE(cfg.tuning.sample_interval >= 1,
+               "sample interval must be positive");
+  CNET_REQUIRE(cfg.wire_delay >= 0.0, "wire delay must be nonnegative");
   ModelStack stack;
   stack.root =
       make_backend_model(spec.kind, eng, cfg, rng, &stack.adaptive);
   CNET_REQUIRE(stack.root != nullptr, "unknown backend kind");
   if (spec.elimination) {
-    auto elim = std::make_unique<ElimModel>(
-        eng, std::move(stack.root), cfg.elim_slots, cfg.exchange_time,
-        cfg.elim_inc_wait, cfg.elim_dec_wait, rng);
+    auto elim =
+        std::make_unique<ElimModel>(eng, std::move(stack.root), cfg, rng);
     stack.elim = elim.get();
     stack.root = std::move(elim);
   }
   return stack;
 }
 
-}  // namespace
+// ----------------------------------------------------- Table B closed loop
 
-std::vector<svc::BackendSpec> multicore_sweep_specs() {
-  std::vector<svc::BackendSpec> specs;
-  for (const auto kind : svc::kPoolBackendKinds) {
-    specs.push_back({kind, false});
-  }
-  specs.push_back({svc::BackendKind::kCentralAtomic, true});
-  specs.push_back({svc::BackendKind::kBatchedNetwork, true});
-  return specs;
-}
+// simulate_reconfig's staged respec: what to publish, and its trace.
+struct Stage {
+  const ReconfigSimConfig& cfg;
+  ReconfigSimResult& res;  // res.staged_chunk is the re-divided batch chunk
+};
 
-MulticoreResult simulate_multicore(const svc::BackendSpec& spec,
-                                   const MulticoreConfig& cfg) {
+// The Table B workload, one closed loop per core: consume(1) through the
+// shared svc::bucket_consume plan, a bulk refill every refill_every
+// consumes, think_time between ops. With a stage, a full replacement stack
+// publishes at the stage instant (the RCU publish): every op issued from
+// then on routes to it, while ops already in flight on the old stack
+// drain. The commit fires at the exact instant the last of them completes
+// (the event-driven mirror of the engine's reader-quiescence wait) and
+// migrates the old pool's remainder in one exact transfer. Without a stage
+// every op runs on the one stack.
+MulticoreResult run_table_b(const svc::BackendSpec& spec,
+                            const MulticoreConfig& cfg, Stage* stage) {
   CNET_REQUIRE(cfg.cores >= 1, "need at least one simulated core");
   CNET_REQUIRE(cfg.ops_per_core >= 1, "need at least one op per core");
   CNET_REQUIRE(cfg.refill_every >= 1, "refill cadence must be positive");
-  CNET_REQUIRE(cfg.think_time >= 0.0 && cfg.wire_delay >= 0.0,
-               "delays must be nonnegative");
+  CNET_REQUIRE(cfg.think_time >= 0.0, "delays must be nonnegative");
 
   Engine eng;
   util::Xoshiro256 rng(cfg.seed);
-  ModelStack stack = make_model(spec, eng, cfg, rng);
-  CounterModel& model = *stack.root;
+  ModelStack old_stack = make_model(spec, eng, cfg, rng);
+  ModelStack new_stack;  // built off to the side at the stage instant
 
   MulticoreResult res;
   res.initial_tokens = cfg.initial_tokens_per_core * cfg.cores;
-  model.inject_pool_now(res.initial_tokens);
+  old_stack.root->inject_pool_now(res.initial_tokens);
 
-  // The Table B workload, one closed loop per core: consume(1) through the
-  // shared svc::bucket_consume plan, a bulk refill every refill_every
-  // consumes, think_time between ops.
-  struct CoreState {
-    std::size_t ops_done = 0;
-    std::size_t since_refill = 0;
+  // The RCU mirror: `active` is the published pointer new ops load at
+  // issue; ops already in flight on the old stack are the reader sections
+  // the commit must wait out. outstanding_old counts them exactly.
+  CounterModel* active = old_stack.root.get();
+  std::uint64_t outstanding_old = 0;
+  bool staged = false;
+  bool committed = false;
+
+  const auto maybe_commit = [&] {
+    if (!staged || committed || outstanding_old != 0) return;
+    // Quiescence: no in-flight op can touch the old stack again, so its
+    // remaining count is well-defined — the paper's §2.2 argument run in
+    // reverse — and the migration is one exact instantaneous transfer.
+    committed = true;
+    stage->res.respec_commit_time = eng.now();
+    stage->res.migrated_tokens = old_stack.root->drain_pool_now();
+    new_stack.root->inject_pool_now(stage->res.migrated_tokens);
+    stage->res.config_version = 2;
   };
-  std::vector<CoreState> cores(cfg.cores);
+
+  if (stage != nullptr) {
+    eng.at(stage->cfg.respec_at, [&] {
+      ModelConfig staged_cfg = cfg;
+      staged_cfg.batch_k = stage->res.staged_chunk;
+      new_stack = make_model(stage->cfg.spec_to, eng, staged_cfg, rng);
+      active = new_stack.root.get();
+      staged = true;
+      stage->res.respec_staged_time = eng.now();
+      maybe_commit();
+    });
+  }
+
+  std::vector<std::size_t> ops_done(cfg.cores, 0);
+  std::vector<std::size_t> since_refill(cfg.cores, 0);
   double makespan = 0.0;
 
   // Declared std::function for self-reference (each completion schedules
-  // the core's next op).
+  // the core's next op). Each op's issue reads the published pointer, and
+  // bumps the old stack's reader count while it still routes there.
   std::function<void(std::size_t)> step = [&](std::size_t c) {
-    CoreState& core = cores[c];
-    if (core.ops_done == cfg.ops_per_core) return;
+    if (ops_done[c] == cfg.ops_per_core) return;
+    const bool on_old = !staged;  // active flips exactly at the stage event
+    if (on_old) ++outstanding_old;
     // consume(1): the single-token plan degenerates to one bounded claim —
     // run through bucket_consume so the simulator exercises the identical
     // policy the real NetTokenBucket does.
-    model.try_decrement_n(c, 1, [&, c](std::uint64_t got) {
+    active->try_decrement_n(c, 1, [&, c, on_old](std::uint64_t got) {
+      if (on_old) --outstanding_old;
       const std::uint64_t granted = svc::bucket_consume(
           1, svc::kPartialOk,
           [got](std::uint64_t) mutable {
             return std::exchange(got, std::uint64_t{0});
           },
           [](std::uint64_t) {});
-      CoreState& me = cores[c];
       ++res.consume_ops;
-      ++me.ops_done;
+      ++ops_done[c];
       res.consumed += granted;
       if (granted == 0) ++res.rejected;
       makespan = std::max(makespan, eng.now());
-      const bool refill_due = ++me.since_refill == cfg.refill_every;
-      if (refill_due) me.since_refill = 0;
+      maybe_commit();  // this may have been the last old-stack reader
+      const bool refill_due = ++since_refill[c] == cfg.refill_every;
+      if (refill_due) since_refill[c] = 0;
       const double next_at = eng.now() + cfg.think_time;
-      if (refill_due) {
-        model.increment_n(c, cfg.refill_every, [&, c, next_at] {
-          res.refilled += cfg.refill_every;
-          makespan = std::max(makespan, eng.now());
-          eng.at(std::max(next_at, eng.now()), [&, c] { step(c); });
-        });
-      } else {
+      if (!refill_due) {
         eng.at(next_at, [&, c] { step(c); });
+        return;
       }
+      const bool refill_on_old = !staged;
+      if (refill_on_old) ++outstanding_old;
+      active->increment_n(c, cfg.refill_every, [&, c, refill_on_old,
+                                                next_at] {
+        if (refill_on_old) --outstanding_old;
+        res.refilled += cfg.refill_every;
+        makespan = std::max(makespan, eng.now());
+        maybe_commit();
+        eng.at(std::max(next_at, eng.now()), [&, c] { step(c); });
+      });
     });
   };
 
@@ -850,50 +843,66 @@ MulticoreResult simulate_multicore(const svc::BackendSpec& spec,
   res.makespan = makespan;
   res.ops_per_vtime =
       static_cast<double>(res.consume_ops) / std::max(makespan, 1e-12);
-  res.stall_events = model.stalls();
-  res.final_pool = model.pool();
+  const CounterModel& old_root = *old_stack.root;
+  const CounterModel* new_root = new_stack.root.get();
+  const std::uint64_t new_stalls = new_root != nullptr ? new_root->stalls() : 0;
+  res.stall_events = old_root.stalls() + new_stalls;
+  res.final_pool =
+      old_root.pool() + (new_root != nullptr ? new_root->pool() : 0);
+  const bool never_negative =
+      !old_root.pool_ever_negative() &&
+      (new_root == nullptr || !new_root->pool_ever_negative());
   res.conserved =
-      !model.pool_ever_negative() && res.final_pool >= 0 &&
+      never_negative && res.final_pool >= 0 &&
+      (!committed || old_root.pool() == 0) &&  // the retired pool stays drained
       res.consumed + static_cast<std::uint64_t>(res.final_pool) ==
           res.refilled + res.initial_tokens;
-  if (stack.elim != nullptr) {
-    res.elim_pairs = stack.elim->pairs();
-    res.elim_withdrawals = stack.elim->withdrawals();
-    res.elim_value_sum = stack.elim->value_sum();
+  if (old_stack.elim != nullptr) {
+    res.elim_pairs = old_stack.elim->pairs();
+    res.elim_withdrawals = old_stack.elim->withdrawals();
+    res.elim_value_sum = old_stack.elim->value_sum();
   }
-  if (stack.adaptive != nullptr) {
-    res.switched = stack.adaptive->switched();
-    res.switch_time = stack.adaptive->switch_time();
-    res.ops_at_switch = stack.adaptive->ops_at_switch();
+  if (old_stack.adaptive != nullptr) {
+    res.switched = old_stack.adaptive->switched();
+    res.switch_time = old_stack.adaptive->switch_time();
+    res.ops_at_switch = old_stack.adaptive->ops_at_switch();
+  }
+  if (stage != nullptr) {
+    stage->res.old_stalls = old_root.stalls();
+    stage->res.new_stalls = new_stalls;
   }
 
-  // Every core must have completed its loop (the event queue drains only
-  // when no completion is pending).
-  for (const CoreState& core : cores) {
-    CNET_ENSURE(core.ops_done == cfg.ops_per_core,
-                "simulated core finished early");
-  }
+  ensure_finished(ops_done, cfg.ops_per_core);
   return res;
 }
 
-QuotaSimConfig quota_sim_reference_config(std::size_t cores) {
-  QuotaSimConfig cfg;
-  cfg.cores = cores;
-  cfg.tenants = 8;
-  cfg.hot_tenants = 1;
-  cfg.hot_core_share = 0.75;
-  cfg.ops_per_core = 512;
-  cfg.base.exponential_service = true;
-  cfg.base.seed = 0xB10C0DE;
-  return cfg;
-}
+// ------------------------------------------------------------ tenant loop
 
-QuotaSimResult simulate_quota(const svc::BackendSpec& parent_spec,
-                              const QuotaSimConfig& cfg) {
+// simulate_overload's manager: its knobs, and its trace.
+struct Manager {
+  const OverloadSimConfig& cfg;
+  OverloadSimResult& res;
+};
+
+// The tenant workload: each core, pinned to a tenant, runs acquire → hold
+// → release against its tenant's child pool and the shared parent pool.
+// The acquire flow is svc::quota_acquire's rule set driven in
+// continuation-passing form: the child take, the borrow_allowance
+// reservation, the parent take, and a quota_settle that either keeps both
+// parts or refunds each to its own level. With a manager attached (the
+// mirror of QuotaHierarchy::attach_overload) cores enter staggered and a
+// periodic sampler plays OverloadManager::evaluate, whose tier the loop
+// reads at its decision points; without one the tier stays nominal.
+QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
+                           const QuotaSimConfig& cfg, Manager* mgr) {
   CNET_REQUIRE(cfg.cores >= 1, "need at least one simulated core");
   CNET_REQUIRE(cfg.tenants >= 1, "need at least one tenant");
   CNET_REQUIRE(cfg.hot_tenants <= cfg.tenants,
                "hot tenants cannot exceed tenants");
+  // The hot-core count is a double -> size_t cast: outside [0, 1] it is
+  // undefined behaviour, not a skew.
+  CNET_REQUIRE(cfg.hot_core_share >= 0.0 && cfg.hot_core_share <= 1.0,
+               "hot_core_share must be in [0, 1]");
   CNET_REQUIRE(cfg.ops_per_core >= 1, "need at least one op per core");
   CNET_REQUIRE(cfg.acquire_cost >= 1, "acquire cost must be positive");
   CNET_REQUIRE(cfg.hot_weight > 0 && cfg.cold_weight > 0,
@@ -911,29 +920,24 @@ QuotaSimResult simulate_quota(const svc::BackendSpec& parent_spec,
   // hierarchy's default child backend — cheap alone, and honestly a queue
   // when many hot cores share one tenant.
   std::vector<std::unique_ptr<CounterModel>> children;
-  children.reserve(cfg.tenants);
   for (std::size_t t = 0; t < cfg.tenants; ++t) {
-    children.push_back(std::make_unique<CentralModel>(
-        eng, cfg.base.central_slope,
-        ServiceDraw(cfg.base.central_service, cfg.base.exponential_service,
-                    rng),
-        /*empty_read_fast_path=*/true));
+    children.push_back(make_backend_model(svc::BackendKind::kCentralAtomic,
+                                          eng, cfg.base, rng, nullptr));
     children.back()->inject_pool_now(cfg.child_initial);
   }
 
   // Core pinning: the first hot_core_share of the cores round-robin over
-  // the hot tenants, the rest over the cold ones.
+  // the hot tenants (every hot tenant gets at least one), the rest over the
+  // cold ones.
   const std::size_t cold_tenants = cfg.tenants - cfg.hot_tenants;
-  std::size_t hot_cores =
-      cfg.hot_tenants == 0
-          ? 0
-          : static_cast<std::size_t>(
-                static_cast<double>(cfg.cores) * cfg.hot_core_share + 0.5);
-  if (cfg.hot_tenants > 0 && hot_cores < cfg.hot_tenants) {
-    hot_cores = cfg.hot_tenants;  // every hot tenant gets a core
+  const auto share = static_cast<std::size_t>(
+      static_cast<double>(cfg.cores) * cfg.hot_core_share + 0.5);
+  std::size_t hot_cores = 0;
+  if (cold_tenants == 0) {
+    hot_cores = cfg.cores;
+  } else if (cfg.hot_tenants > 0) {
+    hot_cores = std::min(cfg.cores, std::max(share, cfg.hot_tenants));
   }
-  if (cold_tenants == 0) hot_cores = cfg.cores;
-  hot_cores = std::min(hot_cores, cfg.cores);
   std::vector<std::size_t> tenant_of(cfg.cores);
   for (std::size_t c = 0; c < cfg.cores; ++c) {
     tenant_of[c] = c < hot_cores
@@ -943,262 +947,31 @@ QuotaSimResult simulate_quota(const svc::BackendSpec& parent_spec,
 
   // Weighted borrow limits, from the same shared rule the real hierarchy
   // applies at construction.
-  std::uint64_t total_weight = 0;
-  std::vector<std::uint64_t> weights(cfg.tenants);
-  for (std::size_t t = 0; t < cfg.tenants; ++t) {
-    weights[t] = t < cfg.hot_tenants ? cfg.hot_weight : cfg.cold_weight;
-    total_weight += weights[t];
-  }
-
+  const std::uint64_t total_weight =
+      cfg.hot_tenants * cfg.hot_weight + cold_tenants * cfg.cold_weight;
+  std::vector<std::uint64_t> weights;
   QuotaSimResult res;
+  std::uint64_t total_limit = 0;
+  for (std::size_t t = 0; t < cfg.tenants; ++t) {
+    weights.push_back(t < cfg.hot_tenants ? cfg.hot_weight : cfg.cold_weight);
+    res.limit_per_tenant.push_back(svc::weighted_borrow_limit(
+        cfg.borrow_budget, weights[t], total_weight));
+    total_limit += res.limit_per_tenant[t];
+  }
   res.attempts_per_tenant.assign(cfg.tenants, 0);
   res.admitted_per_tenant.assign(cfg.tenants, 0);
-  res.limit_per_tenant.resize(cfg.tenants);
   res.peak_borrowed_per_tenant.assign(cfg.tenants, 0);
-  for (std::size_t t = 0; t < cfg.tenants; ++t) {
-    res.limit_per_tenant[t] =
-        svc::weighted_borrow_limit(cfg.borrow_budget, weights[t],
-                                   total_weight);
-  }
 
   std::vector<std::uint64_t> borrowed(cfg.tenants, 0);
   bool cap_violated = false;
-  struct CoreState {
-    std::size_t ops_done = 0;
-  };
-  std::vector<CoreState> cores(cfg.cores);
-  double makespan = 0.0;
-  const auto touch = [&] { makespan = std::max(makespan, eng.now()); };
-
-  // The acquire flow is svc::quota_acquire's rule set driven in
-  // continuation-passing form: the child take, the borrow_allowance
-  // reservation, the parent take, and a quota_settle that either keeps
-  // both parts or refunds each to its own level.
-  std::function<void(std::size_t)> step;
-  std::function<void(std::size_t, std::size_t, std::uint64_t, std::uint64_t,
-                     std::uint64_t)>
-      settle = [&](std::size_t c, std::size_t t, std::uint64_t got_child,
-                   std::uint64_t got_parent, std::uint64_t reserved) {
-        touch();
-        ++res.acquire_ops;
-        ++res.attempts_per_tenant[t];
-        ++cores[c].ops_done;
-        const svc::QuotaSettlement s =
-            svc::quota_settle(cfg.acquire_cost, got_child, got_parent);
-        const auto next = [&, c](double at) {
-          eng.at(at, [&, c] { step(c); });
-        };
-        if (s.admitted) {
-          ++res.admitted;
-          ++res.admitted_per_tenant[t];
-          res.granted_child_tokens += got_child;
-          res.granted_parent_tokens += got_parent;
-          // Hold the grant, then release each part to the level it came
-          // from (child first, then parent pool, then the borrow headroom
-          // — the real release's ordering); the next attempt follows the
-          // release completion plus think time.
-          eng.at(eng.now() + cfg.hold_time, [&, c, t, got_child, got_parent,
-                                             next] {
-            const auto release_parent = [&, c, t, got_parent, next] {
-              if (got_parent == 0) {
-                touch();
-                next(eng.now() + cfg.think_time);
-                return;
-              }
-              parent.refund_n(c, got_parent, [&, t, got_parent, next] {
-                borrowed[t] -= got_parent;
-                touch();
-                next(eng.now() + cfg.think_time);
-              });
-            };
-            if (got_child > 0) {
-              children[t]->refund_n(c, got_child, release_parent);
-            } else {
-              release_parent();
-            }
-          });
-          return;
-        }
-        ++res.rejected;
-        if (t < cfg.hot_tenants) {
-          ++res.hot_rejected;
-        } else {
-          ++res.cold_rejected;
-        }
-        const auto refund_child = [&, c, t, got_child, next] {
-          if (got_child == 0) {
-            next(eng.now() + cfg.think_time);
-            return;
-          }
-          children[t]->refund_n(c, got_child, [&, next] {
-            touch();
-            next(eng.now() + cfg.think_time);
-          });
-        };
-        // Pool before headroom (quota_acquire's reject ordering): the
-        // reservation is released only once the parent refund has landed.
-        if (s.refund_parent > 0) {
-          parent.refund_n(c, s.refund_parent, [&, t, reserved,
-                                               refund_child] {
-            if (reserved > 0) borrowed[t] -= reserved;
-            touch();
-            refund_child();
-          });
-        } else {
-          if (reserved > 0) borrowed[t] -= reserved;
-          refund_child();
-        }
-      };
-
-  step = [&](std::size_t c) {
-    if (cores[c].ops_done == cfg.ops_per_core) return;
-    const std::size_t t = tenant_of[c];
-    children[t]->try_decrement_n(
-        c, cfg.acquire_cost, [&, c, t](std::uint64_t got_child) {
-          if (got_child == cfg.acquire_cost) {
-            settle(c, t, got_child, 0, 0);
-            return;
-          }
-          const std::uint64_t shortfall = cfg.acquire_cost - got_child;
-          const std::uint64_t reserved = svc::borrow_allowance(
-              shortfall, borrowed[t], res.limit_per_tenant[t]);
-          if (reserved < shortfall) {
-            settle(c, t, got_child, 0, 0);  // nothing committed
-            return;
-          }
-          borrowed[t] += reserved;
-          res.peak_borrowed_per_tenant[t] =
-              std::max(res.peak_borrowed_per_tenant[t], borrowed[t]);
-          if (borrowed[t] > res.limit_per_tenant[t]) cap_violated = true;
-          parent.try_decrement_n(
-              c, shortfall,
-              [&, c, t, got_child, reserved](std::uint64_t got_parent) {
-                settle(c, t, got_child, got_parent, reserved);
-              });
-        });
-  };
-
-  for (std::size_t c = 0; c < cfg.cores; ++c) step(c);
-  eng.run();
-
-  res.makespan = makespan;
-  res.ops_per_vtime =
-      static_cast<double>(res.acquire_ops) / std::max(makespan, 1e-12);
-  res.goodput_per_vtime =
-      static_cast<double>(res.admitted) / std::max(makespan, 1e-12);
-  res.parent_stalls = parent.stalls();
-  for (const auto& child : children) res.child_stalls += child->stalls();
-
-  bool quiescent_exact = !parent.pool_ever_negative() &&
-                         parent.pool() == static_cast<std::int64_t>(
-                                              cfg.parent_initial);
-  for (std::size_t t = 0; t < cfg.tenants; ++t) {
-    quiescent_exact =
-        quiescent_exact && !children[t]->pool_ever_negative() &&
-        children[t]->pool() ==
-            static_cast<std::int64_t>(cfg.child_initial) &&
-        borrowed[t] == 0;
-  }
-  res.conserved = quiescent_exact;
-  res.isolation = !cap_violated && res.cold_rejected == 0;
-
-  for (const CoreState& core : cores) {
-    CNET_ENSURE(core.ops_done == cfg.ops_per_core,
-                "simulated core finished early");
-  }
-  return res;
-}
-
-OverloadSimConfig overload_sim_reference_config() {
-  OverloadSimConfig cfg;
-  cfg.base.exponential_service = true;
-  cfg.base.seed = 0xB10C0DE;
-  return cfg;
-}
-
-OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
-                                    const OverloadSimConfig& cfg) {
-  CNET_REQUIRE(cfg.cores >= 1, "need at least one simulated core");
-  CNET_REQUIRE(cfg.tenants >= 1, "need at least one tenant");
-  CNET_REQUIRE(cfg.hot_tenants <= cfg.tenants,
-               "hot tenants cannot exceed tenants");
-  CNET_REQUIRE(cfg.ops_per_core >= 1, "need at least one op per core");
-  CNET_REQUIRE(cfg.acquire_cost >= 1, "acquire cost must be positive");
-  CNET_REQUIRE(cfg.hot_weight > 0 && cfg.cold_weight > 0,
-               "weights must be positive");
-  CNET_REQUIRE(cfg.hold_time >= 0.0 && cfg.think_time >= 0.0 &&
-                   cfg.core_start_stagger >= 0.0,
-               "delays must be nonnegative");
-  CNET_REQUIRE(cfg.sample_every > 0.0, "sample cadence must be positive");
-  CNET_REQUIRE(cfg.stall_saturation > 0.0,
-               "stall saturation rate must be positive");
-  CNET_REQUIRE(cfg.shed_fraction >= 0.0 && cfg.shed_fraction <= 1.0,
-               "shed_fraction must be in [0, 1]");
-
-  Engine eng;
-  util::Xoshiro256 rng(cfg.base.seed);
-  ModelStack parent_stack = make_model(parent_spec, eng, cfg.base, rng);
-  CounterModel& parent = *parent_stack.root;
-  parent.inject_pool_now(cfg.parent_initial);
-
-  std::vector<std::unique_ptr<CounterModel>> children;
-  children.reserve(cfg.tenants);
-  for (std::size_t t = 0; t < cfg.tenants; ++t) {
-    children.push_back(std::make_unique<CentralModel>(
-        eng, cfg.base.central_slope,
-        ServiceDraw(cfg.base.central_service, cfg.base.exponential_service,
-                    rng),
-        /*empty_read_fast_path=*/true));
-    children.back()->inject_pool_now(cfg.child_initial);
-  }
-
-  // Core pinning and weighted limits, exactly as simulate_quota.
-  const std::size_t cold_tenants = cfg.tenants - cfg.hot_tenants;
-  std::size_t hot_cores =
-      cfg.hot_tenants == 0
-          ? 0
-          : static_cast<std::size_t>(
-                static_cast<double>(cfg.cores) * cfg.hot_core_share + 0.5);
-  if (cfg.hot_tenants > 0 && hot_cores < cfg.hot_tenants) {
-    hot_cores = cfg.hot_tenants;
-  }
-  if (cold_tenants == 0) hot_cores = cfg.cores;
-  hot_cores = std::min(hot_cores, cfg.cores);
-  std::vector<std::size_t> tenant_of(cfg.cores);
-  for (std::size_t c = 0; c < cfg.cores; ++c) {
-    tenant_of[c] = c < hot_cores
-                       ? c % cfg.hot_tenants
-                       : cfg.hot_tenants + (c - hot_cores) % cold_tenants;
-  }
-  std::uint64_t total_weight = 0;
-  std::vector<std::uint64_t> weights(cfg.tenants);
-  for (std::size_t t = 0; t < cfg.tenants; ++t) {
-    weights[t] = t < cfg.hot_tenants ? cfg.hot_weight : cfg.cold_weight;
-    total_weight += weights[t];
-  }
-  std::vector<std::uint64_t> limits(cfg.tenants);
-  std::uint64_t total_limit = 0;
-  for (std::size_t t = 0; t < cfg.tenants; ++t) {
-    limits[t] = svc::weighted_borrow_limit(cfg.borrow_budget, weights[t],
-                                           total_weight);
-    total_limit += limits[t];
-  }
-
-  OverloadSimResult res;
-  res.shed_rejects_per_tenant.assign(cfg.tenants, 0);
-
-  std::vector<std::uint64_t> borrowed(cfg.tenants, 0);
-  struct CoreState {
-    std::size_t ops_done = 0;
-  };
-  std::vector<CoreState> cores(cfg.cores);
+  std::vector<std::size_t> ops_done(cfg.cores, 0);
   std::size_t active_cores = cfg.cores;
   double makespan = 0.0;
   const auto touch = [&] { makespan = std::max(makespan, eng.now()); };
 
-  // Manager state: the tier in force and its action table. Both are read
-  // by the workload at decision points, exactly as the real components
-  // read OverloadManager::actions().
+  // The tier in force and its action table, read by the loop at decision
+  // points exactly as the real components read OverloadManager::actions().
+  // Only a manager moves them off nominal.
   svc::OverloadTier tier = svc::OverloadTier::kNominal;
   svc::OverloadActions actions;  // defaults == nominal
 
@@ -1223,20 +996,24 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
 
   // kShrinkBatch actuation: refunds return in chunks of
   // max(1, n / batch_divisor) — several short exclusive holds instead of
-  // one bulk traversal. Divisor 1 (nominal) degenerates to a single call.
+  // one bulk traversal. At divisor 1 (nominal) this is a single call. The
+  // manager's loop takes one more same-instant hop after its last chunk;
+  // without a manager `done` runs straight from the refund's completion.
   std::function<void(CounterModel*, std::size_t, std::uint64_t, Done)>
-      refund_chunked = [&](CounterModel* model, std::size_t c,
-                           std::uint64_t n, Done done) {
-        if (n == 0) {
+      refund = [&](CounterModel* model, std::size_t c, std::uint64_t n,
+                   Done done) {
+        if (n > 0) {
+          const std::uint64_t k = std::min(
+              n, std::max<std::uint64_t>(1, n / actions.batch_divisor));
+          model->refund_n(
+              c, k, [&, model, c, n, k, done = std::move(done)]() mutable {
+                refund(model, c, n - k, std::move(done));
+              });
+        } else if (mgr == nullptr) {
+          done();
+        } else {
           eng.at(eng.now(), std::move(done));
-          return;
         }
-        const std::uint64_t k = std::min(
-            n, std::max<std::uint64_t>(1, n / actions.batch_divisor));
-        model->refund_n(c, k,
-                        [&, model, c, n, k, done = std::move(done)]() mutable {
-                          refund_chunked(model, c, n - k, std::move(done));
-                        });
       };
 
   // Refund a grant's parts to the level each came from: child first, then
@@ -1250,14 +1027,14 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
         after();
         return;
       }
-      refund_chunked(&parent, c, fp, [&, t, fp, after] {
+      refund(&parent, c, fp, [&, t, fp, after] {
         borrowed[t] -= fp;
         touch();
         after();
       });
     };
     if (g.from_child > 0) {
-      refund_chunked(children[g.tenant].get(), c, g.from_child, parent_part);
+      refund(children[g.tenant].get(), c, g.from_child, parent_part);
     } else {
       parent_part();
     }
@@ -1272,17 +1049,23 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
                           std::uint64_t got_child, std::uint64_t got_parent,
                           std::uint64_t reserved) {
     touch();
-    ++res.attempts;
-    ++cores[c].ops_done;
+    ++res.acquire_ops;
+    ++res.attempts_per_tenant[t];
+    ++ops_done[c];
     const svc::QuotaSettlement s = svc::quota_settle(
         cfg.acquire_cost, got_child, got_parent,
         actions.degrade_to_partial ? svc::kPartialOk : svc::kAllOrNothing);
-    const auto next = [&, c](double at) {
-      eng.at(at, [&, c] { step(c); });
+    // The core's next attempt, think_time after the op finishes.
+    const auto next = [&, c] {
+      eng.at(eng.now() + cfg.think_time, [&, c] { step(c); });
     };
     if (s.admitted) {
       ++res.admitted;
-      if (got_child + got_parent < cfg.acquire_cost) ++res.degraded_admits;
+      ++res.admitted_per_tenant[t];
+      res.granted_child_tokens += got_child;
+      res.granted_parent_tokens += got_parent;
+      // Only the manager's degrade tier admits short.
+      if (got_child + got_parent < cfg.acquire_cost) ++mgr->res.degraded_admits;
       // A degraded admit may hold a reservation larger than the parent
       // tokens it claimed; give the unused headroom back (quota_acquire's
       // partial-path unreserve) so outstanding borrow == from_parent.
@@ -1290,46 +1073,48 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
       const std::size_t idx = grants.size();
       grants.push_back({t, got_child, got_parent, false});
       held[t].push_back(idx);
+      // Hold the grant, then release it; the next attempt follows the
+      // release completion plus think time.
       eng.at(eng.now() + cfg.hold_time, [&, c, idx, next] {
         GrantRec& g = grants[idx];
         if (g.released) {  // force-refunded by a shed sweep meanwhile
           touch();
-          next(eng.now() + cfg.think_time);
+          next();
           return;
         }
         g.released = true;
-        refund_grant(c, idx,
-                     [&, next] { next(eng.now() + cfg.think_time); });
+        refund_grant(c, idx, next);
       });
       return;
     }
     ++res.rejected;
+    ++(t < cfg.hot_tenants ? res.hot_rejected : res.cold_rejected);
     const auto refund_child = [&, c, t, got_child, next] {
       if (got_child == 0) {
-        next(eng.now() + cfg.think_time);
+        next();
         return;
       }
-      refund_chunked(children[t].get(), c, got_child, [&, next] {
+      refund(children[t].get(), c, got_child, [&, next] {
         touch();
-        next(eng.now() + cfg.think_time);
+        next();
       });
     };
-    // Pool before headroom, as in simulate_quota.
+    // Pool before headroom (quota_acquire's reject ordering): the
+    // reservation is released only once the parent refund has landed.
     if (s.refund_parent > 0) {
-      refund_chunked(&parent, c, s.refund_parent,
-                     [&, t, reserved, refund_child] {
-                       if (reserved > 0) borrowed[t] -= reserved;
-                       touch();
-                       refund_child();
-                     });
+      refund(&parent, c, s.refund_parent, [&, t, reserved, refund_child] {
+        borrowed[t] -= reserved;
+        touch();
+        refund_child();
+      });
     } else {
-      if (reserved > 0) borrowed[t] -= reserved;
+      borrowed[t] -= reserved;
       refund_child();
     }
   };
 
   step = [&](std::size_t c) {
-    if (cores[c].ops_done == cfg.ops_per_core) {
+    if (ops_done[c] == cfg.ops_per_core) {
       --active_cores;
       return;
     }
@@ -1337,10 +1122,9 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
     if (shed_flag[t] != 0) {
       // The shed fast path: rejected before any pool is touched, so there
       // is nothing to refund (QuotaHierarchy::acquire's shed check).
-      ++res.attempts;
-      ++res.shed_rejects;
-      ++res.shed_rejects_per_tenant[t];
-      ++cores[c].ops_done;
+      ++mgr->res.shed_rejects;
+      ++mgr->res.shed_rejects_per_tenant[t];
+      ++ops_done[c];
       touch();
       eng.at(eng.now() + cfg.think_time, [&, c] { step(c); });
       return;
@@ -1352,8 +1136,8 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
             return;
           }
           const std::uint64_t shortfall = cfg.acquire_cost - got_child;
-          const std::uint64_t reserved =
-              svc::borrow_allowance(shortfall, borrowed[t], limits[t]);
+          const std::uint64_t reserved = svc::borrow_allowance(
+              shortfall, borrowed[t], res.limit_per_tenant[t]);
           if (reserved < shortfall) {
             // Commit-only-if-full, like reserve_borrow; the degraded path
             // still settles partially off the child part alone.
@@ -1361,6 +1145,9 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
             return;
           }
           borrowed[t] += reserved;
+          res.peak_borrowed_per_tenant[t] =
+              std::max(res.peak_borrowed_per_tenant[t], borrowed[t]);
+          if (borrowed[t] > res.limit_per_tenant[t]) cap_violated = true;
           parent.try_decrement_n(
               c, shortfall,
               [&, c, t, got_child, reserved](std::uint64_t got_parent) {
@@ -1374,33 +1161,35 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
   // shed_set sweep / the restore — the OverloadManager::apply_transition
   // sequence in virtual time.
   const auto apply_transition = [&](svc::OverloadTier to, double pressure) {
-    res.transitions.push_back({eng.now(), tier, to, pressure});
+    OverloadSimResult& out = mgr->res;
+    out.transitions.push_back({eng.now(), tier, to, pressure});
     const bool was_shedding = actions.shed_tenants;
     tier = to;
     actions = svc::overload_actions(tier);
-    if (tier > res.peak_tier) res.peak_tier = tier;
+    if (tier > out.peak_tier) out.peak_tier = tier;
     if (actions.force_eliminate && parent_stack.adaptive != nullptr &&
         !parent_stack.adaptive->switched()) {
-      parent_stack.adaptive->force_switch_now();
-      res.forced_switch = true;
-      res.forced_switch_time = eng.now();
+      parent_stack.adaptive->switch_now();
+      out.forced_switch = true;
+      out.forced_switch_time = eng.now();
     }
     if (actions.shed_tenants && !was_shedding) {
-      ++res.shed_events;
-      for (const std::size_t t : svc::shed_set(weights, cfg.shed_fraction)) {
+      ++out.shed_events;
+      for (const std::size_t t :
+           svc::shed_set(weights, mgr->cfg.shed_fraction)) {
         shed_flag[t] = 1;
         currently_shed.push_back(t);
         for (const std::size_t idx : held[t]) {
           GrantRec& g = grants[idx];
           if (g.released) continue;
           g.released = true;
-          res.shed_refunded_tokens += g.from_child + g.from_parent;
+          out.shed_refunded_tokens += g.from_child + g.from_parent;
           refund_grant(/*core=*/t, idx, [&] { touch(); });
         }
         held[t].clear();
       }
     } else if (!actions.shed_tenants && was_shedding) {
-      ++res.restore_events;
+      ++out.restore_events;
       for (const std::size_t t : currently_shed) shed_flag[t] = 0;
       currently_shed.clear();
     }
@@ -1416,9 +1205,10 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
   std::uint64_t last_ops = 0;
   std::uint64_t last_stalls = 0;
   std::uint64_t last_rejects = 0;
-  std::size_t drain_budget = cfg.drain_samples;
+  std::size_t drain_budget = mgr != nullptr ? mgr->cfg.drain_samples : 0;
   std::function<void()> sample = [&] {
-    const std::uint64_t ops_now = res.attempts;
+    const OverloadSimConfig& m = mgr->cfg;
+    const std::uint64_t ops_now = res.acquire_ops + mgr->res.shed_rejects;
     const std::uint64_t stalls_now = parent.stalls();
     const std::uint64_t rejects_now = res.rejected;
     const svc::LoadWindow stall_win{ops_now - last_ops,
@@ -1431,62 +1221,139 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
     std::uint64_t borrowed_total = 0;
     for (std::size_t t = 0; t < cfg.tenants; ++t) borrowed_total += borrowed[t];
     const double pressure = svc::combine_pressure(
-        {svc::window_pressure(stall_win, cfg.stall_saturation),
+        {svc::window_pressure(stall_win, m.stall_saturation),
          svc::window_pressure(reject_win, 1.0),
          svc::occupancy_pressure(borrowed_total, total_limit)});
     const svc::OverloadTier to =
-        svc::overload_tier(pressure, tier, cfg.thresholds);
+        svc::overload_tier(pressure, tier, m.thresholds);
     if (to != tier) apply_transition(to, pressure);
     if (active_cores > 0) {
-      eng.at(eng.now() + cfg.sample_every, sample);
+      eng.at(eng.now() + m.sample_every, sample);
     } else if (tier != svc::OverloadTier::kNominal && drain_budget > 0) {
       --drain_budget;
-      eng.at(eng.now() + cfg.sample_every, sample);
+      eng.at(eng.now() + m.sample_every, sample);
     }
   };
 
   for (std::size_t c = 0; c < cfg.cores; ++c) {
-    eng.at(static_cast<double>(c) * cfg.core_start_stagger,
-           [&, c] { step(c); });
+    if (mgr == nullptr) {
+      step(c);
+    } else {
+      eng.at(static_cast<double>(c) * mgr->cfg.core_start_stagger,
+             [&, c] { step(c); });
+    }
   }
-  eng.at(cfg.sample_every, sample);
+  if (mgr != nullptr) {
+    mgr->res.shed_rejects_per_tenant.assign(cfg.tenants, 0);
+    eng.at(mgr->cfg.sample_every, sample);
+  }
   eng.run();
 
   res.makespan = makespan;
-  res.final_tier = tier;
+  res.ops_per_vtime =
+      static_cast<double>(res.acquire_ops) / std::max(makespan, 1e-12);
+  res.goodput_per_vtime =
+      static_cast<double>(res.admitted) / std::max(makespan, 1e-12);
+  res.parent_stalls = parent.stalls();
+  for (const auto& child : children) res.child_stalls += child->stalls();
 
-  bool quiescent_exact =
-      !parent.pool_ever_negative() &&
-      parent.pool() == static_cast<std::int64_t>(cfg.parent_initial);
+  // Exact quiescent ledger: every pool back at its initial count, no
+  // outstanding borrow, no pool ever negative.
+  res.conserved = !parent.pool_ever_negative() &&
+                  parent.pool() ==
+                      static_cast<std::int64_t>(cfg.parent_initial);
   for (std::size_t t = 0; t < cfg.tenants; ++t) {
-    quiescent_exact = quiescent_exact && !children[t]->pool_ever_negative() &&
-                      children[t]->pool() ==
-                          static_cast<std::int64_t>(cfg.child_initial) &&
-                      borrowed[t] == 0;
+    res.conserved = res.conserved && !children[t]->pool_ever_negative() &&
+                    children[t]->pool() ==
+                        static_cast<std::int64_t>(cfg.child_initial) &&
+                    borrowed[t] == 0;
   }
-  res.conserved = quiescent_exact;
+  res.isolation = !cap_violated && res.cold_rejected == 0;
+  if (mgr != nullptr) {
+    mgr->res.final_tier = tier;
+    mgr->res.recovered =
+        tier == svc::OverloadTier::kNominal && currently_shed.empty();
+  }
 
-  bool hysteresis_ok = true;
-  for (const OverloadSimTransition& tr : res.transitions) {
-    const auto from_i = static_cast<std::size_t>(tr.from);
-    const auto to_i = static_cast<std::size_t>(tr.to);
-    if (to_i > from_i) {
-      hysteresis_ok =
-          hysteresis_ok && tr.pressure >= cfg.thresholds.enter[to_i] - 1e-12;
-    } else {
-      hysteresis_ok = hysteresis_ok &&
-                      tr.pressure <= cfg.thresholds.enter[from_i] -
-                                         cfg.thresholds.hysteresis + 1e-12;
-    }
-  }
-  res.hysteresis_respected = hysteresis_ok;
-  res.recovered =
-      res.final_tier == svc::OverloadTier::kNominal && currently_shed.empty();
+  ensure_finished(ops_done, cfg.ops_per_core);
+  return res;
+}
 
-  for (const CoreState& core : cores) {
-    CNET_ENSURE(core.ops_done == cfg.ops_per_core,
-                "simulated core finished early");
+}  // namespace
+
+std::vector<svc::BackendSpec> multicore_sweep_specs() {
+  std::vector<svc::BackendSpec> specs;
+  for (const auto kind : svc::kPoolBackendKinds) {
+    specs.push_back({kind, false});
   }
+  specs.push_back({svc::BackendKind::kCentralAtomic, true});
+  specs.push_back({svc::BackendKind::kBatchedNetwork, true});
+  return specs;
+}
+
+MulticoreResult simulate_multicore(const svc::BackendSpec& spec,
+                                   const MulticoreConfig& cfg) {
+  return run_table_b(spec, cfg, nullptr);
+}
+
+QuotaSimConfig quota_sim_reference_config(std::size_t cores) {
+  QuotaSimConfig cfg;
+  cfg.cores = cores;
+  cfg.tenants = 8;
+  cfg.hot_tenants = 1;
+  cfg.hot_core_share = 0.75;
+  cfg.ops_per_core = 512;
+  cfg.base.exponential_service = true;
+  cfg.base.seed = 0xB10C0DE;
+  return cfg;
+}
+
+QuotaSimResult simulate_quota(const svc::BackendSpec& parent_spec,
+                              const QuotaSimConfig& cfg) {
+  return run_tenants(parent_spec, cfg, nullptr);
+}
+
+OverloadSimConfig overload_sim_reference_config() {
+  OverloadSimConfig cfg;
+  cfg.cores = 48;
+  cfg.tenants = 8;
+  cfg.ops_per_core = 192;
+  cfg.acquire_cost = 2;
+  cfg.child_initial = 3;
+  cfg.parent_initial = 47;
+  cfg.borrow_budget = 64;
+  cfg.hold_time = 6.0;
+  cfg.base.exponential_service = true;
+  cfg.base.seed = 0xB10C0DE;
+  return cfg;
+}
+
+OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
+                                    const OverloadSimConfig& cfg) {
+  CNET_REQUIRE(cfg.core_start_stagger >= 0.0, "delays must be nonnegative");
+  CNET_REQUIRE(cfg.sample_every > 0.0, "sample cadence must be positive");
+  CNET_REQUIRE(cfg.stall_saturation > 0.0,
+               "stall saturation rate must be positive");
+  CNET_REQUIRE(cfg.shed_fraction >= 0.0 && cfg.shed_fraction <= 1.0,
+               "shed_fraction must be in [0, 1]");
+  OverloadSimResult res;
+  Manager mgr{cfg, res};
+  const QuotaSimResult run = run_tenants(parent_spec, cfg, &mgr);
+  res.makespan = run.makespan;
+  res.attempts = run.acquire_ops + res.shed_rejects;
+  res.admitted = run.admitted;
+  res.rejected = run.rejected;
+  res.conserved = run.conserved;
+
+  const svc::OverloadThresholds& th = cfg.thresholds;
+  res.hysteresis_respected = std::all_of(
+      res.transitions.begin(), res.transitions.end(),
+      [&](const OverloadSimTransition& tr) {
+        const auto from = static_cast<std::size_t>(tr.from);
+        const auto to = static_cast<std::size_t>(tr.to);
+        if (to > from) return tr.pressure >= th.enter[to] - 1e-12;
+        return tr.pressure <= th.enter[from] - th.hysteresis + 1e-12;
+      });
   return res;
 }
 
@@ -1519,138 +1386,27 @@ svc::BackendSpec reconfig_respec_target(const svc::BackendSpec& spec_from) {
 
 ReconfigSimResult simulate_reconfig(const svc::BackendSpec& spec_from,
                                     const ReconfigSimConfig& cfg) {
-  const MulticoreConfig& base = cfg.base;
-  CNET_REQUIRE(base.cores >= 1, "need at least one simulated core");
-  CNET_REQUIRE(base.ops_per_core >= 1, "need at least one op per core");
-  CNET_REQUIRE(base.refill_every >= 1, "refill cadence must be positive");
   CNET_REQUIRE(cfg.respec_at >= 0.0, "respec instant must be nonnegative");
   // The same staging rules the live NetTokenBucket::respec enforces: the
   // re-divided chunk is computed by the shared policy function and must be
   // a legal chunk before anything is built.
   const std::size_t staged_chunk =
-      svc::divided_chunk(base.batch_k, cfg.rechunk_divisor);
+      svc::divided_chunk(cfg.base.batch_k, cfg.rechunk_divisor);
   CNET_REQUIRE(svc::respec_safe(staged_chunk),
                "staged batch chunk out of range");
 
-  Engine eng;
-  util::Xoshiro256 rng(base.seed);
-  ModelStack old_stack = make_model(spec_from, eng, base, rng);
-  ModelStack new_stack;  // built off to the side at the stage instant
-
   ReconfigSimResult res;
   res.staged_chunk = staged_chunk;
-  res.initial_tokens = base.initial_tokens_per_core * base.cores;
-  old_stack.root->inject_pool_now(res.initial_tokens);
-
-  // The RCU mirror: `active` is the published pointer new ops load at
-  // issue; ops already in flight on the old stack are the reader sections
-  // the commit must wait out. outstanding_old counts them exactly.
-  CounterModel* active = old_stack.root.get();
-  std::uint64_t outstanding_old = 0;
-  bool staged = false;
-  bool committed = false;
-
-  const auto maybe_commit = [&] {
-    if (!staged || committed || outstanding_old != 0) return;
-    // Quiescence: no in-flight op can touch the old stack again, so its
-    // remaining count is well-defined — the paper's §2.2 argument run in
-    // reverse — and the migration is one exact instantaneous transfer.
-    committed = true;
-    res.respec_commit_time = eng.now();
-    res.migrated_tokens = old_stack.root->drain_pool_now();
-    new_stack.root->inject_pool_now(res.migrated_tokens);
-    res.config_version = 2;
-  };
-
-  eng.at(cfg.respec_at, [&] {
-    // Stage: build the full replacement (new backend, re-divided chunk)
-    // and publish it. From this event on, every newly issued op routes to
-    // the new stack; the commit fires once the old drains.
-    MulticoreConfig staged_cfg = base;
-    staged_cfg.batch_k = staged_chunk;
-    new_stack = make_model(cfg.spec_to, eng, staged_cfg, rng);
-    active = new_stack.root.get();
-    staged = true;
-    res.respec_staged_time = eng.now();
-    maybe_commit();
-  });
-
-  // The simulate_multicore workload, with each op's issue reading the
-  // published pointer (and bumping the old stack's reader count when it
-  // still routes there).
-  struct CoreState {
-    std::size_t ops_done = 0;
-    std::size_t since_refill = 0;
-  };
-  std::vector<CoreState> cores(base.cores);
-  double makespan = 0.0;
-
-  std::function<void(std::size_t)> step = [&](std::size_t c) {
-    CoreState& core = cores[c];
-    if (core.ops_done == base.ops_per_core) return;
-    CounterModel* m = active;
-    const bool on_old = !staged;  // active flips exactly at the stage event
-    if (on_old) ++outstanding_old;
-    m->try_decrement_n(c, 1, [&, c, on_old](std::uint64_t got) {
-      if (on_old) --outstanding_old;
-      const std::uint64_t granted = svc::bucket_consume(
-          1, svc::kPartialOk,
-          [got](std::uint64_t) mutable {
-            return std::exchange(got, std::uint64_t{0});
-          },
-          [](std::uint64_t) {});
-      CoreState& me = cores[c];
-      ++res.consume_ops;
-      ++me.ops_done;
-      res.consumed += granted;
-      if (granted == 0) ++res.rejected;
-      makespan = std::max(makespan, eng.now());
-      maybe_commit();  // this may have been the last old-stack reader
-      const bool refill_due = ++me.since_refill == base.refill_every;
-      if (refill_due) me.since_refill = 0;
-      const double next_at = eng.now() + base.think_time;
-      if (refill_due) {
-        CounterModel* rm = active;
-        const bool refill_on_old = !staged;
-        if (refill_on_old) ++outstanding_old;
-        rm->increment_n(c, base.refill_every, [&, c, refill_on_old,
-                                               next_at] {
-          if (refill_on_old) --outstanding_old;
-          res.refilled += base.refill_every;
-          makespan = std::max(makespan, eng.now());
-          maybe_commit();
-          eng.at(std::max(next_at, eng.now()), [&, c] { step(c); });
-        });
-      } else {
-        eng.at(next_at, [&, c] { step(c); });
-      }
-    });
-  };
-
-  for (std::size_t c = 0; c < base.cores; ++c) step(c);
-  eng.run();
-
-  res.makespan = makespan;
-  res.old_stalls = old_stack.root->stalls();
-  res.new_stalls = new_stack.root != nullptr ? new_stack.root->stalls() : 0;
-  const std::int64_t old_pool = old_stack.root->pool();
-  const std::int64_t new_pool =
-      new_stack.root != nullptr ? new_stack.root->pool() : 0;
-  res.final_pool = old_pool + new_pool;
-  bool never_negative = !old_stack.root->pool_ever_negative();
-  if (new_stack.root != nullptr) {
-    never_negative = never_negative && !new_stack.root->pool_ever_negative();
-  }
-  res.conserved =
-      never_negative && res.final_pool >= 0 &&
-      (!committed || old_pool == 0) &&  // the retired pool stays drained
-      res.consumed + static_cast<std::uint64_t>(res.final_pool) ==
-          res.refilled + res.initial_tokens;
-
-  for (const CoreState& core : cores) {
-    CNET_ENSURE(core.ops_done == base.ops_per_core,
-                "simulated core finished early");
-  }
+  Stage stage{cfg, res};
+  const MulticoreResult run = run_table_b(spec_from, cfg.base, &stage);
+  res.makespan = run.makespan;
+  res.consume_ops = run.consume_ops;
+  res.consumed = run.consumed;
+  res.rejected = run.rejected;
+  res.refilled = run.refilled;
+  res.initial_tokens = run.initial_tokens;
+  res.final_pool = run.final_pool;
+  res.conserved = run.conserved;
   return res;
 }
 
@@ -1704,12 +1460,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
                  "partition window must be a nonempty [start, end)");
   }
 
-  std::vector<dist::NodeLocation> locs;
-  locs.reserve(n);
-  for (const ClusterNode& node : cfg.nodes) {
-    locs.push_back({node.dc, node.rack});
-  }
-  const dist::Topology topo(std::move(locs));
+  const dist::Topology topo(cfg.nodes);
 
   Engine eng;
   util::Xoshiro256 rng(cfg.base.seed);
@@ -1725,11 +1476,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
   // accounts at the coordinator, per-node local pools at the edge. In
   // central mode every token lives in the one global pool and every
   // admission round-trips to it — the baseline the locality claim beats.
-  if (cfg.leased) {
-    parent.inject_pool_now(cfg.parent_initial);
-  } else {
-    parent.inject_pool_now(res.initial_tokens);
-  }
+  parent.inject_pool_now(cfg.leased ? cfg.parent_initial : res.initial_tokens);
   std::vector<std::int64_t> account(
       n, cfg.leased ? static_cast<std::int64_t>(cfg.account_initial) : 0);
   std::vector<std::int64_t> local(
@@ -1771,10 +1518,17 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
     double expiry;
     bool settled;
   };
+  // One expired lease's settlement at the coordinator: the account its
+  // refund settles to, its parts, and the unspent tokens recovered.
+  struct Expiry {
+    std::size_t tenant;
+    std::uint64_t from_child;
+    std::uint64_t from_parent;
+    std::uint64_t recovered;
+  };
   struct NodeLedger {
     std::deque<SimLease> leases;  // deque: stable refs across push_back
-    std::deque<dist::CarvedParts> debts;  // tenant rides in debt_tenants
-    std::deque<std::pair<std::size_t, std::uint64_t>> debt_meta;
+    std::deque<Expiry> debts;     // escrowed while partitioned
     std::uint64_t escrow = 0;
     bool partitioned = false;
   };
@@ -1792,18 +1546,16 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
   // lease_expiry_refund split the live ledger applies via settle_spent —
   // child part to the lease account, parent part home to the pool, the
   // whole borrow headroom freed.
-  const auto apply_refund = [&](std::size_t tenant, std::uint64_t from_child,
-                                std::uint64_t from_parent,
-                                std::uint64_t recovered, bool is_debt) {
+  const auto apply_refund = [&](const Expiry& r, bool is_debt) {
     const dist::ExpiryRefund split =
-        dist::lease_expiry_refund(from_child, from_parent, recovered);
-    account[tenant] += static_cast<std::int64_t>(split.refund_child);
-    if (from_parent > 0) borrowed[tenant] -= from_parent;
-    res.expiry_refunded += recovered;
-    if (is_debt) res.debt_reconciled += recovered;
+        dist::lease_expiry_refund(r.from_child, r.from_parent, r.recovered);
+    account[r.tenant] += static_cast<std::int64_t>(split.refund_child);
+    borrowed[r.tenant] -= r.from_parent;
+    res.expiry_refunded += r.recovered;
+    if (is_debt) res.debt_reconciled += r.recovered;
     touch();
     if (split.refund_parent > 0) {
-      parent.refund_n(tenant, split.refund_parent, [&] { touch(); });
+      parent.refund_n(r.tenant, split.refund_parent, [&] { touch(); });
     }
   };
 
@@ -1828,18 +1580,16 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
           ++res.expiries;
           res.expiry_recovered += recovered;
           touch();
+          const Expiry refund{lease->tenant, lease->from_child,
+                              lease->from_parent, recovered};
           if (ledger.partitioned) {
-            ledger.debts.push_back({lease->from_child, lease->from_parent});
-            ledger.debt_meta.push_back({lease->tenant, recovered});
+            ledger.debts.push_back(refund);
             ledger.escrow += recovered;
             res.debt_created += recovered;
             return;
           }
-          const std::size_t tenant = lease->tenant;
-          const std::uint64_t fc = lease->from_child;
-          const std::uint64_t fp = lease->from_parent;
-          eng.at(occupy(node, uplat(node)), [&, tenant, fc, fp, recovered] {
-            apply_refund(tenant, fc, fp, recovered, /*is_debt=*/false);
+          eng.at(occupy(node, uplat(node)), [&, refund] {
+            apply_refund(refund, /*is_debt=*/false);
           });
         });
       };
@@ -1856,15 +1606,20 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
   // Lease renewal: heartbeat, then nearest-donor walk, then the global
   // two-level acquire — every decision through the shared dist/policy.hpp
   // and svc/policy.hpp rules. Donations and the global grant travel as
-  // messages; `done(gained)` fires once the last of them lands.
+  // messages; `done(gained)` fires once the last of them lands (every
+  // message lands in a later event, so none can land before renew returns).
   struct RenewOp {
     std::uint64_t gained = 0;
     int pending = 0;
-    bool issued = false;
     DoneN done;
   };
-  const auto renew_finish = [](const std::shared_ptr<RenewOp>& op) {
-    if (op->issued && op->pending == 0) op->done(op->gained);
+  // One message landed, carrying `gained` tokens.
+  const auto renew_land = [&](const std::shared_ptr<RenewOp>& op,
+                              std::uint64_t gained) {
+    op->gained += gained;
+    --op->pending;
+    touch();
+    if (op->pending == 0) op->done(op->gained);
   };
   const auto renew = [&](std::size_t node, std::uint64_t want, DoneN done) {
     NodeLedger& ledger = nodes[node];
@@ -1932,10 +1687,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
           add_lease(node, tenant, parts.from_child, parts.from_parent);
         }
         local[node] += static_cast<std::int64_t>(give);
-        op->gained += give;
-        --op->pending;
-        touch();
-        renew_finish(op);
+        renew_land(op, give);
       });
     }
 
@@ -1946,8 +1698,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
         if (nodes[node].partitioned) {
           // Partition cut the request mid-flight: the coordinator drops
           // it, so the partitioned node gets (and spends) nothing global.
-          --op->pending;
-          renew_finish(op);
+          renew_land(op, 0);
           return;
         }
         const auto avail = static_cast<std::uint64_t>(
@@ -1958,42 +1709,33 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
         const std::uint64_t reserved =
             svc::borrow_allowance(shortfall, borrowed[node], borrow_limit);
         borrowed[node] += reserved;
-        const auto granted = [&, node, ask, op](std::uint64_t got_child2,
-                                                std::uint64_t got_parent,
-                                                std::uint64_t reserved2) {
-          borrowed[node] -= reserved2 - got_parent;
+        const auto granted = [&, node, ask, op, got_child,
+                              reserved](std::uint64_t got_parent) {
+          borrowed[node] -= reserved - got_parent;
           const svc::QuotaSettlement s = svc::quota_settle(
-              ask, got_child2, got_parent, svc::kPartialOk);
+              ask, got_child, got_parent, svc::kPartialOk);
           CNET_ENSURE(s.refund_child == 0 && s.refund_parent == 0,
                       "partial-ok settle refunded");
-          const std::uint64_t total = got_child2 + got_parent;
-          eng.at(eng.now() + uplat(node), [&, node, got_child2, got_parent,
+          const std::uint64_t total = got_child + got_parent;
+          eng.at(eng.now() + uplat(node), [&, node, got_child, got_parent,
                                            total, op] {
             if (total > 0) {
-              add_lease(node, node, got_child2, got_parent);
+              add_lease(node, node, got_child, got_parent);
               local[node] += static_cast<std::int64_t>(total);
               ++res.renewals;
               res.renewal_tokens += total;
             }
-            op->gained += total;
-            --op->pending;
-            touch();
-            renew_finish(op);
+            renew_land(op, total);
           });
         };
         if (reserved > 0) {
-          parent.try_decrement_n(
-              node, reserved,
-              [&, node, got_child, reserved, granted](std::uint64_t got) {
-                granted(got_child, got, reserved);
-              });
+          parent.try_decrement_n(node, reserved, granted);
         } else {
-          granted(got_child, 0, 0);
+          granted(0);
         }
       });
     }
-    op->issued = true;
-    renew_finish(op);
+    if (op->pending == 0) op->done(0);  // nothing was sent
   };
 
   // Healed partitions replay their escrow in debt_reconcile-bounded
@@ -2006,24 +1748,18 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
     }
     const std::uint64_t budget =
         dist::debt_reconcile(ledger.escrow, cfg.reconcile_chunk);
-    auto batch = std::make_shared<std::vector<
-        std::tuple<std::size_t, std::uint64_t, std::uint64_t,
-                   std::uint64_t>>>();
+    auto batch = std::make_shared<std::vector<Expiry>>();
     std::uint64_t settled = 0;
     while (!ledger.debts.empty() && (settled < budget || budget == 0)) {
-      const dist::CarvedParts parts = ledger.debts.front();
-      const auto [tenant, recovered] = ledger.debt_meta.front();
+      batch->push_back(ledger.debts.front());
       ledger.debts.pop_front();
-      ledger.debt_meta.pop_front();
-      batch->push_back({tenant, parts.from_child, parts.from_parent,
-                        recovered});
-      settled += recovered;
+      settled += batch->back().recovered;
       if (budget == 0) break;  // zero-recovery entries still settle
     }
     ledger.escrow -= settled;
     eng.at(occupy(node, uplat(node)), [&, node, batch] {
-      for (const auto& [tenant, fc, fp, recovered] : *batch) {
-        apply_refund(tenant, fc, fp, recovered, /*is_debt=*/true);
+      for (const Expiry& refund : *batch) {
+        apply_refund(refund, /*is_debt=*/true);
       }
       eng.at(eng.now() + uplat(node), [&, node] { reconcile(node); });
     });
@@ -2041,11 +1777,8 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
   // The workload: every node core runs a closed admit(1) loop. Leased
   // mode spends locally and renews on a miss (one retry); central mode
   // round-trips the uplink for every single admission.
-  struct CoreState {
-    std::size_t ops_done = 0;
-  };
   const std::size_t total_cores = n * cfg.cores_per_node;
-  std::vector<CoreState> cores(total_cores);
+  std::vector<std::size_t> ops_done(total_cores, 0);
   std::function<void(std::size_t)> step;
   const auto finish_op = [&](std::size_t c, bool ok, double issue) {
     if (ok) {
@@ -2055,7 +1788,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
     } else {
       ++res.rejected;
     }
-    ++cores[c].ops_done;
+    ++ops_done[c];
     touch();
     eng.at(eng.now() + cfg.think_time, [&, c] { step(c); });
   };
@@ -2078,7 +1811,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
       };
 
   step = [&](std::size_t c) {
-    if (cores[c].ops_done == cfg.ops_per_core) return;
+    if (ops_done[c] == cfg.ops_per_core) return;
     const std::size_t node = c / cfg.cores_per_node;
     const double issue = eng.now();
     ++res.attempts;
@@ -2093,9 +1826,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
       return;
     }
     eng.at(occupy(node, uplat(node)), [&, c, node, issue] {
-      if (nodes[node].partitioned) {
-        ++res.partition_global_touches;
-      }
+      if (nodes[node].partitioned) ++res.partition_global_touches;
       parent.try_decrement_n(c, 1, [&, c, node, issue](std::uint64_t got) {
         eng.at(eng.now() + uplat(node),
                [&, c, issue, got] { finish_op(c, got == 1, issue); });
@@ -2132,10 +1863,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
     res.p99_admission = util::percentile(admit_latency, 99.0);
   }
 
-  for (const CoreState& core : cores) {
-    CNET_ENSURE(core.ops_done == cfg.ops_per_core,
-                "simulated core finished early");
-  }
+  ensure_finished(ops_done, cfg.ops_per_core);
   return res;
 }
 

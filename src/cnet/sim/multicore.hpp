@@ -27,26 +27,32 @@
 //     switch fires off svc::should_switch over windows of simulated stall
 //     events, migrating the pool exactly at the switch instant.
 //
-// The workload mirrors bench_tab_svc Table B: each core runs a closed loop
-// of consume(1) ops, topping the pool up with a bulk refill every
-// refill_every consumes. Everything is deterministic given the seed.
+// Two drivers run every workload but the cluster's:
+//   - the Table B closed loop (simulate_multicore) mirrors bench_tab_svc:
+//     each core consumes one token at a time and tops the pool up with a
+//     bulk refill every refill_every consumes. simulate_reconfig is the
+//     same loop with a staged respec published mid-run;
+//   - the tenant loop (simulate_quota) mirrors svc::QuotaHierarchy: each
+//     core acquires for its tenant, holds, and releases. simulate_overload
+//     is the same loop with an OverloadManager attached, as the live
+//     QuotaHierarchy::attach_overload does.
+// Every driver reads its model knobs from one ModelConfig, and each
+// workload config carries only the fields its driver reads. Everything is
+// deterministic given the seed.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "cnet/dist/topology.hpp"
 #include "cnet/svc/backend.hpp"
 #include "cnet/svc/policy.hpp"
 
 namespace cnet::sim {
 
-struct MulticoreConfig {
-  std::size_t cores = 8;            // P simulated cores
-  std::size_t ops_per_core = 4096;  // consume(1) ops each core performs
-  std::size_t refill_every = 256;   // bulk refill cadence (tokens per refill)
-  std::uint64_t initial_tokens_per_core = 256;
-  double think_time = 0.2;  // virtual pause between a core's ops
-
+// The model knobs every simulator here shares: service times, slopes,
+// network shape, adaptive tuning, exponential draws and the seed.
+struct ModelConfig {
   // Central-word model parameters, per backend kind. service is the
   // uncontended RMW time; slope is the extra fraction per request already
   // queued on the line (atomic: coherence migration only; CAS: failed
@@ -83,6 +89,15 @@ struct MulticoreConfig {
 
   bool exponential_service = false;  // exp-distributed service draws
   std::uint64_t seed = 1998;
+};
+
+// The Table B workload on top of the model knobs.
+struct MulticoreConfig : ModelConfig {
+  std::size_t cores = 8;            // P simulated cores
+  std::size_t ops_per_core = 4096;  // consume(1) ops each core performs
+  std::size_t refill_every = 256;   // bulk refill cadence (tokens per refill)
+  std::uint64_t initial_tokens_per_core = 256;
+  double think_time = 0.2;  // virtual pause between a core's ops
 };
 
 struct MulticoreResult {
@@ -129,15 +144,12 @@ MulticoreResult simulate_multicore(const svc::BackendSpec& spec,
 // continuation-passing form, and releases return each grant part to the
 // level it came from through the models' probe-invisible refund path.
 struct QuotaSimConfig {
-  // Engine/model knobs (service times, slopes, network shape, adaptive
-  // tuning, exponential draws, seed). base.cores / ops_per_core /
-  // refill_every / initial_tokens_per_core are ignored here.
-  MulticoreConfig base;
+  ModelConfig base;
 
   std::size_t cores = 16;
   std::size_t tenants = 4;
   std::size_t hot_tenants = 1;   // tenants [0, hot_tenants) are hot
-  double hot_core_share = 0.75;  // fraction of cores pinned to hot tenants
+  double hot_core_share = 0.75;  // share of cores, in [0, 1], pinned hot
   std::size_t ops_per_core = 512;  // acquire attempts per core
 
   std::uint64_t acquire_cost = 1;
@@ -200,12 +212,13 @@ QuotaSimConfig quota_sim_reference_config(std::size_t cores);
 // --------------------------------------------------------------- overload
 
 // The svc::OverloadManager control loop in virtual time (Table E′'s model
-// counterpart): the quota workload above, but cores enter staggered — core
-// c starts at c * core_start_stagger — so offered load ramps up past
-// saturation and back down as cores finish. A periodic sampler event plays
-// the manager: it reads the same three signals the real monitors read
-// (parent-pool stall rate over a window, reject ratio over a window, peak
-// borrow occupancy), runs them through the *same* pure rules
+// counterpart): the quota workload above with the manager attached and
+// cores entering staggered — core c starts at c * core_start_stagger — so
+// offered load ramps up past saturation and back down as cores finish.
+// A periodic sampler event plays the manager: it reads the same three
+// signals the real monitors read (parent-pool stall rate over a window,
+// reject ratio over a window, peak borrow occupancy), runs them through
+// the *same* pure rules
 // (svc::window_pressure / occupancy_pressure / combine_pressure /
 // overload_tier / overload_actions / shed_set from svc/policy.hpp), and
 // actuates the resulting tier inside the model:
@@ -222,36 +235,10 @@ QuotaSimConfig quota_sim_reference_config(std::size_t cores);
 //                          the level each part came from, and their later
 //                          attempts reject without touching any pool.
 // Everything is deterministic given the seed; the tier-transition instants
-// are part of the result so tests can pin them golden.
-struct OverloadSimConfig {
-  // Engine/model knobs (service times, slopes, network shape, adaptive
-  // tuning, exponential draws, seed); base.cores / ops_per_core /
-  // refill_every / initial_tokens_per_core are ignored here.
-  MulticoreConfig base;
-
-  std::size_t cores = 48;
-  std::size_t tenants = 8;
-  std::size_t hot_tenants = 1;
-  double hot_core_share = 0.75;
-  std::size_t ops_per_core = 192;   // acquire attempts per core
-  double core_start_stagger = 24.0; // core c enters at c * stagger
-
-  // Unlike QuotaSimConfig, the borrow budget deliberately *oversubscribes*
-  // the parent (sum of limits > parent_initial): overload is exactly the
-  // regime where admission promises exceed the shared pool, which is what
-  // lets the parent run dry and the degrade-partial tier produce genuinely
-  // short grants. The odd initial counts against the even acquire_cost
-  // leave a 1-token residue when a pool drains, so bounded claims really
-  // do come up short instead of alternating full/empty forever.
-  std::uint64_t acquire_cost = 2;
-  std::uint64_t child_initial = 3;
-  std::uint64_t parent_initial = 47;
-  std::uint64_t borrow_budget = 64;
-  std::uint64_t hot_weight = 8;
-  std::uint64_t cold_weight = 1;
-
-  double hold_time = 6.0;
-  double think_time = 0.2;
+// are part of the result so tests can pin them golden. The config adds
+// only the manager's fields to the tenant workload.
+struct OverloadSimConfig : QuotaSimConfig {
+  double core_start_stagger = 24.0;  // core c enters at c * stagger
 
   // Manager loop: sample cadence in virtual time, the stall-rate reading
   // that maps to pressure 1.0, and how many post-drain samples the sampler
@@ -310,13 +297,20 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
 // The Table E′ reference workload (48 staggered cores, 8 tenants, 1 hot,
 // fixed seed) — shared by bench_tab_overload and the sim tests so the
 // CI-gated checks and the golden-seed tier-transition tests can never
-// drift onto different configs.
+// drift onto different configs. Unlike quota_sim_reference_config, its
+// borrow budget oversubscribes the parent (sum of limits >
+// parent_initial): overload is exactly the regime where admission promises
+// exceed the shared pool, which lets the parent run dry and the
+// degrade-partial tier produce genuinely short grants. The odd initial
+// counts against the even acquire_cost leave a 1-token residue when a pool
+// drains, so bounded claims really do come up short instead of
+// alternating full/empty forever.
 OverloadSimConfig overload_sim_reference_config();
 
 // --------------------------------------------------------------- reconfig
 
 // The svc::ReconfigEngine staged-commit protocol in virtual time (Table
-// F's model counterpart): the simulate_multicore workload runs against a
+// F's model counterpart): the simulate_multicore loop runs against a
 // pool built from `spec_from`, and at `respec_at` a full replacement stack
 // — `spec_to`, with the batch chunk re-divided through the same
 // svc::divided_chunk rule the live respec bakes in — is *staged*: new ops
@@ -328,10 +322,7 @@ OverloadSimConfig overload_sim_reference_config();
 // bumps. Everything is deterministic given the seed, and the commit
 // instant is part of the result so tests can pin it golden.
 struct ReconfigSimConfig {
-  // Engine/model knobs plus the workload shape (cores, ops_per_core,
-  // refill_every, initial_tokens_per_core are all used, exactly as in
-  // simulate_multicore).
-  MulticoreConfig base;
+  MulticoreConfig base;  // the Table B workload the stage interrupts
 
   // The staged replacement: target spec, the virtual instant the stage
   // publishes, and the divisor folded into the staged batch chunk
@@ -417,10 +408,7 @@ std::vector<svc::BackendSpec> multicore_sweep_specs();
 // [start, end) windows) block a node's control plane — it spends only its
 // held leases, expiries escrow into debt, and heal replays the debt
 // exactly in debt_reconcile-bounded batches. Deterministic given the seed.
-struct ClusterNode {
-  std::uint32_t dc = 0;
-  std::uint32_t rack = 0;
-};
+using ClusterNode = dist::NodeLocation;
 
 struct ClusterPartition {
   std::size_t node = 0;
@@ -429,10 +417,7 @@ struct ClusterPartition {
 };
 
 struct ClusterSimConfig {
-  // Engine/model knobs (service times, slopes, network shape, exponential
-  // draws, seed); base.cores / ops_per_core / refill_every /
-  // initial_tokens_per_core are ignored here.
-  MulticoreConfig base;
+  ModelConfig base;
 
   std::vector<ClusterNode> nodes;  // the static dc/rack topology
   std::size_t cores_per_node = 4;

@@ -7,17 +7,13 @@
 #include <queue>
 #include <vector>
 
+#include "cnet/topology/routing.hpp"
 #include "cnet/util/ensure.hpp"
 #include "cnet/util/prng.hpp"
 
 namespace cnet::sim {
 
 namespace {
-
-struct Target {
-  bool is_output = false;
-  std::uint32_t index = 0;
-};
 
 struct TokenState {
   double inject_time = 0.0;
@@ -54,38 +50,11 @@ TimedResult simulate_timed(const topo::Topology& net,
     return -cfg.service_time * std::log1p(-rng.uniform01());
   };
 
-  // Compile routing (same encoding as the token simulator).
-  const std::size_t nb = net.num_balancers();
-  std::vector<std::uint32_t> fanout(nb), state(nb, 0), route_base(nb);
-  std::vector<Target> route;
-  std::vector<Target> entry;
-  {
-    std::size_t total_ports = 0;
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      const auto& bal = net.balancer(topo::BalancerId{b});
-      fanout[b] = static_cast<std::uint32_t>(bal.fan_out());
-      route_base[b] = static_cast<std::uint32_t>(total_ports);
-      total_ports += bal.fan_out();
-    }
-    route.resize(total_ports);
-    auto target_of = [&](topo::WireId wire) {
-      const auto& end = net.consumer(wire);
-      if (end.kind == topo::WireEnd::Kind::kNetworkOutput) {
-        return Target{true, end.port};
-      }
-      return Target{false, end.balancer.value};
-    };
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      const auto& bal = net.balancer(topo::BalancerId{b});
-      for (std::size_t port = 0; port < bal.fan_out(); ++port) {
-        route[route_base[b] + port] = target_of(bal.outputs[port]);
-      }
-    }
-    entry.reserve(net.width_in());
-    for (const topo::WireId in : net.input_wires()) {
-      entry.push_back(target_of(in));
-    }
-  }
+  // An arrival's Event::place carries the routing encoding: a balancer
+  // index, or ~output for a wire that leaves the network.
+  const topo::Routing routing(net);
+  const std::size_t nb = routing.num_balancers();
+  std::vector<std::uint32_t> state(nb, 0);
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
   std::uint64_t order = 0;
@@ -104,15 +73,9 @@ TimedResult simulate_timed(const topo::Topology& net,
     events.push(e);
   };
 
-  // Targets are packed into Event::place: balancer index, or ~output_index
-  // for a direct exit.
-  auto pack = [](const Target& t) {
-    return t.is_output ? ~t.index : t.index;
-  };
-
-  std::function<void(std::uint32_t, const Target&, double)> arrive_fn =
-      [&](std::uint32_t token, const Target& target, double now) {
-        if (target.is_output) {
+  std::function<void(std::uint32_t, std::int32_t, double)> arrive_fn =
+      [&](std::uint32_t token, std::int32_t dest, double now) {
+        if (dest < 0) {
           const double latency = now - tokens[token].inject_time;
           latency_sum += latency;
           wait_sum += tokens[token].queue_wait;
@@ -124,13 +87,13 @@ TimedResult simulate_timed(const topo::Topology& net,
             const auto next = static_cast<std::uint32_t>(injected++);
             const auto proc = next % cfg.concurrency;
             tokens[next].inject_time = now + cfg.think_time;
-            const Target& e = entry[proc % net.width_in()];
+            const std::int32_t e = routing.entry[proc % net.width_in()];
             push(Event{now + cfg.think_time, 0, Event::Kind::kArrival, next,
-                       pack(e)});
+                       static_cast<std::uint32_t>(e)});
           }
           return;
         }
-        const std::uint32_t b = target.index;
+        const auto b = static_cast<std::uint32_t>(dest);
         if (busy[b]) {
           queue[b].push_back(token);
           queue_entry_time[token] = now;
@@ -147,7 +110,7 @@ TimedResult simulate_timed(const topo::Topology& net,
     const auto token = static_cast<std::uint32_t>(injected++);
     tokens[token].inject_time = 0.0;
     push(Event{0.0, 0, Event::Kind::kArrival, token,
-               pack(entry[p % net.width_in()])});
+               static_cast<std::uint32_t>(routing.entry[p % net.width_in()])});
   }
 
   while (exited < cfg.total_tokens) {
@@ -156,22 +119,18 @@ TimedResult simulate_timed(const topo::Topology& net,
     events.pop();
     if (ev.kind == Event::Kind::kArrival) {
       // `place` may encode a direct-to-output wire as ~output_index.
-      if (static_cast<std::int32_t>(ev.place) < 0) {
-        arrive_fn(ev.token, Target{true, ~ev.place}, ev.time);
-      } else {
-        arrive_fn(ev.token, Target{false, ev.place}, ev.time);
-      }
+      arrive_fn(ev.token, static_cast<std::int32_t>(ev.place), ev.time);
     } else {
       const std::uint32_t b = ev.place;
       // The served token advances through the balancer.
       const std::uint32_t port = state[b];
-      state[b] = (state[b] + 1) % fanout[b];
-      const Target& next = route[route_base[b] + port];
-      if (next.is_output) {
+      state[b] = (state[b] + 1) % routing.fanout[b];
+      const std::int32_t next = routing.next(b, port);
+      if (next < 0) {
         arrive_fn(ev.token, next, ev.time + cfg.wire_delay);
       } else {
         push(Event{ev.time + cfg.wire_delay, 0, Event::Kind::kArrival,
-                   ev.token, next.index});
+                   ev.token, static_cast<std::uint32_t>(next)});
       }
       // Start the next waiting token, if any.
       if (queue[b].empty()) {

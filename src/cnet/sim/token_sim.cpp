@@ -4,6 +4,7 @@
 #include <deque>
 #include <limits>
 
+#include "cnet/topology/routing.hpp"
 #include "cnet/util/ensure.hpp"
 
 namespace cnet::sim {
@@ -11,12 +12,6 @@ namespace cnet::sim {
 namespace {
 
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-
-// Routing target: either a balancer or a network output slot.
-struct Target {
-  bool is_output = false;
-  std::uint32_t index = 0;  // balancer index or output position
-};
 
 struct Token {
   std::uint32_t process = 0;
@@ -26,14 +21,24 @@ struct Token {
 class Engine final : public EngineView {
  public:
   Engine(const topo::Topology& net, const SimConfig& cfg)
-      : net_(net), cfg_(cfg) {
+      : net_(net), cfg_(cfg), routing_(net) {
     CNET_REQUIRE(cfg.concurrency >= 1, "need at least one process");
     CNET_REQUIRE(cfg.total_tokens >= 1, "need at least one token");
-    compile();
+    const std::size_t nb = routing_.num_balancers();
+    state_.assign(nb, 0);
+    layer_.resize(nb);
+    for (std::uint32_t b = 0; b < nb; ++b) {
+      layer_[b] = static_cast<std::uint32_t>(
+          net_.balancer_depth(topo::BalancerId{b}));
+    }
+    queues_.assign(nb, {});
+    pos_in_nonempty_.assign(nb, kNone);
   }
 
   // --- EngineView ---
-  std::size_t num_balancers() const override { return q_.size(); }
+  std::size_t num_balancers() const override {
+    return routing_.num_balancers();
+  }
   std::uint32_t queue_size(std::uint32_t b) const override {
     return static_cast<std::uint32_t>(queues_[b].size());
   }
@@ -47,7 +52,7 @@ class Engine final : public EngineView {
     SimResult res;
     res.tokens = cfg_.total_tokens;
     if (cfg_.collect_per_balancer) {
-      res.stalls_per_balancer.assign(q_.size(), 0);
+      res.stalls_per_balancer.assign(routing_.num_balancers(), 0);
       res.stalls_per_layer.assign(net_.depth(), 0);
     }
     if (cfg_.collect_counter_values) {
@@ -81,7 +86,7 @@ class Engine final : public EngineView {
         res.token_records.push_back(
             TokenRecord{process, step_count_, 0, 0});
       }
-      deliver(entry_[wire_pos], tok, sched, res, cell, t_out, exited);
+      deliver(routing_.entry[wire_pos], tok, sched, res, cell, t_out, exited);
     };
     const std::size_t first_wave =
         std::min(cfg_.concurrency, cfg_.total_tokens);
@@ -92,7 +97,7 @@ class Engine final : public EngineView {
       CNET_ENSURE(!nonempty_.empty(),
                   "no waiting tokens but simulation not finished");
       const std::uint32_t b = sched.pick();
-      CNET_ENSURE(b < q_.size() && !queues_[b].empty(),
+      CNET_ENSURE(b < routing_.num_balancers() && !queues_[b].empty(),
                   "scheduler picked an empty balancer");
       ++step_count_;
       // One atomic transition: FIFO head passes, every other waiter stalls.
@@ -107,13 +112,14 @@ class Engine final : public EngineView {
       queues_[b].pop_front();
       if (queues_[b].empty()) remove_nonempty(b);
       const std::uint32_t port = state_[b];
-      state_[b] = (state_[b] + 1) % q_[b];
-      const Target& next = route_[route_base_[b] + port];
-      if (next.is_output) {
-        exit_token(tok, next.index, res, cell, t_out, exited);
+      state_[b] = (state_[b] + 1) % routing_.fanout[b];
+      const std::int32_t next = routing_.next(b, port);
+      if (next < 0) {
+        exit_token(tok, static_cast<std::uint32_t>(~next), res, cell, t_out,
+                   exited);
         inject(tok.process);  // process immediately shepherds its next token
       } else {
-        enqueue(next.index, tok, sched, res);
+        enqueue(static_cast<std::uint32_t>(next), tok, sched, res);
       }
     }
     res.stalls_per_token = static_cast<double>(res.total_stalls) /
@@ -122,51 +128,15 @@ class Engine final : public EngineView {
   }
 
  private:
-  void compile() {
-    const std::size_t nb = net_.num_balancers();
-    q_.resize(nb);
-    state_.assign(nb, 0);
-    layer_.resize(nb);
-    route_base_.resize(nb);
-    queues_.assign(nb, {});
-    pos_in_nonempty_.assign(nb, kNone);
-    std::size_t total_ports = 0;
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      const auto& bal = net_.balancer(topo::BalancerId{b});
-      q_[b] = static_cast<std::uint32_t>(bal.fan_out());
-      layer_[b] = static_cast<std::uint32_t>(
-          net_.balancer_depth(topo::BalancerId{b}));
-      route_base_[b] = static_cast<std::uint32_t>(total_ports);
-      total_ports += bal.fan_out();
-    }
-    route_.resize(total_ports);
-    auto target_of = [&](topo::WireId wire) {
-      const auto& end = net_.consumer(wire);
-      if (end.kind == topo::WireEnd::Kind::kNetworkOutput) {
-        return Target{true, end.port};
-      }
-      return Target{false, end.balancer.value};
-    };
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      const auto& bal = net_.balancer(topo::BalancerId{b});
-      for (std::size_t port = 0; port < bal.fan_out(); ++port) {
-        route_[route_base_[b] + port] = target_of(bal.outputs[port]);
-      }
-    }
-    entry_.reserve(net_.width_in());
-    for (const topo::WireId in : net_.input_wires()) {
-      entry_.push_back(target_of(in));
-    }
-  }
-
-  void deliver(const Target& target, Token tok, Scheduler& sched,
+  void deliver(std::int32_t dest, Token tok, Scheduler& sched,
                SimResult& res, std::vector<seq::Value>& cell,
                seq::Value t_out, std::size_t& exited) {
-    if (target.is_output) {
+    if (dest < 0) {
       // Degenerate wire straight to an output (e.g. width-1 networks).
-      exit_token(tok, target.index, res, cell, t_out, exited);
+      exit_token(tok, static_cast<std::uint32_t>(~dest), res, cell, t_out,
+                 exited);
     } else {
-      enqueue(target.index, tok, sched, res);
+      enqueue(static_cast<std::uint32_t>(dest), tok, sched, res);
     }
   }
 
@@ -208,12 +178,9 @@ class Engine final : public EngineView {
 
   const topo::Topology& net_;
   const SimConfig cfg_;
-  std::vector<std::uint32_t> q_;           // fanout per balancer
-  std::vector<std::uint32_t> state_;       // next output port per balancer
-  std::vector<std::uint32_t> layer_;       // depth per balancer
-  std::vector<std::uint32_t> route_base_;  // offset into route_
-  std::vector<Target> route_;              // per output port
-  std::vector<Target> entry_;              // per network input wire
+  const topo::Routing routing_;
+  std::vector<std::uint32_t> state_;  // next output port per balancer
+  std::vector<std::uint32_t> layer_;  // depth per balancer
   std::vector<std::deque<Token>> queues_;
   std::vector<std::uint32_t> nonempty_;
   std::vector<std::uint32_t> pos_in_nonempty_;
