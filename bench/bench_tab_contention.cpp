@@ -10,8 +10,11 @@
 //           falls as t grows, approaching the n-independent floor, next to
 //           the paper's closed-form bound
 //           4n·lgw/w + n·lg²w/t + w·lg³w/t + 4lg²w + lgw.
+//           --json checks both: every row at or below the bound, and the
+//           measured contention strictly decreasing in t.
 // Table C — the lg w gap: C(w, w·lgw) vs bitonic(w) across w at n = 16w.
 #include <cmath>
+#include <limits>
 #include <iostream>
 #include <string>
 
@@ -71,10 +74,16 @@ int main(int argc, char** argv) {
   {
     const std::size_t w = 16, n = 512;
     util::Table table({"t", "measured", "paper bound", "bound/measured"});
+    bool within_bound = true;
+    bool decreasing = true;
+    double previous = std::numeric_limits<double>::infinity();
     for (const std::size_t p : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
       const std::size_t t = p * w;
       const double measured = contention_of(core::make_counting(w, t), n);
       const double bound = analysis::counting_contention_bound(w, t, n);
+      within_bound = within_bound && measured <= bound;
+      decreasing = decreasing && measured < previous;
+      previous = measured;
       table.add_row({util::fmt_int(static_cast<std::int64_t>(t)),
                      util::fmt_double(measured, 2),
                      util::fmt_double(bound, 1),
@@ -84,6 +93,8 @@ int main(int argc, char** argv) {
     bench::note(
         "\nexpected shape: measured contention decreases monotonically in t\n"
         "and stays below the Theorem 6.7 bound (the bound is not tight).", opts);
+    bench::check("contention_within_thm67_bound", within_bound, opts);
+    bench::check("contention_decreasing_in_t", decreasing, opts);
   }
 
   std::puts("");
