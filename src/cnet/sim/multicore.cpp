@@ -1016,28 +1016,32 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
         }
       };
 
+  // Returns one grant part to the level it came from, then runs `then`;
+  // an empty part touches no pool.
+  const auto give_back = [&](CounterModel* model, std::size_t c,
+                             std::uint64_t n, Done then) {
+    if (n == 0) {
+      touch();
+      then();
+      return;
+    }
+    refund(model, c, n, [&, then = std::move(then)] {
+      touch();
+      then();
+    });
+  };
+
   // Refund a grant's parts to the level each came from: child first, then
   // parent pool, then the borrow headroom — the real release's ordering.
   const auto refund_grant = [&](std::size_t c, std::size_t idx, Done after) {
     const GrantRec g = grants[idx];  // parts are fixed at admit time
-    const auto parent_part = [&, c, t = g.tenant, fp = g.from_parent,
-                              after = std::move(after)] {
-      if (fp == 0) {
-        touch();
-        after();
-        return;
-      }
-      refund(&parent, c, fp, [&, t, fp, after] {
-        borrowed[t] -= fp;
-        touch();
-        after();
-      });
-    };
-    if (g.from_child > 0) {
-      refund(children[g.tenant].get(), c, g.from_child, parent_part);
-    } else {
-      parent_part();
-    }
+    give_back(children[g.tenant].get(), c, g.from_child,
+              [&, c, g, after = std::move(after)] {
+                give_back(&parent, c, g.from_parent, [&, g, after] {
+                  borrowed[g.tenant] -= g.from_parent;
+                  after();
+                });
+              });
   };
 
   std::function<void(std::size_t)> step;
@@ -1089,28 +1093,14 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
     }
     ++res.rejected;
     ++(t < cfg.hot_tenants ? res.hot_rejected : res.cold_rejected);
-    const auto refund_child = [&, c, t, got_child, next] {
-      if (got_child == 0) {
-        next();
-        return;
-      }
-      refund(children[t].get(), c, got_child, [&, next] {
-        touch();
-        next();
-      });
-    };
     // Pool before headroom (quota_acquire's reject ordering): the
-    // reservation is released only once the parent refund has landed.
-    if (s.refund_parent > 0) {
-      refund(&parent, c, s.refund_parent, [&, t, reserved, refund_child] {
-        borrowed[t] -= reserved;
-        touch();
-        refund_child();
-      });
-    } else {
-      borrowed[t] -= reserved;
-      refund_child();
-    }
+    // reservation is released only once the parent refund has landed; the
+    // child part goes back last.
+    give_back(&parent, c, s.refund_parent,
+              [&, c, t, got_child, reserved, next] {
+                borrowed[t] -= reserved;
+                give_back(children[t].get(), c, got_child, next);
+              });
   };
 
   step = [&](std::size_t c) {
