@@ -13,20 +13,21 @@ const char* balancer_mode_name(BalancerMode mode) noexcept {
 }
 
 CompiledShape::CompiledShape(const topo::Topology& net)
-    : width_out_(net.width_out()), routing_(net) {
-  const std::size_t num_nodes = routing_.num_balancers();
-  mask_.resize(num_nodes);
-  for (std::uint32_t b = 0; b < num_nodes; ++b) {
+    : width_out_(net.width_out()),
+      routing_(net),
+      mask_(routing_.num_balancers()) {
+  // Balancer creation order is topological (topology.hpp): batch traversal
+  // propagates counts in index order and relies on it.
+  bool ordered = true;
+  for (std::uint32_t b = 0; b < mask_.size(); ++b) {
     const std::uint32_t fanout = routing_.fanout[b];
     mask_[b] = util::is_pow2(fanout) ? fanout - 1 : CompiledNetwork::kNoMask;
     for (std::uint32_t port = 0; port < fanout; ++port) {
       const std::int32_t dest = routing_.next(b, port);
-      // Balancer creation order is topological (topology.hpp): batch
-      // traversal propagates counts in index order and relies on it.
-      CNET_ENSURE(dest < 0 || dest > static_cast<std::int32_t>(b),
-                  "balancer indices must be topologically ordered");
+      ordered = ordered && (dest < 0 || dest > static_cast<std::int32_t>(b));
     }
   }
+  CNET_ENSURE(ordered, "balancer indices must be topologically ordered");
 }
 
 CompiledNetwork::CompiledNetwork(const topo::Topology& net)
