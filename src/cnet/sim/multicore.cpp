@@ -779,7 +779,7 @@ MulticoreResult run_table_b(const svc::BackendSpec& spec,
 
   if (stage != nullptr) {
     eng.at(stage->cfg.respec_at, [&] {
-      ModelConfig staged_cfg = cfg;
+      ModelConfig staged_cfg = static_cast<const ModelConfig&>(cfg);
       staged_cfg.batch_k = stage->res.staged_chunk;
       new_stack = make_model(stage->cfg.spec_to, eng, staged_cfg, rng);
       active = new_stack.root.get();
@@ -920,6 +920,7 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
   // hierarchy's default child backend — cheap alone, and honestly a queue
   // when many hot cores share one tenant.
   std::vector<std::unique_ptr<CounterModel>> children;
+  children.reserve(cfg.tenants);
   for (std::size_t t = 0; t < cfg.tenants; ++t) {
     children.push_back(make_backend_model(svc::BackendKind::kCentralAtomic,
                                           eng, cfg.base, rng, nullptr));
@@ -949,13 +950,14 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
   // applies at construction.
   const std::uint64_t total_weight =
       cfg.hot_tenants * cfg.hot_weight + cold_tenants * cfg.cold_weight;
-  std::vector<std::uint64_t> weights;
+  std::vector<std::uint64_t> weights(cfg.tenants);
   QuotaSimResult res;
+  res.limit_per_tenant.resize(cfg.tenants);
   std::uint64_t total_limit = 0;
   for (std::size_t t = 0; t < cfg.tenants; ++t) {
-    weights.push_back(t < cfg.hot_tenants ? cfg.hot_weight : cfg.cold_weight);
-    res.limit_per_tenant.push_back(svc::weighted_borrow_limit(
-        cfg.borrow_budget, weights[t], total_weight));
+    weights[t] = t < cfg.hot_tenants ? cfg.hot_weight : cfg.cold_weight;
+    res.limit_per_tenant[t] = svc::weighted_borrow_limit(
+        cfg.borrow_budget, weights[t], total_weight);
     total_limit += res.limit_per_tenant[t];
   }
   res.attempts_per_tenant.assign(cfg.tenants, 0);
