@@ -366,9 +366,12 @@ class ElimModel final : public CounterModel {
       // goes straight to it); on withdrawal the token goes to the backend.
       // `done` is copied so the fall-through below stays valid on a full
       // slot array.
-      if (deposit(
-              SlotState::kWaitInc, [done](std::int64_t) { done(); },
-              [this, core, done] { inner_->increment_n(core, 1, done); })) {
+      auto fulfilled = [done](std::int64_t) { done(); };
+      auto withdrawn = [this, core, done] {
+        inner_->increment_n(core, 1, done);
+      };
+      if (deposit(SlotState::kWaitInc, std::move(fulfilled),
+                  std::move(withdrawn))) {
         return;
       }
     }
@@ -389,17 +392,20 @@ class ElimModel final : public CounterModel {
       // token (the pairing continuation already runs exchange_time after
       // the catch), the withdrawal falls through to the backend. On a full
       // slot array, so does the op itself, below.
-      if (deposit(
-              SlotState::kWaitDec, [done](std::int64_t) { done(1); },
-              [this, core, done] { inner_->try_decrement_n(core, 1, done); })) {
+      auto fulfilled = [done](std::int64_t) { done(1); };
+      auto withdrawn = [this, core, done] {
+        inner_->try_decrement_n(core, 1, done);
+      };
+      if (deposit(SlotState::kWaitDec, std::move(fulfilled),
+                  std::move(withdrawn))) {
         return;
       }
     }
     // The backend claims whatever the catch pass left short.
-    inner_->try_decrement_n(
-        core, n - got, [got, done = std::move(done)](std::uint64_t inner_got) {
-          done(got + inner_got);
-        });
+    auto add_caught = [got, done = std::move(done)](std::uint64_t inner_got) {
+      done(got + inner_got);
+    };
+    inner_->try_decrement_n(core, n - got, std::move(add_caught));
   }
 
   // Refunds skip the exchange slots (rt::ForwardingCounter's default does
@@ -457,8 +463,8 @@ class ElimModel final : public CounterModel {
     const std::size_t s = find_slot(waiter);
     if (s == slots_.size()) return false;
     Slot& slot = slots_[s];
-    const std::int64_t value =
-        svc::elimination_pair_value(slots_.size(), s, slot.epoch);
+    const std::int64_t value = svc::elimination_pair_value(
+        slots_.size(), s, slot.epoch);
     ++pairs_;
     value_sum_ += value;
     auto on_pair = std::move(slot.on_pair);
@@ -676,12 +682,13 @@ std::unique_ptr<CounterModel> make_backend_model(svc::BackendKind kind,
   };
   switch (kind) {
     case svc::BackendKind::kCentralAtomic:
+      return std::make_unique<CentralModel>(eng, cfg.central_slope,
+                                            draw(cfg.central_service),
+                                            /*empty_read_fast_path=*/true);
     case svc::BackendKind::kCentralCas:
-      return std::make_unique<CentralModel>(
-          eng,
-          kind == svc::BackendKind::kCentralCas ? cfg.cas_slope
-                                                : cfg.central_slope,
-          draw(cfg.central_service), /*empty_read_fast_path=*/true);
+      return std::make_unique<CentralModel>(eng, cfg.cas_slope,
+                                            draw(cfg.central_service),
+                                            /*empty_read_fast_path=*/true);
     case svc::BackendKind::kCentralMutex:
       return std::make_unique<CentralModel>(eng, cfg.mutex_slope,
                                             draw(cfg.mutex_service));
@@ -690,8 +697,10 @@ std::unique_ptr<CounterModel> make_backend_model(svc::BackendKind kind,
     case svc::BackendKind::kBatchedNetwork:
       return network(cfg.batch_k);
     case svc::BackendKind::kAdaptive: {
-      auto cold = make_backend_model(svc::BackendKind::kCentralAtomic, eng,
-                                     cfg, rng, nullptr);
+      auto cold = std::make_unique<CentralModel>(eng, cfg.central_slope,
+                                                 draw(cfg.central_service),
+                                                 /*empty_read_fast_path=*/
+                                                 true);
       auto model = std::make_unique<AdaptiveModel>(
           std::move(cold), network(cfg.batch_k), eng, cfg.tuning);
       if (adaptive != nullptr) *adaptive = model.get();
@@ -716,8 +725,8 @@ ModelStack make_model(const svc::BackendSpec& spec, Engine& eng,
       make_backend_model(spec.kind, eng, cfg, rng, &stack.adaptive);
   CNET_REQUIRE(stack.root != nullptr, "unknown backend kind");
   if (spec.elimination) {
-    auto elim =
-        std::make_unique<ElimModel>(eng, std::move(stack.root), cfg, rng);
+    auto elim = std::make_unique<ElimModel>(
+        eng, std::move(stack.root), cfg, rng);
     stack.elim = elim.get();
     stack.root = std::move(elim);
   }
@@ -922,8 +931,8 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
   std::vector<std::unique_ptr<CounterModel>> children;
   children.reserve(cfg.tenants);
   for (std::size_t t = 0; t < cfg.tenants; ++t) {
-    children.push_back(make_backend_model(svc::BackendKind::kCentralAtomic,
-                                          eng, cfg.base, rng, nullptr));
+    children.push_back(make_backend_model(svc::BackendKind::kCentralAtomic, eng,
+                                          cfg.base, rng, nullptr));
     children.back()->inject_pool_now(cfg.child_initial);
   }
 
@@ -956,8 +965,9 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
   std::uint64_t total_limit = 0;
   for (std::size_t t = 0; t < cfg.tenants; ++t) {
     weights[t] = t < cfg.hot_tenants ? cfg.hot_weight : cfg.cold_weight;
-    res.limit_per_tenant[t] = svc::weighted_borrow_limit(
-        cfg.borrow_budget, weights[t], total_weight);
+    res.limit_per_tenant[t] =
+        svc::weighted_borrow_limit(cfg.borrow_budget, weights[t],
+                                   total_weight);
     total_limit += res.limit_per_tenant[t];
   }
   res.attempts_per_tenant.assign(cfg.tenants, 0);
@@ -1004,18 +1014,20 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
   std::function<void(CounterModel*, std::size_t, std::uint64_t, Done)>
       refund = [&](CounterModel* model, std::size_t c, std::uint64_t n,
                    Done done) {
-        if (n > 0) {
-          const std::uint64_t k = std::min(
-              n, std::max<std::uint64_t>(1, n / actions.batch_divisor));
-          model->refund_n(
-              c, k, [&, model, c, n, k, done = std::move(done)]() mutable {
-                refund(model, c, n - k, std::move(done));
-              });
-        } else if (mgr == nullptr) {
-          done();
-        } else {
-          eng.at(eng.now(), std::move(done));
+        if (n == 0) {
+          if (mgr == nullptr) {
+            done();
+          } else {
+            eng.at(eng.now(), std::move(done));
+          }
+          return;
         }
+        const std::uint64_t k = std::min(
+            n, std::max<std::uint64_t>(1, n / actions.batch_divisor));
+        model->refund_n(c, k,
+                        [&, model, c, n, k, done = std::move(done)]() mutable {
+                          refund(model, c, n - k, std::move(done));
+                        });
       };
 
   // Returns one grant part to the level it came from, then runs `then`;
@@ -1098,11 +1110,11 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
     // Pool before headroom (quota_acquire's reject ordering): the
     // reservation is released only once the parent refund has landed; the
     // child part goes back last.
-    give_back(&parent, c, s.refund_parent,
-              [&, c, t, got_child, reserved, next] {
-                borrowed[t] -= reserved;
-                give_back(children[t].get(), c, got_child, next);
-              });
+    const auto child_part = [&, c, t, got_child, reserved, next] {
+      borrowed[t] -= reserved;
+      give_back(children[t].get(), c, got_child, next);
+    };
+    give_back(&parent, c, s.refund_parent, child_part);
   };
 
   step = [&](std::size_t c) {
@@ -1251,9 +1263,9 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
 
   // Exact quiescent ledger: every pool back at its initial count, no
   // outstanding borrow, no pool ever negative.
-  res.conserved = !parent.pool_ever_negative() &&
-                  parent.pool() ==
-                      static_cast<std::int64_t>(cfg.parent_initial);
+  res.conserved =
+      !parent.pool_ever_negative() &&
+      parent.pool() == static_cast<std::int64_t>(cfg.parent_initial);
   for (std::size_t t = 0; t < cfg.tenants; ++t) {
     res.conserved = res.conserved && !children[t]->pool_ever_negative() &&
                     children[t]->pool() ==

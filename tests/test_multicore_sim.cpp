@@ -412,36 +412,30 @@ TEST(MulticoreSim, RejectsWhenThePoolRunsDry) {
 TEST(MulticoreSim, RejectsBadConfig) {
   // Each of these once hung, crashed, or ran on undefined behaviour; the
   // drivers now reject them where they take their inputs.
+  const svc::BackendSpec central{svc::BackendKind::kCentralAtomic, false};
+  const svc::BackendSpec batched{svc::BackendKind::kBatchedNetwork, false};
+  const svc::BackendSpec adaptive{svc::BackendKind::kAdaptive, false};
+
   MulticoreConfig zero_batch = small_config(2);
   zero_batch.batch_k = 0;  // deposited empty chunks forever
-  for (const auto kind :
-       {svc::BackendKind::kBatchedNetwork, svc::BackendKind::kAdaptive}) {
-    SCOPED_TRACE(svc::backend_kind_name(kind));
-    EXPECT_THROW(simulate_multicore({kind, false}, zero_batch),
-                 std::invalid_argument);
-  }
+  EXPECT_THROW(simulate_multicore(batched, zero_batch), std::invalid_argument);
+  EXPECT_THROW(simulate_multicore(adaptive, zero_batch), std::invalid_argument);
   QuotaSimConfig quota_zero_batch = quota_config(4);
   quota_zero_batch.base.batch_k = 0;
-  EXPECT_THROW(
-      simulate_quota({svc::BackendKind::kBatchedNetwork, false},
-                     quota_zero_batch),
-      std::invalid_argument);
+  EXPECT_THROW(simulate_quota(batched, quota_zero_batch),
+               std::invalid_argument);
 
   MulticoreConfig zero_interval = small_config(2);
   zero_interval.tuning.sample_interval = 0;  // divided by zero
-  EXPECT_THROW(
-      simulate_multicore({svc::BackendKind::kAdaptive, false}, zero_interval),
-      std::invalid_argument);
+  EXPECT_THROW(simulate_multicore(adaptive, zero_interval),
+               std::invalid_argument);
 
   QuotaSimConfig negative_share = quota_config(4);
   negative_share.hot_core_share = -3.0;  // negative double -> size_t cast
-  EXPECT_THROW(
-      simulate_quota({svc::BackendKind::kCentralAtomic, false}, negative_share),
-      std::invalid_argument);
+  EXPECT_THROW(simulate_quota(central, negative_share), std::invalid_argument);
   OverloadSimConfig overload_share = overload_sim_reference_config();
   overload_share.hot_core_share = 1.5;
-  EXPECT_THROW(simulate_overload({svc::BackendKind::kCentralAtomic, false},
-                                 overload_share),
+  EXPECT_THROW(simulate_overload(central, overload_share),
                std::invalid_argument);
 }
 
