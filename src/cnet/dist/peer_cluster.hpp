@@ -55,6 +55,7 @@
 #include "cnet/svc/backend.hpp"
 #include "cnet/svc/overload.hpp"
 #include "cnet/svc/quota.hpp"
+#include "cnet/util/atomic.hpp"
 #include "cnet/util/mutex.hpp"
 #include "cnet/util/thread_annotations.hpp"
 
@@ -195,8 +196,10 @@ class PeerCluster {
     std::deque<Debt> debts CNET_GUARDED_BY(ledger);
     std::uint64_t debt_escrow CNET_GUARDED_BY(ledger) = 0;
     std::atomic<bool> partitioned{false};
-    std::atomic<std::int64_t> balance{0};  // advisory local-pool ledger
-    std::atomic<std::uint64_t> spent{0};
+    // util::Atomic so the schedule checker explores the ledger updates
+    // that admits, donations and expiries interleave.
+    util::Atomic<std::int64_t> balance{0};  // advisory local-pool ledger
+    util::Atomic<std::uint64_t> spent{0};
     std::atomic<std::uint64_t> observed_version{1};
   };
 

@@ -12,7 +12,10 @@
 //
 //   readers   enter a padded per-slot reader count, load the active-state
 //             pointer, run against it, and leave (RCU-style; two atomics
-//             on the hot path, no locks);
+//             on the hot path, no locks). The table has one slot per core
+//             (util::scatter_slots()) and a reader picks its slot by
+//             masking its thread hint, so hints may share a slot; the
+//             commit scan waits for each slot's whole count to drain;
 //   stage     a full replacement state is built off to the side — new
 //             backend, new network width, new batch chunking, new weight
 //             vector — while traffic continues on the old one;
@@ -22,6 +25,11 @@
 //             caller's migration against the now-quiescent old state
 //             (e.g. drain its pool and re-inject the exact count into the
 //             new one) and bumps the config version.
+//
+// A migration that throws leaves the staged state published and owned by
+// the engine and the old state retired, so readers keep running against
+// live memory; the version does not move, subscribers are not notified,
+// and the exception propagates to the committer.
 //
 // Commits serialize on a mutex (reconfiguration is a control-plane event;
 // readers never block). Retired states are kept alive for the engine's
@@ -47,6 +55,7 @@
 #include "cnet/util/cacheline.hpp"
 #include "cnet/util/ensure.hpp"
 #include "cnet/util/mutex.hpp"
+#include "cnet/util/scatter.hpp"
 #include "cnet/util/sched_point.hpp"
 #include "cnet/util/thread_annotations.hpp"
 
@@ -81,7 +90,8 @@ template <class State>
 class ReconfigEngine final : public Reconfigurable {
  public:
   explicit ReconfigEngine(std::unique_ptr<State> initial)
-      : slots_(kReaderSlots),
+      : slots_(util::scatter_slots()),
+        mask_(slots_.size() - 1),
         current_(std::move(initial)),
         active_(current_.get()) {
     CNET_REQUIRE(current_ != nullptr, "null initial state");
@@ -98,7 +108,7 @@ class ReconfigEngine final : public Reconfigurable {
   // reader touches the old state after the committer starts migrating it.
   template <class Fn>
   auto read(std::size_t thread_hint, Fn&& fn) {
-    auto& slot = slots_[thread_hint % kReaderSlots].value;
+    auto& slot = slots_[thread_hint & mask_].value;
     slot.fetch_add(1, std::memory_order_seq_cst);
     State* active = active_.load(std::memory_order_seq_cst);
     struct Exit {
@@ -131,14 +141,19 @@ class ReconfigEngine final : public Reconfigurable {
   // `migrate(old_state, new_state)` against the quiescent old state (move
   // pool tokens, roll up telemetry — whatever the consumer's conservation
   // argument needs), retire the old state, and bump the version. Returns
-  // the new version. Concurrent commits serialize; readers never wait.
+  // the new version. Concurrent commits serialize; readers never wait. If
+  // `migrate` throws, `next` stays published and the version stays put.
   template <class Migrate>
   std::uint64_t commit(std::unique_ptr<State> next, Migrate&& migrate)
       CNET_EXCLUDES(commit_mutex_) {
     CNET_REQUIRE(next != nullptr, "null staged state");
     const util::MutexLock lock(commit_mutex_);
-    State* const fresh = next.get();
+    // Take ownership before publishing, so a throwing migrate cannot
+    // unwind the published state out from under the readers.
     State* const old = current_.get();
+    retired_.push_back(std::move(current_));
+    current_ = std::move(next);
+    State* const fresh = current_.get();
     active_.store(fresh, std::memory_order_seq_cst);
     for (auto& slot : slots_) {
       while (slot.value.load(std::memory_order_seq_cst) != 0) {
@@ -150,8 +165,6 @@ class ReconfigEngine final : public Reconfigurable {
       }
     }
     migrate(*old, *fresh);
-    retired_.push_back(std::move(current_));
-    current_ = std::move(next);
     const std::uint64_t version =
         version_.fetch_add(1, std::memory_order_acq_rel) + 1;
     // Notify under the commit lock: subscribers see commits in order with
@@ -170,19 +183,11 @@ class ReconfigEngine final : public Reconfigurable {
   }
 
  private:
-  // Under the schedule checker the commit's quiescence scan reads every
-  // slot (one explored step each), so the scatter width shrinks to keep
-  // driver state spaces tractable; production keeps the full spread.
-#if defined(CNET_SCHED_CHECK)
-  static constexpr std::size_t kReaderSlots = 2;
-#else
-  static constexpr std::size_t kReaderSlots = 64;
-#endif
-
   // util::Atomic on the reader slots and the active pointer: the
   // enter-RMW / publish / scan triangle *is* the protocol the checker
   // explores — every one of those operations must be a schedulable step.
   std::vector<util::Padded<util::Atomic<std::uint64_t>>> slots_;
+  std::size_t mask_;
   mutable util::Mutex commit_mutex_;
   std::unique_ptr<State> current_ CNET_GUARDED_BY(commit_mutex_);
   std::vector<std::unique_ptr<State>> retired_ CNET_GUARDED_BY(commit_mutex_);

@@ -19,7 +19,6 @@ ShardedIdAllocator::ShardedIdAllocator(
   for (const auto& shard : shards_) {
     CNET_REQUIRE(shard != nullptr, "null shard counter");
   }
-  for (auto& cache : caches_) cache.ids.reserve(cfg_.refill_batch);
 }
 
 void ShardedIdAllocator::refill_cache(std::size_t thread_hint, Cache& cache) {

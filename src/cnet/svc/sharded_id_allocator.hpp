@@ -9,7 +9,10 @@
 //     one shard's wires (and one entry-wire class within a network shard);
 //   * a per-thread ID cache refilled through fetch_increment_batch, so the
 //     common allocate() is a cache pop with zero shared-memory traffic and
-//     the backend sees one batched claim per refill_batch IDs.
+//     the backend sees one batched claim per refill_batch IDs. A cache's
+//     storage is created by its thread's first refill, so construction
+//     pays only for the max_threads empty cache headers, not for a buffer
+//     per hint that may never run.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,8 @@
 // states and exit cells of the network counters, the value words of the
 // central atomic and CAS counters, StallSlots tallies,
 // EliminationLayer exchange slots, ReconfigEngine reader slots and
-// active-state pointer, the quota borrow reservation) is declared as
+// active-state pointer, the quota borrow reservation, PeerCluster's
+// per-node balance and spent ledgers) is declared as
 // util::Atomic instead of std::atomic. With CNET_SCHED_CHECK off this is a
 // pure forwarding shim over std::atomic — same layout, same memory orders,
 // inline calls, zero overhead. With it on, each operation first announces

@@ -6,7 +6,9 @@
 // sum the slots and are expected to be rare (end-of-run reporting), while
 // add_and_get exposes the writer's own slot cheaply for periodic-sampling
 // triggers (svc::LoadStats). The slot count is a power of two, so picking a
-// slot is a mask, not a divide.
+// slot is a mask, not a divide; by default it is sized to the host's cores
+// (util/scatter.hpp), and hints beyond it share slots, which the sums
+// already cover.
 #pragma once
 
 #include <cstdint>
@@ -16,21 +18,15 @@
 #include "cnet/util/bitops.hpp"
 #include "cnet/util/cacheline.hpp"
 #include "cnet/util/ensure.hpp"
+#include "cnet/util/scatter.hpp"
 
 namespace cnet::util {
 
 class StallSlots {
  public:
-  // Under the schedule checker every slot read in total() is one explored
-  // step, so the default scatter width shrinks to keep driver state spaces
-  // small; production builds keep the full contention-avoiding spread.
-#if defined(CNET_SCHED_CHECK)
-  static constexpr std::size_t kDefaultSlots = 2;
-#else
-  static constexpr std::size_t kDefaultSlots = 64;
-#endif
-
-  explicit StallSlots(std::size_t slots = kDefaultSlots)
+  // The default width is util::scatter_slots(): one slot per core, rounded
+  // up to a power of two.
+  explicit StallSlots(std::size_t slots = scatter_slots())
       : slots_(slots), mask_(slots - 1) {
     CNET_REQUIRE(is_pow2(slots), "stall slot count must be a power of two");
   }

@@ -5,7 +5,7 @@
 // scan. The committer's migrate step poisons the *old* state after
 // quiescence; the invariant is that no reader section ever observes the
 // poison value (a reader that could would have been migrated under) or a
-// torn half-written state.
+// torn half-written state, including when two readers share one slot.
 #include <cstdint>
 #include <memory>
 
@@ -72,6 +72,18 @@ void commit_vs_two_readers(TestContext& ctx) {
   CNET_ENSURE(eng->config_version() == 2, "commit did not bump the version");
 }
 
+void commit_vs_readers_sharing_a_slot(TestContext& ctx) {
+  auto eng = std::make_shared<ReconfigEngine<XY>>(std::make_unique<XY>(1));
+  // Hints 0 and 2 both mask to slot 0 of a CNET_SCHED_CHECK build's two
+  // reader slots, as hints do whenever threads outnumber the host's cores:
+  // the scan must wait for that slot's count of 2 to drain, not 1.
+  ctx.spawn([eng] { reader(eng, 0); });
+  ctx.spawn([eng] { reader(eng, 2); });
+  ctx.spawn([eng] { committer(eng); });
+  ctx.join_all();
+  CNET_ENSURE(eng->config_version() == 2, "commit did not bump the version");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -80,6 +92,8 @@ int main(int argc, char** argv) {
           Scenario{"commit_vs_reader", Expect::kClean, commit_vs_reader},
           Scenario{"commit_vs_two_readers", Expect::kClean,
                    commit_vs_two_readers},
+          Scenario{"commit_vs_readers_sharing_a_slot", Expect::kClean,
+                   commit_vs_readers_sharing_a_slot},
       },
       argc, argv);
 }

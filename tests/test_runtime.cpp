@@ -18,6 +18,7 @@
 #include "cnet/core/counting.hpp"
 #include "cnet/runtime/compiled_network.hpp"
 #include "cnet/util/prng.hpp"
+#include "cnet/util/scatter.hpp"
 #include "cnet/util/stall_slots.hpp"
 #include "test_util.hpp"
 
@@ -341,6 +342,24 @@ TEST(StallSlots, RejectsSlotCountsThatAreNotPowersOfTwo) {
   for (const std::size_t slots : {1u, 2u, 64u}) {
     EXPECT_NO_THROW(util::StallSlots{slots}) << slots;
   }
+}
+
+// The default width: the CPU count rounded up to a power of two, clamped
+// to [1, 64], with an unknown count (0) keeping the full width.
+TEST(StallSlots, ScatterWidthRule) {
+  EXPECT_EQ(util::scatter_slots_for(0), 64u);
+  EXPECT_EQ(util::scatter_slots_for(1), 1u);
+  EXPECT_EQ(util::scatter_slots_for(2), 2u);
+  EXPECT_EQ(util::scatter_slots_for(3), 4u);
+  EXPECT_EQ(util::scatter_slots_for(4), 4u);
+  EXPECT_EQ(util::scatter_slots_for(5), 8u);
+  EXPECT_EQ(util::scatter_slots_for(64), 64u);
+  EXPECT_EQ(util::scatter_slots_for(65), 64u);
+  EXPECT_EQ(util::scatter_slots_for(1024), 64u);
+  const std::size_t host = util::scatter_slots();
+  EXPECT_TRUE(util::is_pow2(host)) << host;
+  EXPECT_LE(host, util::kMaxScatterSlots);
+  EXPECT_EQ(util::scatter_slots(), host);  // computed once
 }
 
 // Hints far past the slot count fold onto slot hint mod slots: the total is

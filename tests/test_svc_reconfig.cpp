@@ -5,7 +5,8 @@
 // QuotaHierarchy live reweigh (whole-vector limit publish, in-flight
 // grants release-exact), and the concurrency hammer — consume/refill
 // threads racing stage/commit threads with exact conservation and
-// never-over-admit checked at quiescence (TSan concurrency label).
+// never-over-admit checked at quiescence, including hints that share
+// scatter slots (TSan concurrency label).
 #include "cnet/svc/reconfig.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,8 @@
 #include "cnet/svc/overload.hpp"
 #include "cnet/svc/policy.hpp"
 #include "cnet/svc/quota.hpp"
+#include "cnet/util/scatter.hpp"
+#include "cnet/util/stall_slots.hpp"
 
 namespace cnet::svc {
 namespace {
@@ -63,6 +67,33 @@ TEST(ReconfigEngine, RetiredStatesOutliveTheCommit) {
   engine.commit(std::make_unique<Box>(6), [](Box&, Box&) {});
   EXPECT_EQ(stale.value, 5);  // valid, merely stale
   EXPECT_EQ(engine.current().value, 6);
+}
+
+// The staged state is published before the migration runs, so a throwing
+// migration must leave it owned, not freed under the readers. Only the
+// commit that completes moves the version and reaches subscribers.
+TEST(ReconfigEngine, ThrowingMigrationKeepsThePublishedStateAlive) {
+  ReconfigEngine<Box> engine(std::make_unique<Box>(1));
+  std::vector<std::uint64_t> delivered;
+  engine.subscribe(
+      [&](std::uint64_t version) { delivered.push_back(version); });
+  const auto failing = [](Box&, Box&) {
+    throw std::runtime_error("migration failed");
+  };
+  EXPECT_THROW(engine.commit(std::make_unique<Box>(2), failing),
+               std::runtime_error);
+  EXPECT_EQ(engine.read(0, [](Box& b) { return b.value; }), 2);
+  EXPECT_EQ(engine.config_version(), 1u);
+  EXPECT_EQ(engine.num_retired(), 1u);
+  EXPECT_TRUE(delivered.empty());
+
+  const auto add_old = [](Box& old_state, Box& fresh) {
+    fresh.value += old_state.value;
+  };
+  EXPECT_EQ(engine.commit(std::make_unique<Box>(3), add_old), 2u);
+  EXPECT_EQ(engine.read(0, [](Box& b) { return b.value; }), 5);
+  EXPECT_EQ(engine.num_retired(), 2u);
+  EXPECT_EQ(delivered, std::vector<std::uint64_t>{2});
 }
 
 TEST(ReconfigEngine, NullStagedStateThrows) {
@@ -307,6 +338,55 @@ TEST(ReconfigHammer, BucketConservesTokensUnderConcurrentRespecs) {
       << "tokens leaked or were minted across respec commits";
   EXPECT_GE(refilled.load(), consumed.load());  // never over-admitted
   EXPECT_GT(bucket.config_version(), 1u);  // the respec threads did commit
+}
+
+// The scatter width follows the host's cores, so hints share slots once
+// threads outnumber them. Eight threads spread over hints 0..4×width (each
+// hint owned by one thread, each slot shared by several) race a default
+// StallSlots and a bucket's consume/refill across one respec: the tally,
+// both consume counters and the token count must all stay exact.
+TEST(ReconfigHammer, HintsSharingScatterSlotsStayExact) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::uint64_t kRounds = 300;
+  constexpr std::uint64_t kInitial = 100;
+  const std::size_t top_hint = 4 * util::scatter_slots();
+
+  util::StallSlots tallies;
+  NetTokenBucket bucket(
+      make_counter(BackendSpec{BackendKind::kBatchedNetwork, false}),
+      NetTokenBucket::Config{kInitial, /*refill_chunk=*/16});
+  std::atomic<std::uint64_t> events{0}, attempts{0}, rejects{0};
+  std::atomic<std::uint64_t> consumed{0}, refilled{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kRounds; ++i) {
+        if (t == 0 && i == kRounds / 2) {
+          bucket.respec(0, {{BackendKind::kCentralAtomic, false}, {}, 8});
+        }
+        for (std::size_t hint = t; hint <= top_hint; hint += kThreads) {
+          tallies.add(hint, 1 + hint % 3);
+          events.fetch_add(1 + hint % 3, std::memory_order_relaxed);
+          bucket.refill(hint, 3);
+          refilled.fetch_add(3, std::memory_order_relaxed);
+          const std::uint64_t partial = bucket.consume(hint, 2, kPartialOk);
+          const std::uint64_t whole = bucket.consume(hint, 5, kAllOrNothing);
+          attempts.fetch_add(2, std::memory_order_relaxed);
+          rejects.fetch_add((partial == 0 ? 1 : 0) + (whole == 0 ? 1 : 0),
+                            std::memory_order_relaxed);
+          consumed.fetch_add(partial + whole, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(tallies.total(), events.load());
+  EXPECT_EQ(bucket.consume_attempts(), attempts.load());
+  EXPECT_EQ(bucket.consume_rejects(), rejects.load());
+  EXPECT_EQ(bucket.config_version(), 2u);
+  EXPECT_EQ(kInitial + refilled.load(), consumed.load() + drain(bucket))
+      << "tokens leaked or were minted across hints sharing a slot";
 }
 
 TEST(ReconfigHammer, QuotaStaysReleaseExactUnderConcurrentReweighs) {
