@@ -12,7 +12,7 @@
 //
 //   readers   enter a padded per-slot reader count, load the active-state
 //             pointer, run against it, and leave (RCU-style; two atomics
-//             on the hot path, no locks). The table has one slot per core
+//             on the hot path, no locks). The table has two slots per core
 //             (util::scatter_slots()) and a reader picks its slot by
 //             masking its thread hint, so hints may share a slot; the
 //             commit scan waits for each slot's whole count to drain;

@@ -6,8 +6,8 @@
 // sum the slots and are expected to be rare (end-of-run reporting), while
 // add_and_get exposes the writer's own slot cheaply for periodic-sampling
 // triggers (svc::LoadStats). The slot count is a power of two, so picking a
-// slot is a mask, not a divide; by default it is sized to the host's cores
-// (util/scatter.hpp), and hints beyond it share slots, which the sums
+// slot is a mask, not a divide; by default it is two slots per core, rounded
+// up (util/scatter.hpp), and hints beyond it share slots, which the sums
 // already cover.
 #pragma once
 
@@ -24,7 +24,7 @@ namespace cnet::util {
 
 class StallSlots {
  public:
-  // The default width is util::scatter_slots(): one slot per core, rounded
+  // The default width is util::scatter_slots(): two slots per core, rounded
   // up to a power of two.
   explicit StallSlots(std::size_t slots = scatter_slots())
       : slots_(slots), mask_(slots - 1) {

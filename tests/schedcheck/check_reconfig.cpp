@@ -61,27 +61,24 @@ void commit_vs_reader(TestContext& ctx) {
               "published state is not the staged one");
 }
 
-void commit_vs_two_readers(TestContext& ctx) {
+void two_readers(TestContext& ctx, std::size_t h0, std::size_t h1) {
   auto eng = std::make_shared<ReconfigEngine<XY>>(std::make_unique<XY>(1));
-  // Hints 0 and 1 land on the two distinct reader slots of a
-  // CNET_SCHED_CHECK build, so the quiescence scan must get both right.
-  ctx.spawn([eng] { reader(eng, 0); });
-  ctx.spawn([eng] { reader(eng, 1); });
+  ctx.spawn([eng, h0] { reader(eng, h0); });
+  ctx.spawn([eng, h1] { reader(eng, h1); });
   ctx.spawn([eng] { committer(eng); });
   ctx.join_all();
   CNET_ENSURE(eng->config_version() == 2, "commit did not bump the version");
 }
 
+// Hints 0 and 1 land on the two distinct reader slots of a
+// CNET_SCHED_CHECK build, so the quiescence scan must get both right.
+void commit_vs_two_readers(TestContext& ctx) { two_readers(ctx, 0, 1); }
+
+// Hints 0 and 2 both mask to slot 0 of a CNET_SCHED_CHECK build's two
+// reader slots, as hints do whenever threads outnumber the host's cores:
+// the scan must wait for that slot's count of 2 to drain, not 1.
 void commit_vs_readers_sharing_a_slot(TestContext& ctx) {
-  auto eng = std::make_shared<ReconfigEngine<XY>>(std::make_unique<XY>(1));
-  // Hints 0 and 2 both mask to slot 0 of a CNET_SCHED_CHECK build's two
-  // reader slots, as hints do whenever threads outnumber the host's cores:
-  // the scan must wait for that slot's count of 2 to drain, not 1.
-  ctx.spawn([eng] { reader(eng, 0); });
-  ctx.spawn([eng] { reader(eng, 2); });
-  ctx.spawn([eng] { committer(eng); });
-  ctx.join_all();
-  CNET_ENSURE(eng->config_version() == 2, "commit did not bump the version");
+  two_readers(ctx, 0, 2);
 }
 
 }  // namespace

@@ -344,18 +344,20 @@ TEST(StallSlots, RejectsSlotCountsThatAreNotPowersOfTwo) {
   }
 }
 
-// The default width: the CPU count rounded up to a power of two, clamped
-// to [1, 64], with an unknown count (0) keeping the full width.
+// The default width: twice the CPU count rounded up to a power of two,
+// capped at 64, with an unknown count (0) keeping the full width.
 TEST(StallSlots, ScatterWidthRule) {
   EXPECT_EQ(util::scatter_slots_for(0), 64u);
-  EXPECT_EQ(util::scatter_slots_for(1), 1u);
-  EXPECT_EQ(util::scatter_slots_for(2), 2u);
-  EXPECT_EQ(util::scatter_slots_for(3), 4u);
-  EXPECT_EQ(util::scatter_slots_for(4), 4u);
-  EXPECT_EQ(util::scatter_slots_for(5), 8u);
+  EXPECT_EQ(util::scatter_slots_for(1), 2u);
+  EXPECT_EQ(util::scatter_slots_for(2), 4u);
+  EXPECT_EQ(util::scatter_slots_for(3), 8u);
+  EXPECT_EQ(util::scatter_slots_for(4), 8u);
+  EXPECT_EQ(util::scatter_slots_for(5), 16u);
+  EXPECT_EQ(util::scatter_slots_for(32), 64u);
+  EXPECT_EQ(util::scatter_slots_for(33), 64u);
   EXPECT_EQ(util::scatter_slots_for(64), 64u);
-  EXPECT_EQ(util::scatter_slots_for(65), 64u);
   EXPECT_EQ(util::scatter_slots_for(1024), 64u);
+  EXPECT_EQ(util::scatter_slots_for(0xFFFFFFFFu), 64u);
   const std::size_t host = util::scatter_slots();
   EXPECT_TRUE(util::is_pow2(host)) << host;
   EXPECT_LE(host, util::kMaxScatterSlots);
