@@ -58,31 +58,41 @@ TEST(ModelCheck, TwoTokensThroughC22) {
   EXPECT_EQ(r.max_total_stalls, 1u);
 }
 
-// Every interleaving of small C(w,t) instances hands out exactly 0..m-1.
+// Every interleaving of small C(w,t) instances hands out exactly 0..m-1,
+// and none shows an inversion. The pinned schedule-space size and stall
+// envelope guard the explorer itself.
 struct Instance {
   std::size_t w, t, n, m;
+  std::uint64_t executions, max_stalls, min_stalls;
 };
 
 class ModelCheckExact : public ::testing::TestWithParam<Instance> {};
 
 TEST_P(ModelCheckExact, AllExecutionsYieldExactValues) {
-  const auto [w, t, n, m] = GetParam();
+  const auto [w, t, n, m, executions, max_stalls, min_stalls] = GetParam();
   ModelCheckConfig cfg;
   cfg.concurrency = n;
   cfg.total_tokens = m;
   const auto r = explore_all_executions(core::make_counting(w, t), cfg);
   EXPECT_TRUE(r.all_exact)
       << "some schedule broke Fetch&Increment exactness";
-  EXPECT_GT(r.executions, 0u);
+  EXPECT_EQ(r.executions, executions);
+  EXPECT_EQ(r.max_total_stalls, max_stalls);
+  EXPECT_EQ(r.min_total_stalls, min_stalls);
+  EXPECT_FALSE(r.inversion_possible);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ModelCheckExact,
-    ::testing::Values(Instance{2, 2, 2, 3}, Instance{2, 4, 3, 3},
-                      Instance{4, 4, 2, 3}, Instance{4, 4, 3, 3},
-                      Instance{4, 4, 2, 4}, Instance{4, 4, 3, 4},
-                      Instance{4, 8, 2, 4}, Instance{4, 8, 3, 4},
-                      Instance{4, 4, 3, 5}),
+    ::testing::Values(Instance{2, 2, 2, 3, 1, 2, 2},
+                      Instance{2, 4, 3, 3, 1, 3, 3},
+                      Instance{4, 4, 2, 3, 84, 2, 0},
+                      Instance{4, 4, 3, 3, 399, 3, 1},
+                      Instance{4, 4, 2, 4, 588, 2, 0},
+                      Instance{4, 4, 3, 4, 6919, 5, 1},
+                      Instance{4, 8, 2, 4, 592, 2, 0},
+                      Instance{4, 8, 3, 4, 7571, 5, 1},
+                      Instance{4, 4, 3, 5, 119699, 7, 1}),
     [](const auto& pinfo) {
       return "w" + std::to_string(pinfo.param.w) + "t" +
              std::to_string(pinfo.param.t) + "n" +
