@@ -3,148 +3,89 @@
 #include <algorithm>
 #include <vector>
 
-#include "cnet/seq/sequence.hpp"
-#include "cnet/topology/routing.hpp"
+#include "cnet/sim/token_sim.hpp"
 #include "cnet/util/ensure.hpp"
 
 namespace cnet::sim {
 
 namespace {
 
-struct TokenRec {
-  std::uint32_t process = 0;
-  std::uint64_t enter = 0;
-  std::uint64_t exit = 0;
-  seq::Value value = 0;
-  bool done = false;
-};
-
-struct State {
-  std::vector<std::vector<std::uint32_t>> queues;  // FIFO of token ids
-  std::vector<std::uint32_t> bstate;
-  std::vector<seq::Value> cells;
-  std::vector<TokenRec> recs;
-  std::size_t injected = 0;
-  std::size_t exited = 0;
-  std::uint64_t steps = 0;
-  std::uint64_t stalls = 0;
-};
-
-class Explorer {
+// Replays a prefix of choices, then takes the lowest-numbered ready
+// balancer at every new step. Choice k at a step fires the k-th lowest
+// balancer with a waiting token; the number of ready balancers is recorded
+// per step so the search knows which choices remain.
+class Replay final : public Scheduler {
  public:
-  Explorer(const topo::Topology& net, const ModelCheckConfig& cfg)
-      : net_(net), cfg_(cfg), routing_(net) {}
+  Replay(std::vector<std::uint32_t>& choice, std::vector<std::uint32_t>& ready)
+      : choice_(choice), ready_(ready) {}
 
-  ModelCheckResult run() {
-    CNET_REQUIRE(cfg_.concurrency >= 1, "need at least one process");
-    CNET_REQUIRE(cfg_.total_tokens >= 1, "need at least one token");
-    State s;
-    s.queues.resize(net_.num_balancers());
-    s.bstate.assign(net_.num_balancers(), 0);
-    s.cells.resize(net_.width_out());
-    for (std::size_t i = 0; i < s.cells.size(); ++i) {
-      s.cells[i] = static_cast<seq::Value>(i);
+  std::uint32_t pick() override {
+    sorted_ = view_->nonempty();
+    std::sort(sorted_.begin(), sorted_.end());
+    if (step_ == choice_.size()) {
+      choice_.push_back(0);
+      ready_.push_back(static_cast<std::uint32_t>(sorted_.size()));
     }
-    s.recs.resize(cfg_.total_tokens);
-    const std::size_t first_wave =
-        std::min(cfg_.concurrency, cfg_.total_tokens);
-    for (std::uint32_t p = 0; p < first_wave; ++p) inject(s, p);
-    result_.min_total_stalls = ~0ULL;
-    dfs(s);
-    if (result_.executions == 0) result_.min_total_stalls = 0;
-    return result_;
+    return sorted_[choice_[step_++]];
   }
 
  private:
-  void inject(State& s, std::uint32_t process) {
-    if (s.injected == cfg_.total_tokens) return;
-    const auto token = static_cast<std::uint32_t>(s.injected++);
-    s.recs[token] = TokenRec{process, s.steps, 0, 0, false};
-    deliver(s, token, routing_.entry[process % net_.width_in()]);
-  }
-
-  void deliver(State& s, std::uint32_t token, std::int32_t dest) {
-    if (dest < 0) {
-      exit_token(s, token, static_cast<std::uint32_t>(~dest));
-    } else {
-      s.queues[static_cast<std::size_t>(dest)].push_back(token);
-    }
-  }
-
-  void exit_token(State& s, std::uint32_t token, std::uint32_t out) {
-    s.recs[token].exit = s.steps;
-    s.recs[token].value = s.cells[out];
-    s.recs[token].done = true;
-    s.cells[out] += static_cast<seq::Value>(net_.width_out());
-    ++s.exited;
-    inject(s, s.recs[token].process);  // eager reinjection
-  }
-
-  void fire(State& s, std::uint32_t b) {
-    s.stalls += s.queues[b].size() - 1;
-    ++s.steps;
-    const std::uint32_t token = s.queues[b].front();
-    s.queues[b].erase(s.queues[b].begin());
-    const std::uint32_t port = s.bstate[b];
-    s.bstate[b] = (s.bstate[b] + 1) % routing_.fanout[b];
-    deliver(s, token, routing_.next(b, port));
-  }
-
-  void finalize(const State& s) {
-    ++result_.executions;
-    CNET_REQUIRE(result_.executions <= cfg_.max_executions,
-                 "execution-space cap exceeded — instance too large");
-    // Exactness: values must be exactly 0..m-1.
-    std::vector<seq::Value> values;
-    values.reserve(s.recs.size());
-    for (const auto& rec : s.recs) values.push_back(rec.value);
-    std::sort(values.begin(), values.end());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (values[i] != static_cast<seq::Value>(i)) {
-        result_.all_exact = false;
-        break;
-      }
-    }
-    result_.max_total_stalls =
-        std::max(result_.max_total_stalls, s.stalls);
-    result_.min_total_stalls =
-        std::min(result_.min_total_stalls, s.stalls);
-    if (!result_.inversion_possible) {
-      for (const auto& i : s.recs) {
-        for (const auto& j : s.recs) {
-          if (i.exit < j.enter && i.value > j.value) {
-            result_.inversion_possible = true;
-          }
-        }
-      }
-    }
-  }
-
-  void dfs(const State& s) {
-    if (s.exited == cfg_.total_tokens) {
-      finalize(s);
-      return;
-    }
-    for (std::uint32_t b = 0; b < s.queues.size(); ++b) {
-      if (s.queues[b].empty()) continue;
-      State next = s;  // small states; copy is simpler than undo
-      fire(next, b);
-      dfs(next);
-    }
-  }
-
-  const topo::Topology& net_;
-  const ModelCheckConfig cfg_;
-  const topo::Routing routing_;
-  ModelCheckResult result_;
+  std::vector<std::uint32_t>& choice_;
+  std::vector<std::uint32_t>& ready_;
+  std::vector<std::uint32_t> sorted_;
+  std::size_t step_ = 0;
 };
 
 }  // namespace
 
 ModelCheckResult explore_all_executions(const topo::Topology& net,
                                         const ModelCheckConfig& cfg) {
-  Explorer explorer(net, cfg);
-  return explorer.run();
+  SimConfig sim_cfg;
+  sim_cfg.concurrency = cfg.concurrency;
+  sim_cfg.total_tokens = cfg.total_tokens;
+  sim_cfg.collect_per_balancer = false;
+  sim_cfg.collect_token_records = true;
+
+  ModelCheckResult result;
+  result.min_total_stalls = ~0ULL;
+  // Depth-first over schedules: each run replays `choice` and extends it
+  // with lowest-first picks to a maximal execution; then the deepest step
+  // with an untried choice advances and everything after it is dropped.
+  std::vector<std::uint32_t> choice, ready;
+  do {
+    Replay sched(choice, ready);
+    SimResult run = simulate(net, sim_cfg, sched);
+    ++result.executions;
+    CNET_REQUIRE(result.executions <= cfg.max_executions,
+                 "execution-space cap exceeded — instance too large");
+    // Exactness: values must be exactly 0..m-1.
+    std::sort(run.counter_values.begin(), run.counter_values.end());
+    for (std::size_t i = 0; i < run.counter_values.size(); ++i) {
+      if (run.counter_values[i] != static_cast<seq::Value>(i)) {
+        result.all_exact = false;
+        break;
+      }
+    }
+    result.max_total_stalls =
+        std::max(result.max_total_stalls, run.total_stalls);
+    result.min_total_stalls =
+        std::min(result.min_total_stalls, run.total_stalls);
+    if (!result.inversion_possible) {
+      for (const auto& i : run.token_records) {
+        for (const auto& j : run.token_records) {
+          if (i.exit_step < j.enter_step && i.value > j.value) {
+            result.inversion_possible = true;
+          }
+        }
+      }
+    }
+    while (!choice.empty() && choice.back() + 1 == ready.back()) {
+      choice.pop_back();
+      ready.pop_back();
+    }
+    if (!choice.empty()) ++choice.back();
+  } while (!choice.empty());
+  return result;
 }
 
 }  // namespace cnet::sim

@@ -1,19 +1,17 @@
 #include "cnet/sim/multicore.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
 #include "cnet/core/counting.hpp"
 #include "cnet/dist/policy.hpp"
 #include "cnet/dist/topology.hpp"
+#include "cnet/sim/discrete_event.hpp"
 #include "cnet/svc/policy.hpp"
-#include "cnet/topology/routing.hpp"
 #include "cnet/util/ensure.hpp"
 #include "cnet/util/prng.hpp"
 #include "cnet/util/stats.hpp"
@@ -22,48 +20,10 @@ namespace cnet::sim {
 
 namespace {
 
-using Done = std::function<void()>;
+using des::Done;
+using des::Engine;
+using des::ServiceDraw;
 using DoneN = std::function<void(std::uint64_t)>;
-
-// ------------------------------------------------------------------ engine
-
-// Minimal deterministic discrete-event executor: events fire in (time,
-// insertion order), so equal-time events replay identically on every host.
-class Engine {
- public:
-  double now() const noexcept { return now_; }
-
-  void at(double time, std::function<void()> fn) {
-    events_.push(Event{std::max(time, now_), seq_++, std::move(fn)});
-  }
-
-  void run() {
-    while (!events_.empty()) {
-      // Move the handler out from under priority_queue's const top(). The
-      // subsequent pop() re-heapifies by comparing only the trivially
-      // copied time/seq fields, which the move leaves intact — nothing on
-      // the pop path may ever inspect fn.
-      Event ev = std::move(const_cast<Event&>(events_.top()));
-      events_.pop();
-      now_ = ev.time;
-      ev.fn();
-    }
-  }
-
- private:
-  struct Event {
-    double time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    bool operator>(const Event& o) const {
-      if (time != o.time) return time > o.time;
-      return seq > o.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
-  std::uint64_t seq_ = 0;
-  double now_ = 0.0;
-};
 
 // ------------------------------------------------------------- model base
 
@@ -125,24 +85,6 @@ class PoolBase : public CounterModel {
  private:
   std::int64_t pool_ = 0;
   bool ever_negative_ = false;
-};
-
-// Service-time draw: fixed, or exponential with the given mean (the same
-// variance argument as bench_tab_throughput_sim — real memory access times
-// are noisy, and the noise is what makes queue depth matter).
-class ServiceDraw {
- public:
-  ServiceDraw(double mean, bool exponential, util::Xoshiro256& rng)
-      : mean_(mean), exponential_(exponential), rng_(rng) {}
-  double operator()() {
-    if (!exponential_) return mean_;
-    return -mean_ * std::log1p(-rng_.uniform01());
-  }
-
- private:
-  double mean_;
-  bool exponential_;
-  util::Xoshiro256& rng_;
 };
 
 // ---------------------------------------------------------- central model
@@ -220,23 +162,16 @@ class CentralModel final : public PoolBase {
 
 // ---------------------------------------------------------- network model
 
-// The counting network as per-balancer FIFO servers over the real
-// topology, exactly simulate_timed's machinery re-hosted behind the
-// CounterModel interface: tokens (increments) and antitokens (bounded
-// decrements) traverse balancer by balancer, queueing when a server is
-// busy; each queued arrival is a stall event. A traversal carries a
+// The counting network as des::BalancerServers behind the CounterModel
+// interface: tokens (increments) and antitokens (bounded decrements)
+// traverse the shared per-balancer FIFO servers. A traversal carries a
 // payload of up to batch_k tokens (1 for the per-token backend), which is
 // the batched backend's whole advantage.
 class NetworkModel final : public PoolBase {
  public:
   NetworkModel(Engine& eng, const topo::Topology& net, double wire_delay,
                std::size_t batch_k, ServiceDraw draw)
-      : eng_(eng),
-        wire_(wire_delay),
-        batch_k_(batch_k),
-        draw_(draw),
-        routing_(net),
-        bals_(routing_.num_balancers()) {}
+      : eng_(eng), batch_k_(batch_k), servers_(eng, net, wire_delay, draw) {}
 
   void increment_n(std::size_t core, std::uint64_t k, Done done) override {
     if (k == 0) {
@@ -247,7 +182,8 @@ class NetworkModel final : public PoolBase {
         std::min<std::uint64_t>(k, batch_k_));
     // Sequential chunked traversals: the issuing core's thread walks the
     // network once per chunk, exactly like the real batch loop.
-    inject(core, [this, core, k, chunk, done = std::move(done)]() mutable {
+    servers_.inject(core, [this, core, k, chunk,
+                           done = std::move(done)]() mutable {
       inject_pool_now(chunk);
       increment_n(core, k - chunk, std::move(done));
     });
@@ -257,77 +193,16 @@ class NetworkModel final : public PoolBase {
                        DoneN done) override {
     // One antitoken traversal; the claim happens at the exit cell, bounded
     // by what the pool holds at that instant.
-    inject(core, [this, n, done = std::move(done)] { done(claim(n)); });
+    servers_.inject(core,
+                    [this, n, done = std::move(done)] { done(claim(n)); });
   }
 
-  std::uint64_t stalls() const override { return stalls_; }
+  std::uint64_t stalls() const override { return servers_.stalls(); }
 
  private:
-  struct Balancer {
-    bool busy = false;
-    std::uint32_t state = 0;
-    std::deque<Done> waiting;  // continuations of queued tokens
-  };
-
-  // Launch one traversal from the core's entry wire; on_exit runs at the
-  // virtual time the token leaves the network.
-  void inject(std::size_t core, Done on_exit) {
-    const std::int32_t e = routing_.entry[core % routing_.width_in()];
-    if (e < 0) {
-      eng_.at(eng_.now(), std::move(on_exit));
-      return;
-    }
-    arrive(static_cast<std::uint32_t>(e), std::move(on_exit));
-  }
-
-  void arrive(std::uint32_t b, Done on_exit) {
-    Balancer& bal = bals_[b];
-    if (bal.busy) {
-      ++stalls_;
-      bal.waiting.push_back(std::move(on_exit));
-      return;
-    }
-    bal.busy = true;
-    start_service(b, std::move(on_exit));
-  }
-
-  void start_service(std::uint32_t b, Done on_exit) {
-    eng_.at(eng_.now() + draw_(),
-            [this, b, on_exit = std::move(on_exit)]() mutable {
-              complete(b, std::move(on_exit));
-            });
-  }
-
-  void complete(std::uint32_t b, Done on_exit) {
-    Balancer& bal = bals_[b];
-    const std::uint32_t port = bal.state;
-    bal.state = (bal.state + 1) % routing_.fanout[b];
-    const std::int32_t next = routing_.next(b, port);
-    if (next < 0) {
-      eng_.at(eng_.now() + wire_, std::move(on_exit));
-    } else {
-      const auto nb = static_cast<std::uint32_t>(next);
-      eng_.at(eng_.now() + wire_,
-              [this, nb, on_exit = std::move(on_exit)]() mutable {
-                arrive(nb, std::move(on_exit));
-              });
-    }
-    if (bal.waiting.empty()) {
-      bal.busy = false;
-    } else {
-      Done waiter = std::move(bal.waiting.front());
-      bal.waiting.pop_front();
-      start_service(b, std::move(waiter));
-    }
-  }
-
   Engine& eng_;
-  double wire_;
   std::size_t batch_k_;
-  ServiceDraw draw_;
-  topo::Routing routing_;
-  std::vector<Balancer> bals_;
-  std::uint64_t stalls_ = 0;
+  des::BalancerServers servers_;
 };
 
 // ------------------------------------------------------- elimination model
@@ -351,6 +226,9 @@ class ElimModel final : public CounterModel {
         dec_wait_(cfg.elim_dec_wait),
         rng_(rng) {
     CNET_REQUIRE(cfg.elim_slots > 0, "at least one elimination slot");
+    CNET_REQUIRE(cfg.exchange_time >= 0.0 && cfg.elim_inc_wait >= 0.0 &&
+                     cfg.elim_dec_wait >= 0.0,
+                 "elimination windows must be nonnegative");
   }
 
   void increment_n(std::size_t core, std::uint64_t k, Done done) override {
@@ -1456,7 +1334,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
   CNET_REQUIRE(cfg.reconcile_chunk >= 1, "reconcile chunk must be positive");
   CNET_REQUIRE(cfg.lease_ttl > 0.0, "lease TTL must be positive");
   CNET_REQUIRE(cfg.link_same_rack >= 0.0 && cfg.link_same_dc >= 0.0 &&
-                   cfg.link_remote >= 0.0 && cfg.local_service >= 0.0,
+                   cfg.link_remote >= 0.0 && cfg.think_time >= 0.0,
                "delays must be nonnegative");
   for (const ClusterPartition& p : cfg.partitions) {
     CNET_REQUIRE(p.node < n, "partition names a node outside the topology");

@@ -72,21 +72,29 @@ class Engine final : public EngineView {
     const auto t_out = static_cast<seq::Value>(net_.width_out());
 
     // Inject the first token of every process (each process has at most one
-    // token in flight; injection is eager).
+    // token in flight; injection is eager). A wire straight to an output
+    // (e.g. width-1 networks) exits at once, and the process moves on.
     std::size_t injected = 0;
     std::size_t exited = 0;
     auto inject = [&](std::uint32_t process) {
-      if (injected == cfg_.total_tokens) return;
-      ++injected;
-      const std::size_t wire_pos = process % net_.width_in();
-      ++res.input_counts[wire_pos];
-      Token tok{process, 0};
-      if (cfg_.collect_token_records) {
-        tok.record = static_cast<std::uint32_t>(res.token_records.size());
-        res.token_records.push_back(
-            TokenRecord{process, step_count_, 0, 0});
+      while (injected < cfg_.total_tokens) {
+        ++injected;
+        const std::size_t wire_pos = process % net_.width_in();
+        ++res.input_counts[wire_pos];
+        Token tok{process, 0};
+        if (cfg_.collect_token_records) {
+          tok.record = static_cast<std::uint32_t>(res.token_records.size());
+          res.token_records.push_back(
+              TokenRecord{process, step_count_, 0, 0});
+        }
+        const std::int32_t dest = routing_.entry[wire_pos];
+        if (dest >= 0) {
+          enqueue(static_cast<std::uint32_t>(dest), tok, sched, res);
+          return;
+        }
+        exit_token(tok, static_cast<std::uint32_t>(~dest), res, cell, t_out,
+                   exited);
       }
-      deliver(routing_.entry[wire_pos], tok, sched, res, cell, t_out, exited);
     };
     const std::size_t first_wave =
         std::min(cfg_.concurrency, cfg_.total_tokens);
@@ -128,18 +136,6 @@ class Engine final : public EngineView {
   }
 
  private:
-  void deliver(std::int32_t dest, Token tok, Scheduler& sched,
-               SimResult& res, std::vector<seq::Value>& cell,
-               seq::Value t_out, std::size_t& exited) {
-    if (dest < 0) {
-      // Degenerate wire straight to an output (e.g. width-1 networks).
-      exit_token(tok, static_cast<std::uint32_t>(~dest), res, cell, t_out,
-                 exited);
-    } else {
-      enqueue(static_cast<std::uint32_t>(dest), tok, sched, res);
-    }
-  }
-
   void exit_token(Token tok, std::uint32_t out_pos, SimResult& res,
                   std::vector<seq::Value>& cell, seq::Value t_out,
                   std::size_t& exited) {

@@ -7,6 +7,7 @@
 // crosses, which a hand-derived scenario pins below.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -436,6 +437,27 @@ TEST(MulticoreSim, RejectsBadConfig) {
   OverloadSimConfig overload_share = overload_sim_reference_config();
   overload_share.hot_core_share = 1.5;
   EXPECT_THROW(simulate_overload(central, overload_share),
+               std::invalid_argument);
+
+  // Negative delays ran silently, scheduling events in the past.
+  MulticoreConfig negative_service = small_config(2);
+  negative_service.balancer_service = -1.0;
+  negative_service.central_service = -1.0;
+  EXPECT_THROW(simulate_multicore(batched, negative_service),
+               std::invalid_argument);
+  MulticoreConfig nan_service = small_config(2);
+  nan_service.balancer_service = std::nan("");
+  EXPECT_THROW(simulate_multicore(batched, nan_service),
+               std::invalid_argument);
+  MulticoreConfig negative_elim = small_config(2);
+  negative_elim.exchange_time = -2.0;
+  negative_elim.elim_inc_wait = -1.0;
+  EXPECT_THROW(simulate_multicore({svc::BackendKind::kCentralAtomic, true},
+                                  negative_elim),
+               std::invalid_argument);
+  ClusterSimConfig negative_think = cluster_sim_reference_config(4);
+  negative_think.think_time = -5.0;
+  EXPECT_THROW(simulate_cluster(batched, negative_think),
                std::invalid_argument);
 }
 
