@@ -143,11 +143,10 @@ std::unique_ptr<rt::Counter> make_counter(BackendKind kind,
       return std::make_unique<rt::MutexCounter>();
     case BackendKind::kNetwork:
       return std::make_unique<rt::NetworkCounter>(
-          counting_shape(cfg.width_in, cfg.width_out), label(""), cfg.mode);
+          counting_shape(cfg.width_in, cfg.width_out), label(""));
     case BackendKind::kBatchedNetwork:
       return std::make_unique<rt::BatchedNetworkCounter>(
-          counting_shape(cfg.width_in, cfg.width_out), label("batched "),
-          cfg.mode);
+          counting_shape(cfg.width_in, cfg.width_out), label("batched "));
     case BackendKind::kAdaptive: {
       AdaptiveCounter::Config acfg;
       acfg.net = cfg;

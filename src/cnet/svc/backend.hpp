@@ -13,7 +13,6 @@
 #include <string>
 #include <string_view>
 
-#include "cnet/runtime/compiled_network.hpp"
 #include "cnet/runtime/counter.hpp"
 #include "cnet/svc/elimination.hpp"
 #include "cnet/svc/policy.hpp"
@@ -56,7 +55,6 @@ inline constexpr BackendKind kPoolBackendKinds[] = {
 struct BackendConfig {
   std::size_t width_in = 8;
   std::size_t width_out = 24;
-  rt::BalancerMode mode = rt::BalancerMode::kFetchAdd;
   // Knobs for the composed layers; used only where the spec or kind asks
   // for them.
   ElimCounter::Config elim;
