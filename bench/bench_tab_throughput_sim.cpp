@@ -9,6 +9,7 @@
 // its N_c block spreads the queueing over t servers, while the periodic
 // network trails (twice the depth). The diffracting tree sits between the
 // central counter and the networks (depth lg w but a serial root).
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -66,6 +67,17 @@ int main(int argc, char** argv) {
   nets.push_back({"C(16,16)", core::make_counting(w, w)});
   nets.push_back({"C(16,64)", core::make_counting(w, w * lgw)});
 
+  // Every cell below reads one run per (network, n).
+  const std::vector<std::size_t> ns = {1, 2, 4, 8, 16, 32, 64, 128, 256};
+  std::vector<std::vector<sim::TimedResult>> res(nets.size());
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    for (const std::size_t n : ns) res[i].push_back(run(nets[i].topo, n));
+  }
+  const auto at = [&](std::size_t net, std::size_t n) -> const auto& {
+    const auto pos = std::find(ns.begin(), ns.end(), n) - ns.begin();
+    return res[net][static_cast<std::size_t>(pos)];
+  };
+
   std::puts("=================================================================");
   std::puts(" [19,20] shape: throughput (tokens/unit time) vs concurrency n");
   std::puts(" (unit-time balancer servers, wire delay 0.2, closed loop)");
@@ -74,11 +86,11 @@ int main(int argc, char** argv) {
     std::vector<std::string> headers = {"n"};
     for (const auto& net : nets) headers.push_back(net.name);
     util::Table table(headers);
-    for (const std::size_t n : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u, 256u}) {
+    for (const std::size_t n : ns) {
       std::vector<std::string> row = {
           util::fmt_int(static_cast<std::int64_t>(n))};
-      for (const auto& net : nets) {
-        row.push_back(util::fmt_double(run(net.topo, n).throughput, 2));
+      for (std::size_t i = 0; i < nets.size(); ++i) {
+        row.push_back(util::fmt_double(at(i, n).throughput, 2));
       }
       table.add_row(row);
     }
@@ -94,8 +106,8 @@ int main(int argc, char** argv) {
     for (const std::size_t n : {1u, 8u, 64u, 256u}) {
       std::vector<std::string> row = {
           util::fmt_int(static_cast<std::int64_t>(n))};
-      for (const auto& net : nets) {
-        row.push_back(util::fmt_double(run(net.topo, n).mean_latency, 1));
+      for (std::size_t i = 0; i < nets.size(); ++i) {
+        row.push_back(util::fmt_double(at(i, n).mean_latency, 1));
       }
       table.add_row(row);
     }
@@ -106,5 +118,32 @@ int main(int argc, char** argv) {
       "scale with n; at n >> w, C(16,64) sustains the best network\n"
       "throughput and the lowest latency growth; periodic trails (depth\n"
       "lg^2 w); the diffracting tree caps at its root's service rate.", opts);
+
+  // The expected shape, as checks. Indices follow `nets`.
+  enum { kCentral, kDifftree, kBitonic, kPeriodic, kC16x16, kC16x64 };
+  bool capped = true, scale = true, periodic_trails = true;
+  for (std::size_t j = 0; j < ns.size(); ++j) {
+    for (const std::size_t i : {kCentral, kDifftree}) {
+      capped = capped && res[i][j].throughput <= 1.0;  // 1 / service time
+    }
+    for (const std::size_t i : {kBitonic, kPeriodic, kC16x16, kC16x64}) {
+      scale = scale && (j == 0 || res[i][j].throughput >
+                                      res[i][j - 1].throughput);
+    }
+    periodic_trails = periodic_trails && res[kPeriodic][j].throughput <
+                                             res[kBitonic][j].throughput;
+  }
+  bool wide_wins = true;
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    if (i == kC16x64) continue;
+    wide_wins = wide_wins &&
+                at(kC16x64, 256).throughput > at(i, 256).throughput &&
+                at(kC16x64, 256).mean_latency < at(i, 256).mean_latency;
+  }
+  bench::check("throughput_sim_central_caps_at_service_rate", capped, opts);
+  bench::check("throughput_sim_networks_scale_with_n", scale, opts);
+  bench::check("throughput_sim_wide_output_wins_at_high_n", wide_wins, opts);
+  bench::check("throughput_sim_periodic_trails_bitonic", periodic_trails,
+               opts);
   return cnet::bench::finish(opts);
 }
