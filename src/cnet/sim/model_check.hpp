@@ -11,7 +11,11 @@
 //     which the wavefront-convoy heuristic can be calibrated;
 //   * whether any execution contains a linearizability inversion.
 //
-// Cost is exponential in tokens x depth; intended for w <= 4-ish, m <= 4.
+// The search keeps no model of its own: every execution is a full run of
+// sim::simulate (token_sim.hpp) under a scheduler that replays a prefix of
+// choices, so the explorer and the simulator cannot drift apart. Cost is
+// exponential in tokens x depth, and each schedule is simulated from the
+// start; intended for w <= 4-ish, m <= 4.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,9 @@
 // paper's central-vs-network scaling claims — and PR 3's adaptive switch
 // and elimination hit-rates — become deterministic, CI-checkable numbers on
 // a 1-vCPU box. Same methodology as the simulation side of the study the
-// paper cites ([19,20]) and as sim::simulate_timed, extended from bare
-// token traversals up to the composed service stack.
+// paper cites ([19,20]), on the discrete-event core sim::simulate_timed
+// also runs on (discrete_event.hpp), extended from bare token traversals
+// up to the composed service stack.
 //
 // Model inventory (each is the virtual-time mirror of a real component,
 // sharing its decision logic through svc/policy.hpp rather than
@@ -13,10 +14,10 @@
 //   - central atomic word  -> one FIFO server whose service time grows with
 //     the number of requests already queued (cache-line ownership
 //     migration: every extra sharer lengthens the RMW);
-//   - counting network     -> simulate_timed's per-balancer FIFO servers
-//     over the real topo::Topology, tokens and antitokens traversing wires
-//     with delay; the batched backend carries up to batch_k tokens per
-//     traversal;
+//   - counting network     -> the shared per-balancer FIFO servers
+//     (des::BalancerServers, also simulate_timed's) over the real
+//     topo::Topology, tokens and antitokens traversing wires with delay;
+//     the batched backend carries up to batch_k tokens per traversal;
 //   - EliminationLayer     -> exchange slots in virtual time: a depositing
 //     op waits elim_wait before withdrawing, an opposite-role arrival
 //     pairs with it (value from svc::elimination_pair_value) and neither

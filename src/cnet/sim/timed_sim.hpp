@@ -4,8 +4,10 @@
 //
 // Every balancer is a FIFO server that takes `service_time` to process one
 // token (optionally exponentially distributed); wires add `wire_delay`;
-// each of the n processes re-injects its next token `think_time` after the
-// previous one exits. Throughput in a closed network is n divided by the
+// token i belongs to process i mod n, and each process injects its next
+// token `think_time` after the previous one exits. The servers are the
+// shared des::BalancerServers (discrete_event.hpp) that the multicore
+// NetworkModel also runs on; this driver adds only the closed loop. Throughput in a closed network is n divided by the
 // mean cycle time, so shorter queues translate directly into higher
 // sustained throughput: widening the N_c block of C(w,t) adds servers
 // exactly where tokens spend most of their time, which is the mechanism

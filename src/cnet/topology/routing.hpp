@@ -1,7 +1,7 @@
 // A Topology's wiring compiled into flat routing tables: the one form every
 // network walker reads, whether it shepherds real tokens (the runtime's
-// CompiledShape) or simulated ones (token_sim, timed_sim, model_check and
-// the multicore NetworkModel).
+// CompiledShape) or simulated ones (token_sim, and the discrete-event
+// BalancerServers under timed_sim and the multicore NetworkModel).
 //
 // A destination is one int32: `>= 0` is the index of the balancer the wire
 // feeds, `< 0` is `~output` for a wire that leaves the network on output

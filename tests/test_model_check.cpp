@@ -136,7 +136,7 @@ TEST(ModelCheck, ExactWorstCaseKnownValues) {
 TEST(ModelCheck, GoldenScheduleSpaceDepthTwo) {
   // Pinned schedule-space size and exact worst/best-case stall counts for
   // the depth-2 network C(4,8) — a golden for the *explorer itself*: a
-  // change to queue ordering, the duplicate-state filter, or the stall
+  // change to queue ordering, the choice enumeration, or the stall
   // accounting shifts either the execution count or the stall envelope and
   // fails here before any downstream claim (contention tables, adversary
   // calibration) silently drifts.
