@@ -47,6 +47,22 @@ TEST(ModelCheck, SingleBalancerHasOneScheduleAndExactStalls) {
   }
 }
 
+TEST(ModelCheck, PassThroughWireHasOneSchedule) {
+  // A wire straight from input to output: every token exits on injection
+  // and its process moves on at once, so no balancer ever fires.
+  topo::Builder b;
+  b.set_outputs(b.add_network_inputs(1));
+  const auto net = std::move(b).build();
+  ModelCheckConfig cfg;
+  cfg.concurrency = 2;
+  cfg.total_tokens = 5;
+  const auto r = explore_all_executions(net, cfg);
+  EXPECT_EQ(r.executions, 1u);
+  EXPECT_TRUE(r.all_exact);
+  EXPECT_EQ(r.max_total_stalls, 0u);
+  EXPECT_FALSE(r.inversion_possible);
+}
+
 TEST(ModelCheck, TwoTokensThroughC22) {
   const auto net = core::make_counting(2, 2);
   ModelCheckConfig cfg;
