@@ -124,21 +124,24 @@ int main(int argc, char** argv) {
   bool capped = true, scale = true, periodic_trails = true;
   for (std::size_t j = 0; j < ns.size(); ++j) {
     for (const std::size_t i : {kCentral, kDifftree}) {
-      capped = capped && res[i][j].throughput <= 1.0;  // 1 / service time
+      if (res[i][j].throughput > 1.0) capped = false;  // 1 / service time
     }
     for (const std::size_t i : {kBitonic, kPeriodic, kC16x16, kC16x64}) {
-      scale = scale && (j == 0 || res[i][j].throughput >
-                                      res[i][j - 1].throughput);
+      if (j > 0 && res[i][j].throughput <= res[i][j - 1].throughput) {
+        scale = false;
+      }
     }
-    periodic_trails = periodic_trails && res[kPeriodic][j].throughput <
-                                             res[kBitonic][j].throughput;
+    if (res[kPeriodic][j].throughput >= res[kBitonic][j].throughput) {
+      periodic_trails = false;
+    }
   }
+  const sim::TimedResult& wide = at(kC16x64, 256);
   bool wide_wins = true;
   for (std::size_t i = 0; i < nets.size(); ++i) {
     if (i == kC16x64) continue;
-    wide_wins = wide_wins &&
-                at(kC16x64, 256).throughput > at(i, 256).throughput &&
-                at(kC16x64, 256).mean_latency < at(i, 256).mean_latency;
+    const sim::TimedResult& other = at(i, 256);
+    if (other.throughput >= wide.throughput) wide_wins = false;
+    if (other.mean_latency <= wide.mean_latency) wide_wins = false;
   }
   bench::check("throughput_sim_central_caps_at_service_rate", capped, opts);
   bench::check("throughput_sim_networks_scale_with_n", scale, opts);

@@ -182,11 +182,11 @@ class NetworkModel final : public PoolBase {
         std::min<std::uint64_t>(k, batch_k_));
     // Sequential chunked traversals: the issuing core's thread walks the
     // network once per chunk, exactly like the real batch loop.
-    servers_.inject(core, [this, core, k, chunk,
-                           done = std::move(done)]() mutable {
-      inject_pool_now(chunk);
-      increment_n(core, k - chunk, std::move(done));
-    });
+    servers_.inject(core,
+                    [this, core, k, chunk, done = std::move(done)]() mutable {
+                      inject_pool_now(chunk);
+                      increment_n(core, k - chunk, std::move(done));
+                    });
   }
 
   void try_decrement_n(std::size_t core, std::uint64_t n,
