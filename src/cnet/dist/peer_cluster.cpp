@@ -290,23 +290,32 @@ void PeerCluster::expire_all(std::size_t thread_hint) {
   advance(thread_hint, now_.load(std::memory_order_acquire));
 }
 
+std::uint64_t PeerCluster::drain_pool(std::size_t thread_hint,
+                                      svc::NetTokenBucket& pool) const {
+  // Consumes until the pool is observably empty: top-ups (refill_parent /
+  // refill_tenant) can push a pool past any fixed grab size.
+  std::uint64_t drained = 0;
+  for (std::uint64_t got;
+       (got = pool.consume(thread_hint, total_initial_ + 1,
+                           svc::kPartialOk)) != 0;) {
+    drained += got;
+  }
+  return drained;
+}
+
 std::uint64_t PeerCluster::drain_local(std::size_t thread_hint,
                                        std::size_t node) {
   NodeState& ns = node_state(node);
-  const std::uint64_t drained = ns.local->consume(
-      thread_hint, total_initial_ + 1, svc::kPartialOk);
+  const std::uint64_t drained = drain_pool(thread_hint, *ns.local);
   ns.balance.fetch_sub(static_cast<std::int64_t>(drained),
                        std::memory_order_relaxed);
   return drained;
 }
 
 std::uint64_t PeerCluster::drain_global(std::size_t thread_hint) {
-  std::uint64_t drained =
-      global_->parent().consume(thread_hint, total_initial_ + 1,
-                                svc::kPartialOk);
+  std::uint64_t drained = drain_pool(thread_hint, global_->parent());
   for (std::size_t i = 0; i < global_->num_tenants(); ++i) {
-    drained += global_->child(i).consume(thread_hint, total_initial_ + 1,
-                                         svc::kPartialOk);
+    drained += drain_pool(thread_hint, global_->child(i));
   }
   return drained;
 }

@@ -74,7 +74,7 @@ struct ClusterConfig {
 
   // Per-node local admission pool (the data-plane bucket leases feed).
   std::uint64_t local_initial = 0;
-  std::size_t refill_chunk = 64;
+  std::size_t refill_chunk = svc::kMaxRefillChunk;
 
   // Lease machinery — all decided through dist/policy.hpp rules.
   std::uint64_t lease_chunk = 128;  // minimum renewal grant
@@ -215,6 +215,9 @@ class PeerCluster {
       CNET_REQUIRES(ns.ledger);
   std::uint64_t donate(std::size_t thread_hint, std::size_t donor,
                        std::size_t to, std::uint64_t want);
+  // Empties one pool for the drain_* ledger; returns the tokens taken.
+  std::uint64_t drain_pool(std::size_t thread_hint,
+                           svc::NetTokenBucket& pool) const;
 
   Topology topo_;
   ClusterConfig cfg_;

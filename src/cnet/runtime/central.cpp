@@ -76,13 +76,10 @@ std::int64_t CasCounter::fetch_increment(std::size_t thread_hint) {
 void CasCounter::fetch_increment_batch(std::size_t thread_hint, std::size_t k,
                                        std::int64_t* out_values) {
   const std::int64_t base = add(thread_hint, static_cast<std::int64_t>(k));
+  if (out_values == nullptr) return;
   for (std::size_t i = 0; i < k; ++i) {
     out_values[i] = base + static_cast<std::int64_t>(i);
   }
-}
-
-void CasCounter::refund_n(std::size_t thread_hint, std::uint64_t n) {
-  add(thread_hint, static_cast<std::int64_t>(n));
 }
 
 bool CasCounter::try_fetch_decrement(std::size_t thread_hint,

@@ -14,8 +14,9 @@
 namespace cnet::rt {
 
 // Every bulk op on a central counter is one atomic step, whatever its size:
-// a k-token batch claims the contiguous block base..base+k-1 and a refund
-// adds n, each with a single RMW (or lock hold).
+// a k-token batch claims the contiguous block base..base+k-1 with a single
+// RMW (or lock hold). A value-free batch (null out_values) is the same step
+// with no block written, and it is what the inherited refund_n takes.
 
 // One shared cache line, advanced by fetch_add. Wait-free but a sequential
 // bottleneck: every operation serializes on the same location.
@@ -28,13 +29,10 @@ class AtomicCounter final : public Counter {
                              std::int64_t* out_values) override {
     const std::int64_t base = value_.value.fetch_add(
         static_cast<std::int64_t>(k), std::memory_order_relaxed);
+    if (out_values == nullptr) return;
     for (std::size_t i = 0; i < k; ++i) {
       out_values[i] = base + static_cast<std::int64_t>(i);
     }
-  }
-  void refund_n(std::size_t, std::uint64_t n) override {
-    value_.value.fetch_add(static_cast<std::int64_t>(n),
-                           std::memory_order_relaxed);
   }
   bool try_fetch_decrement(std::size_t thread_hint,
                            std::int64_t* reclaimed = nullptr) override;
@@ -55,7 +53,6 @@ class CasCounter final : public Counter {
   std::int64_t fetch_increment(std::size_t thread_hint) override;
   void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
                              std::int64_t* out_values) override;
-  void refund_n(std::size_t thread_hint, std::uint64_t n) override;
   bool try_fetch_decrement(std::size_t thread_hint,
                            std::int64_t* reclaimed = nullptr) override;
   std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
@@ -81,11 +78,11 @@ class MutexCounter final : public Counter {
   void fetch_increment_batch(std::size_t, std::size_t k,
                              std::int64_t* out_values) override {
     const util::MutexLock lock(mu_);
+    if (out_values == nullptr) {
+      value_ += static_cast<std::int64_t>(k);
+      return;
+    }
     for (std::size_t i = 0; i < k; ++i) out_values[i] = value_++;
-  }
-  void refund_n(std::size_t, std::uint64_t n) override {
-    const util::MutexLock lock(mu_);
-    value_ += static_cast<std::int64_t>(n);
   }
   bool try_fetch_decrement(std::size_t,
                            std::int64_t* reclaimed = nullptr) override {

@@ -31,10 +31,17 @@ class Counter {
   // fetch_increment; batching backends override it to amortize the atomic
   // traffic: a central counter claims the whole block with one RMW, a
   // batched network with one RMW per balancer touched instead of per token.
+  //
+  // A null out_values means "add k tokens, discard the values": the same
+  // k increments, with no value written anywhere. This is organic supply
+  // (a token bucket's refill). Count-wise it equals refund_n(k) and takes
+  // the same bulk step, but instrumentation layers charge it as load where
+  // they charge refunds nothing (svc::AdaptiveCounter's switch probe).
   virtual void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
                                      std::int64_t* out_values) {
     for (std::size_t i = 0; i < k; ++i) {
-      out_values[i] = fetch_increment(thread_hint);
+      const std::int64_t v = fetch_increment(thread_hint);
+      if (out_values != nullptr) out_values[i] = v;
     }
   }
 
@@ -67,19 +74,18 @@ class Counter {
     return got;
   }
 
-  // Returns `n` tokens to the pool: the value-free bulk add. Count-wise
-  // this is exactly `n` increments with the values discarded — the default
-  // does just that, one fetch_increment per token — but no value buffer
-  // exists, so backends override it with one bulk step for any n (central:
-  // one RMW; batched network: one traversal pass). It carries every
-  // give-back: the un-consume of an all-or-nothing shortfall, a release of
-  // tokens granted earlier, a respec migration, and a bucket's constructor
-  // seed. It is a distinct operation so instrumentation layers can tell
-  // give-backs from organic refills: svc::AdaptiveCounter keeps refunds
-  // out of the stall-rate window its switch decision samples, so a
-  // pure-reject storm cannot masquerade as load.
+  // Returns `n` tokens to the pool. Count-wise this is exactly a
+  // value-free fetch_increment_batch of n — the default is just that, so
+  // each backend's bulk step serves both (central: one RMW; batched
+  // network: one traversal pass). It carries every give-back: the
+  // un-consume of an all-or-nothing shortfall, a release of tokens granted
+  // earlier, a respec migration, and a bucket's constructor seed. It is a
+  // distinct operation so instrumentation layers can tell give-backs from
+  // organic refills: svc::AdaptiveCounter keeps refunds out of the
+  // stall-rate window its switch decision samples, so a pure-reject storm
+  // cannot masquerade as load.
   virtual void refund_n(std::size_t thread_hint, std::uint64_t n) {
-    for (; n > 0; --n) fetch_increment(thread_hint);
+    fetch_increment_batch(thread_hint, static_cast<std::size_t>(n), nullptr);
   }
 
   virtual std::string name() const = 0;

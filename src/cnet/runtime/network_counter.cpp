@@ -151,17 +151,6 @@ std::uint64_t NetworkCounter::try_fetch_decrement_n(std::size_t thread_hint,
 void BatchedNetworkCounter::fetch_increment_batch(std::size_t thread_hint,
                                                   std::size_t k,
                                                   std::int64_t* out_values) {
-  batch_pass(thread_hint, k, out_values);
-}
-
-void BatchedNetworkCounter::refund_n(std::size_t thread_hint,
-                                     std::uint64_t n) {
-  batch_pass(thread_hint, n, nullptr);
-}
-
-void BatchedNetworkCounter::batch_pass(std::size_t thread_hint,
-                                       std::uint64_t k,
-                                       std::int64_t* out_values) {
   if (k == 0) return;
   if (k == 1) {
     // The batch machinery costs Θ(balancers) in scratch resets per call;
@@ -191,7 +180,7 @@ void BatchedNetworkCounter::batch_pass(std::size_t thread_hint,
     // One cell RMW claims the wire's whole contiguous block of values.
     const std::int64_t base = cells_[wire].value.fetch_add(
         static_cast<std::int64_t>(count) * t, std::memory_order_relaxed);
-    if (out_values == nullptr) continue;  // a refund: count only
+    if (out_values == nullptr) continue;  // value-free: count only
     for (std::uint64_t j = 0; j < count; ++j) {
       out_values[filled++] = base + static_cast<std::int64_t>(j) * t;
     }

@@ -118,22 +118,16 @@ class NetworkCounter : public Counter {
 // wire's values with a single cell fetch_add(count · t) — handing out a
 // contiguous-per-wire block base, base+t, ..., base+(count-1)·t. Per-value
 // atomic traffic drops by up to k× versus the inherited per-token path,
-// which NetworkCounter keeps as the comparison baseline. refund_n takes the
-// same single pass for any n, writing no values: one RMW per balancer
-// touched plus one per exit wire, n traversals and 1 batch pass.
+// which NetworkCounter keeps as the comparison baseline. With null
+// out_values the pass writes no values; refund_n (inherited) takes exactly
+// that pass for any n: one RMW per balancer touched plus one per exit wire,
+// n traversals and 1 batch pass.
 class BatchedNetworkCounter final : public NetworkCounter {
  public:
   using NetworkCounter::NetworkCounter;
 
   void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
                              std::int64_t* out_values) override;
-  void refund_n(std::size_t thread_hint, std::uint64_t n) override;
-
- private:
-  // One traverse_batch of k tokens, then one cell fetch_add per exit wire;
-  // writes the claimed values to out_values unless it is null.
-  void batch_pass(std::size_t thread_hint, std::uint64_t k,
-                  std::int64_t* out_values);
 };
 
 }  // namespace cnet::rt

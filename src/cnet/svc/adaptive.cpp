@@ -34,6 +34,8 @@ std::int64_t AdaptiveCounter::fetch_increment(std::size_t thread_hint) {
 void AdaptiveCounter::fetch_increment_batch(std::size_t thread_hint,
                                             std::size_t k,
                                             std::int64_t* out_values) {
+  // A value-free batch (null out_values) is organic supply — a bucket's
+  // refill — and is charged k ops like any other; only refund_n is free.
   engine_.read(thread_hint, [&](rt::Counter& c) {
     c.fetch_increment_batch(thread_hint, k, out_values);
     return 0;

@@ -126,16 +126,20 @@ void ElimCounter::fetch_increment_batch(std::size_t thread_hint,
                                         std::int64_t* out_values) {
   // Catch-only: hand tokens directly to already-waiting decrements, but
   // never deposit — per-token spin budgets would serialize the batch and
-  // defeat the amortized traversal the batched backends provide.
+  // defeat the amortized traversal the batched backends provide. A
+  // value-free batch (null out_values) discards the caught values and
+  // passes null on: no arithmetic on the null pointer.
   std::size_t filled = 0;
   std::int64_t v = 0;
   while (filled < k && layer_.try_exchange(EliminationLayer::Role::kInc,
                                            thread_hint, 0, &v)) {
-    out_values[filled++] = v;
+    if (out_values != nullptr) out_values[filled] = v;
+    ++filled;
   }
   if (filled < k) {
-    inner().fetch_increment_batch(thread_hint, k - filled,
-                                  out_values + filled);
+    inner().fetch_increment_batch(
+        thread_hint, k - filled,
+        out_values != nullptr ? out_values + filled : nullptr);
   }
 }
 

@@ -70,10 +70,11 @@ std::uint64_t NetTokenBucket::consume(std::size_t thread_hint,
 }
 
 void NetTokenBucket::refill(std::size_t thread_hint, std::uint64_t tokens) {
-  // The claimed values are discarded: a pool token has no identity, only
-  // the net count matters. Under overload the shrink-batch action divides
-  // the chunk size (shared divided_chunk rule, floor 1): the same token
-  // count lands in the pool, in smaller exclusive batch holds.
+  // A pool token has no identity, only the net count matters, so each pass
+  // is a value-free batch: no value is written anywhere. Under overload the
+  // shrink-batch action divides the chunk size (shared divided_chunk rule,
+  // floor 1): the same token count lands in the pool, in smaller exclusive
+  // batch holds.
   const std::size_t divisor =
       overload_ != nullptr ? overload_->actions().batch_divisor : 1;
   while (tokens > 0) {
@@ -81,10 +82,9 @@ void NetTokenBucket::refill(std::size_t thread_hint, std::uint64_t tokens) {
     const std::uint64_t pushed =
         engine_.read(thread_hint, [&](PoolState& state) -> std::uint64_t {
           const std::size_t chunk = divided_chunk(state.refill_chunk, divisor);
-          std::int64_t scratch[kMaxRefillChunk];
           const auto k =
               static_cast<std::size_t>(std::min<std::uint64_t>(left, chunk));
-          state.pool->fetch_increment_batch(thread_hint, k, scratch);
+          state.pool->fetch_increment_batch(thread_hint, k, nullptr);
           return k;
         });
     tokens -= pushed;

@@ -42,8 +42,10 @@ class NetTokenBucket : public Reconfigurable {
   struct Config {
     // Seeded through refund() in one bulk step: a seed is not load.
     std::uint64_t initial_tokens = 0;
-    // Tokens pushed per backend batch call during refill (1..256).
-    std::size_t refill_chunk = 64;
+    // Tokens pushed per value-free backend batch pass during refill
+    // (1..256). The default is the widest pass: a batch costs one RMW per
+    // balancer touched plus one per exit wire, whatever its size.
+    std::size_t refill_chunk = kMaxRefillChunk;
   };
 
   // A staged pool replacement: the backend to build, its network shape,
@@ -52,7 +54,7 @@ class NetTokenBucket : public Reconfigurable {
   struct Respec {
     BackendSpec spec{BackendKind::kBatchedNetwork, false};
     BackendConfig net;
-    std::size_t refill_chunk = 64;
+    std::size_t refill_chunk = kMaxRefillChunk;
   };
 
   // Takes ownership of the pool counter. The backend must support
@@ -76,7 +78,9 @@ class NetTokenBucket : public Reconfigurable {
   std::uint64_t consume(std::size_t thread_hint, std::uint64_t tokens,
                         ConsumeOptions opts = kAllOrNothing);
 
-  // Adds `tokens` to the pool via the backend's batched increment path.
+  // Adds `tokens` to the pool in ceil(tokens / chunk) value-free batch
+  // passes (fetch_increment_batch with null values): organic supply,
+  // charged to an adaptive backend's load probe.
   void refill(std::size_t thread_hint, std::uint64_t tokens);
 
   // Returns previously consumed tokens to the pool. Count-wise identical
@@ -159,7 +163,7 @@ class NetTokenBucket : public Reconfigurable {
   // ever pairs an old chunk with a new backend or vice versa.
   struct PoolState {
     std::unique_ptr<rt::Counter> pool;
-    std::size_t refill_chunk = 64;
+    std::size_t refill_chunk = kMaxRefillChunk;
   };
 
   static std::unique_ptr<PoolState> make_state(std::unique_ptr<rt::Counter> pool,

@@ -418,9 +418,11 @@ constexpr std::size_t divided_chunk(std::size_t chunk,
   return divided < 1 ? 1 : divided;
 }
 
-// Refill/batch chunks live in 1..256 everywhere (NetTokenBucket's refill
-// scratch block is sized to this); a staged re-spec outside the range is
-// rejected before anything is built.
+// Refill/batch chunks live in 1..256 everywhere; a staged re-spec outside
+// the range is rejected before anything is built. The cap bounds one
+// refill pass's exclusive balancer holds, not a buffer: refill passes are
+// value-free. It is also NetTokenBucket's default chunk, which the
+// shrink-batch action divides by kOverloadBatchDivisor (256 down to 64).
 inline constexpr std::size_t kMaxRefillChunk = 256;
 
 // When a staged bucket re-spec is safe to commit: the chunk must be a legal

@@ -5,9 +5,10 @@
 // no-duplicate value sets sequentially, and exact-range union when both
 // paths race on one instance. One parameterized fixture sweeps all five
 // backends through the svc factory. The bulk paths follow: a central batch
-// is one contiguous block, and refund_n(n) adds exactly n on every pool
-// spec (the batched network in a single pass). Last, the factory's shape
-// memo: one compiled C(w,t) per (w,t), even under racing first builds.
+// is one contiguous block, and refund_n(n) and the value-free batch of n
+// each add exactly n on every pool spec (the batched network in a single
+// pass). Last, the factory's shape memo: one compiled C(w,t) per (w,t),
+// even under racing first builds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -168,10 +169,24 @@ INSTANTIATE_TEST_SUITE_P(
                       BackendKind::kCentralMutex),
     test::backend_param_name);
 
-// refund_n(n) is count-wise exactly n increments on every pool spec: a
+// refund_n(n) and the value-free batch fetch_increment_batch(hint, n,
+// nullptr) are each count-wise exactly n increments on every pool spec: a
 // drain from quiescence takes back exactly n, whatever bulk step the
 // backend used to add them.
 class RefundN : public ::testing::TestWithParam<BackendSpec> {};
+
+struct BulkAdd {
+  const char* name;
+  void (*add)(rt::Counter&, std::uint64_t);
+};
+
+constexpr BulkAdd kBulkAdds[] = {
+    {"refund_n", [](rt::Counter& c, std::uint64_t n) { c.refund_n(1, n); }},
+    {"value-free batch",
+     [](rt::Counter& c, std::uint64_t n) {
+       c.fetch_increment_batch(1, n, nullptr);
+     }},
+};
 
 std::uint64_t drain(rt::Counter& counter) {
   std::uint64_t total = 0;
@@ -182,11 +197,14 @@ std::uint64_t drain(rt::Counter& counter) {
 }
 
 TEST_P(RefundN, DrainReturnsExactlyTheRefundedCount) {
-  for (const std::uint64_t n : {1u, 7u, 300u, 16384u}) {
-    const auto counter = make_counter(GetParam());
-    counter->refund_n(1, n);
-    EXPECT_EQ(drain(*counter), n) << "refund_n(" << n << ")";
-    EXPECT_FALSE(counter->try_fetch_decrement(0)) << "refund_n(" << n << ")";
+  for (const BulkAdd& bulk : kBulkAdds) {
+    for (const std::uint64_t n : {1u, 7u, 300u, 16384u}) {
+      const auto counter = make_counter(GetParam());
+      bulk.add(*counter, n);
+      EXPECT_EQ(drain(*counter), n) << bulk.name << "(" << n << ")";
+      EXPECT_FALSE(counter->try_fetch_decrement(0))
+          << bulk.name << "(" << n << ")";
+    }
   }
 }
 
@@ -196,11 +214,13 @@ INSTANTIATE_TEST_SUITE_P(AllSpecs, RefundN,
 
 TEST(BatchedNetworkRefund, OneBatchPassForAnyCount) {
   // No 256-token chunking: 16384 tokens enter in one traverse_batch.
-  const auto counter = make_counter(BackendKind::kBatchedNetwork);
-  counter->refund_n(0, 16384);
-  EXPECT_EQ(counter->traversal_count(), 16384u);
-  EXPECT_EQ(counter->batch_pass_count(), 1u);
-  EXPECT_EQ(drain(*counter), 16384u);
+  for (const BulkAdd& bulk : kBulkAdds) {
+    const auto counter = make_counter(BackendKind::kBatchedNetwork);
+    bulk.add(*counter, 16384);
+    EXPECT_EQ(counter->traversal_count(), 16384u) << bulk.name;
+    EXPECT_EQ(counter->batch_pass_count(), 1u) << bulk.name;
+    EXPECT_EQ(drain(*counter), 16384u) << bulk.name;
+  }
 }
 
 // make_counter compiles each C(w,t) once per process: every network-backed

@@ -183,6 +183,18 @@ TEST(DistLeases, ZeroLeaseNodeDegradesToLocalPoolOnlyAdmission) {
             cluster.total_initial_tokens());
 }
 
+TEST(DistLeases, DrainEmptiesPoolsToppedUpPastTheInitialTotal) {
+  // Regression: drain_global took at most total_initial_tokens() + 1 per
+  // pool in one consume, so a parent topped up past that kept the rest and
+  // a second drain found it. Every drain must leave its pools empty.
+  PeerCluster cluster(Topology({{0, 0}, {0, 0}}), ClusterConfig{});
+  constexpr std::uint64_t kTopUp = 9216;
+  cluster.global().refill_parent(0, kTopUp);
+  EXPECT_EQ(settle_and_drain(cluster),
+            cluster.total_initial_tokens() + kTopUp);
+  EXPECT_EQ(cluster.drain_global(0), 0u) << "the first drain left tokens";
+}
+
 TEST(DistLeases, ReweighPushReachesConnectedNodesAndHealCatchesUp) {
   PeerCluster cluster(four_nodes(), small_config());
   for (std::size_t i = 0; i < 4; ++i) {

@@ -161,7 +161,12 @@ TEST(AdaptiveCounter, RefundNReturnsTokensWithoutOpCharge) {
   const std::uint64_t base = counter.stats().ops();
   counter.refund_n(0, 40);
   EXPECT_EQ(counter.stats().ops(), base) << "refund_n charged the probe";
-  EXPECT_EQ(counter.try_fetch_decrement_n(0, 100), 40u);
+  // The value-free batch adds the same count but is organic supply (a
+  // bucket's refill): it charges the probe its k tokens.
+  counter.fetch_increment_batch(0, 24, nullptr);
+  EXPECT_EQ(counter.stats().ops(), base + 24)
+      << "a value-free batch escaped the probe";
+  EXPECT_EQ(counter.try_fetch_decrement_n(0, 100), 64u);
   // ... and the refunded tokens survive a switch like any others.
   counter.refund_n(0, 7);
   counter.force_switch(0);

@@ -203,6 +203,17 @@ TEST(NetTokenBucket, RejectsBadConfiguration) {
       std::invalid_argument);
 }
 
+TEST(NetTokenBucket, DefaultRefillTakesFullWidthPasses) {
+  // The default chunk is kMaxRefillChunk: 1024 tokens enter a batched
+  // network in 4 value-free passes, not 16 passes of 64.
+  auto bucket = make_bucket(BackendKind::kBatchedNetwork, {});
+  EXPECT_EQ(bucket.refill_chunk(), kMaxRefillChunk);
+  bucket.refill(0, 1024);
+  EXPECT_EQ(bucket.batch_pass_count(), 4u);
+  EXPECT_EQ(bucket.traversal_count(), 1024u);
+  EXPECT_EQ(drain(bucket), 1024u);
+}
+
 TEST(NetTokenBucket, NameReflectsThePoolBackend) {
   auto bucket = make_bucket(BackendKind::kNetwork, {});
   EXPECT_EQ(bucket.name(), "bucket·C(8,24)");

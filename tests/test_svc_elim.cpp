@@ -95,6 +95,30 @@ TEST(ElimCounter, PairedIncDecNeverEntersTheNetwork) {
   EXPECT_EQ(counter.inner().stall_count(), 0u);
 }
 
+TEST(ElimCounter, ValueFreeBatchCatchesAWaitingDecrement) {
+  // A value-free batch (null out_values) catches a deposited decrement,
+  // discards the pair's value and passes its remainder on as another null
+  // batch. Each call adds 2 tokens; the first that meets the waiter hands
+  // it one and sends the other into the network.
+  ElimCounter counter(
+      std::make_unique<rt::BatchedNetworkCounter>(core::make_counting(4, 8),
+                                                  "C(4,8)"),
+      {.layer = {.slots = 1, .max_spins = 1u << 28},
+       .inc_spins = 0,
+       .dec_spins = 1u << 28});
+  bool dec_ok = false;
+  std::thread dec([&] { dec_ok = counter.try_fetch_decrement(0); });
+  std::uint64_t added = 0;
+  while (counter.layer().pairs() == 0) {
+    counter.fetch_increment_batch(1, 2, nullptr);
+    added += 2;
+  }
+  dec.join();
+  EXPECT_TRUE(dec_ok);
+  EXPECT_EQ(counter.try_fetch_decrement_n(1, added), added - 1)
+      << "the value-free batch minted or lost tokens";
+}
+
 TEST(ElimCounter, FallsThroughToBackingWithoutAPartner) {
   // Catch-only on both roles and a single thread: nothing ever pairs, so
   // the decorator must be a transparent pass-through.
