@@ -1,6 +1,5 @@
-// Elimination front-end under mixed inc/dec load, plus the adaptive
-// backend's switch behavior — the two svc layers this bench exists to keep
-// honest.
+// Elimination front-end under mixed inc/dec load — the svc layer this
+// bench exists to keep honest.
 //
 // Table A — hit-rate vs thread count: a 50/50 fetch_increment /
 //           try_fetch_decrement mix on the batched network backend, with
@@ -11,9 +10,6 @@
 // Table B — hit-rate vs mix ratio at a fixed thread count: collisions need
 //           both streams, so the hit-rate should rise toward the balanced
 //           50% mix and starve at inc-only.
-// Table C — adaptive backend: balanced consume/refill traffic starting on
-//           the central word; reports the observed stall rate and whether
-//           the LoadStats probe triggered the central→network swap.
 //
 // After every run the conservation invariant is drained and recorded as a
 // named check (--json + exit code), which CI gates on: successful
@@ -23,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "cnet/svc/adaptive.hpp"
 #include "cnet/svc/backend.hpp"
 #include "cnet/svc/elimination.hpp"
 #include "cnet/util/cacheline.hpp"
@@ -192,54 +187,6 @@ int main(int argc, char** argv) {
     bench::note(
         "\nexpected shape: collisions need both streams — hit-rate rises\n"
         "toward the balanced mix and is zero on the inc-only row.",
-        opts);
-  }
-
-  std::puts("");
-  bench::section("Table C: adaptive backend, balanced consume/refill");
-  {
-    util::Table table({"thr", "ops/s", "stall rate", "switched", "serving"});
-    for (const auto threads : thread_sweep) {
-      svc::AdaptiveCounter::Config cfg;
-      cfg.tuning.sample_interval = 512;
-      cfg.tuning.min_window_ops = 1024;
-      svc::AdaptiveCounter counter(cfg);
-
-      std::vector<util::Padded<std::uint64_t>> credit(threads);
-      bench::LoadGenConfig lg;
-      lg.threads = threads;
-      lg.warmup_seconds = opts.smoke ? 0.01 : 0.1;
-      lg.measure_seconds = opts.smoke ? 0.05 : 0.5;
-      lg.min_ops_per_thread = 64;
-      lg.latency_sample_every = 0;
-      const auto r = bench::run_loadgen(lg, [&](std::size_t t) {
-        // Each thread alternates a 64-token refill with 64 consumes, so the
-        // pool stays balanced and both counter paths see contention.
-        if (credit[t].value == 0) {
-          std::int64_t scratch[64];
-          counter.fetch_increment_batch(t, 64, scratch);
-          credit[t].value = 64;
-          return std::uint64_t{64};
-        }
-        --credit[t].value;
-        (void)counter.try_fetch_decrement(t);
-        return std::uint64_t{1};
-      });
-      const double stall_rate =
-          counter.stats().ops() == 0
-              ? 0.0
-              : static_cast<double>(counter.stall_count()) /
-                    static_cast<double>(counter.stats().ops());
-      table.add_row({util::fmt_int(threads), bench::fmt_rate(r.ops_per_sec),
-                     util::fmt_double(stall_rate, 4),
-                     counter.switched() ? "yes" : "no", counter.name()});
-    }
-    bench::emit(table, opts);
-    bench::note(
-        "\nexpected shape: on contended multi-core hardware the bounded-\n"
-        "decrement CAS retries push the stall rate over the threshold and\n"
-        "the counter swaps to the batched network mid-run; on an idle or\n"
-        "single-core box it honestly stays central.",
         opts);
   }
 

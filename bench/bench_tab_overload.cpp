@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
   {
     util::Table table({"backend", "makespan", "admit", "rej", "degr",
                        "shed-rej", "shed/rest", "refund", "peak>final",
-                       "fswap", "ok"});
+                       "ok"});
     bool all_conserved = true, all_hysteresis = true, all_recovered = true;
     const auto cfg = sim::overload_sim_reference_config();
     for (const auto& spec : specs) {
@@ -361,7 +361,6 @@ int main(int argc, char** argv) {
            util::fmt_int(static_cast<std::int64_t>(r.shed_refunded_tokens)),
            std::to_string(static_cast<int>(r.peak_tier)) + ">" +
                std::to_string(static_cast<int>(r.final_tier)),
-           r.forced_switch ? util::fmt_double(r.forced_switch_time, 1) : "-",
            ok ? "yes" : "NO"});
     }
     bench::emit(table, opts);

@@ -20,8 +20,7 @@
 //   D:isolation[spec,T,skew]    — no tenant's outstanding borrow ever
 //       exceeded its weighted limit, and no cold-tenant acquire was
 //       rejected (hot tenants saturating their cap cannot starve the
-//       cold ones; the reject clause is waived for the adaptive parent,
-//       whose swap window documents transient under-admission);
+//       cold ones);
 //   quota_sim_conservation / quota_sim_isolation — the model mirror, for
 //       every spec × core count;
 //   quota_sim_parent_crossover  — network parent >= central parent
@@ -215,14 +214,8 @@ int main(int argc, char** argv) {
                                   std::to_string(tenants) + "," + skew + "]";
           bench::check("D:conservation" + tag,
                        r.conserved && r.attempts > 0, opts);
-          // The adaptive parent's RCU swap documents transient
-          // under-admission, so only the borrow cap is gated for it; every
-          // other spec must also never reject a cold (in-cap) tenant.
-          const bool reject_clause =
-              spec.kind == svc::BackendKind::kAdaptive ||
-              r.cold_never_rejected;
           bench::check("D:isolation" + tag,
-                       r.cap_respected && reject_clause, opts);
+                       r.cap_respected && r.cold_never_rejected, opts);
         }
       }
     }

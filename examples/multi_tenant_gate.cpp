@@ -8,7 +8,7 @@
 //
 // Usage: ./examples/multi_tenant_gate [parent-backend] [tenants] [hot-extra]
 //   parent-backend: central-atomic | central-cas | central-mutex | network |
-//                   batched-network | adaptive, optionally "elim+"-prefixed
+//                   batched-network, optionally "elim+"-prefixed
 //                   (the parent pool spec)      (default: batched-network)
 //   tenants:        tenant count (>= 2)         (default: 4)
 //   hot-extra:      extra threads piled onto tenant 0, which also gets
@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
   if (!spec || tenants < 2 || tenants > 128 || hot_extra > 64) {
     std::fprintf(stderr,
                  "usage: multi_tenant_gate [[elim+]central-atomic|"
-                 "central-cas|central-mutex|network|batched-network|"
-                 "adaptive] [2<=tenants<=128] [hot-extra<=64]\n");
+                 "central-cas|central-mutex|network|batched-network] "
+                 "[2<=tenants<=128] [hot-extra<=64]\n");
     return 2;
   }
   const std::size_t threads = tenants + hot_extra;

@@ -8,7 +8,7 @@
 //
 // Usage: ./examples/rate_gate [backend] [threads] [rate]
 //   backend: central-atomic | central-cas | central-mutex | network |
-//            batched-network | adaptive, optionally prefixed with "elim+"
+//            batched-network, optionally prefixed with "elim+"
 //            to put the elimination front-end before the bucket pool
 //            (e.g. elim+batched-network)        (default: batched-network)
 //   threads: total threads incl. the refiller   (default: 5)
@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
   if (!spec || threads < 2 || threads > 256 || rate < 1.0) {
     std::fprintf(stderr,
                  "usage: rate_gate [[elim+]central-atomic|central-cas|"
-                 "central-mutex|network|batched-network|adaptive] "
-                 "[threads>=2] [rate>=1]\n");
+                 "central-mutex|network|batched-network] [threads>=2] "
+                 "[rate>=1]\n");
     return 2;
   }
 

@@ -9,6 +9,8 @@
 // all workers drain the pool, the counter is back at zero.
 //
 // Build & run:  ./examples/resource_pool [workers] [ops-per-worker]
+//   workers:         worker threads, 1..256         (default: 6)
+//   ops-per-worker:  acquire/release cycles, >= 1   (default: 5000)
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -20,10 +22,18 @@
 #include "cnet/runtime/network_counter.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t workers =
-      argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 6;
-  const std::size_t ops =
-      argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 5000;
+  // Range-check as signed values first: a negative count cast to size_t
+  // would start billions of threads.
+  const long long workers_arg = argc > 1 ? std::atoll(argv[1]) : 6;
+  const long long ops_arg = argc > 2 ? std::atoll(argv[2]) : 5000;
+  if (workers_arg < 1 || workers_arg > 256 || ops_arg < 1) {
+    std::fprintf(stderr,
+                 "usage: resource_pool [1<=workers<=256] "
+                 "[ops-per-worker>=1]\n");
+    return 2;
+  }
+  const auto workers = static_cast<std::size_t>(workers_arg);
+  const auto ops = static_cast<std::size_t>(ops_arg);
   constexpr std::ptrdiff_t kCapacity = 64;
 
   cnet::rt::NetworkCounter counter(cnet::core::make_counting(8, 16),

@@ -64,7 +64,7 @@ namespace cnet::dist {
 struct ClusterConfig {
   // The global hierarchy: per-node lease accounts (children) over the
   // shared cluster budget (parent). Any backend spec for the parent —
-  // the contended structure — including elim+ fronts and adaptive.
+  // the contended structure — including elim+ fronts.
   svc::BackendSpec parent_spec{svc::BackendKind::kBatchedNetwork, false};
   svc::BackendConfig net;
   std::uint64_t parent_initial = 4096;

@@ -35,8 +35,8 @@ class Counter {
   // A null out_values means "add k tokens, discard the values": the same
   // k increments, with no value written anywhere. This is organic supply
   // (a token bucket's refill). Count-wise it equals refund_n(k) and takes
-  // the same bulk step, but instrumentation layers charge it as load where
-  // they charge refunds nothing (svc::AdaptiveCounter's switch probe).
+  // the same bulk step, but decorators may treat it as traffic of their
+  // own where refunds pass straight through (svc::ElimCounter pairs it).
   virtual void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
                                      std::int64_t* out_values) {
     for (std::size_t i = 0; i < k; ++i) {
@@ -80,10 +80,10 @@ class Counter {
   // network: one traversal pass). It carries every give-back: the
   // un-consume of an all-or-nothing shortfall, a release of tokens granted
   // earlier, a respec migration, and a bucket's constructor seed. It is a
-  // distinct operation so instrumentation layers can tell give-backs from
-  // organic refills: svc::AdaptiveCounter keeps refunds out of the
-  // stall-rate window its switch decision samples, so a pure-reject storm
-  // cannot masquerade as load.
+  // distinct operation so decorators can tell give-backs from organic
+  // refills: ForwardingCounter sends refunds straight to the inner
+  // counter, so svc::ElimCounter never parks a give-back in its exchange
+  // slots waiting for a partner.
   virtual void refund_n(std::size_t thread_hint, std::uint64_t n) {
     fetch_increment_batch(thread_hint, static_cast<std::size_t>(n), nullptr);
   }

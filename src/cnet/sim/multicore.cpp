@@ -39,8 +39,8 @@ class CounterModel {
                                DoneN done) = 0;
   // Refund traffic (shortfall un-consume, quota releases): count-wise the
   // same deposits as increment_n — the default — but a distinct entry
-  // point so AdaptiveModel can keep it out of its switch window, exactly
-  // mirroring rt::Counter::refund_n and AdaptiveCounter's override.
+  // point so ElimModel can send it straight to its backend, mirroring
+  // rt::Counter::refund_n and ForwardingCounter's override.
   virtual void refund_n(std::size_t core, std::uint64_t k, Done done) {
     increment_n(core, k, std::move(done));
   }
@@ -50,7 +50,7 @@ class CounterModel {
   virtual bool pool_ever_negative() const = 0;
 
   // Instantaneous pool bookkeeping: the initial fill, a deposit landing,
-  // and the exact migrations at an adaptive switch or a respec commit.
+  // and the exact migration at a respec commit.
   virtual std::uint64_t drain_pool_now() = 0;
   virtual void inject_pool_now(std::uint64_t k) = 0;
 };
@@ -389,144 +389,6 @@ class ElimModel final : public CounterModel {
   std::int64_t value_sum_ = 0;
 };
 
-// --------------------------------------------------------- adaptive model
-
-// AdaptiveCounter in virtual time: ops run on the cold central model until
-// a sampled window of simulated stall events crosses the shared
-// svc::should_switch rule; the switch migrates the remaining pool into the
-// hot batched-network model at that exact virtual instant. Sampling
-// mirrors LoadStats (boundary crossing on the op tally) with the
-// single-threaded executor standing in for the sampler claim.
-class AdaptiveModel final : public CounterModel {
- public:
-  AdaptiveModel(std::unique_ptr<CounterModel> cold,
-                std::unique_ptr<CounterModel> hot, Engine& eng,
-                const svc::AdaptiveTuning& tuning)
-      : cold_(std::move(cold)),
-        hot_(std::move(hot)),
-        eng_(eng),
-        tuning_(tuning) {}
-
-  void increment_n(std::size_t core, std::uint64_t k, Done done) override {
-    active().increment_n(core, k, [this, k, done = std::move(done)] {
-      after_ops(k);
-      done();
-    });
-  }
-
-  void try_decrement_n(std::size_t core, std::uint64_t n,
-                       DoneN done) override {
-    // Sweep straggler deposits (pre-switch ops completing late on the cold
-    // model) before taking: the real counter's reader quiescence means a
-    // post-swap consumer can never miss a token that is only "in the other
-    // pool".
-    if (switched_) sweep_stragglers();
-    active().try_decrement_n(
-        core, n, [this, done = std::move(done)](std::uint64_t got) {
-          // Same charging rule as the fixed AdaptiveCounter: tokens
-          // actually transferred, minimum one for the attempt.
-          after_ops(std::max<std::uint64_t>(got, 1));
-          done(got);
-        });
-  }
-
-  void refund_n(std::size_t core, std::uint64_t k, Done done) override {
-    // Mirror of AdaptiveCounter::refund_n: no op charge, and the stalls
-    // the refund provokes on the cold model are banked for exclusion from
-    // the switch window. The cold CentralModel tallies a stall at
-    // scheduling time (inside the increment_n call), so the delta around
-    // the call attributes exactly this refund's own stalls.
-    const std::uint64_t before = cold_->stalls();
-    active().refund_n(core, k, [this, done = std::move(done)] {
-      // A refund in flight on the cold model at the switch instant must
-      // not strand tokens either.
-      if (switched_) sweep_stragglers();
-      done();
-    });
-    refund_stalls_ += cold_->stalls() - before;
-  }
-
-  std::uint64_t stalls() const override {
-    return cold_->stalls() + hot_->stalls();
-  }
-  std::int64_t pool() const override {
-    return cold_->pool() + hot_->pool();
-  }
-  bool pool_ever_negative() const override {
-    return cold_->pool_ever_negative() || hot_->pool_ever_negative();
-  }
-  std::uint64_t drain_pool_now() override {
-    return cold_->drain_pool_now() + hot_->drain_pool_now();
-  }
-  void inject_pool_now(std::uint64_t k) override {
-    active().inject_pool_now(k);
-  }
-
-  bool switched() const { return switched_; }
-  double switch_time() const { return switch_time_; }
-  std::uint64_t ops_at_switch() const { return ops_at_switch_; }
-
-  // The cold→hot swap with its exact pool migration. The organic switch
-  // takes it when the stall window crosses; the force-eliminate actuation
-  // (AdaptiveCounter::force_switch's model counterpart) takes it now,
-  // regardless of the window.
-  void switch_now() {
-    if (switched_) return;
-    switched_ = true;
-    switch_time_ = eng_.now();
-    ops_at_switch_ = ops_;
-    hot_->inject_pool_now(cold_->drain_pool_now());
-  }
-
- private:
-  CounterModel& active() { return switched_ ? *hot_ : *cold_; }
-
-  void sweep_stragglers() {
-    const std::uint64_t left = cold_->drain_pool_now();
-    if (left > 0) hot_->inject_pool_now(left);
-  }
-
-  void after_ops(std::uint64_t n) {
-    if (switched_) {
-      // Ops that were already in flight on the cold model at the switch
-      // instant may still deposit there (a queued bulk refill completing
-      // late). The real AdaptiveCounter waits for reader quiescence before
-      // its one-shot drain; the event-driven analogue is to sweep any cold
-      // remainder as each straggler completes — once the last in-flight
-      // cold op lands, the cold pool is empty for good and no token is
-      // stranded.
-      sweep_stragglers();
-      return;
-    }
-    const std::uint64_t before = ops_;
-    ops_ += n;
-    if (before / tuning_.sample_interval == ops_ / tuning_.sample_interval) {
-      return;  // no sample boundary crossed
-    }
-    // Refund-attributed stalls are excluded, clamped like LoadStats: the
-    // exclusion can make the adjusted total dip below the previous
-    // window's high-water mark, which must read as an empty delta.
-    const std::uint64_t total = cold_->stalls();
-    const std::uint64_t events_now =
-        total >= refund_stalls_ ? total - refund_stalls_ : 0;
-    const svc::LoadWindow window{
-        ops_ - last_ops_,
-        events_now >= last_events_ ? events_now - last_events_ : 0};
-    last_ops_ = ops_;
-    last_events_ = std::max(last_events_, events_now);
-    if (svc::should_switch(window, tuning_)) switch_now();
-  }
-
-  std::unique_ptr<CounterModel> cold_, hot_;
-  Engine& eng_;
-  svc::AdaptiveTuning tuning_;
-  bool switched_ = false;
-  double switch_time_ = -1.0;
-  std::uint64_t ops_ = 0, ops_at_switch_ = 0;
-  std::uint64_t last_ops_ = 0, last_events_ = 0;
-  std::uint64_t refund_stalls_ = 0;
-};
-
 // ------------------------------------------------------------ model stack
 
 // Every core must have completed its loop: the event queue drains only
@@ -542,14 +404,12 @@ struct ModelStack {
   std::unique_ptr<CounterModel> root;
   // Non-owning views into the stack for stats extraction.
   ElimModel* elim = nullptr;
-  AdaptiveModel* adaptive = nullptr;
 };
 
 std::unique_ptr<CounterModel> make_backend_model(svc::BackendKind kind,
                                                  Engine& eng,
                                                  const ModelConfig& cfg,
-                                                 util::Xoshiro256& rng,
-                                                 AdaptiveModel** adaptive) {
+                                                 util::Xoshiro256& rng) {
   const auto draw = [&](double mean) {
     return ServiceDraw(mean, cfg.exponential_service, rng);
   };
@@ -574,33 +434,18 @@ std::unique_ptr<CounterModel> make_backend_model(svc::BackendKind kind,
       return network(1);
     case svc::BackendKind::kBatchedNetwork:
       return network(cfg.batch_k);
-    case svc::BackendKind::kAdaptive: {
-      auto cold = std::make_unique<CentralModel>(eng, cfg.central_slope,
-                                                 draw(cfg.central_service),
-                                                 /*empty_read_fast_path=*/
-                                                 true);
-      auto model = std::make_unique<AdaptiveModel>(
-          std::move(cold), network(cfg.batch_k), eng, cfg.tuning);
-      if (adaptive != nullptr) *adaptive = model.get();
-      return model;
-    }
   }
   return nullptr;
 }
 
 // Every driver builds its pools here, so the model knobs are validated
-// once, here: a zero batch_k deposits empty chunks forever, and a zero
-// sample interval divides by zero at the first adaptive sample (the live
-// LoadStats rejects it too).
+// once, here: a zero batch_k deposits empty chunks forever.
 ModelStack make_model(const svc::BackendSpec& spec, Engine& eng,
                       const ModelConfig& cfg, util::Xoshiro256& rng) {
   CNET_REQUIRE(cfg.batch_k >= 1, "batch_k must be positive");
-  CNET_REQUIRE(cfg.tuning.sample_interval >= 1,
-               "sample interval must be positive");
   CNET_REQUIRE(cfg.wire_delay >= 0.0, "wire delay must be nonnegative");
   ModelStack stack;
-  stack.root =
-      make_backend_model(spec.kind, eng, cfg, rng, &stack.adaptive);
+  stack.root = make_backend_model(spec.kind, eng, cfg, rng);
   CNET_REQUIRE(stack.root != nullptr, "unknown backend kind");
   if (spec.elimination) {
     auto elim = std::make_unique<ElimModel>(
@@ -749,11 +594,6 @@ MulticoreResult run_table_b(const svc::BackendSpec& spec,
     res.elim_withdrawals = old_stack.elim->withdrawals();
     res.elim_value_sum = old_stack.elim->value_sum();
   }
-  if (old_stack.adaptive != nullptr) {
-    res.switched = old_stack.adaptive->switched();
-    res.switch_time = old_stack.adaptive->switch_time();
-    res.ops_at_switch = old_stack.adaptive->ops_at_switch();
-  }
   if (stage != nullptr) {
     stage->res.old_stalls = old_root.stalls();
     stage->res.new_stalls = new_stalls;
@@ -810,7 +650,7 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
   children.reserve(cfg.tenants);
   for (std::size_t t = 0; t < cfg.tenants; ++t) {
     children.push_back(make_backend_model(svc::BackendKind::kCentralAtomic, eng,
-                                          cfg.base, rng, nullptr));
+                                          cfg.base, rng));
     children.back()->inject_pool_now(cfg.child_initial);
   }
 
@@ -1038,10 +878,9 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
         });
   };
 
-  // A tier change takes effect here: the action table swaps, a forced
-  // adaptive swap fires, and entering/leaving the shed tier runs the
-  // shed_set sweep / the restore — the OverloadManager::apply_transition
-  // sequence in virtual time.
+  // A tier change takes effect here: the action table swaps, and
+  // entering/leaving the shed tier runs the shed_set sweep / the restore —
+  // the OverloadManager::apply_transition sequence in virtual time.
   const auto apply_transition = [&](svc::OverloadTier to, double pressure) {
     OverloadSimResult& out = mgr->res;
     out.transitions.push_back({eng.now(), tier, to, pressure});
@@ -1049,12 +888,6 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
     tier = to;
     actions = svc::overload_actions(tier);
     if (tier > out.peak_tier) out.peak_tier = tier;
-    if (actions.force_eliminate && parent_stack.adaptive != nullptr &&
-        !parent_stack.adaptive->switched()) {
-      parent_stack.adaptive->switch_now();
-      out.forced_switch = true;
-      out.forced_switch_time = eng.now();
-    }
     if (actions.shed_tenants && !was_shedding) {
       ++out.shed_events;
       for (const std::size_t t :
@@ -1165,7 +998,7 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
 
 std::vector<svc::BackendSpec> multicore_sweep_specs() {
   std::vector<svc::BackendSpec> specs;
-  for (const auto kind : svc::kPoolBackendKinds) {
+  for (const auto kind : svc::kAllBackendKinds) {
     specs.push_back({kind, false});
   }
   specs.push_back({svc::BackendKind::kCentralAtomic, true});

@@ -1,12 +1,12 @@
 // Virtual-time multicore simulator for the service layer (the answer to
 // "Table B needs real cores"): P simulated cores drive model counterparts
 // of the svc-layer state machines through a discrete-event executor, so the
-// paper's central-vs-network scaling claims — and PR 3's adaptive switch
-// and elimination hit-rates — become deterministic, CI-checkable numbers on
-// a 1-vCPU box. Same methodology as the simulation side of the study the
-// paper cites ([19,20]), on the discrete-event core sim::simulate_timed
-// also runs on (discrete_event.hpp), extended from bare token traversals
-// up to the composed service stack.
+// paper's central-vs-network scaling claims — and the elimination
+// hit-rates — become deterministic, CI-checkable numbers on a 1-vCPU box.
+// Same methodology as the simulation side of the study the paper cites
+// ([19,20]), on the discrete-event core sim::simulate_timed also runs on
+// (discrete_event.hpp), extended from bare token traversals up to the
+// composed service stack.
 //
 // Model inventory (each is the virtual-time mirror of a real component,
 // sharing its decision logic through svc/policy.hpp rather than
@@ -23,10 +23,7 @@
 //     pairs with it (value from svc::elimination_pair_value) and neither
 //     touches the backend;
 //   - NetTokenBucket       -> the pool count driven through
-//     svc::bucket_consume, bounded at zero at every event;
-//   - AdaptiveCounter      -> cold central / hot batched-network pair whose
-//     switch fires off svc::should_switch over windows of simulated stall
-//     events, migrating the pool exactly at the switch instant.
+//     svc::bucket_consume, bounded at zero at every event.
 //
 // Two drivers run every workload but the cluster's:
 //   - the Table B closed loop (simulate_multicore) mirrors bench_tab_svc:
@@ -52,7 +49,7 @@
 namespace cnet::sim {
 
 // The model knobs every simulator here shares: service times, slopes,
-// network shape, adaptive tuning, exponential draws and the seed.
+// network shape, exponential draws and the seed.
 struct ModelConfig {
   // Central-word model parameters, per backend kind. service is the
   // uncontended RMW time; slope is the extra fraction per request already
@@ -77,13 +74,6 @@ struct ModelConfig {
   double exchange_time = 0.5;   // paired completion cost
   double elim_inc_wait = 4.0;   // increment deposit window before withdrawal
   double elim_dec_wait = 0.5;   // decrement deposit window
-
-  // Adaptive model: decided by svc::should_switch, same rule as the real
-  // AdaptiveCounter. Defaults are smaller than the live-thread defaults so
-  // modest simulated runs can still cross a window.
-  svc::AdaptiveTuning tuning{/*sample_interval=*/512,
-                             /*min_window_ops=*/512,
-                             /*stall_rate_threshold=*/0.05};
 
   // Shape of the counting network behind the network-backed kinds.
   svc::BackendConfig net;
@@ -121,11 +111,6 @@ struct MulticoreResult {
   // Sum of the synthesized pair values (negative), from the shared
   // svc::elimination_pair_value rule — pins model/real value agreement.
   std::int64_t elim_value_sum = 0;
-
-  // Adaptive model outcome (meaningful only for kAdaptive specs).
-  bool switched = false;
-  double switch_time = -1.0;       // virtual time of the organic switch
-  std::uint64_t ops_at_switch = 0; // ops completed when the window crossed
 };
 
 // One-shot simulation of `spec` under `cfg`. Deterministic: the same spec,
@@ -226,8 +211,8 @@ QuotaSimConfig quota_sim_reference_config(std::size_t cores);
 //   - kShrinkBatch      -> release/shed refunds go back in chunks of
 //                          max(1, tokens / batch_divisor) instead of one
 //                          bulk traversal;
-//   - kForceEliminate   -> an adaptive parent takes its cold→hot swap at
-//                          the next sample instant (exact pool migration);
+//   - kForceEliminate   -> traced only: ElimModel's deposit windows are
+//                          fixed, so the tier changes nothing in the model;
 //   - kDegradePartial   -> settles run with allow_partial: a grant may
 //                          admit with fewer tokens than asked, parts
 //                          recorded exactly for release;
@@ -273,8 +258,6 @@ struct OverloadSimResult {
   std::uint64_t shed_refunded_tokens = 0;  // grant parts force-refunded
   svc::OverloadTier peak_tier = svc::OverloadTier::kNominal;
   svc::OverloadTier final_tier = svc::OverloadTier::kNominal;
-  bool forced_switch = false;   // adaptive parent swapped via force path
-  double forced_switch_time = -1.0;
   std::vector<OverloadSimTransition> transitions;
   std::vector<std::uint64_t> shed_rejects_per_tenant;
 
@@ -380,7 +363,7 @@ ReconfigSimConfig reconfig_sim_reference_config();
 svc::BackendSpec reconfig_respec_target(const svc::BackendSpec& spec_from);
 
 // The Table B' sweep axis, shared by bench_tab_svc_sim and the sim tests
-// so they can never drift apart: every pool-capable kind plain, plus the
+// so they can never drift apart: every kind plain, plus the
 // elimination front-end on the two bookend backends (central word and
 // batched network).
 std::vector<svc::BackendSpec> multicore_sweep_specs();

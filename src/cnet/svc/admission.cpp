@@ -14,15 +14,11 @@ std::vector<std::unique_ptr<rt::Counter>> make_shards(
     const AdmissionConfig& cfg) {
   CNET_REQUIRE(cfg.shards > 0, "at least one shard");
   // IDs are identities: shards never take the elimination wrapper (an
-  // eliminated increment's value is reclaimed on the spot, not unique) nor
-  // the adaptive kind (the swap restarts the value sequence).
-  const BackendKind id_kind = cfg.backend == BackendKind::kAdaptive
-                                  ? BackendKind::kCentralAtomic
-                                  : cfg.backend;
+  // eliminated increment's value is reclaimed on the spot, not unique).
   std::vector<std::unique_ptr<rt::Counter>> shards;
   shards.reserve(cfg.shards);
   for (std::size_t s = 0; s < cfg.shards; ++s) {
-    shards.push_back(make_counter(id_kind, cfg.net));
+    shards.push_back(make_counter(cfg.backend, cfg.net));
   }
   return shards;
 }

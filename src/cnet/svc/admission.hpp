@@ -24,9 +24,8 @@ struct AdmissionConfig {
   NetTokenBucket::Config bucket;
   // Places an ElimCounter in front of the bucket pool, so colliding
   // refill/consume pairs cancel before touching the backend. Pool-only: the
-  // ID shards always stay on a value-faithful backend (and when `backend`
-  // is kAdaptive — pool semantics only — they fall back to central-atomic,
-  // since a mid-run swap would restart the shard value sequences).
+  // ID shards always run the plain `backend` kind, whose values are
+  // identities.
   bool elimination = false;
 };
 

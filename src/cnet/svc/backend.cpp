@@ -6,7 +6,6 @@
 #include "cnet/core/counting.hpp"
 #include "cnet/runtime/central.hpp"
 #include "cnet/runtime/network_counter.hpp"
-#include "cnet/svc/adaptive.hpp"
 #include "cnet/util/mutex.hpp"
 #include "cnet/util/thread_annotations.hpp"
 
@@ -23,13 +22,12 @@ const char* backend_kind_name(BackendKind kind) noexcept {
     case BackendKind::kCentralMutex: return "central-mutex";
     case BackendKind::kNetwork: return "network";
     case BackendKind::kBatchedNetwork: return "batched-network";
-    case BackendKind::kAdaptive: return "adaptive";
   }
   return "?";
 }
 
 std::optional<BackendKind> parse_backend_kind(std::string_view name) noexcept {
-  for (const BackendKind kind : kPoolBackendKinds) {
+  for (const BackendKind kind : kAllBackendKinds) {
     if (name == backend_kind_name(kind)) return kind;
   }
   return std::nullopt;
@@ -44,7 +42,7 @@ std::string backend_spec_name(const BackendSpec& spec) {
 namespace {
 std::string known_kinds_list() {
   std::string list;
-  for (const BackendKind kind : kPoolBackendKinds) {
+  for (const BackendKind kind : kAllBackendKinds) {
     if (!list.empty()) list += ", ";
     list += backend_kind_name(kind);
   }
@@ -69,7 +67,7 @@ ParseResult parse_backend_spec(std::string_view name) {
   if (!kind) {
     // Distinguish "right kind, junk appended" from "no such kind": the
     // former is usually a typo'd suffix worth pointing at directly.
-    for (const BackendKind k : kPoolBackendKinds) {
+    for (const BackendKind k : kAllBackendKinds) {
       const std::string_view kind_name = backend_kind_name(k);
       if (rest.size() > kind_name.size() &&
           rest.substr(0, kind_name.size()) == kind_name) {
@@ -147,12 +145,6 @@ std::unique_ptr<rt::Counter> make_counter(BackendKind kind,
     case BackendKind::kBatchedNetwork:
       return std::make_unique<rt::BatchedNetworkCounter>(
           counting_shape(cfg.width_in, cfg.width_out), label("batched "));
-    case BackendKind::kAdaptive: {
-      AdaptiveCounter::Config acfg;
-      acfg.net = cfg;
-      acfg.tuning = cfg.adaptive;
-      return std::make_unique<AdaptiveCounter>(acfg);
-    }
   }
   return nullptr;
 }

@@ -1,11 +1,9 @@
 // Counter-backend selection for the service layer: one factory that every
 // svc consumer, bench driver, and property test goes through, so "compare
 // central vs. network vs. batched" is a loop over BackendKind instead of
-// five hand-rolled constructions. The factory also composes the two
-// pool-oriented layers this file's consumers opt into: the elimination
-// front-end (BackendSpec::elimination wraps any kind in svc::ElimCounter)
-// and the adaptive kind (kAdaptive starts central and hot-swaps to the
-// batched network once observed stall rates cross a threshold).
+// five hand-rolled constructions. The factory also composes the one
+// pool-oriented layer its consumers opt into: the elimination front-end
+// (BackendSpec::elimination wraps any kind in svc::ElimCounter).
 #pragma once
 
 #include <memory>
@@ -15,7 +13,6 @@
 
 #include "cnet/runtime/counter.hpp"
 #include "cnet/svc/elimination.hpp"
-#include "cnet/svc/policy.hpp"
 
 namespace cnet::svc {
 
@@ -25,40 +22,25 @@ enum class BackendKind {
   kCentralMutex,    // lock-protected
   kNetwork,         // NetworkCounter on C(w,t), per-token traversal
   kBatchedNetwork,  // BatchedNetworkCounter on C(w,t), amortized batches
-  kAdaptive,        // starts kCentralAtomic, swaps to kBatchedNetwork under
-                    // contention — pool semantics only (see AdaptiveCounter)
 };
 
-// The value-faithful kinds, in display order — the iteration axis for tests
-// and benches that rely on exact fetch_increment identities (allocators,
-// prefix properties). kAdaptive is deliberately absent: its backend swap
-// restarts the value sequence, so it conserves *counts* (pools, buckets)
-// but not identities.
+// Every kind, in display order — the iteration axis for tests and benches.
+// Each is value-faithful (exact fetch_increment identities) and usable as a
+// token pool.
 inline constexpr BackendKind kAllBackendKinds[] = {
     BackendKind::kCentralAtomic, BackendKind::kCentralCas,
     BackendKind::kCentralMutex, BackendKind::kNetwork,
     BackendKind::kBatchedNetwork,
 };
 
-// Every kind usable as a token pool, value-faithful or not.
-inline constexpr BackendKind kPoolBackendKinds[] = {
-    BackendKind::kCentralAtomic,  BackendKind::kCentralCas,
-    BackendKind::kCentralMutex,   BackendKind::kNetwork,
-    BackendKind::kBatchedNetwork, BackendKind::kAdaptive,
-};
-
-// AdaptiveTuning (the kAdaptive switch knobs) lives in svc/policy.hpp with
-// the rest of the shared decision logic.
-
 // Shape of the counting network behind the network-backed kinds; ignored by
 // the central ones. Defaults to the repo's workhorse C(8,24) = C(w, w·lg w).
 struct BackendConfig {
   std::size_t width_in = 8;
   std::size_t width_out = 24;
-  // Knobs for the composed layers; used only where the spec or kind asks
-  // for them.
+  // Knobs for the elimination front-end; used only where the spec asks
+  // for it.
   ElimCounter::Config elim;
-  AdaptiveTuning adaptive;
 };
 
 // A backend choice plus the composable elimination front-end: parsed from

@@ -50,12 +50,11 @@ std::uint64_t NetTokenBucket::consume(std::size_t thread_hint,
         // one CAS, network backends in one antitoken traversal + block cell
         // claims. A zero return is conclusive — the pool was observably
         // empty — and an all-or-nothing shortfall goes back through
-        // refund_n, not refill(): count-wise the same increments, but marked
-        // so an adaptive pool's load probe never mistakes a pure-reject
-        // storm for organic traffic. Grab and shortfall-refund run inside
-        // one read section, so a racing respec migrates either the
-        // untouched pool or the fully settled one — never a half-refunded
-        // state.
+        // refund_n, not refill(): count-wise the same increments, but a
+        // give-back that bypasses any elimination front-end. Grab and
+        // shortfall-refund run inside one read section, so a racing respec
+        // migrates either the untouched pool or the fully settled one —
+        // never a half-refunded state.
         return bucket_consume(
             tokens, opts,
             [&](std::uint64_t want) {
@@ -112,8 +111,7 @@ std::uint64_t NetTokenBucket::respec(std::size_t thread_hint, const Respec& r) {
         // Post-quiescence: no consume/refill/refund can touch the old pool
         // again, so its remaining count is exactly what the drain reclaims.
         // Tokens move in bounded chunks and are re-injected through
-        // refund_n — migration is a give-back, not organic refill load, so
-        // an adaptive replacement pool's switch probe ignores it.
+        // refund_n — migration is a give-back, not organic refill load.
         std::uint64_t moved = 0;
         constexpr std::uint64_t kChunk = 256;
         for (std::uint64_t got; (got = old_state.pool->try_fetch_decrement_n(
@@ -135,8 +133,8 @@ std::uint64_t NetTokenBucket::respec(std::size_t thread_hint, const Respec& r) {
 void NetTokenBucket::attach_chain(rt::Counter* layer,
                                   const OverloadManager* manager) noexcept {
   // Walk the pool's decorator chain and attach every overload-aware layer
-  // (ElimCounter widens its pairing window, AdaptiveCounter accepts the
-  // forced swap). ForwardingCounter is the only chain link in the library.
+  // (ElimCounter widens its pairing window). ForwardingCounter is the only
+  // chain link in the library.
   while (layer != nullptr) {
     if (auto* aware = dynamic_cast<OverloadAware*>(layer)) {
       aware->attach_overload(manager);

@@ -79,16 +79,16 @@ class NetTokenBucket : public Reconfigurable {
                         ConsumeOptions opts = kAllOrNothing);
 
   // Adds `tokens` to the pool in ceil(tokens / chunk) value-free batch
-  // passes (fetch_increment_batch with null values): organic supply,
-  // charged to an adaptive backend's load probe.
+  // passes (fetch_increment_batch with null values): organic supply, which
+  // an elimination front-end may pair with waiting consumes.
   void refill(std::size_t thread_hint, std::uint64_t tokens);
 
   // Returns previously consumed tokens to the pool. Count-wise identical
   // to refill(), but routed through Counter::refund_n — one bulk step for
   // any count, no refill_chunk batching — so give-backs (the all-or-nothing
   // shortfall un-consume above, a QuotaHierarchy release, the constructor's
-  // initial_tokens seed) are never charged to an adaptive backend's load
-  // probe as organic refill traffic.
+  // initial_tokens seed) pass an elimination front-end straight to its
+  // backend instead of waiting in an exchange slot.
   void refund(std::size_t thread_hint, std::uint64_t tokens);
 
   // Applies a staged pool replacement mid-traffic (ReconfigEngine commit):
@@ -119,7 +119,7 @@ class NetTokenBucket : public Reconfigurable {
   // Puts the bucket under an overload manager: refills shrink their chunk
   // size by the tier's batch divisor (count-conserving — the same tokens in
   // smaller exclusive holds), and every OverloadAware layer in the pool's
-  // decorator chain (elimination front-end, adaptive backend) is attached
+  // decorator chain (the elimination front-end) is attached
   // too — including the chains of pools a later respec() installs. The
   // manager never changes *whether* tokens are admitted here — consume()
   // stays exact; degrading to partial grants is the caller's

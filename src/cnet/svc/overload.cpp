@@ -29,9 +29,9 @@ WindowedRateMonitor::WindowedRateMonitor(std::string name, TotalFn ops_total,
 double WindowedRateMonitor::sample_pressure() {
   const std::uint64_t ops_now = ops_total_();
   const std::uint64_t events_now = events_total_();
-  // Clamped deltas, the LoadStats discipline: slot-summed totals read under
-  // concurrent writers can regress between samples; a stale read must
-  // produce an empty window, never a wrapped one.
+  // Clamped deltas: slot-summed totals read under concurrent writers can
+  // regress between samples; a stale read must produce an empty window,
+  // never a wrapped one.
   const LoadWindow window{
       ops_now >= last_ops_ ? ops_now - last_ops_ : 0,
       events_now >= last_events_ ? events_now - last_events_ : 0};

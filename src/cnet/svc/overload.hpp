@@ -1,7 +1,7 @@
 // svc::OverloadManager — an envoy-style overload manager (cf. envoy's
 // overload manager / resource-monitor registry) over the counting-network
 // service layer: a registry of pluggable load monitors, each producing a
-// normalized 0–1 pressure reading (stall rate from LoadStats-style probes,
+// normalized 0–1 pressure reading (a backend's windowed stall rate,
 // bucket reject ratio, admission queue depth, per-tenant borrow pressure
 // from QuotaHierarchy), combined by the pure rules in svc/policy.hpp
 // (combine_pressure → overload_tier → overload_actions) into a tiered
@@ -10,8 +10,7 @@
 //   tier 1  shrink-batch      refill/batch chunks divide by 4 — bounds the
 //                             latency one exclusive bulk hold can impose
 //   tier 2  force-eliminate   elimination front-ends widen their pairing
-//                             window; adaptive backends take the cold→hot
-//                             swap immediately
+//                             window
 //   tier 3  degrade-partial   all-or-nothing consumes/acquires degrade to
 //                             allow_partial grants (callers are told the
 //                             exact charged amount, so conservation holds)
@@ -70,11 +69,11 @@ class LoadMonitor {
 // against `saturation_rate` (the rate that counts as pressure 1.0). Covers
 // the stall-rate monitor (ops = bucket ops, events = backend stalls) and
 // the reject-ratio monitor (ops = consume attempts, events = rejections,
-// saturation 1.0). Deltas are clamped at zero, mirroring LoadStats: totals
-// read from concurrently-written slots may be momentarily stale, and a
-// stale read must yield an empty window, never an underflowed one. An
-// empty window (no ops since the last sample) reads as zero pressure — an
-// idle system decays to nominal (policy window_pressure rule).
+// saturation 1.0). Deltas are clamped at zero: totals read from
+// concurrently-written slots may be momentarily stale, and a stale read
+// must yield an empty window, never an underflowed one. An empty window
+// (no ops since the last sample) reads as zero pressure — an idle system
+// decays to nominal (policy window_pressure rule).
 class WindowedRateMonitor final : public LoadMonitor {
  public:
   using TotalFn = std::function<std::uint64_t()>;
@@ -154,8 +153,8 @@ struct OverloadConfig {
   double shed_fraction = 0.25;
 };
 
-// Counters that can act on overload tiers implement this (ElimCounter,
-// AdaptiveCounter); NetTokenBucket::attach_overload walks its pool's
+// Counters that can act on overload tiers implement this (ElimCounter);
+// NetTokenBucket::attach_overload walks its pool's
 // decorator chain and attaches every aware layer.
 class OverloadManager;
 class OverloadAware {

@@ -1,9 +1,10 @@
 // Backend-independent *decision* logic of the service layer, factored out
 // of the concurrent implementations so the virtual-time multicore simulator
 // (sim::MulticoreModel) runs the exact same rules as the real machinery —
-// when an adaptive counter switches, what value an eliminated pair agrees
-// on, how a bucket consume grabs and refunds — instead of a drifting
-// reimplementation. Everything here is pure: no atomics, no time, no I/O.
+// what value an eliminated pair agrees on, how a bucket consume grabs and
+// refunds, which overload tier a pressure reading lands in — instead of a
+// drifting reimplementation. Everything here is pure: no atomics, no time,
+// no I/O.
 #pragma once
 
 #include <algorithm>
@@ -13,21 +14,10 @@
 
 namespace cnet::svc {
 
-// Switch tuning for the adaptive backend (svc::AdaptiveCounter and the
-// simulator's adaptive model both decide through should_switch below).
-struct AdaptiveTuning {
-  // Per-slot ops between LoadStats probes.
-  std::uint64_t sample_interval = 2048;
-  // Windows smaller than this never trigger (startup noise guard).
-  std::uint64_t min_window_ops = 4096;
-  // Stalls per op in one window that trigger the central→network swap.
-  double stall_rate_threshold = 0.05;
-};
-
 // One observation window: ops completed and contention events (stalls, CAS
 // retries — whatever total the observer feeds in) since the previous
-// sample. svc::LoadStats produces these from live threads; the simulator
-// produces them from virtual-time stall events.
+// sample. The overload monitors produce these from live threads; the
+// simulator produces them from virtual-time stall events.
 struct LoadWindow {
   std::uint64_t ops = 0;
   std::uint64_t events = 0;
@@ -36,14 +26,6 @@ struct LoadWindow {
                     : static_cast<double>(events) / static_cast<double>(ops);
   }
 };
-
-// The central→network switch rule: a window big enough to trust whose
-// stall rate crosses the threshold.
-inline bool should_switch(const LoadWindow& window,
-                          const AdaptiveTuning& tuning) noexcept {
-  if (window.ops < tuning.min_window_ops) return false;
-  return window.event_rate() >= tuning.stall_rate_threshold;
-}
 
 // The elimination pairing name: the value both sides of a collision agree
 // on, derived from the slot index and the slot's epoch at pairing time.
@@ -241,7 +223,7 @@ QuotaGrantPlan quota_acquire(std::uint64_t tokens, TakeChild&& take_child,
 enum class OverloadTier : std::uint8_t {
   kNominal = 0,         // no intervention
   kShrinkBatch = 1,     // shrink batch/refill chunks (bound exclusive holds)
-  kForceEliminate = 2,  // force elimination pairing and the adaptive swap
+  kForceEliminate = 2,  // force elimination pairing
   kDegradePartial = 3,  // all-or-nothing consumes degrade to partial grants
   kShedTenants = 4,     // shed whole tenants by weight, refund held grants
 };
@@ -305,8 +287,7 @@ struct OverloadActions {
   // Batched refills/traversals divide their chunk size by this (floor 1):
   // smaller exclusive holds bound the latency a single batch can impose.
   std::size_t batch_divisor = 1;
-  // Force the elimination front-end to pair aggressively and the adaptive
-  // backend to take its cold→hot swap immediately.
+  // Force the elimination front-end to pair aggressively.
   bool force_eliminate = false;
   // Degrade all-or-nothing consumes/acquires to allow_partial grants.
   bool degrade_to_partial = false;

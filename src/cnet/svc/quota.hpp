@@ -1,9 +1,9 @@
 // Multi-tenant quota hierarchy over counting-network pools: each tenant
 // owns a NetTokenBucket child, and a shortfall at the child borrows from a
-// shared parent pool (any Counter backend spec, including elim+ fronts and
-// the adaptive kind) under a weighted max-borrow policy — the two-level
-// shape real rate-limit deployments run (per-tenant buckets over a shared
-// cluster budget), and exactly the workload a counting network exists for:
+// shared parent pool (any Counter backend spec, including elim+ fronts)
+// under a weighted max-borrow policy — the two-level shape real rate-limit
+// deployments run (per-tenant buckets over a shared cluster budget), and
+// exactly the workload a counting network exists for:
 // many cold tenants and a few hot ones all contending on one parent pool.
 //
 //            ┌────────────── parent pool (shared, any spec) ─────────────┐
@@ -70,7 +70,7 @@ class QuotaHierarchy : public Reconfigurable {
 
   struct Config {
     // Parent pool backend — the shared, contended structure. Any spec,
-    // including "elim+..." and "adaptive".
+    // including "elim+...".
     BackendSpec parent{BackendKind::kBatchedNetwork, false};
     // Per-tenant child bucket backend. Children see only their own
     // tenant's traffic, so the cheap central word is the right default.
@@ -114,8 +114,7 @@ class QuotaHierarchy : public Reconfigurable {
   // Returns a grant's tokens: the child part to the tenant's bucket, the
   // parent part to the parent pool (pool first, then the borrow headroom,
   // so a concurrent reservation that wins the freed headroom always finds
-  // the tokens already back in the pool). Both go through the refund path,
-  // invisible to an adaptive backend's load probe.
+  // the tokens already back in the pool). Both go through the refund path.
   void release(std::size_t thread_hint, const Grant& grant);
 
   // Partially-spent settlement of a grant, for callers that consumed some

@@ -1,6 +1,5 @@
-// svc::ReconfigEngine — hot reconfiguration without draining, the
-// generalization of AdaptiveCounter's one-shot cold→hot swap into a
-// reusable staged-commit protocol (SDS-style watch/update semantics: a
+// svc::ReconfigEngine — hot reconfiguration without draining: a reusable
+// staged-commit protocol (SDS-style watch/update semantics: a
 // version-stamped config is prepared off to the side and published to live
 // consumers with no drain, cf. envoy's secret-discovery updates).
 //
@@ -34,9 +33,8 @@
 // Commits serialize on a mutex (reconfiguration is a control-plane event;
 // readers never block). Retired states are kept alive for the engine's
 // lifetime: long-lived references handed out earlier (telemetry reads,
-// `pool()` accessors) stay valid, merely stale — the same lifetime rule
-// AdaptiveCounter always applied to its cold backend. The memory cost is
-// one retired state per commit, paid only by reconfiguring consumers.
+// `pool()` accessors) stay valid, merely stale. The memory cost is one
+// retired state per commit, paid only by reconfiguring consumers.
 //
 // Consumers expose the stamp through the Reconfigurable protocol below;
 // validity rules for *what* may be staged (chunk bounds, weight vectors)

@@ -1,14 +1,12 @@
 // Padded per-slot event tallies, shared by every counter backend that
 // reports contention (CAS retries / lock waits) and, since the elimination
-// layer, traversal counts and sampling probes. Threads scatter their
-// updates across `slots` cache-line-padded atomics keyed by thread hint, so
-// recording an event never becomes a contention point itself; full reads
-// sum the slots and are expected to be rare (end-of-run reporting), while
-// add_and_get exposes the writer's own slot cheaply for periodic-sampling
-// triggers (svc::LoadStats). The slot count is a power of two, so picking a
-// slot is a mask, not a divide; by default it is two slots per core, rounded
-// up (util/scatter.hpp), and hints beyond it share slots, which the sums
-// already cover.
+// layer, traversal counts. Threads scatter their updates across `slots`
+// cache-line-padded atomics keyed by thread hint, so recording an event
+// never becomes a contention point itself; full reads sum the slots and are
+// expected to be rare (end-of-run reporting). The slot count is a power of
+// two, so picking a slot is a mask, not a divide; by default it is two slots
+// per core, rounded up (util/scatter.hpp), and hints beyond it share slots,
+// which the sums already cover.
 #pragma once
 
 #include <cstdint>
@@ -37,17 +35,6 @@ class StallSlots {
       slots_[thread_hint & mask_].value.fetch_add(stalls,
                                                   std::memory_order_relaxed);
     }
-  }
-
-  // Adds unconditionally and returns the slot's new tally. The return value
-  // only reflects events recorded through the caller's own slot, which is
-  // exactly what a "sample every N of my ops" trigger needs — no cross-slot
-  // sum on the hot path.
-  std::uint64_t add_and_get(std::size_t thread_hint,
-                            std::uint64_t events) noexcept(!kSchedCheckEnabled) {
-    return slots_[thread_hint & mask_].value.fetch_add(
-               events, std::memory_order_relaxed) +
-           events;
   }
 
   std::uint64_t total() const noexcept(!kSchedCheckEnabled) {

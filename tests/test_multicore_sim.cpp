@@ -1,10 +1,8 @@
 // sim::simulate_multicore: the virtual-time svc simulator must be (a)
 // bit-deterministic from its seed — that is the whole point of answering
 // "Table B needs real cores" in virtual time — (b) shaped like the paper
-// (central wins uncontended, network wins contended), (c) exactly
-// token-conserving for every backend spec, and (d) must fire the adaptive
-// switch at the precise virtual instant the shared should_switch rule
-// crosses, which a hand-derived scenario pins below.
+// (central wins uncontended, network wins contended), and (c) exactly
+// token-conserving for every backend spec.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -32,8 +30,7 @@ MulticoreConfig small_config(std::size_t cores) {
 
 TEST(MulticoreSim, GoldenSeedDeterminism) {
   // Same seed -> identical Table B' numbers, for every spec, including the
-  // exponential-service draws, elimination pairings, and the adaptive
-  // switch instant.
+  // exponential-service draws and elimination pairings.
   for (const auto& spec : multicore_sweep_specs()) {
     const auto a = simulate_multicore(spec, small_config(8));
     const auto b = simulate_multicore(spec, small_config(8));
@@ -49,9 +46,6 @@ TEST(MulticoreSim, GoldenSeedDeterminism) {
     EXPECT_EQ(a.elim_pairs, b.elim_pairs);
     EXPECT_EQ(a.elim_withdrawals, b.elim_withdrawals);
     EXPECT_EQ(a.elim_value_sum, b.elim_value_sum);
-    EXPECT_EQ(a.switched, b.switched);
-    EXPECT_EQ(a.switch_time, b.switch_time);
-    EXPECT_EQ(a.ops_at_switch, b.ops_at_switch);
   }
 }
 
@@ -87,50 +81,6 @@ TEST(MulticoreSim, CentralNetworkCrossoverShape) {
   // 2x margin.
   EXPECT_GE(simulate_multicore(network, small_config(32)).ops_per_vtime,
             2.0 * simulate_multicore(central, small_config(32)).ops_per_vtime);
-}
-
-// The hand-derivable adaptive scenario: 2 cores, fixed unit service, no
-// think time, no contention slope, no refills in the window. The server
-// serializes the two cores, so op completions land at t = 1, 2, 3, ...;
-// the arrival behind each completion finds exactly one request in service
-// (one stall each), plus the single stall of the t=0 double arrival. With
-// sample_interval = min_window_ops = 64, the boundary crossing happens at
-// the 64th completion — virtual time 64.0 exactly — with a window of
-// {ops: 64, events: 64}, rate 1.0 >= threshold 0.5: the switch must fire
-// at that instant and not a tick earlier or later.
-MulticoreConfig pinned_adaptive_config(std::size_t cores) {
-  MulticoreConfig cfg;
-  cfg.cores = cores;
-  cfg.ops_per_core = 128;
-  cfg.refill_every = 1u << 20;  // never refills inside the run
-  cfg.initial_tokens_per_core = 1024;
-  cfg.think_time = 0.0;
-  cfg.central_service = 1.0;
-  cfg.central_slope = 0.0;
-  cfg.exponential_service = false;
-  cfg.tuning.sample_interval = 64;
-  cfg.tuning.min_window_ops = 64;
-  cfg.tuning.stall_rate_threshold = 0.5;
-  return cfg;
-}
-
-TEST(MulticoreSim, AdaptiveSwitchFiresAtTheExactThresholdCrossing) {
-  const auto r = simulate_multicore({svc::BackendKind::kAdaptive, false},
-                                    pinned_adaptive_config(2));
-  EXPECT_TRUE(r.switched);
-  EXPECT_EQ(r.ops_at_switch, 64u);
-  EXPECT_DOUBLE_EQ(r.switch_time, 64.0);
-  EXPECT_TRUE(r.conserved);
-}
-
-TEST(MulticoreSim, AdaptiveStaysColdWithoutContention) {
-  // One core never queues behind itself: zero stall events, so the rule
-  // can never cross and the cold central model serves the whole run.
-  const auto r = simulate_multicore({svc::BackendKind::kAdaptive, false},
-                                    pinned_adaptive_config(1));
-  EXPECT_FALSE(r.switched);
-  EXPECT_EQ(r.stall_events, 0u);
-  EXPECT_TRUE(r.conserved);
 }
 
 TEST(MulticoreSim, EliminationPairsUnderContendedMix) {
@@ -226,7 +176,6 @@ TEST(OverloadSim, GoldenSeedReferenceTrace) {
   EXPECT_EQ(r.shed_refunded_tokens, 8u);
   EXPECT_EQ(r.peak_tier, svc::OverloadTier::kShedTenants);
   EXPECT_EQ(r.final_tier, svc::OverloadTier::kNominal);
-  EXPECT_FALSE(r.forced_switch);  // nothing to force on a central parent
   EXPECT_DOUBLE_EQ(r.makespan, 5580.1720385393346);
 
   // The tier-transition instants land on the sampler grid (multiples of
@@ -292,19 +241,6 @@ TEST(OverloadSim, GoldenSeedDeterminism) {
       EXPECT_EQ(a.transitions[i].pressure, b.transitions[i].pressure);
     }
   }
-}
-
-TEST(OverloadSim, AdaptiveParentTakesTheForcedSwap) {
-  // The force-eliminate action tells an adaptive parent to take its
-  // cold→hot swap at the next sample instant instead of waiting out its
-  // own switch rule — the ramp enters tier >= 2 at the fourth sample, so
-  // the swap lands exactly there.
-  const auto r = simulate_overload({svc::BackendKind::kAdaptive, false},
-                                   overload_sim_reference_config());
-  EXPECT_TRUE(r.forced_switch);
-  EXPECT_EQ(r.forced_switch_time, 128.0);
-  EXPECT_TRUE(r.conserved);
-  EXPECT_TRUE(r.recovered);
 }
 
 // The bench's exact Table F workload: reconfig_sim_reference_config plus
@@ -415,20 +351,13 @@ TEST(MulticoreSim, RejectsBadConfig) {
   // drivers now reject them where they take their inputs.
   const svc::BackendSpec central{svc::BackendKind::kCentralAtomic, false};
   const svc::BackendSpec batched{svc::BackendKind::kBatchedNetwork, false};
-  const svc::BackendSpec adaptive{svc::BackendKind::kAdaptive, false};
 
   MulticoreConfig zero_batch = small_config(2);
   zero_batch.batch_k = 0;  // deposited empty chunks forever
   EXPECT_THROW(simulate_multicore(batched, zero_batch), std::invalid_argument);
-  EXPECT_THROW(simulate_multicore(adaptive, zero_batch), std::invalid_argument);
   QuotaSimConfig quota_zero_batch = quota_config(4);
   quota_zero_batch.base.batch_k = 0;
   EXPECT_THROW(simulate_quota(batched, quota_zero_batch),
-               std::invalid_argument);
-
-  MulticoreConfig zero_interval = small_config(2);
-  zero_interval.tuning.sample_interval = 0;  // divided by zero
-  EXPECT_THROW(simulate_multicore(adaptive, zero_interval),
                std::invalid_argument);
 
   QuotaSimConfig negative_share = quota_config(4);
@@ -489,9 +418,6 @@ void expect_same(const MulticoreResult& got, const MulticoreResult& want) {
   EXPECT_EQ(got.elim_pairs, want.elim_pairs);
   EXPECT_EQ(got.elim_withdrawals, want.elim_withdrawals);
   EXPECT_EQ(got.elim_value_sum, want.elim_value_sum);
-  EXPECT_EQ(got.switched, want.switched);
-  EXPECT_DOUBLE_EQ(got.switch_time, want.switch_time);
-  EXPECT_EQ(got.ops_at_switch, want.ops_at_switch);
 }
 
 void expect_same(const QuotaSimResult& got, const QuotaSimResult& want) {
@@ -527,8 +453,6 @@ void expect_same(const OverloadSimResult& got, const OverloadSimResult& want) {
   EXPECT_EQ(got.shed_refunded_tokens, want.shed_refunded_tokens);
   EXPECT_EQ(got.peak_tier, want.peak_tier);
   EXPECT_EQ(got.final_tier, want.final_tier);
-  EXPECT_EQ(got.forced_switch, want.forced_switch);
-  EXPECT_DOUBLE_EQ(got.forced_switch_time, want.forced_switch_time);
   ASSERT_EQ(got.transitions.size(), want.transitions.size());
   for (std::size_t i = 0; i < want.transitions.size(); ++i) {
     SCOPED_TRACE("transition " + std::to_string(i));
@@ -604,18 +528,16 @@ MulticoreConfig table_b_config(std::size_t cores) {
 TEST(MulticoreSim, GoldenValuesTableBAt8Cores) {
   // {makespan, ops_per_vtime, consume_ops, consumed, rejected, refilled,
   //  initial_tokens, stall_events, final_pool, conserved, elim_pairs,
-  //  elim_withdrawals, elim_value_sum, switched, switch_time,
-  //  ops_at_switch}
+  //  elim_withdrawals, elim_value_sum}
   // clang-format off
   const MulticoreResult golden[] = {
-      {53309.08556018184, 0.30733973070132165, 16384u, 16384u, 0u, 16384u, 2048u, 112990u, 2048, true, 0u, 0u, 0, false, -1.0, 0u},  // central-atomic
-      {78171.156945686162, 0.20959137155132182, 16384u, 16384u, 0u, 16384u, 2048u, 113669u, 2048, true, 0u, 0u, 0, false, -1.0, 0u},  // central-cas
-      {94203.266471109659, 0.1739217822666973, 16384u, 16384u, 0u, 16384u, 2048u, 113922u, 2048, true, 0u, 0u, 0, false, -1.0, 0u},  // central-mutex
-      {33323.043559594757, 0.49167177573978021, 16384u, 16384u, 0u, 16384u, 2048u, 26084u, 2048, true, 0u, 0u, 0, false, -1.0, 0u},  // network
-      {17073.541217278547, 0.95961346222769961, 16384u, 16384u, 0u, 16384u, 2048u, 13137u, 2048, true, 0u, 0u, 0, false, -1.0, 0u},  // batched-network
-      {17370.928846359187, 0.94318502740479304, 16384u, 16378u, 6u, 16384u, 2048u, 16308u, 2054, true, 0u, 0u, 0, true, 815.7551880561391, 512u},  // adaptive
-      {48700.568888148715, 0.33642317480170231, 16384u, 16384u, 0u, 16384u, 2048u, 107698u, 2048, true, 3u, 16381u, -40997, false, -1.0, 0u},  // elim+central-atomic
-      {18196.280003780575, 0.90040381861545082, 16384u, 16384u, 0u, 16384u, 2048u, 12745u, 2048, true, 24u, 16360u, -187578, false, -1.0, 0u},  // elim+batched-network
+      {53309.08556018184, 0.30733973070132165, 16384u, 16384u, 0u, 16384u, 2048u, 112990u, 2048, true, 0u, 0u, 0},  // central-atomic
+      {78171.156945686162, 0.20959137155132182, 16384u, 16384u, 0u, 16384u, 2048u, 113669u, 2048, true, 0u, 0u, 0},  // central-cas
+      {94203.266471109659, 0.1739217822666973, 16384u, 16384u, 0u, 16384u, 2048u, 113922u, 2048, true, 0u, 0u, 0},  // central-mutex
+      {33323.043559594757, 0.49167177573978021, 16384u, 16384u, 0u, 16384u, 2048u, 26084u, 2048, true, 0u, 0u, 0},  // network
+      {17073.541217278547, 0.95961346222769961, 16384u, 16384u, 0u, 16384u, 2048u, 13137u, 2048, true, 0u, 0u, 0},  // batched-network
+      {48700.568888148715, 0.33642317480170231, 16384u, 16384u, 0u, 16384u, 2048u, 107698u, 2048, true, 3u, 16381u, -40997},  // elim+central-atomic
+      {18196.280003780575, 0.90040381861545082, 16384u, 16384u, 0u, 16384u, 2048u, 12745u, 2048, true, 24u, 16360u, -187578},  // elim+batched-network
   };
   // clang-format on
   const auto specs = multicore_sweep_specs();
@@ -659,11 +581,6 @@ TEST(QuotaSim, GoldenValuesReference16) {
        {6144, 512, 512, 512, 512, 0, 0, 0},
        {16, 2, 2, 2, 2, 2, 2, 2},
        {10, 0, 0, 0, 0, 0, 0, 0}},  // batched-network
-      {9245.2050518979759, 0.8860809418519322, 0.88575644931951569, 8192u, 8189u, 3u, 0u, 3u, 4447u, 3742u, 11974u, 6431u, true, true,
-       {6144, 512, 512, 512, 512, 0, 0, 0},
-       {6141, 512, 512, 512, 512, 0, 0, 0},
-       {16, 2, 2, 2, 2, 2, 2, 2},
-       {10, 0, 0, 0, 0, 0, 0, 0}},  // adaptive
       {10395.323751537459, 0.7880466444143609, 0.7880466444143609, 8192u, 8192u, 0u, 0u, 0u, 4875u, 3317u, 42525u, 5655u, true, true,
        {6144, 512, 512, 512, 512, 0, 0, 0},
        {6144, 512, 512, 512, 512, 0, 0, 0},
@@ -687,13 +604,13 @@ TEST(QuotaSim, GoldenValuesReference16) {
 TEST(OverloadSim, GoldenValuesReference) {
   // {makespan, attempts, admitted, rejected, degraded_admits, shed_rejects,
   //  shed_events, restore_events, shed_refunded_tokens, peak_tier,
-  //  final_tier, forced_switch, forced_switch_time,
+  //  final_tier,
   //  transitions {time, from, to, pressure}, shed_rejects_per_tenant,
   //  conserved, hysteresis_respected, recovered}
   // clang-format off
   const OverloadSimResult golden[] = {
       {5580.1720385393346, 9216u, 2654u, 5550u, 12u, 1012u, 4u, 4u, 8u,
-       kShedTenants, kNominal, false, -1.0,
+       kShedTenants, kNominal,
        {{128.0, kNominal, kShedTenants, 1.0},
         {960.0, kShedTenants, kForceEliminate, 0.7204081632653061},
         {992.0, kForceEliminate, kDegradePartial, 0.9193083573487032},
@@ -708,7 +625,7 @@ TEST(OverloadSim, GoldenValuesReference) {
        {0, 0, 0, 0, 347, 343, 159, 163},
        true, true, true},  // central-atomic
       {7065.3297321904911, 9216u, 2918u, 5381u, 4u, 917u, 5u, 5u, 6u,
-       kShedTenants, kNominal, false, -1.0,
+       kShedTenants, kNominal,
        {{128.0, kNominal, kForceEliminate, 0.75},
         {160.0, kForceEliminate, kShedTenants, 1.0},
         {960.0, kShedTenants, kForceEliminate, 0.6820276497695853},
@@ -729,7 +646,7 @@ TEST(OverloadSim, GoldenValuesReference) {
        {0, 0, 0, 0, 320, 323, 138, 136},
        true, true, true},  // central-cas
       {6661.6551316822724, 9216u, 2638u, 5640u, 7u, 938u, 7u, 7u, 12u,
-       kShedTenants, kNominal, false, -1.0,
+       kShedTenants, kNominal,
        {{128.0, kNominal, kShedTenants, 1.0},
         {960.0, kShedTenants, kForceEliminate, 0.66504854368932043},
         {992.0, kForceEliminate, kDegradePartial, 0.91851851851851851},
@@ -748,7 +665,7 @@ TEST(OverloadSim, GoldenValuesReference) {
        {0, 0, 0, 0, 328, 321, 146, 143},
        true, true, true},  // central-mutex
       {3707.2918033640285, 9216u, 3528u, 5688u, 4u, 0u, 1u, 1u, 0u,
-       kShedTenants, kNominal, false, -1.0,
+       kShedTenants, kNominal,
        {{224.0, kNominal, kForceEliminate, 0.81818181818181823},
         {288.0, kForceEliminate, kDegradePartial, 0.90000000000000002},
         {320.0, kDegradePartial, kShedTenants, 1.0},
@@ -764,7 +681,7 @@ TEST(OverloadSim, GoldenValuesReference) {
        {0, 0, 0, 0, 0, 0, 0, 0},
        true, true, true},  // network
       {3772.3576493603341, 9216u, 3590u, 5626u, 1u, 0u, 1u, 1u, 0u,
-       kShedTenants, kNominal, false, -1.0,
+       kShedTenants, kNominal,
        {{224.0, kNominal, kShrinkBatch, 0.53333333333333333},
         {288.0, kShrinkBatch, kForceEliminate, 0.78125},
         {352.0, kForceEliminate, kShedTenants, 1.0},
@@ -782,26 +699,8 @@ TEST(OverloadSim, GoldenValuesReference) {
         {2048.0, kShrinkBatch, kNominal, 0.39285714285714285}},
        {0, 0, 0, 0, 0, 0, 0, 0},
        true, true, true},  // batched-network
-      {3710.6613863285525, 9216u, 3803u, 5413u, 5u, 0u, 2u, 2u, 0u,
-       kShedTenants, kNominal, true, 128.0,
-       {{128.0, kNominal, kShedTenants, 1.0},
-        {160.0, kShedTenants, kNominal, 0.23076923076923078},
-        {224.0, kNominal, kShrinkBatch, 0.5357142857142857},
-        {256.0, kShrinkBatch, kShedTenants, 1.0},
-        {512.0, kShedTenants, kDegradePartial, 0.77272727272727271},
-        {544.0, kDegradePartial, kForceEliminate, 0.63636363636363635},
-        {640.0, kForceEliminate, kDegradePartial, 0.8623188405797102},
-        {1376.0, kDegradePartial, kForceEliminate, 0.72514619883040932},
-        {1504.0, kForceEliminate, kDegradePartial, 0.85344827586206895},
-        {1600.0, kDegradePartial, kForceEliminate, 0.72881355932203384},
-        {1632.0, kForceEliminate, kDegradePartial, 0.88181818181818183},
-        {1792.0, kDegradePartial, kForceEliminate, 0.72999999999999998},
-        {2144.0, kForceEliminate, kShrinkBatch, 0.57608695652173914},
-        {2272.0, kShrinkBatch, kNominal, 0.35555555555555557}},
-       {0, 0, 0, 0, 0, 0, 0, 0},
-       true, true, true},  // adaptive
       {4438.7779310173546, 9216u, 2433u, 5858u, 36u, 925u, 5u, 5u, 12u,
-       kShedTenants, kNominal, false, -1.0,
+       kShedTenants, kNominal,
        {{96.0, kNominal, kForceEliminate, 0.75},
         {128.0, kForceEliminate, kShedTenants, 1.0},
         {960.0, kShedTenants, kShrinkBatch, 0.54838709677419351},
@@ -822,7 +721,7 @@ TEST(OverloadSim, GoldenValuesReference) {
        {0, 0, 0, 0, 319, 328, 139, 139},
        true, true, true},  // elim+central-atomic
       {3749.4623499340782, 9216u, 3458u, 5637u, 0u, 121u, 2u, 2u, 0u,
-       kShedTenants, kNominal, false, -1.0,
+       kShedTenants, kNominal,
        {{128.0, kNominal, kShrinkBatch, 0.5},
         {160.0, kShrinkBatch, kNominal, 0.29166666666666669},
         {224.0, kNominal, kShrinkBatch, 0.6071428571428571},
@@ -867,7 +766,6 @@ TEST(ReconfigSim, GoldenValuesReference) {
       {18051.384950336789, 16384u, 15900u, 484u, 16384u, 512u, 300.0, 324.02048113348815, 391u, 16u, 2u, 810u, 13722u, 996, true},  // central-mutex
       {50688.496555901685, 16384u, 15872u, 512u, 16384u, 512u, 300.0, 307.69616677734183, 215u, 16u, 2u, 247u, 107863u, 1024, true},  // network
       {50688.496555901685, 16384u, 15872u, 512u, 16384u, 512u, 300.0, 307.69616677734183, 215u, 16u, 2u, 247u, 107863u, 1024, true},  // batched-network
-      {51791.955765406252, 16384u, 15888u, 496u, 16384u, 512u, 300.0, 307.26134860564667, 303u, 16u, 2u, 1411u, 108493u, 1008, true},  // adaptive
       {18029.732204471391, 16384u, 15894u, 490u, 16384u, 512u, 300.0, 311.25159066057097, 293u, 16u, 2u, 1403u, 13634u, 1002, true},  // elim+central-atomic
       {48445.018804063089, 16384u, 15872u, 512u, 16384u, 512u, 300.0, 312.2042279799997, 226u, 16u, 2u, 207u, 107926u, 1024, true},  // elim+batched-network
   };

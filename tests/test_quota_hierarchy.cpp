@@ -187,7 +187,7 @@ TEST_P(QuotaParentSpecs, SequentialConservationPlainAndElim) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPoolBackends, QuotaParentSpecs,
-                         ::testing::ValuesIn(kPoolBackendKinds),
+                         ::testing::ValuesIn(kAllBackendKinds),
                          test::backend_param_name);
 
 // The ISSUE's concurrency invariant: N tenant threads running a mixed

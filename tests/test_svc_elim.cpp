@@ -158,10 +158,9 @@ TEST(BackendSpec, ParsesAndRoundTrips) {
   EXPECT_TRUE(elim->elimination);
   EXPECT_EQ(backend_spec_name(*elim), "elim+central-atomic");
 
-  const auto adaptive = parse_backend_spec("elim+adaptive");
-  ASSERT_TRUE(adaptive.has_value());
-  EXPECT_EQ(adaptive->kind, BackendKind::kAdaptive);
-  EXPECT_TRUE(adaptive->elimination);
+  // The retired adaptive kind parses as nothing, bare or prefixed.
+  EXPECT_FALSE(parse_backend_spec("adaptive").has_value());
+  EXPECT_FALSE(parse_backend_spec("elim+adaptive").has_value());
 
   EXPECT_FALSE(parse_backend_spec("elim+").has_value());
   EXPECT_FALSE(parse_backend_spec("elim+bogus").has_value());
@@ -193,6 +192,20 @@ TEST(BackendSpec, ParseFailuresNameTheReason) {
   EXPECT_NE(prefixed.error.find("unknown backend kind \"bogus\""),
             std::string::npos)
       << prefixed.error;
+
+  // A retired kind is an unknown kind like any other, and the list it
+  // points at names exactly the five that remain.
+  for (const char* retired : {"adaptive", "elim+adaptive"}) {
+    const auto gone = parse_backend_spec(retired);
+    ASSERT_FALSE(gone.has_value()) << retired;
+    EXPECT_NE(gone.error.find("unknown backend kind \"adaptive\""),
+              std::string::npos)
+        << gone.error;
+    EXPECT_NE(gone.error.find("(known: central-atomic, central-cas, "
+                              "central-mutex, network, batched-network;"),
+              std::string::npos)
+        << gone.error;
+  }
 
   // A valid kind with junk appended is called out as trailing garbage
   // rather than lumped in with unknown kinds.

@@ -14,24 +14,7 @@
 namespace cnet::svc {
 namespace {
 
-TEST(SwitchPolicy, RequiresBothWindowSizeAndRate) {
-  AdaptiveTuning tuning;
-  tuning.min_window_ops = 100;
-  tuning.stall_rate_threshold = 0.05;
-
-  // Too small a window never triggers, however hot.
-  EXPECT_FALSE(should_switch({99, 99}, tuning));
-  // Exactly at the floor with the rate above threshold: triggers.
-  EXPECT_TRUE(should_switch({100, 6}, tuning));
-  // Rate exactly at threshold is inclusive, above the floor too.
-  EXPECT_TRUE(should_switch({100, 5}, tuning));
-  EXPECT_TRUE(should_switch({200, 10}, tuning));
-  EXPECT_FALSE(should_switch({100, 4}, tuning));
-  // A zero-op window divides to rate 0, not NaN.
-  EXPECT_FALSE(should_switch({0, 0}, tuning));
-}
-
-TEST(SwitchPolicy, EmptyWindowRateIsZero) {
+TEST(WindowPolicy, EmptyWindowRateIsZero) {
   EXPECT_EQ(LoadWindow{}.event_rate(), 0.0);
   EXPECT_EQ((LoadWindow{0, 7}).event_rate(), 0.0);
   EXPECT_DOUBLE_EQ((LoadWindow{200, 10}).event_rate(), 0.05);

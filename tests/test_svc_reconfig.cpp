@@ -104,12 +104,12 @@ TEST(ReconfigEngine, NullStagedStateThrows) {
 
 // ---------------------------------------------------- bucket live respec
 
-// Every pool spec the respec conservation sweep covers: the six kinds
+// Every pool spec the respec conservation sweep covers: the five kinds
 // plain, plus the elimination front over the two contended favourites
 // (mirrors the simulator's multicore_sweep_specs axis).
 std::vector<BackendSpec> respec_sweep_specs() {
   std::vector<BackendSpec> specs;
-  for (BackendKind kind : kPoolBackendKinds) specs.push_back({kind, false});
+  for (BackendKind kind : kAllBackendKinds) specs.push_back({kind, false});
   specs.push_back({BackendKind::kCentralAtomic, true});
   specs.push_back({BackendKind::kBatchedNetwork, true});
   return specs;

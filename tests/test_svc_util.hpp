@@ -31,11 +31,11 @@ inline std::string backend_spec_param_name(
   return name;
 }
 
-// Every pool-capable kind plain and behind the elimination front-end —
-// the axis for suites that must cover "all backends including elim+".
+// Every kind plain and behind the elimination front-end — the axis for
+// suites that must cover "all backends including elim+".
 inline std::vector<svc::BackendSpec> all_pool_backend_specs() {
   std::vector<svc::BackendSpec> specs;
-  for (const svc::BackendKind kind : svc::kPoolBackendKinds) {
+  for (const svc::BackendKind kind : svc::kAllBackendKinds) {
     specs.push_back({kind, false});
     specs.push_back({kind, true});
   }
