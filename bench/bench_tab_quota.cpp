@@ -10,8 +10,8 @@
 //           max-borrow path on the shared parent.
 // Table D′ — sim::simulate_quota: the same workload shape on simulated
 //           cores, where the hot-tenant parent-contention ordering
-//           (network ≥ central at 64 cores, inverted at 4) is observable
-//           and deterministic on any host.
+//           (batched-network ≥ central at 64 cores, inverted at 4) is
+//           observable and deterministic on any host.
 //
 // Named checks (--json + exit code, the artifact CI gates on):
 //   D:conservation[spec,T,skew] — quiescent drain returns every pool to
@@ -23,7 +23,7 @@
 //       cold ones);
 //   quota_sim_conservation / quota_sim_isolation — the model mirror, for
 //       every spec × core count;
-//   quota_sim_parent_crossover  — network parent >= central parent
+//   quota_sim_parent_crossover  — batched-network parent >= central parent
 //       goodput at 64 simulated cores;
 //   quota_sim_central_wins_lowcores — and the inversion at 4 cores;
 //   quota_sim_determinism       — a re-run with the same seed reproduces
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
         if (!spec.elimination && (cores == 4 || cores == 64)) {
           if (spec.kind == svc::BackendKind::kCentralAtomic) {
             (cores == 4 ? central4 : central64) = r.goodput_per_vtime;
-          } else if (spec.kind == svc::BackendKind::kNetwork) {
+          } else if (spec.kind == svc::BackendKind::kBatchedNetwork) {
             (cores == 4 ? network4 : network64) = r.goodput_per_vtime;
           }
         }
@@ -279,7 +279,8 @@ int main(int argc, char** argv) {
                  opts);
 
     // Determinism: re-run the headline cell and require bit-identity.
-    const svc::BackendSpec headline{svc::BackendKind::kNetwork, false};
+    const svc::BackendSpec headline{svc::BackendKind::kBatchedNetwork,
+                                    false};
     const auto first =
         sim::simulate_quota(headline, sim::quota_sim_reference_config(64));
     const auto again =

@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   // whether the network beats the central word depends on the host's core
   // count, and this table makes no promise either way.
   const std::size_t ratio_threads = thread_sweep.back();
-  double central = 0.0, network = 0.0, batched = 0.0;
+  double central = 0.0, batched = 0.0;
   {
     std::vector<std::string> header{"backend"};
     for (const auto t : thread_sweep) {
@@ -155,7 +155,6 @@ int main(int argc, char** argv) {
         const double rate = bucket_rate(kind, threads, opts.smoke);
         if (threads == ratio_threads) {
           if (kind == svc::BackendKind::kCentralAtomic) central = rate;
-          if (kind == svc::BackendKind::kNetwork) network = rate;
           if (kind == svc::BackendKind::kBatchedNetwork) batched = rate;
         }
         row.push_back(bench::fmt_rate(rate));
@@ -167,9 +166,7 @@ int main(int argc, char** argv) {
       bench::note("\nmeasured at " + std::to_string(ratio_threads) +
                       " threads on " +
                       std::to_string(std::thread::hardware_concurrency()) +
-                      " hardware threads: network/central-atomic " +
-                      util::fmt_ratio(network, central, 2) +
-                      ", batched/central-atomic " +
+                      " hardware threads: batched/central-atomic " +
                       util::fmt_ratio(batched, central, 2),
                   opts);
     }

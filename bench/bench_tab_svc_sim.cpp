@@ -13,9 +13,9 @@
 // Named checks (fail the run via --json, which is what CI gates on):
 //   svc_sim_conservation                — every spec × core count conserves
 //                                         tokens exactly, pool bound at 0;
-//   svc_sim_crossover_network_vs_central— network >= 2x central-atomic
-//                                         ops/virtual-sec at the largest
-//                                         core count;
+//   svc_sim_crossover_network_vs_central— batched-network >= 2x
+//                                         central-atomic ops/virtual-sec
+//                                         at the largest core count;
 //   svc_sim_central_wins_singlecore     — ...and the opposite at 1 core,
 //                                         the paper's other half;
 //   svc_sim_elim_pairs_recorded         — the elimination front-end paired
@@ -104,14 +104,16 @@ int main(int argc, char** argv) {
         result_for({svc::BackendKind::kCentralAtomic, false}, 1)
             .ops_per_vtime;
     const double network1 =
-        result_for({svc::BackendKind::kNetwork, false}, 1).ops_per_vtime;
+        result_for({svc::BackendKind::kBatchedNetwork, false}, 1)
+            .ops_per_vtime;
     const double centralP =
         result_for({svc::BackendKind::kCentralAtomic, false}, max_cores)
             .ops_per_vtime;
     const double networkP =
-        result_for({svc::BackendKind::kNetwork, false}, max_cores)
+        result_for({svc::BackendKind::kBatchedNetwork, false}, max_cores)
             .ops_per_vtime;
-    bench::note("\nnetwork/central-atomic at " + std::to_string(max_cores) +
+    bench::note("\nbatched-network/central-atomic at " +
+                    std::to_string(max_cores) +
                     " cores: " + util::fmt_ratio(networkP, centralP, 2) +
                     "   at 1 core: " + util::fmt_ratio(network1, central1, 2) +
                     "\n(the paper's inversion: the central word wins "

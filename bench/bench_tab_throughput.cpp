@@ -1,7 +1,7 @@
 // Experimental analysis (paper §1.3.1's reference to [19,20]): sustained
 // Fetch&Increment throughput of every counter implementation under real
 // threads via the unified LoadGen harness, plus the batched-token runtime
-// (BatchedNetworkCounter::fetch_increment_batch) against the per-token
+// (NetworkCounter::fetch_increment_batch) against the per-token
 // baseline — the batching lever that cuts per-value atomic traffic by up
 // to k×.
 //
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
       table.add_row(row);
     }
     for (const std::size_t k : {8u, 64u}) {
-      rt::BatchedNetworkCounter counter(net, "batched C(8,24)");
+      rt::NetworkCounter counter(net, "batched C(8,24)");
       std::vector<std::string> row = {"batch k=" + std::to_string(k)};
       bench::LoadGenResult last;
       for (const std::size_t n : kThreadCounts) {

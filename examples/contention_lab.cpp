@@ -7,6 +7,7 @@
 //
 // Usage: ./examples/contention_lab <family> <w> [t] [n] [scheduler]
 //   family:    counting | bitonic | periodic | difftree | ablated
+//   n:         simulated concurrency, 1..65536 (default 16·w)
 //   scheduler: convoy (default) | greedy | random | rr
 //
 // Example: ./examples/contention_lab counting 16 64 256 convoy
@@ -41,8 +42,20 @@ int main(int argc, char** argv) {
   const auto w = static_cast<std::size_t>(std::atoll(argv[2]));
   const std::size_t t =
       argc > 3 ? static_cast<std::size_t>(std::atoll(argv[3])) : w;
-  const std::size_t n =
-      argc > 4 ? static_cast<std::size_t>(std::atoll(argv[4])) : 16 * w;
+  // The simulator runs 32·n tokens; range-check an explicit n as a signed
+  // value so a negative one is rejected instead of sizing a huge census.
+  constexpr long long kMaxConcurrency = 65536;
+  std::size_t n = 16 * w;
+  if (argc > 4) {
+    const long long n_arg = std::atoll(argv[4]);
+    if (n_arg < 1 || n_arg > kMaxConcurrency) {
+      std::fprintf(stderr,
+                   "usage: %s <family> <w> [t] [1<=n<=%lld] [scheduler]\n",
+                   argv[0], kMaxConcurrency);
+      return 2;
+    }
+    n = static_cast<std::size_t>(n_arg);
+  }
   const std::string sched_name = argc > 5 ? argv[5] : "convoy";
 
   std::optional<cnet::topo::Topology> net;

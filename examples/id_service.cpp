@@ -6,10 +6,11 @@
 //
 // Usage: ./examples/id_service [backend] [threads] [batch]
 //   backend: central | cas | mutex | bitonic | periodic | cww | cwt |
-//            cwt-batch | difftree   (default: cwt, i.e. C(8, 8*lg8)=C(8,24))
+//            difftree   (default: cwt, i.e. C(8, 8*lg8)=C(8,24))
 //   batch:   tokens claimed per call (default 1; >1 uses the widened
-//            fetch_increment_batch API — cwt-batch amortizes it through
-//            the network, every other backend loops)
+//            fetch_increment_batch API — the network backends amortize it
+//            in one traversal pass, the central ones in one step, difftree
+//            loops)
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -49,10 +50,6 @@ std::unique_ptr<cnet::rt::Counter> make_backend(const char* name) {
     return std::make_unique<rt::NetworkCounter>(core::make_counting(8, 24),
                                                 "C(8,24)");
   }
-  if (!std::strcmp(name, "cwt-batch")) {
-    return std::make_unique<rt::BatchedNetworkCounter>(
-        core::make_counting(8, 24), "batched C(8,24)");
-  }
   if (!std::strcmp(name, "difftree")) {
     rt::DiffractingTreeCounter::Config cfg;
     cfg.leaves = 8;
@@ -76,7 +73,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "unknown backend '%s', thread count not in 1..256, or "
                  "batch size not in 1..4096 (backends: central cas mutex "
-                 "bitonic periodic cww cwt cwt-batch difftree)\n",
+                 "bitonic periodic cww cwt difftree)\n",
                  backend_name);
     return 2;
   }

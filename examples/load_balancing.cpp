@@ -8,6 +8,7 @@
 // assignment, whose imbalance grows like sqrt(m).
 //
 // Build & run:  ./examples/load_balancing [jobs-per-thread]
+//               (1..10000000, default 20000)
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -43,8 +44,18 @@ struct QueueLengths {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t jobs_per_thread =
-      argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 20000;
+  // Range-check as a signed value before any thread starts: a negative
+  // count cast to size_t would dispatch for hours, and zero jobs would
+  // pass the balance check vacuously.
+  constexpr long long kMaxJobsPerThread = 10'000'000;
+  const long long jobs_arg = argc > 1 ? std::atoll(argv[1]) : 20000;
+  if (jobs_arg < 1 || jobs_arg > kMaxJobsPerThread) {
+    std::fprintf(stderr,
+                 "usage: load_balancing [1<=jobs-per-thread<=%lld]\n",
+                 kMaxJobsPerThread);
+    return 2;
+  }
+  const auto jobs_per_thread = static_cast<std::size_t>(jobs_arg);
 
   // Network-balanced dispatch.
   const auto topology = cnet::core::make_counting(kWidthIn, kQueues);

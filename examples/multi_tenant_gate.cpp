@@ -7,9 +7,9 @@
 // shared pool.
 //
 // Usage: ./examples/multi_tenant_gate [parent-backend] [tenants] [hot-extra]
-//   parent-backend: central-atomic | central-cas | central-mutex | network |
-//                   batched-network, optionally "elim+"-prefixed
-//                   (the parent pool spec)      (default: batched-network)
+//   parent-backend: the parent pool's backend spec (docs/OPERATIONS.md),
+//                   optionally "elim+"-prefixed; a bad one prints every
+//                   known kind                  (default: batched-network)
 //   tenants:        tenant count (>= 2)         (default: 4)
 //   hot-extra:      extra threads piled onto tenant 0, which also gets
 //                   weight 1 + hot-extra        (default: 4)
@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
   }
   if (!spec || tenants < 2 || tenants > 128 || hot_extra > 64) {
     std::fprintf(stderr,
-                 "usage: multi_tenant_gate [[elim+]central-atomic|"
-                 "central-cas|central-mutex|network|batched-network] "
+                 "usage: multi_tenant_gate [<backend-spec>] "
                  "[2<=tenants<=128] [hot-extra<=64]\n");
     return 2;
   }

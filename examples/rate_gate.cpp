@@ -7,10 +7,10 @@
 // the refiller, service capacity set by the bucket.
 //
 // Usage: ./examples/rate_gate [backend] [threads] [rate]
-//   backend: central-atomic | central-cas | central-mutex | network |
-//            batched-network, optionally prefixed with "elim+"
-//            to put the elimination front-end before the bucket pool
-//            (e.g. elim+batched-network)        (default: batched-network)
+//   backend: a backend spec (docs/OPERATIONS.md), optionally prefixed
+//            with "elim+" to put the elimination front-end before the
+//            bucket pool (e.g. elim+batched-network); a bad one prints
+//            every known kind                   (default: batched-network)
 //   threads: total threads incl. the refiller   (default: 5)
 //   rate:    tokens/sec fed to the bucket       (default: 100000)
 #include <algorithm>
@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
   }
   if (!spec || threads < 2 || threads > 256 || rate < 1.0) {
     std::fprintf(stderr,
-                 "usage: rate_gate [[elim+]central-atomic|central-cas|"
-                 "central-mutex|network|batched-network] [threads>=2] "
+                 "usage: rate_gate [<backend-spec>] [threads>=2] "
                  "[rate>=1]\n");
     return 2;
   }

@@ -7,11 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <utility>
-
-#include "cnet/util/ensure.hpp"
 
 namespace cnet::rt {
 
@@ -81,9 +77,9 @@ class Counter {
   // un-consume of an all-or-nothing shortfall, a release of tokens granted
   // earlier, a respec migration, and a bucket's constructor seed. It is a
   // distinct operation so decorators can tell give-backs from organic
-  // refills: ForwardingCounter sends refunds straight to the inner
-  // counter, so svc::ElimCounter never parks a give-back in its exchange
-  // slots waiting for a partner.
+  // refills: svc::ElimCounter sends refunds straight to its inner counter
+  // and never parks a give-back in its exchange slots waiting for a
+  // partner.
   virtual void refund_n(std::size_t thread_hint, std::uint64_t n) {
     fetch_increment_batch(thread_hint, static_cast<std::size_t>(n), nullptr);
   }
@@ -111,56 +107,6 @@ class Counter {
   // backend rather than stopping at a caller's loop arithmetic. Backends
   // without a batch path report 0.
   virtual std::uint64_t batch_pass_count() const { return 0; }
-};
-
-// Decorator base (GoF-style): owns an inner Counter and forwards every
-// operation and telemetry read to it. Layers that intercept part of the
-// protocol — svc::ElimCounter pairing increments with decrements before
-// they reach the network, instrumentation shims — derive from this and
-// override only the ops they change, so a stack of decorators still behaves
-// as one Counter to every svc consumer.
-class ForwardingCounter : public Counter {
- public:
-  explicit ForwardingCounter(std::unique_ptr<Counter> inner)
-      : inner_(std::move(inner)) {
-    CNET_REQUIRE(inner_ != nullptr, "null inner counter");
-  }
-
-  std::int64_t fetch_increment(std::size_t thread_hint) override {
-    return inner_->fetch_increment(thread_hint);
-  }
-  void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
-                             std::int64_t* out_values) override {
-    inner_->fetch_increment_batch(thread_hint, k, out_values);
-  }
-  bool try_fetch_decrement(std::size_t thread_hint,
-                           std::int64_t* reclaimed = nullptr) override {
-    return inner_->try_fetch_decrement(thread_hint, reclaimed);
-  }
-  std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
-                                      std::uint64_t n) override {
-    return inner_->try_fetch_decrement_n(thread_hint, n);
-  }
-  // Refunds take the inner counter's fast path directly (an ElimCounter
-  // does not route them through the exchange slots): give-backs should
-  // land in the pool unconditionally, not wait for a partner.
-  void refund_n(std::size_t thread_hint, std::uint64_t n) override {
-    inner_->refund_n(thread_hint, n);
-  }
-  std::string name() const override { return inner_->name(); }
-  std::uint64_t stall_count() const override { return inner_->stall_count(); }
-  std::uint64_t traversal_count() const override {
-    return inner_->traversal_count();
-  }
-  std::uint64_t batch_pass_count() const override {
-    return inner_->batch_pass_count();
-  }
-
-  Counter& inner() noexcept { return *inner_; }
-  const Counter& inner() const noexcept { return *inner_; }
-
- private:
-  std::unique_ptr<Counter> inner_;
 };
 
 }  // namespace cnet::rt

@@ -148,9 +148,9 @@ std::uint64_t NetworkCounter::try_fetch_decrement_n(std::size_t thread_hint,
   return got;
 }
 
-void BatchedNetworkCounter::fetch_increment_batch(std::size_t thread_hint,
-                                                  std::size_t k,
-                                                  std::int64_t* out_values) {
+void NetworkCounter::fetch_increment_batch(std::size_t thread_hint,
+                                           std::size_t k,
+                                           std::int64_t* out_values) {
   if (k == 0) return;
   if (k == 1) {
     // The batch machinery costs Θ(balancers) in scratch resets per call;

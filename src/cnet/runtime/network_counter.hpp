@@ -17,7 +17,7 @@
 
 namespace cnet::rt {
 
-class NetworkCounter : public Counter {
+class NetworkCounter final : public Counter {
  public:
   // `label` names the network family in benchmark output, e.g. "C(8,16)".
   NetworkCounter(const topo::Topology& net, std::string label,
@@ -28,6 +28,17 @@ class NetworkCounter : public Counter {
                  BalancerMode mode = BalancerMode::kFetchAdd);
 
   std::int64_t fetch_increment(std::size_t thread_hint) override;
+
+  // Shepherds all k tokens through the network in one traverse_batch pass
+  // and claims each exit wire's values with a single cell fetch_add(count ·
+  // t), handing out a contiguous-per-wire block base, base+t, ...,
+  // base+(count-1)·t. Per-value atomic traffic drops by up to k× against k
+  // fetch_increment calls (bench_tab_throughput's per-token baseline). With
+  // null out_values the pass writes no values; refund_n (inherited) takes
+  // exactly that pass for any n: one RMW per balancer touched plus one per
+  // exit wire, n traversals and 1 batch pass.
+  void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
+                             std::int64_t* out_values) override;
 
   // Fetch&Decrement via an antitoken (paper §1.4.2 / Aiello et al.):
   // returns the counter value it reclaims — i.e. the value the next
@@ -70,10 +81,9 @@ class NetworkCounter : public Counter {
   std::uint64_t traversal_count() const override {
     return traversals_.total();
   }
-  // Batch passes taken by BatchedNetworkCounter's amortized path (0 on the
-  // per-token base class): traversal_count() / batch_pass_count() is the
-  // observed tokens-per-pass, the number that proves a shrunken batch
-  // chunk reached the network.
+  // Batch passes taken by fetch_increment_batch's amortized path:
+  // traversal_count() / batch_pass_count() is the observed tokens-per-pass,
+  // the number that proves a shrunken batch chunk reached the network.
   std::uint64_t batch_pass_count() const override {
     return batch_passes_.total();
   }
@@ -89,9 +99,7 @@ class NetworkCounter : public Counter {
     return cells_[wire].value.load(std::memory_order_relaxed);
   }
 
- protected:
-  // Shared with BatchedNetworkCounter, whose batch path claims values from
-  // the same cells the per-token path does.
+ private:
   CompiledNetwork net_;
   std::string label_;
   BalancerMode mode_;
@@ -106,28 +114,10 @@ class NetworkCounter : public Counter {
   // width_in(), by mask when the width allows.
   std::size_t entry_wire(std::size_t thread_hint) const noexcept;
 
- private:
   bool try_claim_cell(std::size_t wire, std::size_t thread_hint,
                       std::int64_t* reclaimed);
   std::uint64_t try_claim_cell_n(std::size_t wire, std::size_t thread_hint,
                                  std::uint64_t n);
-};
-
-// A NetworkCounter whose fetch_increment_batch shepherds all k tokens
-// through the network in one traverse_batch pass and claims each exit
-// wire's values with a single cell fetch_add(count · t) — handing out a
-// contiguous-per-wire block base, base+t, ..., base+(count-1)·t. Per-value
-// atomic traffic drops by up to k× versus the inherited per-token path,
-// which NetworkCounter keeps as the comparison baseline. With null
-// out_values the pass writes no values; refund_n (inherited) takes exactly
-// that pass for any n: one RMW per balancer touched plus one per exit wire,
-// n traversals and 1 batch pass.
-class BatchedNetworkCounter final : public NetworkCounter {
- public:
-  using NetworkCounter::NetworkCounter;
-
-  void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
-                             std::int64_t* out_values) override;
 };
 
 }  // namespace cnet::rt

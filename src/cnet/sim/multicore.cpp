@@ -40,7 +40,7 @@ class CounterModel {
   // Refund traffic (shortfall un-consume, quota releases): count-wise the
   // same deposits as increment_n — the default — but a distinct entry
   // point so ElimModel can send it straight to its backend, mirroring
-  // rt::Counter::refund_n and ForwardingCounter's override.
+  // rt::Counter::refund_n and svc::ElimCounter's override.
   virtual void refund_n(std::size_t core, std::uint64_t k, Done done) {
     increment_n(core, k, std::move(done));
   }
@@ -96,17 +96,8 @@ class PoolBase : public CounterModel {
 // is a stall event, the virtual analogue of Counter::stall_count.
 class CentralModel final : public PoolBase {
  public:
-  // empty_read_fast_path models the atomic/CAS bounded-decrement contract:
-  // on an observably empty pool the real loop exits after a plain load — a
-  // shared cache read that never takes exclusive line ownership — so it
-  // neither queues behind the RMW stream nor counts as a stall. The mutex
-  // kind always takes the lock and gets no fast path.
-  CentralModel(Engine& eng, double slope, ServiceDraw draw,
-               bool empty_read_fast_path = false)
-      : eng_(eng),
-        slope_(slope),
-        draw_(draw),
-        empty_read_fast_path_(empty_read_fast_path) {}
+  CentralModel(Engine& eng, double slope, ServiceDraw draw)
+      : eng_(eng), slope_(slope), draw_(draw) {}
 
   void increment_n(std::size_t, std::uint64_t k, Done done) override {
     // A batch of k is k successive RMWs holding the line.
@@ -119,10 +110,14 @@ class CentralModel final : public PoolBase {
   }
 
   void try_decrement_n(std::size_t, std::uint64_t n, DoneN done) override {
-    if (empty_read_fast_path_ && pool() <= 0) {
-      // Read-only miss: one uncontended service draw, in parallel with the
-      // server. The op's linearization point is the issue-time load that
-      // observed the empty pool, so it conclusively returns 0.
+    if (pool() <= 0) {
+      // Read-only miss, the atomic/CAS bounded-decrement contract: on an
+      // observably empty pool the real loop exits after a plain load — a
+      // shared cache read that never takes exclusive line ownership — so it
+      // neither queues behind the RMW stream nor counts as a stall. One
+      // uncontended service draw, in parallel with the server; the op
+      // linearizes at its first load, which observed the empty pool, so it
+      // conclusively returns 0.
       eng_.at(eng_.now() + draw_(),
               [done = std::move(done)] { done(0); });
       return;
@@ -154,7 +149,6 @@ class CentralModel final : public PoolBase {
   Engine& eng_;
   double slope_;
   ServiceDraw draw_;
-  bool empty_read_fast_path_;
   std::uint64_t pending_ = 0;  // requests queued or in service
   double free_ = 0.0;          // time the server next goes idle
   std::uint64_t stalls_ = 0;
@@ -165,8 +159,8 @@ class CentralModel final : public PoolBase {
 // The counting network as des::BalancerServers behind the CounterModel
 // interface: tokens (increments) and antitokens (bounded decrements)
 // traverse the shared per-balancer FIFO servers. A traversal carries a
-// payload of up to batch_k tokens (1 for the per-token backend), which is
-// the batched backend's whole advantage.
+// payload of up to batch_k tokens, which is the batched backend's whole
+// advantage.
 class NetworkModel final : public PoolBase {
  public:
   NetworkModel(Engine& eng, const topo::Topology& net, double wire_delay,
@@ -286,8 +280,8 @@ class ElimModel final : public CounterModel {
     inner_->try_decrement_n(core, n - got, std::move(add_caught));
   }
 
-  // Refunds skip the exchange slots (rt::ForwardingCounter's default does
-  // the same): give-backs land in the pool unconditionally.
+  // Refunds skip the exchange slots (svc::ElimCounter's override does the
+  // same): give-backs land in the pool unconditionally.
   void refund_n(std::size_t core, std::uint64_t k, Done done) override {
     inner_->refund_n(core, k, std::move(done));
   }
@@ -413,27 +407,17 @@ std::unique_ptr<CounterModel> make_backend_model(svc::BackendKind kind,
   const auto draw = [&](double mean) {
     return ServiceDraw(mean, cfg.exponential_service, rng);
   };
-  const auto network = [&](std::size_t batch_k) {
-    return std::make_unique<NetworkModel>(
-        eng, core::make_counting(cfg.net.width_in, cfg.net.width_out),
-        cfg.wire_delay, batch_k, draw(cfg.balancer_service));
-  };
   switch (kind) {
     case svc::BackendKind::kCentralAtomic:
       return std::make_unique<CentralModel>(eng, cfg.central_slope,
-                                            draw(cfg.central_service),
-                                            /*empty_read_fast_path=*/true);
+                                            draw(cfg.central_service));
     case svc::BackendKind::kCentralCas:
       return std::make_unique<CentralModel>(eng, cfg.cas_slope,
-                                            draw(cfg.central_service),
-                                            /*empty_read_fast_path=*/true);
-    case svc::BackendKind::kCentralMutex:
-      return std::make_unique<CentralModel>(eng, cfg.mutex_slope,
-                                            draw(cfg.mutex_service));
-    case svc::BackendKind::kNetwork:
-      return network(1);
+                                            draw(cfg.central_service));
     case svc::BackendKind::kBatchedNetwork:
-      return network(cfg.batch_k);
+      return std::make_unique<NetworkModel>(
+          eng, core::make_counting(cfg.net.width_in, cfg.net.width_out),
+          cfg.wire_delay, cfg.batch_k, draw(cfg.balancer_service));
   }
   return nullptr;
 }
@@ -1092,7 +1076,6 @@ svc::BackendSpec reconfig_respec_target(const svc::BackendSpec& spec_from) {
   switch (spec_from.kind) {
     case svc::BackendKind::kCentralAtomic:
     case svc::BackendKind::kCentralCas:
-    case svc::BackendKind::kCentralMutex:
       return {svc::BackendKind::kBatchedNetwork, false};
     default:
       return {svc::BackendKind::kCentralAtomic, false};

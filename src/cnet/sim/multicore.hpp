@@ -54,12 +54,10 @@ struct ModelConfig {
   // Central-word model parameters, per backend kind. service is the
   // uncontended RMW time; slope is the extra fraction per request already
   // queued on the line (atomic: coherence migration only; CAS: failed
-  // retries resubmit; mutex: heavier base cost).
+  // retries resubmit).
   double central_service = 1.0;
   double central_slope = 0.08;
   double cas_slope = 0.18;
-  double mutex_service = 1.6;
-  double mutex_slope = 0.10;
 
   // Network model: per-balancer service time and wire delay, applied to the
   // real C(width_in, width_out) topology from `net`.

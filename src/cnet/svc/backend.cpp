@@ -19,8 +19,6 @@ const char* backend_kind_name(BackendKind kind) noexcept {
   switch (kind) {
     case BackendKind::kCentralAtomic: return "central-atomic";
     case BackendKind::kCentralCas: return "central-cas";
-    case BackendKind::kCentralMutex: return "central-mutex";
-    case BackendKind::kNetwork: return "network";
     case BackendKind::kBatchedNetwork: return "batched-network";
   }
   return "?";
@@ -128,23 +126,16 @@ std::shared_ptr<const rt::CompiledShape> counting_shape(std::size_t w,
 
 std::unique_ptr<rt::Counter> make_counter(BackendKind kind,
                                           const BackendConfig& cfg) {
-  const auto label = [&cfg](const char* prefix) {
-    return std::string(prefix) + "C(" + std::to_string(cfg.width_in) + "," +
-           std::to_string(cfg.width_out) + ")";
-  };
   switch (kind) {
     case BackendKind::kCentralAtomic:
       return std::make_unique<rt::AtomicCounter>();
     case BackendKind::kCentralCas:
       return std::make_unique<rt::CasCounter>();
-    case BackendKind::kCentralMutex:
-      return std::make_unique<rt::MutexCounter>();
-    case BackendKind::kNetwork:
-      return std::make_unique<rt::NetworkCounter>(
-          counting_shape(cfg.width_in, cfg.width_out), label(""));
     case BackendKind::kBatchedNetwork:
-      return std::make_unique<rt::BatchedNetworkCounter>(
-          counting_shape(cfg.width_in, cfg.width_out), label("batched "));
+      return std::make_unique<rt::NetworkCounter>(
+          counting_shape(cfg.width_in, cfg.width_out),
+          "batched C(" + std::to_string(cfg.width_in) + "," +
+              std::to_string(cfg.width_out) + ")");
   }
   return nullptr;
 }

@@ -1,9 +1,9 @@
 // Counter-backend selection for the service layer: one factory that every
 // svc consumer, bench driver, and property test goes through, so "compare
-// central vs. network vs. batched" is a loop over BackendKind instead of
-// five hand-rolled constructions. The factory also composes the one
-// pool-oriented layer its consumers opt into: the elimination front-end
-// (BackendSpec::elimination wraps any kind in svc::ElimCounter).
+// central vs. network" is a loop over BackendKind instead of hand-rolled
+// constructions. The factory also composes the one pool-oriented layer its
+// consumers opt into: the elimination front-end (BackendSpec::elimination
+// wraps any kind in svc::ElimCounter).
 #pragma once
 
 #include <memory>
@@ -19,9 +19,7 @@ namespace cnet::svc {
 enum class BackendKind {
   kCentralAtomic,   // fetch_add on one cache line
   kCentralCas,      // CAS-retry on one cache line
-  kCentralMutex,    // lock-protected
-  kNetwork,         // NetworkCounter on C(w,t), per-token traversal
-  kBatchedNetwork,  // BatchedNetworkCounter on C(w,t), amortized batches
+  kBatchedNetwork,  // NetworkCounter on C(w,t), amortized batches
 };
 
 // Every kind, in display order — the iteration axis for tests and benches.
@@ -29,7 +27,6 @@ enum class BackendKind {
 // token pool.
 inline constexpr BackendKind kAllBackendKinds[] = {
     BackendKind::kCentralAtomic, BackendKind::kCentralCas,
-    BackendKind::kCentralMutex, BackendKind::kNetwork,
     BackendKind::kBatchedNetwork,
 };
 

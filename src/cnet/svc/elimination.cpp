@@ -104,7 +104,9 @@ bool EliminationLayer::try_exchange(Role role, std::size_t thread_hint,
 
 ElimCounter::ElimCounter(std::unique_ptr<rt::Counter> inner,
                          const Config& cfg)
-    : ForwardingCounter(std::move(inner)), cfg_(cfg), layer_(cfg.layer) {}
+    : inner_(std::move(inner)), cfg_(cfg), layer_(cfg.layer) {
+  CNET_REQUIRE(inner_ != nullptr, "null inner counter");
+}
 
 std::size_t ElimCounter::spin_budget(std::size_t base) const noexcept {
   const OverloadManager* mgr = overload_.load(std::memory_order_acquire);
@@ -118,7 +120,7 @@ std::int64_t ElimCounter::fetch_increment(std::size_t thread_hint) {
                           spin_budget(cfg_.inc_spins), &v)) {
     return v;
   }
-  return inner().fetch_increment(thread_hint);
+  return inner_->fetch_increment(thread_hint);
 }
 
 void ElimCounter::fetch_increment_batch(std::size_t thread_hint,
@@ -137,7 +139,7 @@ void ElimCounter::fetch_increment_batch(std::size_t thread_hint,
     ++filled;
   }
   if (filled < k) {
-    inner().fetch_increment_batch(
+    inner_->fetch_increment_batch(
         thread_hint, k - filled,
         out_values != nullptr ? out_values + filled : nullptr);
   }
@@ -151,7 +153,7 @@ bool ElimCounter::try_fetch_decrement(std::size_t thread_hint,
     if (reclaimed != nullptr) *reclaimed = v;
     return true;
   }
-  return inner().try_fetch_decrement(thread_hint, reclaimed);
+  return inner_->try_fetch_decrement(thread_hint, reclaimed);
 }
 
 std::uint64_t ElimCounter::try_fetch_decrement_n(std::size_t thread_hint,
@@ -162,7 +164,7 @@ std::uint64_t ElimCounter::try_fetch_decrement_n(std::size_t thread_hint,
                                         thread_hint, 0, &v)) {
     ++got;
   }
-  if (got < n) got += inner().try_fetch_decrement_n(thread_hint, n - got);
+  if (got < n) got += inner_->try_fetch_decrement_n(thread_hint, n - got);
   return got;
 }
 

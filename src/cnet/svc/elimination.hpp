@@ -7,9 +7,9 @@
 // a mixed inc/dec workload the network sees only the imbalance between the
 // two streams, not their sum.
 //
-// EliminationLayer is the raw slot array; ElimCounter is the composable
-// rt::Counter decorator that places it in front of any backend (the svc
-// factory wires it up via BackendSpec::elimination).
+// EliminationLayer is the raw slot array; ElimCounter is the rt::Counter
+// that owns a backend and places the layer in front of it (the svc factory
+// wires it up via BackendSpec::elimination).
 #pragma once
 
 #include <atomic>
@@ -97,13 +97,16 @@ class EliminationLayer {
   util::StallSlots withdrawals_;
 };
 
-// The decorator: increments spin briefly for a partner decrement (and vice
-// versa on the single-op path); batch increments and bulk decrements catch
-// already-waiting partners without spinning, then send the remainder to the
-// inner counter. Counts are conserved exactly — each elimination pairs one
-// inc with one dec, linearized back-to-back — and the inner backend's
-// bound-at-zero guarantee is preserved, because an eliminated decrement
-// succeeds only against an increment that is concurrently in flight.
+// The front-end counter: it owns an inner backend and forwards to it
+// whatever the layer does not pair. Increments spin briefly for a partner
+// decrement (and vice versa on the single-op path); batch increments and
+// bulk decrements catch already-waiting partners without spinning, then
+// send the remainder to the inner counter. Refunds and telemetry reads go
+// straight to the inner counter. Counts are conserved exactly — each
+// elimination pairs one inc with one dec, linearized back-to-back — and the
+// inner backend's bound-at-zero guarantee is preserved, because an
+// eliminated decrement succeeds only against an increment that is
+// concurrently in flight.
 //
 // Value semantics: eliminated pairs exchange synthesized negative values
 // that cancel in any inc-minus-dec multiset, so the *outstanding* set (and
@@ -111,7 +114,7 @@ class EliminationLayer {
 // Do not use values from an ElimCounter as identities (IDs): a value
 // returned by an eliminated increment is immediately reclaimed by its
 // paired decrement rather than drawn from the backend's sequence.
-class ElimCounter final : public rt::ForwardingCounter, public OverloadAware {
+class ElimCounter final : public rt::Counter {
  public:
   struct Config {
     EliminationLayer::Config layer;
@@ -140,15 +143,32 @@ class ElimCounter final : public rt::ForwardingCounter, public OverloadAware {
   std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
                                       std::uint64_t n) override;
 
-  std::string name() const override { return "elim·" + inner().name(); }
+  // Give-backs land in the inner pool unconditionally: they are never
+  // parked in an exchange slot waiting for a partner.
+  void refund_n(std::size_t thread_hint, std::uint64_t n) override {
+    inner_->refund_n(thread_hint, n);
+  }
 
-  // Overload hook: force_eliminate widens the single-op pairing window by
-  // Config::overload_spin_boost. Pure routing — pairs still conserve
-  // counts exactly, and misses still fall through to the inner backend.
-  void attach_overload(const OverloadManager* manager) noexcept override {
+  std::string name() const override { return "elim·" + inner_->name(); }
+  std::uint64_t stall_count() const override { return inner_->stall_count(); }
+  std::uint64_t traversal_count() const override {
+    return inner_->traversal_count();
+  }
+  std::uint64_t batch_pass_count() const override {
+    return inner_->batch_pass_count();
+  }
+
+  // Overload hook (NetTokenBucket::attach_overload): force_eliminate widens
+  // the single-op pairing window by Config::overload_spin_boost. Pure
+  // routing — pairs still conserve counts exactly, and misses still fall
+  // through to the inner backend. The manager must outlive the counter;
+  // nullptr detaches.
+  void attach_overload(const OverloadManager* manager) noexcept {
     overload_.store(manager, std::memory_order_release);
   }
 
+  rt::Counter& inner() noexcept { return *inner_; }
+  const rt::Counter& inner() const noexcept { return *inner_; }
   EliminationLayer& layer() noexcept { return layer_; }
   const EliminationLayer& layer() const noexcept { return layer_; }
 
@@ -156,6 +176,7 @@ class ElimCounter final : public rt::ForwardingCounter, public OverloadAware {
   // The spin budget for one single-op attempt under the current tier.
   std::size_t spin_budget(std::size_t base) const noexcept;
 
+  std::unique_ptr<rt::Counter> inner_;
   Config cfg_;
   EliminationLayer layer_;
   std::atomic<const OverloadManager*> overload_{nullptr};

@@ -3,11 +3,24 @@
 #include <algorithm>
 #include <utility>
 
+#include "cnet/svc/elimination.hpp"
 #include "cnet/svc/overload.hpp"
 #include "cnet/svc/policy.hpp"
 #include "cnet/util/ensure.hpp"
 
 namespace cnet::svc {
+
+namespace {
+
+// The elimination front-end is the one pool layer that acts on overload
+// tiers (force_eliminate widens its pairing window).
+void attach_elim(rt::Counter* pool, const OverloadManager* manager) noexcept {
+  if (auto* elim = dynamic_cast<ElimCounter*>(pool)) {
+    elim->attach_overload(manager);
+  }
+}
+
+}  // namespace
 
 std::unique_ptr<NetTokenBucket::PoolState> NetTokenBucket::make_state(
     std::unique_ptr<rt::Counter> pool, std::size_t refill_chunk) {
@@ -105,7 +118,7 @@ std::uint64_t NetTokenBucket::respec(std::size_t thread_hint, const Respec& r) {
   // Wire the staged pool to the attached manager *before* publish: the very
   // first refill routed to it must already see the shrunken chunk /
   // forced-eliminate posture, with no unattached window.
-  attach_chain(next->pool.get(), overload_);
+  attach_elim(next->pool.get(), overload_);
   return engine_.commit(
       std::move(next), [&](PoolState& old_state, PoolState& new_state) {
         // Post-quiescence: no consume/refill/refund can touch the old pool
@@ -130,26 +143,12 @@ std::uint64_t NetTokenBucket::respec(std::size_t thread_hint, const Respec& r) {
       });
 }
 
-void NetTokenBucket::attach_chain(rt::Counter* layer,
-                                  const OverloadManager* manager) noexcept {
-  // Walk the pool's decorator chain and attach every overload-aware layer
-  // (ElimCounter widens its pairing window). ForwardingCounter is the only
-  // chain link in the library.
-  while (layer != nullptr) {
-    if (auto* aware = dynamic_cast<OverloadAware*>(layer)) {
-      aware->attach_overload(manager);
-    }
-    auto* fwd = dynamic_cast<rt::ForwardingCounter*>(layer);
-    layer = fwd != nullptr ? &fwd->inner() : nullptr;
-  }
-}
-
 void NetTokenBucket::attach_overload(const OverloadManager* manager) noexcept {
   // Not synchronized with a concurrent respec(): attach before opening the
   // bucket to reconfiguration traffic (respec snapshots overload_ when it
   // wires the staged pool).
   overload_ = manager;
-  attach_chain(engine_.current().pool.get(), manager);
+  attach_elim(engine_.current().pool.get(), manager);
 }
 
 }  // namespace cnet::svc

@@ -118,9 +118,8 @@ class NetTokenBucket : public Reconfigurable {
 
   // Puts the bucket under an overload manager: refills shrink their chunk
   // size by the tier's batch divisor (count-conserving — the same tokens in
-  // smaller exclusive holds), and every OverloadAware layer in the pool's
-  // decorator chain (the elimination front-end) is attached
-  // too — including the chains of pools a later respec() installs. The
+  // smaller exclusive holds), and an elimination front-end pool is
+  // attached too — including the pools a later respec() installs. The
   // manager never changes *whether* tokens are admitted here — consume()
   // stays exact; degrading to partial grants is the caller's
   // (AdmissionController's / QuotaHierarchy's) decision, because only the
@@ -168,8 +167,6 @@ class NetTokenBucket : public Reconfigurable {
 
   static std::unique_ptr<PoolState> make_state(std::unique_ptr<rt::Counter> pool,
                                                std::size_t refill_chunk);
-  static void attach_chain(rt::Counter* layer,
-                           const OverloadManager* manager) noexcept;
 
   ReconfigEngine<PoolState> engine_;
   const OverloadManager* overload_ = nullptr;

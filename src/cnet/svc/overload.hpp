@@ -153,17 +153,6 @@ struct OverloadConfig {
   double shed_fraction = 0.25;
 };
 
-// Counters that can act on overload tiers implement this (ElimCounter);
-// NetTokenBucket::attach_overload walks its pool's
-// decorator chain and attaches every aware layer.
-class OverloadManager;
-class OverloadAware {
- public:
-  virtual ~OverloadAware() = default;
-  // The manager must outlive the component; nullptr detaches.
-  virtual void attach_overload(const OverloadManager* manager) noexcept = 0;
-};
-
 class OverloadManager {
  public:
   // One recorded tier transition (evaluate() that changed the tier).

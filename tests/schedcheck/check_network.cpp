@@ -21,7 +21,6 @@ namespace {
 using cnet::check::Expect;
 using cnet::check::Scenario;
 using cnet::check::TestContext;
-using cnet::rt::BatchedNetworkCounter;
 using cnet::rt::CompiledShape;
 using cnet::rt::NetworkCounter;
 
@@ -49,7 +48,7 @@ void two_increments(TestContext& ctx) {
 // must succeed; a drain afterwards must find exactly the other two.
 void decrement_vs_refund(TestContext& ctx) {
   auto pool =
-      std::make_shared<BatchedNetworkCounter>(counting_shape(2, 2), "C(2,2)");
+      std::make_shared<NetworkCounter>(counting_shape(2, 2), "C(2,2)");
   pool->refund_n(0, 1);
   auto took = std::make_shared<bool>(false);
   ctx.spawn([pool, took] { *took = pool->try_fetch_decrement(1); });
@@ -71,7 +70,7 @@ void decrement_vs_refund(TestContext& ctx) {
 // and a drain afterwards finds exactly the rest.
 void general_fanout(TestContext& ctx) {
   auto pool =
-      std::make_shared<BatchedNetworkCounter>(counting_shape(2, 6), "C(2,6)");
+      std::make_shared<NetworkCounter>(counting_shape(2, 6), "C(2,6)");
   auto took = std::make_shared<bool>(false);
   ctx.spawn([pool] { pool->fetch_increment(0); });
   ctx.spawn([pool] { pool->fetch_increment(1); });

@@ -139,8 +139,8 @@ void expect_exact_range(std::vector<std::int64_t> values) {
       << "gaps or duplicates among " << values.size() << " values";
 }
 
-TEST(BatchedNetworkCounter, SequentialBatchesAreGapFree) {
-  BatchedNetworkCounter counter(core::make_counting(8, 24), "C(8,24)");
+TEST(NetworkCounterBatch, SequentialBatchesAreGapFree) {
+  NetworkCounter counter(core::make_counting(8, 24), "C(8,24)");
   std::vector<std::int64_t> all;
   std::int64_t values[64];
   for (const std::size_t k : kBatchSizes) {
@@ -153,8 +153,8 @@ TEST(BatchedNetworkCounter, SequentialBatchesAreGapFree) {
   expect_exact_range(std::move(all));
 }
 
-TEST(BatchedNetworkCounter, SingleTokenBatchMatchesFetchIncrement) {
-  BatchedNetworkCounter counter(core::make_counting(4, 8), "C(4,8)");
+TEST(NetworkCounterBatch, SingleTokenBatchMatchesFetchIncrement) {
+  NetworkCounter counter(core::make_counting(4, 8), "C(4,8)");
   std::int64_t value = -1;
   for (std::int64_t expect = 0; expect < 100; ++expect) {
     if (expect % 2 == 0) {
@@ -177,8 +177,8 @@ class BatchedCounterThreads : public ::testing::TestWithParam<BatchedCase> {};
 
 TEST_P(BatchedCounterThreads, ConcurrentMixedBatchesAreExactRange) {
   const auto& param = GetParam();
-  BatchedNetworkCounter counter(core::make_counting(param.w, param.t),
-                                param.label, param.mode);
+  NetworkCounter counter(core::make_counting(param.w, param.t), param.label,
+                         param.mode);
   expect_exact_range(hammer_batched(counter, 8, 400));
 }
 
@@ -189,15 +189,15 @@ INSTANTIATE_TEST_SUITE_P(
                       BatchedCase{"C88_cas", 8, 8, BalancerMode::kCasRetry}),
     [](const auto& pinfo) { return std::string(pinfo.param.label); });
 
-TEST(BatchedNetworkCounter, BitonicBackendConcurrentBatches) {
-  BatchedNetworkCounter counter(baselines::make_bitonic(8), "bitonic(8)");
+TEST(NetworkCounterBatch, BitonicBackendConcurrentBatches) {
+  NetworkCounter counter(baselines::make_bitonic(8), "bitonic(8)");
   expect_exact_range(hammer_batched(counter, 6, 400));
 }
 
-TEST(BatchedNetworkCounter, MixedBatchedAndPerTokenCallers) {
+TEST(NetworkCounterBatch, MixedBatchedAndPerTokenCallers) {
   // Batched and per-token callers share one counter; the union of their
   // values must still be gap-free and duplicate-free.
-  BatchedNetworkCounter counter(core::make_counting(8, 16), "C(8,16)");
+  NetworkCounter counter(core::make_counting(8, 16), "C(8,16)");
   std::vector<std::vector<std::int64_t>> got(8);
   {
     std::vector<std::jthread> workers;
@@ -232,15 +232,15 @@ TEST(CentralBaseline, MutexBackendBatches) {
   expect_exact_range(hammer_batched(counter, 4, 200));
 }
 
-TEST(BatchedNetworkCounter, ZeroBatchIsANoOp) {
-  BatchedNetworkCounter counter(core::make_counting(4, 4), "C(4,4)");
+TEST(NetworkCounterBatch, ZeroBatchIsANoOp) {
+  NetworkCounter counter(core::make_counting(4, 4), "C(4,4)");
   counter.fetch_increment_batch(0, 0, nullptr);
   EXPECT_EQ(counter.fetch_increment(0), 0);
 }
 
-TEST(BatchedNetworkCounter, StallsTrackedInCasMode) {
-  BatchedNetworkCounter counter(core::make_counting(4, 8), "C(4,8)/cas",
-                                BalancerMode::kCasRetry);
+TEST(NetworkCounterBatch, StallsTrackedInCasMode) {
+  NetworkCounter counter(core::make_counting(4, 8), "C(4,8)/cas",
+                         BalancerMode::kCasRetry);
   (void)hammer_batched(counter, 4, 100);
   // No assertion on the exact count (scheduling-dependent); the API must
   // simply not lose the tally.

@@ -165,8 +165,7 @@ TEST_P(CentralBatch, ConcurrentBatchesTileTheRangeExactly) {
 
 INSTANTIATE_TEST_SUITE_P(
     CentralKinds, CentralBatch,
-    ::testing::Values(BackendKind::kCentralAtomic, BackendKind::kCentralCas,
-                      BackendKind::kCentralMutex),
+    ::testing::Values(BackendKind::kCentralAtomic, BackendKind::kCentralCas),
     test::backend_param_name);
 
 // refund_n(n) and the value-free batch fetch_increment_batch(hint, n,
@@ -237,21 +236,22 @@ BackendConfig shape_config(std::size_t w, std::size_t t) {
 }
 
 TEST(ShapeMemo, EqualShapesShareOneCompile) {
-  const auto plain = make_counter(BackendKind::kNetwork, shape_config(4, 8));
-  const auto batched =
+  const auto first =
+      make_counter(BackendKind::kBatchedNetwork, shape_config(4, 8));
+  const auto second =
       make_counter(BackendKind::kBatchedNetwork, shape_config(4, 8));
   const auto wider_out =
       make_counter(BackendKind::kBatchedNetwork, shape_config(4, 12));
   const auto wider_in =
       make_counter(BackendKind::kBatchedNetwork, shape_config(8, 8));
-  EXPECT_EQ(shape_of(*plain), shape_of(*batched));
-  EXPECT_NE(shape_of(*plain), shape_of(*wider_out));
-  EXPECT_NE(shape_of(*plain), shape_of(*wider_in));
+  EXPECT_EQ(shape_of(*first), shape_of(*second));
+  EXPECT_NE(shape_of(*first), shape_of(*wider_out));
+  EXPECT_NE(shape_of(*first), shape_of(*wider_in));
   EXPECT_EQ(shape_of(*wider_out)->width_out(), 12u);
   EXPECT_EQ(shape_of(*wider_in)->width_in(), 8u);
   // Sharing the wiring shares no state.
-  EXPECT_EQ(plain->fetch_increment(0), 0);
-  EXPECT_EQ(batched->fetch_increment(0), 0);
+  EXPECT_EQ(first->fetch_increment(0), 0);
+  EXPECT_EQ(second->fetch_increment(0), 0);
 }
 
 TEST(ShapeMemo, RacingFirstBuildsGetOneShape) {

@@ -51,9 +51,10 @@ TEST(MulticoreSim, GoldenSeedDeterminism) {
 
 TEST(MulticoreSim, SeedChangesTheExponentialDraws) {
   auto cfg = small_config(8);
-  const auto a = simulate_multicore({svc::BackendKind::kNetwork, false}, cfg);
+  const svc::BackendSpec network{svc::BackendKind::kBatchedNetwork, false};
+  const auto a = simulate_multicore(network, cfg);
   cfg.seed ^= 0xDEAD;
-  const auto b = simulate_multicore({svc::BackendKind::kNetwork, false}, cfg);
+  const auto b = simulate_multicore(network, cfg);
   EXPECT_NE(a.makespan, b.makespan);
 }
 
@@ -73,7 +74,7 @@ TEST(MulticoreSim, ConservesTokensForEverySpec) {
 
 TEST(MulticoreSim, CentralNetworkCrossoverShape) {
   const svc::BackendSpec central{svc::BackendKind::kCentralAtomic, false};
-  const svc::BackendSpec network{svc::BackendKind::kNetwork, false};
+  const svc::BackendSpec network{svc::BackendKind::kBatchedNetwork, false};
   // Uncontended: the single word beats a deep network traversal.
   EXPECT_GT(simulate_multicore(central, small_config(1)).ops_per_vtime,
             simulate_multicore(network, small_config(1)).ops_per_vtime);
@@ -139,7 +140,7 @@ TEST(QuotaSim, HotTenantSaturatesItsCapAtScale) {
   // 48 of 64 cores hammer tenant 0: its demand far exceeds child + cap,
   // so the weighted limit must be pinned and the overflow rejected —
   // while every cold tenant stays inside its own cap, rejection-free.
-  const auto r = simulate_quota({svc::BackendKind::kNetwork, false},
+  const auto r = simulate_quota({svc::BackendKind::kBatchedNetwork, false},
                                 quota_config(64));
   EXPECT_GT(r.hot_rejected, 0u);
   EXPECT_EQ(r.cold_rejected, 0u);
@@ -149,7 +150,7 @@ TEST(QuotaSim, HotTenantSaturatesItsCapAtScale) {
 
 TEST(QuotaSim, ParentContentionOrderingMatchesThePaper) {
   const svc::BackendSpec central{svc::BackendKind::kCentralAtomic, false};
-  const svc::BackendSpec network{svc::BackendKind::kNetwork, false};
+  const svc::BackendSpec network{svc::BackendKind::kBatchedNetwork, false};
   // Uncontended the central parent wins; at 64 cores every hot acquire
   // funnels through the shared parent and the network parent admits more
   // grants per unit virtual time.
@@ -533,8 +534,6 @@ TEST(MulticoreSim, GoldenValuesTableBAt8Cores) {
   const MulticoreResult golden[] = {
       {53309.08556018184, 0.30733973070132165, 16384u, 16384u, 0u, 16384u, 2048u, 112990u, 2048, true, 0u, 0u, 0},  // central-atomic
       {78171.156945686162, 0.20959137155132182, 16384u, 16384u, 0u, 16384u, 2048u, 113669u, 2048, true, 0u, 0u, 0},  // central-cas
-      {94203.266471109659, 0.1739217822666973, 16384u, 16384u, 0u, 16384u, 2048u, 113922u, 2048, true, 0u, 0u, 0},  // central-mutex
-      {33323.043559594757, 0.49167177573978021, 16384u, 16384u, 0u, 16384u, 2048u, 26084u, 2048, true, 0u, 0u, 0},  // network
       {17073.541217278547, 0.95961346222769961, 16384u, 16384u, 0u, 16384u, 2048u, 13137u, 2048, true, 0u, 0u, 0},  // batched-network
       {48700.568888148715, 0.33642317480170231, 16384u, 16384u, 0u, 16384u, 2048u, 107698u, 2048, true, 3u, 16381u, -40997},  // elim+central-atomic
       {18196.280003780575, 0.90040381861545082, 16384u, 16384u, 0u, 16384u, 2048u, 12745u, 2048, true, 24u, 16360u, -187578},  // elim+batched-network
@@ -566,16 +565,6 @@ TEST(QuotaSim, GoldenValuesReference16) {
        {6144, 512, 512, 512, 512, 0, 0, 0},
        {16, 2, 2, 2, 2, 2, 2, 2},
        {10, 0, 0, 0, 0, 0, 0, 0}},  // central-cas
-      {13228.995422934146, 0.61924581104609999, 0.61924581104609999, 8192u, 8192u, 0u, 0u, 0u, 5779u, 2413u, 34354u, 4997u, true, true,
-       {6144, 512, 512, 512, 512, 0, 0, 0},
-       {6144, 512, 512, 512, 512, 0, 0, 0},
-       {16, 2, 2, 2, 2, 2, 2, 2},
-       {10, 0, 0, 0, 0, 0, 0, 0}},  // central-mutex
-      {8975.550349358522, 0.91270169305946547, 0.91270169305946547, 8192u, 8192u, 0u, 0u, 0u, 4460u, 3732u, 5896u, 6049u, true, true,
-       {6144, 512, 512, 512, 512, 0, 0, 0},
-       {6144, 512, 512, 512, 512, 0, 0, 0},
-       {16, 2, 2, 2, 2, 2, 2, 2},
-       {10, 0, 0, 0, 0, 0, 0, 0}},  // network
       {8975.550349358522, 0.91270169305946547, 0.91270169305946547, 8192u, 8192u, 0u, 0u, 0u, 4460u, 3732u, 5896u, 6049u, true, true,
        {6144, 512, 512, 512, 512, 0, 0, 0},
        {6144, 512, 512, 512, 512, 0, 0, 0},
@@ -645,41 +634,6 @@ TEST(OverloadSim, GoldenValuesReference) {
         {6816.0, kShrinkBatch, kNominal, 0.3125}},
        {0, 0, 0, 0, 320, 323, 138, 136},
        true, true, true},  // central-cas
-      {6661.6551316822724, 9216u, 2638u, 5640u, 7u, 938u, 7u, 7u, 12u,
-       kShedTenants, kNominal,
-       {{128.0, kNominal, kShedTenants, 1.0},
-        {960.0, kShedTenants, kForceEliminate, 0.66504854368932043},
-        {992.0, kForceEliminate, kDegradePartial, 0.91851851851851851},
-        {1408.0, kDegradePartial, kShedTenants, 1.0},
-        {1440.0, kShedTenants, kForceEliminate, 0.62903225806451613},
-        {1472.0, kForceEliminate, kShedTenants, 1.0},
-        {1504.0, kShedTenants, kForceEliminate, 0.61290322580645162},
-        {1536.0, kForceEliminate, kShedTenants, 1.0},
-        {1568.0, kShedTenants, kShrinkBatch, 0.58064516129032262},
-        {1600.0, kShrinkBatch, kShedTenants, 1.0},
-        {1632.0, kShedTenants, kDegradePartial, 0.7931034482758621},
-        {1664.0, kDegradePartial, kShedTenants, 1.0},
-        {1856.0, kShedTenants, kForceEliminate, 0.73076923076923073},
-        {1888.0, kForceEliminate, kShedTenants, 1.0},
-        {6176.0, kShedTenants, kNominal, 0.3125}},
-       {0, 0, 0, 0, 328, 321, 146, 143},
-       true, true, true},  // central-mutex
-      {3707.2918033640285, 9216u, 3528u, 5688u, 4u, 0u, 1u, 1u, 0u,
-       kShedTenants, kNominal,
-       {{224.0, kNominal, kForceEliminate, 0.81818181818181823},
-        {288.0, kForceEliminate, kDegradePartial, 0.90000000000000002},
-        {320.0, kDegradePartial, kShedTenants, 1.0},
-        {480.0, kShedTenants, kForceEliminate, 0.71951219512195119},
-        {672.0, kForceEliminate, kDegradePartial, 0.85611510791366907},
-        {1216.0, kDegradePartial, kForceEliminate, 0.73762376237623761},
-        {1568.0, kForceEliminate, kShrinkBatch, 0.57264957264957261},
-        {1664.0, kShrinkBatch, kForceEliminate, 0.71830985915492962},
-        {1728.0, kForceEliminate, kDegradePartial, 0.91304347826086951},
-        {1792.0, kDegradePartial, kForceEliminate, 0.74468085106382975},
-        {1920.0, kForceEliminate, kShrinkBatch, 0.52272727272727271},
-        {2080.0, kShrinkBatch, kNominal, 0.38095238095238093}},
-       {0, 0, 0, 0, 0, 0, 0, 0},
-       true, true, true},  // network
       {3772.3576493603341, 9216u, 3590u, 5626u, 1u, 0u, 1u, 1u, 0u,
        kShedTenants, kNominal,
        {{224.0, kNominal, kShrinkBatch, 0.53333333333333333},
@@ -763,8 +717,6 @@ TEST(ReconfigSim, GoldenValuesReference) {
   const ReconfigSimResult golden[] = {
       {17943.989688889873, 16384u, 15905u, 479u, 16384u, 512u, 300.0, 307.26134860564667, 303u, 16u, 2u, 1411u, 13552u, 991, true},  // central-atomic
       {18120.814773443228, 16384u, 15894u, 490u, 16384u, 512u, 300.0, 318.6780618295773, 370u, 16u, 2u, 953u, 13576u, 1002, true},  // central-cas
-      {18051.384950336789, 16384u, 15900u, 484u, 16384u, 512u, 300.0, 324.02048113348815, 391u, 16u, 2u, 810u, 13722u, 996, true},  // central-mutex
-      {50688.496555901685, 16384u, 15872u, 512u, 16384u, 512u, 300.0, 307.69616677734183, 215u, 16u, 2u, 247u, 107863u, 1024, true},  // network
       {50688.496555901685, 16384u, 15872u, 512u, 16384u, 512u, 300.0, 307.69616677734183, 215u, 16u, 2u, 247u, 107863u, 1024, true},  // batched-network
       {18029.732204471391, 16384u, 15894u, 490u, 16384u, 512u, 300.0, 311.25159066057097, 293u, 16u, 2u, 1403u, 13634u, 1002, true},  // elim+central-atomic
       {48445.018804063089, 16384u, 15872u, 512u, 16384u, 512u, 300.0, 312.2042279799997, 226u, 16u, 2u, 207u, 107926u, 1024, true},  // elim+batched-network

@@ -159,8 +159,8 @@ TEST(SharedShape, OpStreamMatchesTopologyCounter) {
   const auto shape = std::make_shared<const CompiledShape>(net);
   for (const BalancerMode mode :
        {BalancerMode::kFetchAdd, BalancerMode::kCasRetry}) {
-    BatchedNetworkCounter own(net, "own", mode);
-    BatchedNetworkCounter shared(shape, "shared", mode);
+    NetworkCounter own(net, "own", mode);
+    NetworkCounter shared(shape, "shared", mode);
     util::Xoshiro256 rng(1998);
     std::int64_t own_buf[32], shared_buf[32];
     for (int op = 0; op < 4000; ++op) {

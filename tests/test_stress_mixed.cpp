@@ -94,30 +94,22 @@ void expect_exact_prefix(const std::vector<std::int64_t>& outstanding) {
 }
 
 TEST(StressMixed, QuiescentOutstandingSetIsExactPrefix) {
-  BatchedNetworkCounter counter(core::make_counting(8, 24), "C(8,24)");
+  NetworkCounter counter(core::make_counting(8, 24), "C(8,24)");
   const auto logs = run_mixed(counter, 8, 1200, 0x51A1);
   expect_exact_prefix(outstanding_of(logs));
 }
 
 TEST(StressMixed, CasDisciplineKeepsThePrefixProperty) {
-  BatchedNetworkCounter counter(core::make_counting(4, 8), "C(4,8)/cas",
-                                BalancerMode::kCasRetry);
+  NetworkCounter counter(core::make_counting(4, 8), "C(4,8)/cas",
+                         BalancerMode::kCasRetry);
   const auto logs = run_mixed(counter, 6, 800, 0x51A2);
-  expect_exact_prefix(outstanding_of(logs));
-}
-
-TEST(StressMixed, DefaultBatchLoopInterleavesWithAntitokens) {
-  // Plain NetworkCounter: fetch_increment_batch is the inherited per-token
-  // loop, racing against antitokens on the same balancers.
-  NetworkCounter counter(core::make_counting(8, 16), "C(8,16)");
-  const auto logs = run_mixed(counter, 6, 800, 0x51A3);
   expect_exact_prefix(outstanding_of(logs));
 }
 
 // --- bounded try_fetch_decrement ------------------------------------------
 
 TEST(StressTryDecrement, NeverReclaimsMoreThanHandedOutAndNoDuplicates) {
-  BatchedNetworkCounter counter(core::make_counting(8, 24), "C(8,24)");
+  NetworkCounter counter(core::make_counting(8, 24), "C(8,24)");
   constexpr std::size_t kThreads = 8, kOps = 1500;
   std::vector<ThreadLog> logs(kThreads);
   {
@@ -160,7 +152,7 @@ TEST(StressTryDecrement, BulkClaimsConserveCountsUnderConcurrency) {
   // try_fetch_decrement_n has no reclaimed-value output, so the property
   // under stress is pure conservation: claims never exceed increments, and
   // a quiescent drain recovers exactly what was left.
-  BatchedNetworkCounter counter(core::make_counting(8, 16), "C(8,16)");
+  NetworkCounter counter(core::make_counting(8, 16), "C(8,16)");
   constexpr std::size_t kThreads = 6, kOps = 1200;
   std::vector<std::uint64_t> incs(kThreads, 0), decs(kThreads, 0);
   {
@@ -245,8 +237,8 @@ std::vector<ThreadLog> run_elim_mixed(rt::Counter& counter,
 
 TEST(StressElimination, UngatedMixConservesValueMultisetsExactly) {
   svc::ElimCounter counter(
-      std::make_unique<BatchedNetworkCounter>(core::make_counting(8, 16),
-                                              "C(8,16)"),
+      std::make_unique<NetworkCounter>(core::make_counting(8, 16),
+                                       "C(8,16)"),
       {.layer = {.slots = 2, .max_spins = 256},
        .inc_spins = 128,
        .dec_spins = 128});
@@ -273,8 +265,8 @@ TEST(StressElimination, CountOnlyMixNeverOverReclaims) {
   // increments at the end, and a quiescent drain recovers the exact
   // difference.
   svc::ElimCounter counter(
-      std::make_unique<BatchedNetworkCounter>(core::make_counting(8, 24),
-                                              "C(8,24)"),
+      std::make_unique<NetworkCounter>(core::make_counting(8, 24),
+                                       "C(8,24)"),
       {.layer = {.slots = 4, .max_spins = 256},
        .inc_spins = 64,
        .dec_spins = 64});

@@ -76,9 +76,9 @@ TEST(AdmissionController, ConcurrentAdmissionsAreUniqueAndBounded) {
 
 TEST(AdmissionController, NameAndStallsReportTheBackend) {
   AdmissionConfig cfg;
-  cfg.backend = BackendKind::kNetwork;
+  cfg.backend = BackendKind::kBatchedNetwork;
   AdmissionController ctl(cfg);
-  EXPECT_EQ(ctl.name(), "admission·C(8,24)");
+  EXPECT_EQ(ctl.name(), "admission·batched C(8,24)");
   EXPECT_GE(ctl.stall_count(), 0u);
 }
 

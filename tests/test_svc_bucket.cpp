@@ -215,8 +215,8 @@ TEST(NetTokenBucket, DefaultRefillTakesFullWidthPasses) {
 }
 
 TEST(NetTokenBucket, NameReflectsThePoolBackend) {
-  auto bucket = make_bucket(BackendKind::kNetwork, {});
-  EXPECT_EQ(bucket.name(), "bucket·C(8,24)");
+  auto bucket = make_bucket(BackendKind::kBatchedNetwork, {});
+  EXPECT_EQ(bucket.name(), "bucket·batched C(8,24)");
 }
 
 }  // namespace

@@ -70,8 +70,8 @@ TEST(ElimCounter, PairedIncDecNeverEntersTheNetwork) {
   // decrement collides with it, both complete — and the backing network's
   // traversal counter never moves, because neither token was ever routed.
   ElimCounter counter(
-      std::make_unique<rt::BatchedNetworkCounter>(core::make_counting(4, 8),
-                                                  "C(4,8)"),
+      std::make_unique<rt::NetworkCounter>(core::make_counting(4, 8),
+                                           "C(4,8)"),
       {.layer = {.slots = 1, .max_spins = 1u << 28},
        .inc_spins = 1u << 28,
        .dec_spins = 1u << 28});
@@ -101,8 +101,8 @@ TEST(ElimCounter, ValueFreeBatchCatchesAWaitingDecrement) {
   // batch. Each call adds 2 tokens; the first that meets the waiter hands
   // it one and sends the other into the network.
   ElimCounter counter(
-      std::make_unique<rt::BatchedNetworkCounter>(core::make_counting(4, 8),
-                                                  "C(4,8)"),
+      std::make_unique<rt::NetworkCounter>(core::make_counting(4, 8),
+                                           "C(4,8)"),
       {.layer = {.slots = 1, .max_spins = 1u << 28},
        .inc_spins = 0,
        .dec_spins = 1u << 28});
@@ -123,8 +123,8 @@ TEST(ElimCounter, FallsThroughToBackingWithoutAPartner) {
   // Catch-only on both roles and a single thread: nothing ever pairs, so
   // the decorator must be a transparent pass-through.
   ElimCounter counter(
-      std::make_unique<rt::BatchedNetworkCounter>(core::make_counting(4, 8),
-                                                  "C(4,8)"),
+      std::make_unique<rt::NetworkCounter>(core::make_counting(4, 8),
+                                           "C(4,8)"),
       {.layer = {.slots = 2, .max_spins = 16},
        .inc_spins = 0,
        .dec_spins = 0});
@@ -169,7 +169,7 @@ TEST(BackendSpec, ParsesAndRoundTrips) {
 
 TEST(BackendSpec, ParseFailuresNameTheReason) {
   // A successful parse carries no error text.
-  EXPECT_TRUE(parse_backend_spec("network").error.empty());
+  EXPECT_TRUE(parse_backend_spec("batched-network").error.empty());
 
   // A bare prefix is its own failure mode, not an "unknown kind".
   const auto bare = parse_backend_spec("elim+");
@@ -194,15 +194,19 @@ TEST(BackendSpec, ParseFailuresNameTheReason) {
       << prefixed.error;
 
   // A retired kind is an unknown kind like any other, and the list it
-  // points at names exactly the five that remain.
-  for (const char* retired : {"adaptive", "elim+adaptive"}) {
+  // points at names exactly the three that remain.
+  for (const std::string retired :
+       {"adaptive", "elim+adaptive", "network", "elim+network",
+        "central-mutex", "elim+central-mutex"}) {
     const auto gone = parse_backend_spec(retired);
     ASSERT_FALSE(gone.has_value()) << retired;
-    EXPECT_NE(gone.error.find("unknown backend kind \"adaptive\""),
+    // rfind misses on a bare kind, and npos + 1 wraps to 0.
+    const std::string kind = retired.substr(retired.rfind('+') + 1);
+    EXPECT_NE(gone.error.find("unknown backend kind \"" + kind + "\""),
               std::string::npos)
         << gone.error;
     EXPECT_NE(gone.error.find("(known: central-atomic, central-cas, "
-                              "central-mutex, network, batched-network;"),
+                              "batched-network;"),
               std::string::npos)
         << gone.error;
   }
