@@ -8,26 +8,26 @@ namespace {
 // value back by one unless it is already zero. Failed CAS attempts count as
 // stalls, symmetrically with the increment path.
 bool bounded_decrement(util::Atomic<std::int64_t>& value,
-                       std::int64_t* reclaimed, util::StallSlots& stalls,
+                       std::int64_t* reclaimed, util::SlotArray<1>& stalls,
                        std::size_t thread_hint) {
   std::int64_t cur = value.load(std::memory_order_relaxed);
   std::uint64_t retries = 0;
   while (cur > 0) {
     if (value.compare_exchange_weak(cur, cur - 1,
                                     std::memory_order_relaxed)) {
-      stalls.add(thread_hint, retries);
+      stalls.add(0, thread_hint, retries);
       if (reclaimed != nullptr) *reclaimed = cur - 1;
       return true;
     }
     ++retries;
   }
-  stalls.add(thread_hint, retries);
+  stalls.add(0, thread_hint, retries);
   return false;
 }
 
 // Bulk form: one CAS takes a whole block of min(n, value) values.
 std::uint64_t bounded_decrement_n(util::Atomic<std::int64_t>& value,
-                                  std::uint64_t n, util::StallSlots& stalls,
+                                  std::uint64_t n, util::SlotArray<1>& stalls,
                                   std::size_t thread_hint) {
   std::int64_t cur = value.load(std::memory_order_relaxed);
   std::uint64_t retries = 0;
@@ -37,12 +37,12 @@ std::uint64_t bounded_decrement_n(util::Atomic<std::int64_t>& value,
     if (value.compare_exchange_weak(cur,
                                     cur - static_cast<std::int64_t>(m),
                                     std::memory_order_relaxed)) {
-      stalls.add(thread_hint, retries);
+      stalls.add(0, thread_hint, retries);
       return m;
     }
     ++retries;
   }
-  stalls.add(thread_hint, retries);
+  stalls.add(0, thread_hint, retries);
   return 0;
 }
 
@@ -65,7 +65,7 @@ std::int64_t CasCounter::add(std::size_t thread_hint, std::int64_t k) {
                                              std::memory_order_relaxed)) {
     ++retries;
   }
-  stalls_.add(thread_hint, retries);
+  stalls_.add(0, thread_hint, retries);
   return cur;
 }
 

@@ -8,7 +8,7 @@
 #include "cnet/util/atomic.hpp"
 #include "cnet/util/cacheline.hpp"
 #include "cnet/util/mutex.hpp"
-#include "cnet/util/stall_slots.hpp"
+#include "cnet/util/slot_array.hpp"
 #include "cnet/util/thread_annotations.hpp"
 
 namespace cnet::rt {
@@ -39,11 +39,11 @@ class AtomicCounter final : public Counter {
   std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
                                       std::uint64_t n) override;
   std::string name() const override { return "central-atomic"; }
-  std::uint64_t stall_count() const override { return stalls_.total(); }
+  std::uint64_t stall_count() const override { return stalls_.total(0); }
 
  private:
   util::Padded<util::Atomic<std::int64_t>> value_{};
-  util::StallSlots stalls_;
+  util::SlotArray<1> stalls_;  // one field: CAS retries
 };
 
 // CAS-retry central counter: the canonical high-contention victim; retries
@@ -58,14 +58,14 @@ class CasCounter final : public Counter {
   std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
                                       std::uint64_t n) override;
   std::string name() const override { return "central-cas"; }
-  std::uint64_t stall_count() const override { return stalls_.total(); }
+  std::uint64_t stall_count() const override { return stalls_.total(0); }
 
  private:
   // One CAS loop advancing the word by k; returns the pre-add value.
   std::int64_t add(std::size_t thread_hint, std::int64_t k);
 
   util::Padded<util::Atomic<std::int64_t>> value_{};
-  util::StallSlots stalls_;
+  util::SlotArray<1> stalls_;  // one field: CAS retries
 };
 
 // Lock-protected counter.

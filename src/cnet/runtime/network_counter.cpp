@@ -19,10 +19,9 @@ NetworkCounter::NetworkCounter(std::shared_ptr<const CompiledShape> shape,
       entry_mask_(util::is_pow2(net_.width_in())
                       ? net_.width_in() - 1
                       : CompiledNetwork::kNoMask),
-      cells_(net_.width_out()) {
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    cells_[i].value.store(static_cast<std::int64_t>(i),
-                          std::memory_order_relaxed);
+      lines_(net_.width_out(), util::scatter_slots()) {
+  for (std::size_t i = 0; i < net_.width_out(); ++i) {
+    cell(i).store(static_cast<std::int64_t>(i), std::memory_order_relaxed);
   }
 }
 
@@ -37,11 +36,11 @@ std::int64_t NetworkCounter::fetch_increment(std::size_t thread_hint) {
   std::uint64_t local_stalls = 0;
   const std::size_t out =
       net_.traverse(entry_wire(thread_hint), mode_, &local_stalls);
-  stalls_.add(thread_hint, local_stalls);
-  traversals_.add(thread_hint, 1);
+  lines_.add(kStalls, thread_hint, local_stalls);
+  lines_.add(kTraversals, thread_hint, 1);
   // The exit cell assigns the value and advances by t (paper §1.1). One
   // atomic RMW makes the assignment linearizable per wire.
-  return cells_[out].value.fetch_add(
+  return cell(out).fetch_add(
       static_cast<std::int64_t>(net_.width_out()),
       std::memory_order_relaxed);
 }
@@ -50,10 +49,10 @@ std::int64_t NetworkCounter::fetch_decrement(std::size_t thread_hint) {
   std::uint64_t local_stalls = 0;
   const std::size_t out =
       net_.traverse_anti(entry_wire(thread_hint), mode_, &local_stalls);
-  stalls_.add(thread_hint, local_stalls);
-  traversals_.add(thread_hint, 1);
+  lines_.add(kStalls, thread_hint, local_stalls);
+  lines_.add(kTraversals, thread_hint, 1);
   // Undo one cell step: the reclaimed value is the new cell content.
-  return cells_[out].value.fetch_sub(
+  return cell(out).fetch_sub(
              static_cast<std::int64_t>(net_.width_out()),
              std::memory_order_relaxed) -
          static_cast<std::int64_t>(net_.width_out());
@@ -69,18 +68,18 @@ bool NetworkCounter::try_claim_cell(std::size_t wire, std::size_t thread_hint,
   // step on the same wire.
   const auto t = static_cast<std::int64_t>(net_.width_out());
   const auto floor = static_cast<std::int64_t>(wire);
-  std::int64_t cur = cells_[wire].value.load(std::memory_order_relaxed);
+  std::int64_t cur = cell(wire).load(std::memory_order_relaxed);
   std::uint64_t retries = 0;
   while (cur >= floor + t) {
-    if (cells_[wire].value.compare_exchange_weak(cur, cur - t,
-                                                 std::memory_order_relaxed)) {
-      stalls_.add(thread_hint, retries);
+    if (cell(wire).compare_exchange_weak(cur, cur - t,
+                                         std::memory_order_relaxed)) {
+      lines_.add(kStalls, thread_hint, retries);
       if (reclaimed != nullptr) *reclaimed = cur - t;
       return true;
     }
     ++retries;
   }
-  stalls_.add(thread_hint, retries);
+  lines_.add(kStalls, thread_hint, retries);
   return false;
 }
 
@@ -89,8 +88,8 @@ bool NetworkCounter::try_fetch_decrement(std::size_t thread_hint,
   std::uint64_t local_stalls = 0;
   const std::size_t out =
       net_.traverse_anti(entry_wire(thread_hint), mode_, &local_stalls);
-  stalls_.add(thread_hint, local_stalls);
-  traversals_.add(thread_hint, 1);
+  lines_.add(kStalls, thread_hint, local_stalls);
+  lines_.add(kTraversals, thread_hint, 1);
   // Fast path: the antitoken's own exit wire — under balanced traffic this
   // is exactly where the most recent token's value sits.
   if (try_claim_cell(out, thread_hint, reclaimed)) return true;
@@ -100,8 +99,8 @@ bool NetworkCounter::try_fetch_decrement(std::size_t thread_hint,
   // when every cell is at its floor during the pass, i.e. the pool is
   // genuinely empty (or being emptied concurrently). The sweep is the
   // O(t) miss path; successful consumes stay on the traversal fast path.
-  for (std::size_t wire = out + 1, i = 1; i < cells_.size(); ++wire, ++i) {
-    if (wire == cells_.size()) wire = 0;
+  for (std::size_t wire = out + 1, i = 1; i < net_.width_out(); ++wire, ++i) {
+    if (wire == net_.width_out()) wire = 0;
     if (try_claim_cell(wire, thread_hint, reclaimed)) return true;
   }
   return false;
@@ -114,20 +113,20 @@ std::uint64_t NetworkCounter::try_claim_cell_n(std::size_t wire,
   // min(n, surplus) values while preserving the floor bound.
   const auto t = static_cast<std::int64_t>(net_.width_out());
   const auto floor = static_cast<std::int64_t>(wire);
-  std::int64_t cur = cells_[wire].value.load(std::memory_order_relaxed);
+  std::int64_t cur = cell(wire).load(std::memory_order_relaxed);
   std::uint64_t retries = 0;
   while (cur >= floor + t) {
     const auto surplus = static_cast<std::uint64_t>((cur - floor) / t);
     const auto m = std::min<std::uint64_t>(n, surplus);
-    if (cells_[wire].value.compare_exchange_weak(
+    if (cell(wire).compare_exchange_weak(
             cur, cur - static_cast<std::int64_t>(m) * t,
             std::memory_order_relaxed)) {
-      stalls_.add(thread_hint, retries);
+      lines_.add(kStalls, thread_hint, retries);
       return m;
     }
     ++retries;
   }
-  stalls_.add(thread_hint, retries);
+  lines_.add(kStalls, thread_hint, retries);
   return 0;
 }
 
@@ -137,12 +136,12 @@ std::uint64_t NetworkCounter::try_fetch_decrement_n(std::size_t thread_hint,
   std::uint64_t local_stalls = 0;
   const std::size_t out =
       net_.traverse_anti(entry_wire(thread_hint), mode_, &local_stalls);
-  stalls_.add(thread_hint, local_stalls);
-  traversals_.add(thread_hint, 1);
+  lines_.add(kStalls, thread_hint, local_stalls);
+  lines_.add(kTraversals, thread_hint, 1);
   std::uint64_t got = 0;
-  for (std::size_t wire = out, i = 0; i < cells_.size() && got < n;
+  for (std::size_t wire = out, i = 0; i < net_.width_out() && got < n;
        ++wire, ++i) {
-    if (wire == cells_.size()) wire = 0;
+    if (wire == net_.width_out()) wire = 0;
     got += try_claim_cell_n(wire, thread_hint, n - got);
   }
   return got;
@@ -168,9 +167,9 @@ void NetworkCounter::fetch_increment_batch(std::size_t thread_hint,
   std::uint64_t local_stalls = 0;
   net_.traverse_batch(entry_wire(thread_hint), k, mode_, &local_stalls,
                       scratch, wire_counts.data());
-  stalls_.add(thread_hint, local_stalls);
-  traversals_.add(thread_hint, k);
-  batch_passes_.add(thread_hint, 1);
+  lines_.add(kStalls, thread_hint, local_stalls);
+  lines_.add(kTraversals, thread_hint, k);
+  lines_.add(kBatchPasses, thread_hint, 1);
 
   const auto t = static_cast<std::int64_t>(net_.width_out());
   std::size_t filled = 0;
@@ -178,7 +177,7 @@ void NetworkCounter::fetch_increment_batch(std::size_t thread_hint,
     const std::uint64_t count = wire_counts[wire];
     if (count == 0) continue;
     // One cell RMW claims the wire's whole contiguous block of values.
-    const std::int64_t base = cells_[wire].value.fetch_add(
+    const std::int64_t base = cell(wire).fetch_add(
         static_cast<std::int64_t>(count) * t, std::memory_order_relaxed);
     if (out_values == nullptr) continue;  // value-free: count only
     for (std::uint64_t j = 0; j < count; ++j) {

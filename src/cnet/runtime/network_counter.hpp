@@ -7,13 +7,12 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cnet/runtime/compiled_network.hpp"
 #include "cnet/runtime/counter.hpp"
 #include "cnet/util/atomic.hpp"
 #include "cnet/util/cacheline.hpp"
-#include "cnet/util/stall_slots.hpp"
+#include "cnet/util/slot_array.hpp"
 
 namespace cnet::rt {
 
@@ -73,19 +72,21 @@ class NetworkCounter final : public Counter {
                                       std::uint64_t n) override;
 
   std::string name() const override { return label_; }
-  std::uint64_t stall_count() const override { return stalls_.total(); }
+  std::uint64_t stall_count() const override {
+    return lines_.total(kStalls);
+  }
   // Tokens + antitokens that entered the network: 1 per (fetch|try_fetch_)
   // increment/decrement, k per k-token batch pass, 1 antitoken per
   // try_fetch_decrement_n call. The number the elimination layer exists to
   // shrink relative to the op count.
   std::uint64_t traversal_count() const override {
-    return traversals_.total();
+    return lines_.total(kTraversals);
   }
   // Batch passes taken by fetch_increment_batch's amortized path:
   // traversal_count() / batch_pass_count() is the observed tokens-per-pass,
   // the number that proves a shrunken batch chunk reached the network.
   std::uint64_t batch_pass_count() const override {
-    return batch_passes_.total();
+    return lines_.total(kBatchPasses);
   }
 
   std::size_t width_in() const noexcept { return net_.width_in(); }
@@ -96,7 +97,7 @@ class NetworkCounter final : public Counter {
   // Exit wire `wire`'s cell: the next value a token leaving on it takes.
   // Meaningful while quiescent.
   std::int64_t exit_cell(std::size_t wire) const {
-    return cells_[wire].value.load(std::memory_order_relaxed);
+    return lines_.head(wire).value.load(std::memory_order_relaxed);
   }
 
  private:
@@ -105,10 +106,15 @@ class NetworkCounter final : public Counter {
   BalancerMode mode_;
   // width_in() - 1 when width_in() is a power of two, else kNoMask.
   std::size_t entry_mask_;
-  std::vector<util::Padded<util::Atomic<std::int64_t>>> cells_;
-  util::StallSlots stalls_;
-  util::StallSlots traversals_;
-  util::StallSlots batch_passes_;
+  // The fields of each per-hint tally line.
+  enum Tally : std::size_t { kStalls, kTraversals, kBatchPasses, kTallies };
+  // One aligned block: the width_out() exit cells, then one tally line per
+  // thread-hint slot.
+  util::SlotArray<kTallies, util::Padded<util::Atomic<std::int64_t>>> lines_;
+
+  util::Atomic<std::int64_t>& cell(std::size_t wire) noexcept {
+    return lines_.head(wire).value;
+  }
 
   // The input wire a token from `thread_hint` enters on: the hint mod
   // width_in(), by mask when the width allows.

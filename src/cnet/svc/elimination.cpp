@@ -32,7 +32,7 @@ std::uint64_t& thread_rng_state(std::size_t thread_hint) noexcept {
 }  // namespace
 
 EliminationLayer::EliminationLayer(const Config& cfg)
-    : cfg_(cfg), slots_(cfg.slots), pairs_(), withdrawals_() {
+    : cfg_(cfg), lines_(cfg.slots, util::scatter_slots()) {
   CNET_REQUIRE(cfg_.slots > 0, "at least one elimination slot");
 }
 
@@ -51,12 +51,12 @@ bool EliminationLayer::try_exchange(Role role, std::size_t thread_hint,
   // both sides derive the same pair value from it.
   for (std::size_t i = 0; i < cfg_.slots; ++i) {
     const std::size_t slot = (start + i) % cfg_.slots;
-    std::uint64_t w = slots_[slot].word.load(std::memory_order_acquire);
+    std::uint64_t w = word(slot).load(std::memory_order_acquire);
     if ((w & 3) != partner_state) continue;
     const std::uint64_t epoch = w >> 2;
-    if (slots_[slot].word.compare_exchange_strong(
-            w, pack(epoch, kPaired), std::memory_order_acq_rel)) {
-      pairs_.add(thread_hint, 1);
+    if (word(slot).compare_exchange_strong(w, pack(epoch, kPaired),
+                                           std::memory_order_acq_rel)) {
+      lines_.add(kPairs, thread_hint, 1);
       *value = pair_value(slot, epoch);
       return true;
     }
@@ -67,35 +67,32 @@ bool EliminationLayer::try_exchange(Role role, std::size_t thread_hint,
   // wait for a partner within the spin budget.
   for (std::size_t i = 0; i < cfg_.slots; ++i) {
     const std::size_t slot = (start + i) % cfg_.slots;
-    std::uint64_t w = slots_[slot].word.load(std::memory_order_acquire);
+    std::uint64_t w = word(slot).load(std::memory_order_acquire);
     if ((w & 3) != kEmpty) continue;
     const std::uint64_t epoch = w >> 2;
-    if (!slots_[slot].word.compare_exchange_strong(
-            w, pack(epoch, wait_state), std::memory_order_acq_rel)) {
+    if (!word(slot).compare_exchange_strong(w, pack(epoch, wait_state),
+                                            std::memory_order_acq_rel)) {
       continue;
     }
     for (std::size_t spin = 0; spin < spins; ++spin) {
-      if ((slots_[slot].word.load(std::memory_order_acquire) & 3) ==
-          kPaired) {
-        slots_[slot].word.store(pack(epoch + 1, kEmpty),
-                                std::memory_order_release);
+      if ((word(slot).load(std::memory_order_acquire) & 3) == kPaired) {
+        word(slot).store(pack(epoch + 1, kEmpty), std::memory_order_release);
         *value = pair_value(slot, epoch);
         return true;
       }
       if ((spin & 15u) == 15u) util::sched_yield();
     }
     std::uint64_t expected = pack(epoch, wait_state);
-    if (slots_[slot].word.compare_exchange_strong(
-            expected, pack(epoch + 1, kEmpty), std::memory_order_acq_rel)) {
-      withdrawals_.add(thread_hint, 1);
+    if (word(slot).compare_exchange_strong(expected, pack(epoch + 1, kEmpty),
+                                           std::memory_order_acq_rel)) {
+      lines_.add(kWithdrawals, thread_hint, 1);
       return false;
     }
     // A partner slipped in between the timeout check and the withdrawal.
     // The only transition another thread can make from our wait state is
     // the catcher's single CAS to kPaired, so the exchange is already
     // complete — reset the slot and take the pairing.
-    slots_[slot].word.store(pack(epoch + 1, kEmpty),
-                            std::memory_order_release);
+    word(slot).store(pack(epoch + 1, kEmpty), std::memory_order_release);
     *value = pair_value(slot, epoch);
     return true;
   }

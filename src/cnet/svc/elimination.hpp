@@ -16,14 +16,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cnet/runtime/counter.hpp"
 #include "cnet/svc/overload.hpp"
 #include "cnet/svc/policy.hpp"
 #include "cnet/util/atomic.hpp"
 #include "cnet/util/cacheline.hpp"
-#include "cnet/util/stall_slots.hpp"
+#include "cnet/util/slot_array.hpp"
 
 namespace cnet::svc {
 
@@ -70,9 +69,11 @@ class EliminationLayer {
   std::size_t num_slots() const noexcept { return cfg_.slots; }
   // Pairs completed (each pair is one eliminated inc AND one eliminated
   // dec); counted once, on the catcher's side.
-  std::uint64_t pairs() const noexcept { return pairs_.total(); }
+  std::uint64_t pairs() const noexcept { return lines_.total(kPairs); }
   // Deposits that timed out and withdrew to the backing path.
-  std::uint64_t withdrawals() const noexcept { return withdrawals_.total(); }
+  std::uint64_t withdrawals() const noexcept {
+    return lines_.total(kWithdrawals);
+  }
 
  private:
   // Slot word layout: low 2 bits = state, high 62 bits = epoch. The epoch
@@ -91,10 +92,17 @@ class EliminationLayer {
     return elimination_pair_value(cfg_.slots, slot, epoch);
   }
 
+  util::Atomic<std::uint64_t>& word(std::size_t slot) noexcept {
+    return lines_.head(slot).word;
+  }
+
+  // The fields of each per-hint tally line.
+  enum Tally : std::size_t { kPairs, kWithdrawals, kTallies };
+
   Config cfg_;
-  std::vector<Slot> slots_;
-  util::StallSlots pairs_;
-  util::StallSlots withdrawals_;
+  // One aligned block: the cfg_.slots exchange slots, then one tally line
+  // per thread-hint slot.
+  util::SlotArray<kTallies, Slot> lines_;
 };
 
 // The front-end counter: it owns an inner backend and forwards to it

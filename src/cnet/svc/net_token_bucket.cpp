@@ -46,7 +46,7 @@ std::uint64_t NetTokenBucket::consume(std::size_t thread_hint,
                                       std::uint64_t tokens,
                                       ConsumeOptions opts) {
   if (tokens == 0) return 0;  // defined no-op: success, pool untouched
-  attempts_.add(thread_hint, 1);
+  engine_.tally(kAttempts, thread_hint, 1);
   const std::uint64_t got =
       engine_.read(thread_hint, [&](PoolState& state) -> std::uint64_t {
         if (tokens == 1) {
@@ -77,7 +77,7 @@ std::uint64_t NetTokenBucket::consume(std::size_t thread_hint,
               state.pool->refund_n(thread_hint, refund);
             });
       });
-  if (got == 0) rejects_.add(thread_hint, 1);
+  if (got == 0) engine_.tally(kRejects, thread_hint, 1);
   return got;
 }
 
@@ -133,7 +133,8 @@ std::uint64_t NetTokenBucket::respec(std::size_t thread_hint, const Respec& r) {
         }
         new_state.pool->refund_n(thread_hint, moved);
         // Roll the retired pool's (now final) telemetry into the cumulative
-        // totals so windowed monitors never observe a regressing count.
+        // totals. Readers of those totals saw a dip since the publish above
+        // (the fresh pool without this sum); from here on they are exact.
         retired_stalls_.fetch_add(old_state.pool->stall_count(),
                                   std::memory_order_relaxed);
         retired_traversals_.fetch_add(old_state.pool->traversal_count(),

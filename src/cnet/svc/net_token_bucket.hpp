@@ -31,7 +31,6 @@
 #include "cnet/svc/backend.hpp"
 #include "cnet/svc/policy.hpp"
 #include "cnet/svc/reconfig.hpp"
-#include "cnet/util/stall_slots.hpp"
 
 namespace cnet::svc {
 
@@ -129,9 +128,14 @@ class NetTokenBucket : public Reconfigurable {
   const OverloadManager* overload() const noexcept { return overload_; }
 
   // Contention events observed by the pool backends (CAS retries / lock
-  // waits), cumulative across respecs — retired pools' totals roll up so
-  // windowed monitors never see the count regress; the numerator of the
-  // stall-rate overload monitor.
+  // waits), cumulative across respecs; the numerator of the stall-rate
+  // overload monitor. A respec rolls the retired pool's final totals into
+  // these sums only in its migration step, after the new pool is published
+  // and the readers have drained. Between that publish and the rollup,
+  // stall_count(), traversal_count() and batch_pass_count() read the fresh
+  // pool plus the earlier retired sum, so a read can dip below an earlier
+  // one; once the commit returns they are exact again. WindowedRateMonitor
+  // clamps such a dip to an empty window and keeps its high-water total.
   std::uint64_t stall_count() const {
     return retired_stalls_.load(std::memory_order_relaxed) +
            engine_.current().pool->stall_count();
@@ -147,8 +151,12 @@ class NetTokenBucket : public Reconfigurable {
   // consume() calls with tokens > 0 / those that returned 0 ("observably
   // empty pool"). Their windowed ratio is the reject-ratio overload signal:
   // rejections per attempt, saturation at 1.0.
-  std::uint64_t consume_attempts() const noexcept { return attempts_.total(); }
-  std::uint64_t consume_rejects() const noexcept { return rejects_.total(); }
+  std::uint64_t consume_attempts() const noexcept {
+    return engine_.tally_total(kAttempts);
+  }
+  std::uint64_t consume_rejects() const noexcept {
+    return engine_.tally_total(kRejects);
+  }
   std::string name() const { return "bucket·" + engine_.current().pool->name(); }
   // The currently published pool. With live respecs the reference can go
   // stale (it stays valid — retired pools live as long as the bucket — but
@@ -168,13 +176,16 @@ class NetTokenBucket : public Reconfigurable {
   static std::unique_ptr<PoolState> make_state(std::unique_ptr<rt::Counter> pool,
                                                std::size_t refill_chunk);
 
-  ReconfigEngine<PoolState> engine_;
+  // The consume tallies, kept on the engine's per-hint reader lines: a
+  // consume's reader enter, its attempt tally and its reader exit land on
+  // one line.
+  enum Tally : std::size_t { kAttempts, kRejects, kTallies };
+
+  ReconfigEngine<PoolState, kTallies> engine_;
   const OverloadManager* overload_ = nullptr;
   std::atomic<std::uint64_t> retired_stalls_{0};
   std::atomic<std::uint64_t> retired_traversals_{0};
   std::atomic<std::uint64_t> retired_batch_passes_{0};
-  util::StallSlots attempts_;
-  util::StallSlots rejects_;
 };
 
 }  // namespace cnet::svc

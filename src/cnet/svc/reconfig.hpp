@@ -11,10 +11,14 @@
 //
 //   readers   enter a padded per-slot reader count, load the active-state
 //             pointer, run against it, and leave (RCU-style; two atomics
-//             on the hot path, no locks). The table has two slots per core
-//             (util::scatter_slots()) and a reader picks its slot by
-//             masking its thread hint, so hints may share a slot; the
-//             commit scan waits for each slot's whole count to drain;
+//             on the hot path, no locks). The reader counts are field 0 of
+//             a util::SlotArray, two lines per core (util::scatter_slots()),
+//             and a reader picks its line by masking its thread hint, so
+//             hints may share a line; the commit scan waits for each
+//             line's whole count to drain. The owner may keep per-hint
+//             tallies of its own on the same lines (the `Tallies` fields
+//             after the reader count), so an op's enter, tally and exit
+//             touch one line;
 //   stage     a full replacement state is built off to the side — new
 //             backend, new network width, new batch chunking, new weight
 //             vector — while traffic continues on the old one;
@@ -50,11 +54,10 @@
 #include <vector>
 
 #include "cnet/util/atomic.hpp"
-#include "cnet/util/cacheline.hpp"
 #include "cnet/util/ensure.hpp"
 #include "cnet/util/mutex.hpp"
-#include "cnet/util/scatter.hpp"
 #include "cnet/util/sched_point.hpp"
+#include "cnet/util/slot_array.hpp"
 #include "cnet/util/thread_annotations.hpp"
 
 namespace cnet::svc {
@@ -84,13 +87,11 @@ class Reconfigurable {
   virtual void subscribe(CommitCallback on_commit) = 0;
 };
 
-template <class State>
+template <class State, std::size_t Tallies = 0>
 class ReconfigEngine final : public Reconfigurable {
  public:
   explicit ReconfigEngine(std::unique_ptr<State> initial)
-      : slots_(util::scatter_slots()),
-        mask_(slots_.size() - 1),
-        current_(std::move(initial)),
+      : current_(std::move(initial)),
         active_(current_.get()) {
     CNET_REQUIRE(current_ != nullptr, "null initial state");
   }
@@ -106,7 +107,7 @@ class ReconfigEngine final : public Reconfigurable {
   // reader touches the old state after the committer starts migrating it.
   template <class Fn>
   auto read(std::size_t thread_hint, Fn&& fn) {
-    auto& slot = slots_[thread_hint & mask_].value;
+    auto& slot = lines_.line(thread_hint).field[kReaders];
     slot.fetch_add(1, std::memory_order_seq_cst);
     State* active = active_.load(std::memory_order_seq_cst);
     struct Exit {
@@ -114,6 +115,17 @@ class ReconfigEngine final : public Reconfigurable {
       ~Exit() { slot.fetch_sub(1, std::memory_order_release); }
     } exit{slot};
     return fn(*active);
+  }
+
+  // The owner's per-hint tallies, fields 0..Tallies-1 after each line's
+  // reader count.
+  void tally(std::size_t field, std::size_t thread_hint,
+             std::uint64_t v) noexcept(!util::kSchedCheckEnabled) {
+    lines_.add(kReaders + 1 + field, thread_hint, v);
+  }
+  std::uint64_t tally_total(std::size_t field) const
+      noexcept(!util::kSchedCheckEnabled) {
+    return lines_.total(kReaders + 1 + field);
   }
 
   // The currently published state, outside any reader section. Safe to
@@ -153,8 +165,9 @@ class ReconfigEngine final : public Reconfigurable {
     current_ = std::move(next);
     State* const fresh = current_.get();
     active_.store(fresh, std::memory_order_seq_cst);
-    for (auto& slot : slots_) {
-      while (slot.value.load(std::memory_order_seq_cst) != 0) {
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+      while (lines_.line(i).field[kReaders].load(std::memory_order_seq_cst) !=
+             0) {
         // sched_yield rather than std::this_thread::yield: under the
         // schedule checker this unbounded wait must deschedule the
         // committer until a reader makes a step, or the explorer's
@@ -181,11 +194,12 @@ class ReconfigEngine final : public Reconfigurable {
   }
 
  private:
-  // util::Atomic on the reader slots and the active pointer: the
+  static constexpr std::size_t kReaders = 0;
+
+  // util::Atomic on the reader counts and the active pointer: the
   // enter-RMW / publish / scan triangle *is* the protocol the checker
   // explores — every one of those operations must be a schedulable step.
-  std::vector<util::Padded<util::Atomic<std::uint64_t>>> slots_;
-  std::size_t mask_;
+  util::SlotArray<1 + Tallies> lines_;
   mutable util::Mutex commit_mutex_;
   std::unique_ptr<State> current_ CNET_GUARDED_BY(commit_mutex_);
   std::vector<std::unique_ptr<State>> retired_ CNET_GUARDED_BY(commit_mutex_);

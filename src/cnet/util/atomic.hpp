@@ -2,8 +2,8 @@
 //
 // Every protocol word whose interleavings the checker explores (balancer
 // states and exit cells of the network counters, the value words of the
-// central atomic and CAS counters, StallSlots tallies,
-// EliminationLayer exchange slots, ReconfigEngine reader slots and
+// central atomic and CAS counters, SlotArray tallies,
+// EliminationLayer exchange slots, ReconfigEngine reader counts and
 // active-state pointer, the quota borrow reservation, PeerCluster's
 // per-node balance and spent ledgers) is declared as
 // util::Atomic instead of std::atomic. With CNET_SCHED_CHECK off this is a

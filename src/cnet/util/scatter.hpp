@@ -1,5 +1,5 @@
-// The scatter width of every per-thread slot array (util::StallSlots
-// tallies, svc::ReconfigEngine reader counts). A thread picks its slot by
+// The scatter width of every per-thread slot array (util::SlotArray
+// tallies and svc::ReconfigEngine reader counts). A thread picks its slot by
 // masking its thread hint, not by the CPU it runs on, so hints h and
 // h + width share a slot and contend whenever both threads run at once.
 // The width is twice the host's CPU count, rounded up to a power of two

@@ -1,12 +1,14 @@
 // Concurrent runtime: compiled networks, network counters under real
 // threads, both balancer disciplines, counters sharing one compiled shape,
 // the compiled kernel against a plain reference interpreter, and the
-// StallSlots tallies.
+// util::SlotArray per-hint tally lines.
 #include "cnet/runtime/network_counter.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -19,7 +21,7 @@
 #include "cnet/runtime/compiled_network.hpp"
 #include "cnet/util/prng.hpp"
 #include "cnet/util/scatter.hpp"
-#include "cnet/util/stall_slots.hpp"
+#include "cnet/util/slot_array.hpp"
 #include "test_util.hpp"
 
 namespace cnet::rt {
@@ -335,18 +337,23 @@ TEST(CompiledNetwork, MatchesReferenceInterpreter) {
   }
 }
 
-TEST(StallSlots, RejectsSlotCountsThatAreNotPowersOfTwo) {
+TEST(SlotArray, RejectsSlotCountsThatAreNotPowersOfTwo) {
   for (const std::size_t slots : {0u, 3u, 6u, 24u, 100u}) {
-    EXPECT_THROW(util::StallSlots{slots}, std::invalid_argument) << slots;
+    EXPECT_THROW(util::SlotArray<1>{slots}, std::invalid_argument) << slots;
+    EXPECT_THROW((util::SlotArray<3, util::Padded<util::Atomic<std::int64_t>>>{
+                     4, slots}),
+                 std::invalid_argument)
+        << slots;
   }
   for (const std::size_t slots : {1u, 2u, 64u}) {
-    EXPECT_NO_THROW(util::StallSlots{slots}) << slots;
+    EXPECT_NO_THROW(util::SlotArray<1>{slots}) << slots;
+    EXPECT_NO_THROW(util::SlotArray<8>{slots}) << slots;
   }
 }
 
 // The default width: twice the CPU count rounded up to a power of two,
 // capped at 64, with an unknown count (0) keeping the full width.
-TEST(StallSlots, ScatterWidthRule) {
+TEST(SlotArray, ScatterWidthRule) {
   EXPECT_EQ(util::scatter_slots_for(0), 64u);
   EXPECT_EQ(util::scatter_slots_for(1), 2u);
   EXPECT_EQ(util::scatter_slots_for(2), 4u);
@@ -362,22 +369,82 @@ TEST(StallSlots, ScatterWidthRule) {
   EXPECT_TRUE(util::is_pow2(host)) << host;
   EXPECT_LE(host, util::kMaxScatterSlots);
   EXPECT_EQ(util::scatter_slots(), host);  // computed once
+  EXPECT_EQ(util::SlotArray<2>{}.size(), host);
 }
 
 // Hints far past the slot count fold onto slot hint mod slots: the total is
 // exact.
-TEST(StallSlots, TalliesExactlyUnderMaskIndexing) {
-  util::StallSlots slots(8);
+TEST(SlotArray, TalliesExactlyUnderMaskIndexing) {
+  util::SlotArray<1> slots(8);
   std::uint64_t expect = 0;
   for (std::size_t hint = 0; hint < 1000; ++hint) {
-    slots.add(hint * 7 + 3, hint % 5);
+    slots.add(0, hint * 7 + 3, hint % 5);
     expect += hint % 5;
   }
-  EXPECT_EQ(slots.total(), expect);
-  util::StallSlots wide_hints(4);
-  wide_hints.add(1ull << 40 | 1, 4);
-  wide_hints.add(~std::size_t{0}, 6);
-  EXPECT_EQ(wide_hints.total(), 10u);
+  EXPECT_EQ(slots.total(0), expect);
+  util::SlotArray<1> wide_hints(4);
+  wide_hints.add(0, 1ull << 40 | 1, 4);
+  wide_hints.add(0, ~std::size_t{0}, 6);
+  EXPECT_EQ(wide_hints.total(0), 10u);
+  EXPECT_EQ(&wide_hints.line(1ull << 40 | 1), &wide_hints.line(1));
+  EXPECT_EQ(&wide_hints.line(~std::size_t{0}), &wide_hints.line(3));
+}
+
+// Fields on one line are independent: many hints sharing each of two lines
+// add to every field of a three-field line, and each field's total is its
+// own sum, exactly, while threads race on the shared lines.
+TEST(SlotArray, FieldsOnOneLineStayIndependentUnderSharedHints) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 5000;
+  util::SlotArray<3> lines(2);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&lines, t] {
+      for (std::size_t i = 0; i < kRounds; ++i) {
+        const std::size_t hint = t + kThreads * i;  // odd and even hints
+        lines.add(0, hint, 1);
+        lines.add(1, hint, 2 + t);
+        lines.add(2, hint, i % 3);  // adds of 0 touch nothing
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  std::uint64_t second = 0;
+  std::uint64_t third = 0;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    second += (2 + t) * kRounds;
+    for (std::size_t i = 0; i < kRounds; ++i) third += i % 3;
+  }
+  EXPECT_EQ(lines.total(0), kThreads * kRounds);
+  EXPECT_EQ(lines.total(1), second);
+  EXPECT_EQ(lines.total(2), third);
+  // Threads 0 and 2 (even hints) share line 0, threads 1 and 3 line 1;
+  // each field splits between the lines as the hints do.
+  EXPECT_EQ(lines.line(0).field[0].load() + lines.line(1).field[0].load(),
+            kThreads * kRounds);
+  EXPECT_EQ(lines.line(0).field[1].load(), (2 + 0 + 2 + 2) * kRounds);
+  EXPECT_EQ(lines.line(1).field[1].load(), (2 + 1 + 2 + 3) * kRounds);
+}
+
+// Head lines sit ahead of the slot lines in the same block, value-
+// initialized, and the tally lines start at zero.
+TEST(SlotArray, HeadLinesShareTheBlock) {
+  util::SlotArray<2, util::Padded<util::Atomic<std::int64_t>>> lines(5, 4);
+  ASSERT_EQ(lines.size(), 4u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(lines.head(i).value.load(), 0) << i;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&lines.head(i)) %
+                  util::kCacheLine,
+              0u);
+  }
+  EXPECT_EQ(reinterpret_cast<const std::byte*>(&lines.line(0)),
+            reinterpret_cast<const std::byte*>(&lines.head(0)) +
+                5 * util::kCacheLine);
+  lines.head(4).value.store(-7);
+  lines.add(1, 6, 9);
+  EXPECT_EQ(lines.total(0), 0u);
+  EXPECT_EQ(lines.total(1), 9u);
+  EXPECT_EQ(lines.head(4).value.load(), -7);
 }
 
 }  // namespace

@@ -15,7 +15,9 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "cnet/svc/backend.hpp"
@@ -24,7 +26,7 @@
 #include "cnet/svc/policy.hpp"
 #include "cnet/svc/quota.hpp"
 #include "cnet/util/scatter.hpp"
-#include "cnet/util/stall_slots.hpp"
+#include "cnet/util/slot_array.hpp"
 
 namespace cnet::svc {
 namespace {
@@ -206,6 +208,74 @@ TEST(BucketRespec, BatchDivisorReachesTheRespeccedBackendEndToEnd) {
   EXPECT_EQ(drain(bucket), 256u);
 }
 
+// A scripted single-threaded op sequence across one respec, from each kind
+// to each kind. Every tally the bucket reports is pinned exactly: the
+// consume counters live on the engine's reader lines, the pool counters
+// on the counter's own lines, and the respec rolls the retired pool's
+// totals into the bucket's sums. Hints run past the scatter width, so
+// several land on one line. A network pool's costs are noted per op as
+// (traversals, batch passes); central pools count neither. One thread
+// never retries a CAS, so every stall count is 0.
+class BucketTallies
+    : public ::testing::TestWithParam<std::tuple<BackendKind, BackendKind>> {
+};
+
+TEST_P(BucketTallies, PinnedExactlyAcrossOneRespec) {
+  const auto [from, to] = GetParam();
+  const std::uint64_t from_net = from == BackendKind::kBatchedNetwork;
+  const std::uint64_t to_net = to == BackendKind::kBatchedNetwork;
+  const std::size_t h = util::scatter_slots();
+  // Seeded by one refund_n of 10: (10, 1).
+  NetTokenBucket bucket(make_counter(from),
+                        NetTokenBucket::Config{/*initial_tokens=*/10,
+                                               /*refill_chunk=*/4});
+  bucket.refill(1, 10);  // chunks 4, 4, 2: (10, 3); pool 20
+  EXPECT_EQ(bucket.consume(h + 2, 1), 1u);  // one antitoken: (1, 0)
+  EXPECT_EQ(bucket.consume(2 * h + 3, 5), 5u);  // bulk claim: (1, 0)
+  // All-or-nothing shortfall: a grab of 14, a grab of 0, and a refund of
+  // 14 in one pass: (16, 1); rejected.
+  EXPECT_EQ(bucket.consume(3 * h + 4, 100), 0u);
+  EXPECT_EQ(bucket.consume(5, 0), 0u);  // the no-op: not an attempt
+  EXPECT_EQ(bucket.consume(6, 11, kPartialOk), 11u);  // (1, 0); pool 3
+  EXPECT_EQ(bucket.consume_attempts(), 4u);
+  EXPECT_EQ(bucket.consume_rejects(), 1u);
+  EXPECT_EQ(bucket.traversal_count(), from_net * 39);
+  EXPECT_EQ(bucket.batch_pass_count(), from_net * 5);
+  EXPECT_EQ(bucket.stall_count(), 0u);
+
+  // The migration drains the old pool in two calls, 3 then 0: (2, 0) on
+  // it; and refunds 3 into the new pool in one pass: (3, 1) on that.
+  EXPECT_EQ(bucket.respec(7, {{to, false}, {}, /*refill_chunk=*/2}), 2u);
+  EXPECT_EQ(bucket.traversal_count(), from_net * 41 + to_net * 3);
+  EXPECT_EQ(bucket.batch_pass_count(), from_net * 5 + to_net * 1);
+
+  bucket.refill(4 * h + 8, 5);  // chunks 2, 2, then 1 token: (5, 2); pool 8
+  EXPECT_EQ(bucket.consume(9, 8), 8u);  // (1, 0); pool 0
+  EXPECT_EQ(bucket.consume(h + 10, 1), 0u);  // sweeps every cell: (1, 0)
+  EXPECT_EQ(bucket.consume(11, 3, kPartialOk), 0u);  // (1, 0)
+
+  EXPECT_EQ(bucket.consume_attempts(), 7u);
+  EXPECT_EQ(bucket.consume_rejects(), 3u);
+  EXPECT_EQ(bucket.traversal_count(), from_net * 41 + to_net * 11);
+  EXPECT_EQ(bucket.batch_pass_count(), from_net * 5 + to_net * 3);
+  EXPECT_EQ(bucket.stall_count(), 0u);
+  EXPECT_EQ(bucket.config_version(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryKindPair, BucketTallies,
+    ::testing::Combine(::testing::ValuesIn(kAllBackendKinds),
+                       ::testing::ValuesIn(kAllBackendKinds)),
+    [](const auto& info) {
+      std::string name = backend_kind_name(std::get<0>(info.param));
+      name += "_to_";
+      name += backend_kind_name(std::get<1>(info.param));
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
 // --------------------------------------------------- quota live reweigh
 
 QuotaHierarchy::Config small_quota_config() {
@@ -343,7 +413,7 @@ TEST(ReconfigHammer, BucketConservesTokensUnderConcurrentRespecs) {
 // The scatter width follows the host's cores, so hints share slots once
 // threads outnumber them. Eight threads spread over hints 0..4×width (each
 // hint owned by one thread, each slot shared by several) race a default
-// StallSlots and a bucket's consume/refill across one respec: the tally,
+// util::SlotArray and a bucket's consume/refill across one respec: the tally,
 // both consume counters and the token count must all stay exact.
 TEST(ReconfigHammer, HintsSharingScatterSlotsStayExact) {
   constexpr std::size_t kThreads = 8;
@@ -351,7 +421,7 @@ TEST(ReconfigHammer, HintsSharingScatterSlotsStayExact) {
   constexpr std::uint64_t kInitial = 100;
   const std::size_t top_hint = 4 * util::scatter_slots();
 
-  util::StallSlots tallies;
+  util::SlotArray<1> tallies;
   NetTokenBucket bucket(
       make_counter(BackendSpec{BackendKind::kBatchedNetwork, false}),
       NetTokenBucket::Config{kInitial, /*refill_chunk=*/16});
@@ -365,7 +435,7 @@ TEST(ReconfigHammer, HintsSharingScatterSlotsStayExact) {
           bucket.respec(0, {{BackendKind::kCentralAtomic, false}, {}, 8});
         }
         for (std::size_t hint = t; hint <= top_hint; hint += kThreads) {
-          tallies.add(hint, 1 + hint % 3);
+          tallies.add(0, hint, 1 + hint % 3);
           events.fetch_add(1 + hint % 3, std::memory_order_relaxed);
           bucket.refill(hint, 3);
           refilled.fetch_add(3, std::memory_order_relaxed);
@@ -381,7 +451,7 @@ TEST(ReconfigHammer, HintsSharingScatterSlotsStayExact) {
   }
   for (auto& thread : threads) thread.join();
 
-  EXPECT_EQ(tallies.total(), events.load());
+  EXPECT_EQ(tallies.total(0), events.load());
   EXPECT_EQ(bucket.consume_attempts(), attempts.load());
   EXPECT_EQ(bucket.consume_rejects(), rejects.load());
   EXPECT_EQ(bucket.config_version(), 2u);
