@@ -20,7 +20,16 @@ std::int64_t CountingBarrier::arrive_and_wait(std::size_t thread_hint) {
       ticket % static_cast<std::int64_t>(parties_) ==
       static_cast<std::int64_t>(parties_) - 1;
   if (last) {
-    epoch_.value.store(phase + 1, std::memory_order_release);
+    // Publish max(epoch, phase + 1): with a counter whose values are not
+    // linearizable (a counting network), a delayed last arriver of an
+    // earlier phase may get here after a later phase's, and a plain store
+    // would move the epoch back under that phase's waiters.
+    std::int64_t seen = epoch_.value.load(std::memory_order_relaxed);
+    while (seen <= phase &&
+           !epoch_.value.compare_exchange_weak(seen, phase + 1,
+                                               std::memory_order_release,
+                                               std::memory_order_relaxed)) {
+    }
     epoch_.value.notify_all();
   } else {
     std::int64_t seen = epoch_.value.load(std::memory_order_acquire);

@@ -4,9 +4,9 @@
 //
 // Each arrival performs one Fetch&Increment; the value determines the
 // arrival's phase (value / parties). The last arriver of a phase publishes
-// the next epoch; everyone else spins on the epoch word. Any Counter works;
-// with a counting-network counter the hot spot is the epoch broadcast, not
-// the arrival counter.
+// the next epoch, never moving it backwards; everyone else spins on the
+// epoch word. Any Counter works; with a counting-network counter the hot
+// spot is the epoch broadcast, not the arrival counter.
 #pragma once
 
 #include <atomic>

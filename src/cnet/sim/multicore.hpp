@@ -73,8 +73,10 @@ struct ModelConfig {
   double elim_inc_wait = 4.0;   // increment deposit window before withdrawal
   double elim_dec_wait = 0.5;   // decrement deposit window
 
-  // Shape of the counting network behind the network-backed kinds.
-  svc::BackendConfig net;
+  // Shape of the counting network behind the network-backed kinds. Fixed
+  // at C(8,24), not the host-sized default, so virtual-time results do not
+  // depend on the machine that runs them.
+  svc::BackendConfig net{.width_in = 8, .width_out = 24, .elim = {}};
 
   bool exponential_service = false;  // exp-distributed service draws
   std::uint64_t seed = 1998;

@@ -13,6 +13,7 @@
 
 #include "cnet/runtime/counter.hpp"
 #include "cnet/svc/elimination.hpp"
+#include "cnet/util/scatter.hpp"
 
 namespace cnet::svc {
 
@@ -31,10 +32,12 @@ inline constexpr BackendKind kAllBackendKinds[] = {
 };
 
 // Shape of the counting network behind the network-backed kinds; ignored by
-// the central ones. Defaults to the repo's workhorse C(8,24) = C(w, w·lg w).
+// the central ones. Defaults to C(w, w·lg w) sized to the host by
+// util::counting_shape(): w is the CPU count rounded up to a power of two,
+// between 2 and 8, so C(4,8) on a 4-CPU host and C(8,24) on 5 or more.
 struct BackendConfig {
-  std::size_t width_in = 8;
-  std::size_t width_out = 24;
+  std::size_t width_in = util::counting_shape().width_in;
+  std::size_t width_out = util::counting_shape().width_out;
   // Knobs for the elimination front-end; used only where the spec asks
   // for it.
   ElimCounter::Config elim;

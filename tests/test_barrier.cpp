@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cnet/core/counting.hpp"
@@ -67,6 +71,47 @@ TEST(Barrier, PhaseDisciplineWithCountingNetwork) {
 
 TEST(Barrier, PhaseDisciplineWithMutexCounter) {
   run_phase_discipline_test(std::make_shared<MutexCounter>());
+}
+
+// Hands out a fixed script of tickets, in call order: a counting network's
+// values need not come out in arrival order, and this replays one such
+// order deterministically.
+class ScriptedCounter final : public Counter {
+ public:
+  explicit ScriptedCounter(std::vector<std::int64_t> script)
+      : script_(std::move(script)) {}
+
+  std::int64_t fetch_increment(std::size_t) override {
+    const std::lock_guard lock(mu_);
+    return script_.at(next_++);
+  }
+  std::string name() const override { return "scripted"; }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::int64_t> script_;
+  std::size_t next_ = 0;
+};
+
+// The last arriver of phase 1 (ticket 3) publishes first; the last arriver
+// of phase 0 (ticket 1) comes late. The epoch must not move back, or the
+// phase-1 waiter (ticket 2) sleeps for good. Ticket 5 completes phase 2 so
+// the waiter always joins, even when the epoch did move back.
+TEST(Barrier, LateLastArriverOfEarlierPhaseKeepsEpochMonotone) {
+  CountingBarrier barrier(
+      std::make_shared<ScriptedCounter>(std::vector<std::int64_t>{3, 1, 2, 5}),
+      2);
+  EXPECT_EQ(barrier.arrive_and_wait(0), 1);
+  EXPECT_EQ(barrier.arrive_and_wait(1), 0);
+  std::promise<std::int64_t> waited;
+  std::future<std::int64_t> result = waited.get_future();
+  std::jthread waiter(
+      [&] { waited.set_value(barrier.arrive_and_wait(0)); });
+  const bool returned =
+      result.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "the phase-1 waiter slept: the epoch moved back";
+  EXPECT_EQ(barrier.arrive_and_wait(1), 2);
+  EXPECT_EQ(result.get(), 1);
 }
 
 }  // namespace

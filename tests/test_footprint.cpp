@@ -5,8 +5,9 @@
 // A warm build is the second one in the process, after the shape memo and
 // the scatter width are settled, which is what e2ebench's set-up bursts
 // time. The counts are host-independent: every per-thread-hint array is one
-// allocation whatever the scatter width, and only the byte totals follow
-// the host's core count.
+// allocation whatever the scatter width, a network's balancers are one
+// allocation whatever its shape, and only the byte totals follow the
+// host's core count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -141,10 +142,12 @@ Footprint warm_footprint(const char* label, Build build) {
   build(warm);
   const Footprint fp{g_allocs.load(std::memory_order_relaxed) - allocs,
                      g_bytes.load(std::memory_order_relaxed) - bytes};
-  std::printf("%s: %llu allocations, %llu bytes (scatter width %zu)\n", label,
-              static_cast<unsigned long long>(fp.allocs),
-              static_cast<unsigned long long>(fp.bytes),
-              util::scatter_slots());
+  std::printf(
+      "%s: %llu allocations, %llu bytes (scatter width %zu, default "
+      "C(%zu,%zu))\n",
+      label, static_cast<unsigned long long>(fp.allocs),
+      static_cast<unsigned long long>(fp.bytes), util::scatter_slots(),
+      util::counting_shape().width_in, util::counting_shape().width_out);
   return fp;
 }
 
@@ -168,8 +171,8 @@ TEST(Footprint, CentralBucket) {
   EXPECT_EQ(fp.allocs, 4u);
 }
 
-// The admit_steady / admit_overload stack: a batched-network C(8,24) pool
-// and four ID shards, all defaults.
+// The admit_steady / admit_overload stack: a batched-network pool of the
+// host-sized shape and four ID shards, all defaults.
 TEST(Footprint, DefaultAdmissionController) {
   const auto fp = warm_footprint<svc::AdmissionController>(
       "admission_controller",

@@ -146,10 +146,15 @@ TEST(QuotaHierarchy, RejectsMisuse) {
 }
 
 TEST(QuotaHierarchy, NameReflectsTheParentSpec) {
-  QuotaHierarchy q(
-      base_config({BackendKind::kBatchedNetwork, true}, 1, 1),
-      {{.initial_tokens = 0, .weight = 1}});
+  auto cfg = base_config({BackendKind::kBatchedNetwork, true}, 1, 1);
+  const QuotaHierarchy::Config host_sized = cfg;
+  cfg.net = test::shape_config({8, 24});
+  QuotaHierarchy q(cfg, {{.initial_tokens = 0, .weight = 1}});
   EXPECT_EQ(q.name(), "quota·elim·batched C(8,24)");
+  // A default-built parent carries the host-sized shape.
+  EXPECT_EQ(QuotaHierarchy(host_sized, {{.initial_tokens = 0, .weight = 1}})
+                .name(),
+            "quota·elim·batched " + test::shape_label(util::counting_shape()));
 }
 
 // Every parent backend spec (all pool kinds plain, the elimination

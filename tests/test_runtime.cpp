@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cnet/baselines/bitonic.hpp"
@@ -370,6 +371,29 @@ TEST(SlotArray, ScatterWidthRule) {
   EXPECT_LE(host, util::kMaxScatterSlots);
   EXPECT_EQ(util::scatter_slots(), host);  // computed once
   EXPECT_EQ(util::SlotArray<2>{}.size(), host);
+}
+
+// The default network is C(w, w·lg w) with w the CPU count rounded up to a
+// power of two, between 2 and 8; an unknown count keeps C(8,24).
+TEST(HostSizing, CountingShapeRule) {
+  const std::pair<unsigned, std::size_t> expected[] = {
+      {0, 8}, {1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {64, 8}};
+  for (const auto& [cpus, w] : expected) {
+    const util::CountingShape shape = util::counting_shape_for(cpus);
+    EXPECT_EQ(shape.width_in, w) << cpus;
+    EXPECT_EQ(shape.width_out, w * util::ilog2(w)) << cpus;
+    EXPECT_TRUE(
+        core::is_valid_counting_params(shape.width_in, shape.width_out))
+        << cpus;
+  }
+  EXPECT_EQ(util::counting_shape_for(0xFFFFFFFFu).width_in, 8u);
+  const util::CountingShape host = util::counting_shape();
+  const util::CountingShape rule =
+      util::kSchedCheckEnabled
+          ? util::CountingShape{8, 24}
+          : util::counting_shape_for(std::thread::hardware_concurrency());
+  EXPECT_EQ(host.width_in, rule.width_in);
+  EXPECT_EQ(host.width_out, rule.width_out);
 }
 
 // Hints far past the slot count fold onto slot hint mod slots: the total is

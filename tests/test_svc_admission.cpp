@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
+
+#include "test_svc_util.hpp"
 
 namespace cnet::svc {
 namespace {
@@ -77,10 +80,71 @@ TEST(AdmissionController, ConcurrentAdmissionsAreUniqueAndBounded) {
 TEST(AdmissionController, NameAndStallsReportTheBackend) {
   AdmissionConfig cfg;
   cfg.backend = BackendKind::kBatchedNetwork;
+  cfg.net = test::shape_config({8, 24});
   AdmissionController ctl(cfg);
   EXPECT_EQ(ctl.name(), "admission·batched C(8,24)");
   EXPECT_GE(ctl.stall_count(), 0u);
+  // A default-built stack carries the host-sized shape.
+  EXPECT_EQ(AdmissionController(AdmissionConfig{}).name(),
+            "admission·batched " + test::shape_label(util::counting_shape()));
 }
+
+// Every shape the host-sizing rule can pick, on every host: concurrent
+// admits and refills conserve tokens, and admitted requests get distinct
+// IDs.
+class AdmissionShapes
+    : public ::testing::TestWithParam<util::CountingShape> {};
+
+TEST_P(AdmissionShapes, ConcurrentAdmitsConserveAndStayUnique) {
+  AdmissionConfig cfg;
+  cfg.net = test::shape_config(GetParam());
+  cfg.ids.max_threads = 4;
+  cfg.bucket.initial_tokens = 500;
+  AdmissionController ctl(cfg);
+  ASSERT_EQ(ctl.name(), "admission·batched " + test::shape_label(GetParam()));
+  constexpr std::uint64_t kRefills = 2000, kPerRefill = 4;
+  std::vector<std::vector<std::int64_t>> ids(4);
+  std::vector<std::uint64_t> charged(4, 0);
+  {
+    std::vector<std::jthread> workers;
+    workers.emplace_back([&] {  // refiller, also admitting (hint 0)
+      for (std::uint64_t r = 0; r < kRefills; ++r) {
+        ctl.refill(0, kPerRefill);
+        const auto ticket = ctl.admit(0, 2);
+        if (ticket.admitted) {
+          ids[0].push_back(ticket.request_id);
+          charged[0] += ticket.charged;
+        }
+      }
+    });
+    for (std::size_t t = 1; t < 4; ++t) {
+      workers.emplace_back([&, t] {
+        for (int i = 0; i < 3000; ++i) {
+          const auto ticket = ctl.admit(t, 1 + t % 2);
+          if (ticket.admitted) {
+            ids[t].push_back(ticket.request_id);
+            charged[t] += ticket.charged;
+          }
+        }
+      });
+    }
+  }
+  std::vector<std::int64_t> all;
+  std::uint64_t admitted_tokens = 0;
+  for (std::size_t t = 0; t < 4; ++t) {
+    all.insert(all.end(), ids[t].begin(), ids[t].end());
+    admitted_tokens += charged[t];
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+  std::uint64_t leftover = 0;
+  while (ctl.admit(0, 1).admitted) ++leftover;
+  EXPECT_EQ(admitted_tokens + leftover, 500 + kRefills * kPerRefill);
+}
+
+INSTANTIATE_TEST_SUITE_P(RuleShapes, AdmissionShapes,
+                         ::testing::ValuesIn(test::kRuleShapes),
+                         test::shape_param_name);
 
 }  // namespace
 }  // namespace cnet::svc

@@ -44,8 +44,9 @@ TEST_P(BucketBackends, SequentialConsumeSemantics) {
   EXPECT_EQ(drain(bucket), 0u);
 }
 
-TEST_P(BucketBackends, NeverOverAdmitsUnderConcurrency) {
-  auto bucket = make_bucket(GetParam(), {});
+// One refiller, five consumers and an observer that checks, while they
+// run, that consumed tokens never exceed refilled ones.
+void expect_never_over_admits(NetTokenBucket& bucket) {
   constexpr std::size_t kConsumers = 5;
   constexpr std::uint64_t kRefillRounds = 400, kTokensPerRound = 16;
   // `refilled` is published BEFORE tokens enter the pool and `admitted`
@@ -103,6 +104,11 @@ TEST_P(BucketBackends, NeverOverAdmitsUnderConcurrency) {
   // Conservation at quiescence: every refilled token was either admitted
   // or still in the pool.
   EXPECT_EQ(admitted.load() + leftover, refilled.load());
+}
+
+TEST_P(BucketBackends, NeverOverAdmitsUnderConcurrency) {
+  auto bucket = make_bucket(GetParam(), {});
+  expect_never_over_admits(bucket);
 }
 
 TEST_P(BucketBackends, AllOrNothingGrabsAreMultiplesOfCost) {
@@ -215,9 +221,29 @@ TEST(NetTokenBucket, DefaultRefillTakesFullWidthPasses) {
 }
 
 TEST(NetTokenBucket, NameReflectsThePoolBackend) {
-  auto bucket = make_bucket(BackendKind::kBatchedNetwork, {});
+  NetTokenBucket bucket(
+      make_counter(BackendKind::kBatchedNetwork, test::shape_config({8, 24})),
+      {});
   EXPECT_EQ(bucket.name(), "bucket·batched C(8,24)");
+  // A default-built pool carries the host-sized shape.
+  EXPECT_EQ(make_bucket(BackendKind::kBatchedNetwork, {}).name(),
+            "bucket·batched " + test::shape_label(util::counting_shape()));
 }
+
+// Every shape the host-sizing rule can pick, on every host.
+class BucketShapes : public ::testing::TestWithParam<util::CountingShape> {};
+
+TEST_P(BucketShapes, NeverOverAdmitsUnderConcurrency) {
+  NetTokenBucket bucket(make_counter(BackendKind::kBatchedNetwork,
+                                     test::shape_config(GetParam())),
+                        {});
+  ASSERT_EQ(bucket.name(), "bucket·batched " + test::shape_label(GetParam()));
+  expect_never_over_admits(bucket);
+}
+
+INSTANTIATE_TEST_SUITE_P(RuleShapes, BucketShapes,
+                         ::testing::ValuesIn(test::kRuleShapes),
+                         test::shape_param_name);
 
 }  // namespace
 }  // namespace cnet::svc

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cnet/svc/backend.hpp"
+#include "cnet/util/scatter.hpp"
 
 namespace cnet::test {
 
@@ -40,6 +41,28 @@ inline std::vector<svc::BackendSpec> all_pool_backend_specs() {
     specs.push_back({kind, true});
   }
   return specs;
+}
+
+// Every shape util::counting_shape_for can pick, C(w, w·lg w) for w = 2, 4
+// and 8, so each host covers the shapes every other host builds.
+inline constexpr util::CountingShape kRuleShapes[] = {{2, 2}, {4, 8}, {8, 24}};
+
+inline svc::BackendConfig shape_config(util::CountingShape shape) {
+  return {.width_in = shape.width_in, .width_out = shape.width_out,
+          .elim = {}};
+}
+
+// gtest-safe suffix ("C4_8", ...) for suites parameterized over shapes.
+inline std::string shape_param_name(
+    const ::testing::TestParamInfo<util::CountingShape>& pinfo) {
+  return "C" + std::to_string(pinfo.param.width_in) + "_" +
+         std::to_string(pinfo.param.width_out);
+}
+
+// "C(w,t)", as a network counter names its shape.
+inline std::string shape_label(util::CountingShape shape) {
+  return "C(" + std::to_string(shape.width_in) + "," +
+         std::to_string(shape.width_out) + ")";
 }
 
 }  // namespace cnet::test
