@@ -247,9 +247,9 @@ std::uint64_t PeerCluster::reconcile_step(std::size_t thread_hint,
   const std::uint64_t budget =
       debt_reconcile(ns.debt_escrow, cfg_.reconcile_chunk);
   std::uint64_t settled = 0;
-  while (!ns.debts.empty()) {
-    const Debt debt = ns.debts.front();
-    ns.debts.pop_front();
+  std::size_t taken = 0;
+  while (taken < ns.debts.size()) {
+    const Debt debt = ns.debts[taken++];
     const ExpiryRefund split = lease_expiry_refund(
         debt.grant.from_child, debt.grant.from_parent, debt.recovered);
     global_->settle_spent(thread_hint, debt.grant, split.refund_child,
@@ -259,6 +259,8 @@ std::uint64_t PeerCluster::reconcile_step(std::size_t thread_hint,
     expiry_refunded_.fetch_add(debt.recovered, std::memory_order_relaxed);
     if (settled >= budget) break;
   }
+  ns.debts.erase(ns.debts.begin(),
+                 ns.debts.begin() + static_cast<std::ptrdiff_t>(taken));
   ns.debt_escrow -= settled;
   return settled;
 }

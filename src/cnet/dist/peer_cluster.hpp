@@ -46,7 +46,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -193,7 +192,9 @@ class PeerCluster {
     // is now a compile error under -Wthread-safety.
     mutable util::Mutex ledger;
     std::vector<Lease> leases CNET_GUARDED_BY(ledger);
-    std::deque<Debt> debts CNET_GUARDED_BY(ledger);
+    // FIFO: reconcile_step settles a prefix and erases it. A vector, so a
+    // node that is never partitioned allocates nothing here.
+    std::vector<Debt> debts CNET_GUARDED_BY(ledger);
     std::uint64_t debt_escrow CNET_GUARDED_BY(ledger) = 0;
     std::atomic<bool> partitioned{false};
     // util::Atomic so the schedule checker explores the ledger updates

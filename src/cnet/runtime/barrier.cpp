@@ -1,7 +1,5 @@
 #include "cnet/runtime/barrier.hpp"
 
-#include <thread>
-
 #include "cnet/util/ensure.hpp"
 
 namespace cnet::rt {
@@ -27,14 +25,17 @@ std::int64_t CountingBarrier::arrive_and_wait(std::size_t thread_hint) {
     std::int64_t seen = epoch_.value.load(std::memory_order_relaxed);
     while (seen <= phase &&
            !epoch_.value.compare_exchange_weak(seen, phase + 1,
-                                               std::memory_order_release,
-                                               std::memory_order_relaxed)) {
+                                               std::memory_order_release)) {
     }
     epoch_.value.notify_all();
   } else {
     std::int64_t seen = epoch_.value.load(std::memory_order_acquire);
     while (seen <= phase) {
-      epoch_.value.wait(seen, std::memory_order_acquire);
+      if constexpr (util::kSchedCheckEnabled) {
+        util::sched_yield();
+      } else {
+        epoch_.value.wait(seen, std::memory_order_acquire);
+      }
       seen = epoch_.value.load(std::memory_order_acquire);
     }
   }

@@ -4,16 +4,18 @@
 //
 // Each arrival performs one Fetch&Increment; the value determines the
 // arrival's phase (value / parties). The last arriver of a phase publishes
-// the next epoch, never moving it backwards; everyone else spins on the
-// epoch word. Any Counter works; with a counting-network counter the hot
-// spot is the epoch broadcast, not the arrival counter.
+// the next epoch, never moving it backwards; everyone else waits on the
+// epoch word (atomic::wait, or a util::sched_yield() loop in a
+// CNET_SCHED_CHECK build, so the checker schedules the waiters). Any
+// Counter works; with a counting-network counter the hot spot is the epoch
+// broadcast, not the arrival counter.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
 #include "cnet/runtime/counter.hpp"
+#include "cnet/util/atomic.hpp"
 #include "cnet/util/cacheline.hpp"
 
 namespace cnet::rt {
@@ -24,14 +26,20 @@ class CountingBarrier {
   // ownership of the counter (which must start at value 0).
   CountingBarrier(std::shared_ptr<Counter> counter, std::size_t parties);
 
-  // Blocks (spin + yield) until all parties of the current phase arrived.
+  // Blocks until all parties of the current phase arrived.
   // Returns the phase index that just completed (0-based).
   std::int64_t arrive_and_wait(std::size_t thread_hint);
+
+  // The published epoch: every phase below it has completed and released
+  // its waiters. Never decreases.
+  std::int64_t completed_phases() const {
+    return epoch_.value.load(std::memory_order_acquire);
+  }
 
  private:
   std::shared_ptr<Counter> counter_;
   std::size_t parties_;
-  util::Padded<std::atomic<std::int64_t>> epoch_{};
+  util::Padded<util::Atomic<std::int64_t>> epoch_{};
 };
 
 }  // namespace cnet::rt

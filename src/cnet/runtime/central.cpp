@@ -7,28 +7,28 @@ namespace {
 // Shared bounded-decrement loop for the atomic central counters: move the
 // value back by one unless it is already zero. Failed CAS attempts count as
 // stalls, symmetrically with the increment path.
-bool bounded_decrement(util::Atomic<std::int64_t>& value,
-                       std::int64_t* reclaimed, util::SlotArray<1>& stalls,
+bool bounded_decrement(CentralLines& lines, std::int64_t* reclaimed,
                        std::size_t thread_hint) {
+  util::Atomic<std::int64_t>& value = lines.head(0).value;
   std::int64_t cur = value.load(std::memory_order_relaxed);
   std::uint64_t retries = 0;
   while (cur > 0) {
     if (value.compare_exchange_weak(cur, cur - 1,
                                     std::memory_order_relaxed)) {
-      stalls.add(0, thread_hint, retries);
+      lines.add(0, thread_hint, retries);
       if (reclaimed != nullptr) *reclaimed = cur - 1;
       return true;
     }
     ++retries;
   }
-  stalls.add(0, thread_hint, retries);
+  lines.add(0, thread_hint, retries);
   return false;
 }
 
 // Bulk form: one CAS takes a whole block of min(n, value) values.
-std::uint64_t bounded_decrement_n(util::Atomic<std::int64_t>& value,
-                                  std::uint64_t n, util::SlotArray<1>& stalls,
+std::uint64_t bounded_decrement_n(CentralLines& lines, std::uint64_t n,
                                   std::size_t thread_hint) {
+  util::Atomic<std::int64_t>& value = lines.head(0).value;
   std::int64_t cur = value.load(std::memory_order_relaxed);
   std::uint64_t retries = 0;
   while (cur > 0) {
@@ -37,12 +37,12 @@ std::uint64_t bounded_decrement_n(util::Atomic<std::int64_t>& value,
     if (value.compare_exchange_weak(cur,
                                     cur - static_cast<std::int64_t>(m),
                                     std::memory_order_relaxed)) {
-      stalls.add(0, thread_hint, retries);
+      lines.add(0, thread_hint, retries);
       return m;
     }
     ++retries;
   }
-  stalls.add(0, thread_hint, retries);
+  lines.add(0, thread_hint, retries);
   return 0;
 }
 
@@ -50,22 +50,23 @@ std::uint64_t bounded_decrement_n(util::Atomic<std::int64_t>& value,
 
 bool AtomicCounter::try_fetch_decrement(std::size_t thread_hint,
                                         std::int64_t* reclaimed) {
-  return bounded_decrement(value_.value, reclaimed, stalls_, thread_hint);
+  return bounded_decrement(lines_, reclaimed, thread_hint);
 }
 
 std::uint64_t AtomicCounter::try_fetch_decrement_n(std::size_t thread_hint,
                                                    std::uint64_t n) {
-  return bounded_decrement_n(value_.value, n, stalls_, thread_hint);
+  return bounded_decrement_n(lines_, n, thread_hint);
 }
 
 std::int64_t CasCounter::add(std::size_t thread_hint, std::int64_t k) {
-  std::int64_t cur = value_.value.load(std::memory_order_relaxed);
+  util::Atomic<std::int64_t>& value = lines_.head(0).value;
+  std::int64_t cur = value.load(std::memory_order_relaxed);
   std::uint64_t retries = 0;
-  while (!value_.value.compare_exchange_weak(cur, cur + k,
-                                             std::memory_order_relaxed)) {
+  while (!value.compare_exchange_weak(cur, cur + k,
+                                      std::memory_order_relaxed)) {
     ++retries;
   }
-  stalls_.add(0, thread_hint, retries);
+  lines_.add(0, thread_hint, retries);
   return cur;
 }
 
@@ -84,12 +85,12 @@ void CasCounter::fetch_increment_batch(std::size_t thread_hint, std::size_t k,
 
 bool CasCounter::try_fetch_decrement(std::size_t thread_hint,
                                      std::int64_t* reclaimed) {
-  return bounded_decrement(value_.value, reclaimed, stalls_, thread_hint);
+  return bounded_decrement(lines_, reclaimed, thread_hint);
 }
 
 std::uint64_t CasCounter::try_fetch_decrement_n(std::size_t thread_hint,
                                                 std::uint64_t n) {
-  return bounded_decrement_n(value_.value, n, stalls_, thread_hint);
+  return bounded_decrement_n(lines_, n, thread_hint);
 }
 
 }  // namespace cnet::rt

@@ -6,7 +6,6 @@
 
 #include "cnet/runtime/counter.hpp"
 #include "cnet/util/atomic.hpp"
-#include "cnet/util/cacheline.hpp"
 #include "cnet/util/mutex.hpp"
 #include "cnet/util/slot_array.hpp"
 #include "cnet/util/thread_annotations.hpp"
@@ -18,16 +17,22 @@ namespace cnet::rt {
 // RMW (or lock hold). A value-free batch (null out_values) is the same step
 // with no block written, and it is what the inherited refund_n takes.
 
+// A central counter's block: the value word on its own head line, then one
+// line per thread-hint slot whose one field counts CAS retries. The counter
+// object itself is then a plain allocation.
+using CentralLines =
+    util::SlotArray<1, util::Padded<util::Atomic<std::int64_t>>>;
+
 // One shared cache line, advanced by fetch_add. Wait-free but a sequential
 // bottleneck: every operation serializes on the same location.
 class AtomicCounter final : public Counter {
  public:
   std::int64_t fetch_increment(std::size_t) override {
-    return value_.value.fetch_add(1, std::memory_order_relaxed);
+    return word().fetch_add(1, std::memory_order_relaxed);
   }
   void fetch_increment_batch(std::size_t, std::size_t k,
                              std::int64_t* out_values) override {
-    const std::int64_t base = value_.value.fetch_add(
+    const std::int64_t base = word().fetch_add(
         static_cast<std::int64_t>(k), std::memory_order_relaxed);
     if (out_values == nullptr) return;
     for (std::size_t i = 0; i < k; ++i) {
@@ -39,11 +44,12 @@ class AtomicCounter final : public Counter {
   std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
                                       std::uint64_t n) override;
   std::string name() const override { return "central-atomic"; }
-  std::uint64_t stall_count() const override { return stalls_.total(0); }
+  std::uint64_t stall_count() const override { return lines_.total(0); }
 
  private:
-  util::Padded<util::Atomic<std::int64_t>> value_{};
-  util::SlotArray<1> stalls_;  // one field: CAS retries
+  util::Atomic<std::int64_t>& word() noexcept { return lines_.head(0).value; }
+
+  CentralLines lines_{1, util::scatter_slots()};
 };
 
 // CAS-retry central counter: the canonical high-contention victim; retries
@@ -58,14 +64,13 @@ class CasCounter final : public Counter {
   std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
                                       std::uint64_t n) override;
   std::string name() const override { return "central-cas"; }
-  std::uint64_t stall_count() const override { return stalls_.total(0); }
+  std::uint64_t stall_count() const override { return lines_.total(0); }
 
  private:
   // One CAS loop advancing the word by k; returns the pre-add value.
   std::int64_t add(std::size_t thread_hint, std::int64_t k);
 
-  util::Padded<util::Atomic<std::int64_t>> value_{};
-  util::SlotArray<1> stalls_;  // one field: CAS retries
+  CentralLines lines_{1, util::scatter_slots()};
 };
 
 // Lock-protected counter.

@@ -38,7 +38,7 @@ CompiledNetwork::CompiledNetwork(std::shared_ptr<const CompiledShape> shape)
       num_nodes_(shape_->num_balancers()),
       width_in_(shape_->width_in()),
       width_out_(shape_->width_out()),
-      nodes_(std::make_unique<Node[]>(num_nodes_)),
+      nodes_(num_nodes_),
       route_(shape_->routing_.route.data()),
       entry_(shape_->routing_.entry.data()) {
   for (std::size_t b = 0; b < num_nodes_; ++b) {

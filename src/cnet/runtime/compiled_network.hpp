@@ -153,7 +153,7 @@ class CompiledNetwork {
   std::size_t num_nodes_ = 0;
   std::size_t width_in_ = 0;
   std::size_t width_out_ = 0;
-  std::unique_ptr<Node[]> nodes_;
+  util::LineArray<Node> nodes_;
   // Into shape_'s tables, which outlive this instance through shape_.
   const std::int32_t* route_ = nullptr;
   const std::int32_t* entry_ = nullptr;

@@ -218,7 +218,7 @@ class QuotaHierarchy : public Reconfigurable {
                                TenantState& state, std::uint64_t want);
 
   NetTokenBucket parent_;
-  std::vector<TenantState> tenants_;
+  util::LineArray<TenantState> tenants_;
   ReconfigEngine<WeightState> weights_;
   std::uint64_t borrow_budget_ = 0;
   const OverloadManager* overload_ = nullptr;

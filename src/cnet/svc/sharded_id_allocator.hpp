@@ -75,7 +75,7 @@ class ShardedIdAllocator {
 
   std::vector<std::unique_ptr<rt::Counter>> shards_;
   Config cfg_;
-  std::vector<Cache> caches_;
+  util::LineArray<Cache> caches_;
 };
 
 }  // namespace cnet::svc

@@ -5,8 +5,8 @@
 // central atomic and CAS counters, SlotArray tallies,
 // EliminationLayer exchange slots, ReconfigEngine reader counts and
 // active-state pointer, the quota borrow reservation, PeerCluster's
-// per-node balance and spent ledgers) is declared as
-// util::Atomic instead of std::atomic. With CNET_SCHED_CHECK off this is a
+// per-node balance and spent ledgers, CountingBarrier's epoch) is declared
+// as util::Atomic instead of std::atomic. With CNET_SCHED_CHECK off this is a
 // pure forwarding shim over std::atomic — same layout, same memory orders,
 // inline calls, zero overhead. With it on, each operation first announces
 // itself at a util::SchedPoint, making it one explorable step of the
@@ -64,6 +64,15 @@ class Atomic {
     announce(SchedOpKind::kAtomicRmw);
     return v_.compare_exchange_weak(expected, desired, order);
   }
+
+  // Blocking wait and wake, unannounced: a controlled thread must never
+  // sleep in the kernel, so under CNET_SCHED_CHECK callers wait in a
+  // util::sched_yield() loop instead (CountingBarrier).
+  void wait(T old, std::memory_order order = std::memory_order_seq_cst) const {
+    v_.wait(old, order);
+  }
+
+  void notify_all() noexcept { v_.notify_all(); }
 
   bool compare_exchange_strong(
       T& expected, T desired,

@@ -12,7 +12,8 @@
 //
 // An owner with padded per-object lines of its own (a network counter's
 // exit cells) places them ahead of the slot lines as `Head` lines, so the
-// whole block is one zeroed, aligned allocation.
+// whole block is one zeroed util::LineBlock: a plain allocation whose first
+// line is aligned by hand.
 #pragma once
 
 #include <cstddef>
@@ -92,15 +93,10 @@ class SlotArray {
 
  private:
   struct Tag {};
-  struct Free {
-    void operator()(void* block) const noexcept {
-      ::operator delete(block, std::align_val_t{kCacheLine});
-    }
-  };
 
   SlotArray(std::size_t heads, std::size_t slots, Tag)
-      : block_(allocate(heads, slots)), mask_(slots - 1) {
-    auto* at = static_cast<std::byte*>(block_.get());
+      : block_(heads + checked(slots), kCacheLine), mask_(slots - 1) {
+    std::byte* at = block_.first();
     std::uninitialized_value_construct_n(reinterpret_cast<HeadLine*>(at),
                                          heads);
     heads_ = std::launder(reinterpret_cast<HeadLine*>(at));
@@ -109,13 +105,12 @@ class SlotArray {
     lines_ = std::launder(reinterpret_cast<Line*>(at));
   }
 
-  static void* allocate(std::size_t heads, std::size_t slots) {
+  static std::size_t checked(std::size_t slots) {
     CNET_REQUIRE(is_pow2(slots), "slot count must be a power of two");
-    return ::operator new((heads + slots) * kCacheLine,
-                          std::align_val_t{kCacheLine});
+    return slots;
   }
 
-  std::unique_ptr<void, Free> block_;
+  LineBlock block_;
   HeadLine* heads_ = nullptr;
   Line* lines_ = nullptr;
   std::size_t mask_;

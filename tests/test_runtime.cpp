@@ -1,7 +1,7 @@
 // Concurrent runtime: compiled networks, network counters under real
 // threads, both balancer disciplines, counters sharing one compiled shape,
-// the compiled kernel against a plain reference interpreter, and the
-// util::SlotArray per-hint tally lines.
+// the compiled kernel against a plain reference interpreter, the
+// util::SlotArray per-hint tally lines and the util::LineArray blocks.
 #include "cnet/runtime/network_counter.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "cnet/baselines/periodic.hpp"
 #include "cnet/core/counting.hpp"
 #include "cnet/runtime/compiled_network.hpp"
+#include "cnet/util/cacheline.hpp"
 #include "cnet/util/prng.hpp"
 #include "cnet/util/scatter.hpp"
 #include "cnet/util/slot_array.hpp"
@@ -469,6 +470,112 @@ TEST(SlotArray, HeadLinesShareTheBlock) {
   EXPECT_EQ(lines.total(0), 0u);
   EXPECT_EQ(lines.total(1), 9u);
   EXPECT_EQ(lines.head(4).value.load(), -7);
+}
+
+// Every block is a plain allocation aligned by hand: across head and slot
+// counts, every line sits on a cache-line boundary, the lines follow one
+// another with no gap, and they start zeroed. Eight fields fill a line, so
+// writing every field lets the address sanitizer catch a block that
+// overruns its one line of slack.
+TEST(SlotArray, EveryLineIsCacheLineAligned) {
+  using Lines = util::SlotArray<8, util::Padded<util::Atomic<std::int64_t>>>;
+  const auto addr = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p);
+  };
+  for (std::size_t heads = 0; heads <= 9; ++heads) {
+    for (std::size_t slots = 1; slots <= 64; slots *= 2) {
+      SCOPED_TRACE(testing::Message() << heads << " heads, " << slots
+                                      << " slots");
+      Lines lines(heads, slots);
+      std::uintptr_t next = heads > 0 ? addr(&lines.head(0))
+                                      : addr(&lines.line(0));
+      for (std::size_t i = 0; i < heads; ++i) {
+        EXPECT_EQ(addr(&lines.head(i)), next);
+        EXPECT_EQ(addr(&lines.head(i)) % util::kCacheLine, 0u);
+        EXPECT_EQ(lines.head(i).value.load(), 0);
+        lines.head(i).value.store(-1);
+        next += util::kCacheLine;
+      }
+      for (std::size_t i = 0; i < slots; ++i) {
+        EXPECT_EQ(addr(&lines.line(i)), next);
+        EXPECT_EQ(addr(&lines.line(i)) % util::kCacheLine, 0u);
+        for (std::size_t f = 0; f < 8; ++f) {
+          EXPECT_EQ(lines.line(i).field[f].load(), 0u);
+          lines.line(i).field[f].store(~std::uint64_t{0});
+        }
+        next += util::kCacheLine;
+      }
+    }
+  }
+}
+
+// util::LineArray, the same block under the balancer nodes, the quota
+// tenant table and the ID cache table: stand-ins of those three element
+// shapes (a trivially destructible atomic line, a line owning a heap
+// object, a line owning a vector, two lines wide) are aligned, contiguous,
+// value-initialized and destroyed. The address sanitizer's leak check sees
+// an element that is never destroyed, and the cache stand-in's last byte
+// is the element's last, so filling it finds an overrun.
+struct NodeLine {
+  alignas(util::kCacheLine) util::Atomic<std::int64_t> state{0};
+  std::uint32_t fanout = 0;
+};
+struct TenantLine {
+  alignas(util::kCacheLine) std::unique_ptr<std::int64_t> owned;
+  util::Atomic<std::uint64_t> borrowed{0};
+};
+struct CacheLines {
+  alignas(util::kCacheLine) std::vector<std::int64_t> ids;
+  std::byte tail[2 * util::kCacheLine - sizeof(std::vector<std::int64_t>)]{};
+};
+
+template <class T>
+void expect_line_array(std::size_t size, void (*fill)(T&),
+                       bool (*fresh)(const T&)) {
+  SCOPED_TRACE(testing::Message() << size << " elements of " << sizeof(T)
+                                  << " B");
+  util::LineArray<T> array(size);
+  ASSERT_EQ(array.size(), size);
+  ASSERT_EQ(array.end() - array.begin(), static_cast<std::ptrdiff_t>(size));
+  for (std::size_t i = 0; i < size; ++i) {
+    const auto at = reinterpret_cast<std::uintptr_t>(&array[i]);
+    EXPECT_EQ(at % util::kCacheLine, 0u);
+    EXPECT_EQ(at, reinterpret_cast<std::uintptr_t>(array.begin()) +
+                      i * sizeof(T));
+    EXPECT_TRUE(fresh(array[i]));
+    fill(array[i]);
+  }
+}
+
+TEST(LineArray, EveryElementIsCacheLineAligned) {
+  static_assert(sizeof(CacheLines) == 2 * util::kCacheLine);
+  for (std::size_t size = 1; size <= 64; ++size) {
+    expect_line_array<NodeLine>(
+        size, [](NodeLine& n) { n.state.store(-1); },
+        [](const NodeLine& n) {
+          return n.state.load() == 0 && n.fanout == 0;
+        });
+    expect_line_array<TenantLine>(
+        size,
+        [](TenantLine& t) {
+          t.owned = std::make_unique<std::int64_t>(7);
+          t.borrowed.store(1);
+        },
+        [](const TenantLine& t) {
+          return t.owned == nullptr && t.borrowed.load() == 0;
+        });
+    expect_line_array<CacheLines>(
+        size,
+        [](CacheLines& c) {
+          c.ids.assign(16, 3);
+          std::fill(std::begin(c.tail), std::end(c.tail), std::byte{1});
+        },
+        [](const CacheLines& c) {
+          return c.ids.empty() &&
+                 std::all_of(std::begin(c.tail), std::end(c.tail),
+                             [](std::byte b) { return b == std::byte{0}; });
+        });
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""No-raw-sync lint: every lock and yield goes through util/, mechanically.
+"""No-raw-sync lint: every lock, yield and aligned block goes through util/.
 
 PR 9 migrated the tree onto util::Mutex / util::MutexLock (thread-safety-
 annotated), and the schedule checker (src/cnet/check/) now virtualizes that
@@ -19,10 +19,17 @@ once. This lint turns that rule from prose into CI:
                   std::unique_lock or std::shared_lock
   raw-yield       code calls std::this_thread::yield directly (use
                   util::sched_yield, which the explorer can deschedule)
+  raw-aligned-alloc
+                  code names std::align_val_t, aligned_alloc,
+                  posix_memalign or memalign (use util::LineBlock or
+                  util::LineArray, which align a plain allocation by hand:
+                  the aligned allocator costs several times as much, and
+                  util is the one place that aligns memory)
 
 Scope: src/cnet/**/*.{hpp,cpp} minus two allowlisted subtrees:
   src/cnet/util/   — the wrappers themselves (util::Mutex owns the real
-                     std::mutex; sched_point.hpp owns the real yield)
+                     std::mutex; sched_point.hpp owns the real yield;
+                     cacheline.hpp owns block alignment)
   src/cnet/check/  — the explorer's control plane: its scheduler must run
                      on real, *uncontrolled* primitives or it would try to
                      schedule itself
@@ -62,6 +69,11 @@ IDENTIFIER_RULES = [
      re.compile(r"\bstd::this_thread::yield\b"),
      "use util::sched_yield so the schedule checker can deschedule the "
      "spin"),
+    ("raw-aligned-alloc",
+     re.compile(r"\bstd::align_val_t\b|\b(?:std::)?aligned_alloc\b|"
+                r"\bposix_memalign\b|\bmemalign\b"),
+     "build padded blocks with util::LineBlock / util::LineArray, which "
+     "align a plain allocation by hand"),
 ]
 
 INCLUDE_RE = re.compile(r"^\s*#\s*include\s*<([^>]+)>", re.M)
@@ -182,8 +194,8 @@ def run_tree(root: Path) -> int:
         print(f"\ncheck_raw_sync: {len(violations)} violation(s) across "
               f"{len(files)} file(s).", file=sys.stderr)
         return 1
-    print(f"check_raw_sync: {len(files)} file(s) clean — all sync goes "
-          "through util/.")
+    print(f"check_raw_sync: {len(files)} file(s) clean — all sync and "
+          "block alignment go through util/.")
     return 0
 
 
@@ -198,6 +210,8 @@ FILE_FIXTURES = {
     "bad_raw_mutex.cpp": {"raw-mutex"},
     "bad_raw_lock.cpp": {"raw-lock"},
     "bad_raw_yield.cpp": {"raw-yield"},
+    "bad_raw_aligned_alloc.cpp": {"raw-aligned-alloc"},
+    "clean_aligned_block.cpp": set(),
 }
 
 
