@@ -522,7 +522,7 @@ class Run final : public util::SchedHooks, public TestContext {
     // Fresh node.
     std::vector<std::uint32_t> candidates;
     for (const auto& [id, op] : enabled) {
-      if (!opts_.sleep_sets || cur_sleep_.count(id) == 0) {
+      if (cur_sleep_.count(id) == 0) {
         candidates.push_back(id);
       }
     }

@@ -58,9 +58,6 @@ struct Options {
   // schedule. 2 reaches most real concurrency bugs; raise it for tiny
   // state spaces to approach exhaustiveness.
   std::size_t preemption_bound = 2;
-  // Sleep-set pruning of equivalent interleavings. Only ever disabled for
-  // debugging the explorer itself; replay never uses sleep sets.
-  bool sleep_sets = true;
   // Stop exploring after this many executions (stats still reported).
   std::uint64_t max_executions = 1'000'000;
   // Soft per-execution step cap: past it the execution stops branching

@@ -22,18 +22,17 @@ PeerCluster::PeerCluster(Topology topo, const ClusterConfig& cfg)
   qcfg.bucket.refill_chunk = cfg.refill_chunk;
   qcfg.parent_initial_tokens = cfg.parent_initial;
   qcfg.borrow_budget = cfg.borrow_budget;
+  // Every node starts at weight 1; global().reweigh changes that live.
   std::vector<svc::QuotaHierarchy::TenantConfig> accounts(
-      n, {cfg.node_account_initial, cfg.node_weight});
+      n, {cfg.node_account_initial, 1});
   global_ = std::make_unique<svc::QuotaHierarchy>(qcfg, std::move(accounts));
 
   nodes_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto ns = std::make_unique<NodeState>();
-    // The local admission pool sees only this node's traffic, so the cheap
-    // central word is the right backend (same reasoning as the hierarchy's
-    // child buckets).
+    // The local admission pool sees only this node's traffic.
     ns->local = std::make_unique<svc::NetTokenBucket>(
-        svc::make_counter(svc::BackendKind::kCentralAtomic),
+        svc::make_counter(svc::kLocalPoolKind),
         svc::NetTokenBucket::Config{cfg.local_initial, cfg.refill_chunk});
     ns->balance.store(static_cast<std::int64_t>(cfg.local_initial),
                       std::memory_order_relaxed);
@@ -342,16 +341,6 @@ std::uint64_t PeerCluster::leased_tokens(std::size_t node) const {
     if (!lease.settled) total += lease.grant.tokens();
   }
   return total;
-}
-
-std::uint64_t PeerCluster::active_leases(std::size_t node) const {
-  NodeState& ns = node_state(node);
-  const util::MutexLock lock(ns.ledger);
-  std::uint64_t count = 0;
-  for (const Lease& lease : ns.leases) {
-    if (!lease.settled) ++count;
-  }
-  return count;
 }
 
 std::uint64_t PeerCluster::debt_tokens(std::size_t node) const {

@@ -69,7 +69,6 @@ struct ClusterConfig {
   std::uint64_t parent_initial = 4096;
   std::uint64_t node_account_initial = 256;  // per-node child pool
   std::uint64_t borrow_budget = 2048;
-  std::uint64_t node_weight = 1;  // uniform; reweigh via global().reweigh
 
   // Per-node local admission pool (the data-plane bucket leases feed).
   std::uint64_t local_initial = 0;
@@ -144,7 +143,6 @@ class PeerCluster {
 
   std::int64_t local_balance(std::size_t node) const;   // advisory ledger
   std::uint64_t leased_tokens(std::size_t node) const;  // active lease parts
-  std::uint64_t active_leases(std::size_t node) const;
   std::uint64_t debt_tokens(std::size_t node) const;    // escrow outstanding
   std::uint64_t spent(std::size_t node) const;
   std::uint64_t total_spent() const;

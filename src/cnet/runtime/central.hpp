@@ -2,8 +2,6 @@
 // counting networks are designed to outperform under contention (paper §1.1).
 #pragma once
 
-#include <algorithm>
-
 #include "cnet/runtime/counter.hpp"
 #include "cnet/util/atomic.hpp"
 #include "cnet/util/mutex.hpp"
@@ -27,9 +25,6 @@ using CentralLines =
 // bottleneck: every operation serializes on the same location.
 class AtomicCounter final : public Counter {
  public:
-  std::int64_t fetch_increment(std::size_t) override {
-    return word().fetch_add(1, std::memory_order_relaxed);
-  }
   void fetch_increment_batch(std::size_t, std::size_t k,
                              std::int64_t* out_values) override {
     const std::int64_t base = word().fetch_add(
@@ -39,10 +34,9 @@ class AtomicCounter final : public Counter {
       out_values[i] = base + static_cast<std::int64_t>(i);
     }
   }
-  bool try_fetch_decrement(std::size_t thread_hint,
-                           std::int64_t* reclaimed = nullptr) override;
-  std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
-                                      std::uint64_t n) override;
+  std::uint64_t try_fetch_decrement_n(
+      std::size_t thread_hint, std::uint64_t n,
+      std::int64_t* out_values = nullptr) override;
   std::string name() const override { return "central-atomic"; }
   std::uint64_t stall_count() const override { return lines_.total(0); }
 
@@ -56,30 +50,21 @@ class AtomicCounter final : public Counter {
 // are counted as stalls.
 class CasCounter final : public Counter {
  public:
-  std::int64_t fetch_increment(std::size_t thread_hint) override;
   void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
                              std::int64_t* out_values) override;
-  bool try_fetch_decrement(std::size_t thread_hint,
-                           std::int64_t* reclaimed = nullptr) override;
-  std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
-                                      std::uint64_t n) override;
+  std::uint64_t try_fetch_decrement_n(
+      std::size_t thread_hint, std::uint64_t n,
+      std::int64_t* out_values = nullptr) override;
   std::string name() const override { return "central-cas"; }
   std::uint64_t stall_count() const override { return lines_.total(0); }
 
  private:
-  // One CAS loop advancing the word by k; returns the pre-add value.
-  std::int64_t add(std::size_t thread_hint, std::int64_t k);
-
   CentralLines lines_{1, util::scatter_slots()};
 };
 
-// Lock-protected counter.
+// Lock-protected counter. Values only: it offers no take-back.
 class MutexCounter final : public Counter {
  public:
-  std::int64_t fetch_increment(std::size_t) override {
-    const util::MutexLock lock(mu_);
-    return value_++;
-  }
   void fetch_increment_batch(std::size_t, std::size_t k,
                              std::int64_t* out_values) override {
     const util::MutexLock lock(mu_);
@@ -88,22 +73,6 @@ class MutexCounter final : public Counter {
       return;
     }
     for (std::size_t i = 0; i < k; ++i) out_values[i] = value_++;
-  }
-  bool try_fetch_decrement(std::size_t,
-                           std::int64_t* reclaimed = nullptr) override {
-    const util::MutexLock lock(mu_);
-    if (value_ <= 0) return false;
-    --value_;
-    if (reclaimed != nullptr) *reclaimed = value_;
-    return true;
-  }
-  std::uint64_t try_fetch_decrement_n(std::size_t,
-                                      std::uint64_t n) override {
-    const util::MutexLock lock(mu_);
-    const auto m = std::min<std::uint64_t>(
-        n, value_ > 0 ? static_cast<std::uint64_t>(value_) : 0);
-    value_ -= static_cast<std::int64_t>(m);
-    return m;
   }
   std::string name() const override { return "central-mutex"; }
 

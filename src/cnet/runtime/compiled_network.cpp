@@ -1,5 +1,6 @@
 #include "cnet/runtime/compiled_network.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -56,51 +57,37 @@ std::uint32_t CompiledNetwork::Node::port(
       r >= 0 ? r : r + static_cast<std::int64_t>(fanout));
 }
 
-std::size_t CompiledNetwork::traverse(
-    std::size_t input_wire, BalancerMode mode,
+std::int64_t CompiledNetwork::Node::advance(
+    std::int64_t delta, BalancerMode mode,
     std::uint64_t* stalls) noexcept(kNoexcept) {
-  std::int32_t at = entry_[input_wire];
-  while (at >= 0) {
-    Node& node = nodes_[static_cast<std::size_t>(at)];
-    std::int64_t ticket;
-    if (mode == BalancerMode::kFetchAdd) {
-      // One wait-free atomic transition; memory order relaxed is enough —
-      // the balancer state is the only datum and the RMW is atomic.
-      ticket = node.state.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // CAS loop: every failure means another token slipped through first,
-      // i.e. one stall in the Dwork-et-al. sense.
-      ticket = node.state.load(std::memory_order_relaxed);
-      while (!node.state.compare_exchange_weak(ticket, ticket + 1,
-                                               std::memory_order_relaxed)) {
-        ++*stalls;
-      }
-    }
-    at = route_[node.route_base + node.port(ticket)];
+  if (mode == BalancerMode::kFetchAdd) {
+    // One wait-free atomic transition; memory order relaxed is enough —
+    // the balancer state is the only datum and the RMW is atomic.
+    return state.fetch_add(delta, std::memory_order_relaxed);
   }
-  return static_cast<std::size_t>(~at);
+  // CAS loop: every failure means another token slipped through first,
+  // i.e. one stall in the Dwork-et-al. sense.
+  std::int64_t before = state.load(std::memory_order_relaxed);
+  while (!state.compare_exchange_weak(before, before + delta,
+                                      std::memory_order_relaxed)) {
+    ++*stalls;
+  }
+  return before;
 }
 
-std::size_t CompiledNetwork::traverse_anti(
-    std::size_t input_wire, BalancerMode mode,
-    std::uint64_t* stalls) noexcept(kNoexcept) {
+std::size_t CompiledNetwork::walk(std::size_t input_wire, std::int64_t step,
+                                  BalancerMode mode,
+                                  std::uint64_t* stalls) noexcept(kNoexcept) {
+  // The transition between states s and s + 1 routes on port(s) either
+  // way: a token leaves on the port of the ticket it took (the state before
+  // its step), an antitoken on the port of the state it stepped back onto —
+  // the wire the most recent (now cancelled) token transition used.
+  const std::int64_t to_lower = std::min<std::int64_t>(step, 0);
   std::int32_t at = entry_[input_wire];
   while (at >= 0) {
     Node& node = nodes_[static_cast<std::size_t>(at)];
-    std::int64_t landed;
-    if (mode == BalancerMode::kFetchAdd) {
-      landed = node.state.fetch_sub(1, std::memory_order_relaxed) - 1;
-    } else {
-      std::int64_t cur = node.state.load(std::memory_order_relaxed);
-      while (!node.state.compare_exchange_weak(cur, cur - 1,
-                                               std::memory_order_relaxed)) {
-        ++*stalls;
-      }
-      landed = cur - 1;
-    }
-    // The antitoken leaves on the wire the state stepped back onto — the
-    // wire the most recent (now cancelled) token transition used.
-    at = route_[node.route_base + node.port(landed)];
+    const std::int64_t before = node.advance(step, mode, stalls);
+    at = route_[node.route_base + node.port(before + to_lower)];
   }
   return static_cast<std::size_t>(~at);
 }
@@ -128,18 +115,8 @@ void CompiledNetwork::traverse_batch(
     const std::uint64_t m = pending[b];
     if (m == 0) continue;
     Node& node = nodes_[b];
-    std::int64_t ticket;
-    if (mode == BalancerMode::kFetchAdd) {
-      ticket = node.state.fetch_add(static_cast<std::int64_t>(m),
-                                    std::memory_order_relaxed);
-    } else {
-      ticket = node.state.load(std::memory_order_relaxed);
-      while (!node.state.compare_exchange_weak(
-          ticket, ticket + static_cast<std::int64_t>(m),
-          std::memory_order_relaxed)) {
-        ++*stalls;
-      }
-    }
+    const std::int64_t ticket =
+        node.advance(static_cast<std::int64_t>(m), mode, stalls);
     // Tickets ticket..ticket+m-1 land round-robin on the fanout wires:
     // every wire gets m/f, and the m%f wires starting at ticket mod f
     // (cyclically) get one more. Zero counts are delivered too: adding 0

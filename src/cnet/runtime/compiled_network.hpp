@@ -94,18 +94,28 @@ class CompiledNetwork {
   // every balancer step is a schedule-checker step that may unwind.
   static constexpr bool kNoexcept = !util::kSchedCheckEnabled;
 
-  // Shepherds one token from `input_wire` (< width_in()) to an output wire,
-  // whose index is returned. When `mode` is kCasRetry, the number of failed
-  // CAS attempts is added to *stalls (which must be non-null in that mode).
+  // The single-token walk from `input_wire` (< width_in()) to an output
+  // wire, whose index is returned: `step` is +1 for a token, -1 for an
+  // antitoken. When `mode` is kCasRetry, the number of failed CAS attempts
+  // is added to *stalls (which must be non-null in that mode).
+  std::size_t walk(std::size_t input_wire, std::int64_t step,
+                   BalancerMode mode,
+                   std::uint64_t* stalls) noexcept(kNoexcept);
+
+  // Shepherds one token: walk(input_wire, +1, ...).
   std::size_t traverse(std::size_t input_wire, BalancerMode mode,
-                       std::uint64_t* stalls) noexcept(kNoexcept);
+                       std::uint64_t* stalls) noexcept(kNoexcept) {
+    return walk(input_wire, +1, mode, stalls);
+  }
 
   // Shepherds one *antitoken* (Aiello et al.; paper §1.4.2): each visited
   // balancer's state moves back by one and the antitoken leaves on the wire
   // the state lands on — exactly undoing one token transition. Used to
   // implement Fetch&Decrement.
   std::size_t traverse_anti(std::size_t input_wire, BalancerMode mode,
-                            std::uint64_t* stalls) noexcept(kNoexcept);
+                            std::uint64_t* stalls) noexcept(kNoexcept) {
+    return walk(input_wire, -1, mode, stalls);
+  }
 
   // Shepherds `k` tokens from `input_wire` in one pass. Each visited
   // balancer advances its state by a single fetch_add(m) — m being the
@@ -146,6 +156,10 @@ class CompiledNetwork {
 
     // The port ticket `ticket` leaves on: its Euclidean residue mod fanout.
     std::uint32_t port(std::int64_t ticket) const noexcept;
+    // One balancer step: moves the state by `delta` and returns the state
+    // before the move.
+    std::int64_t advance(std::int64_t delta, BalancerMode mode,
+                         std::uint64_t* stalls) noexcept(kNoexcept);
   };
   static_assert(sizeof(Node) == util::kCacheLine);
 

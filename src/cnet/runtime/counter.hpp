@@ -15,18 +15,31 @@ class Counter {
  public:
   virtual ~Counter() = default;
 
+  // Each token operation has one virtual entry point, its batch form; a
+  // single token is the batch of one. These wrappers are that batch.
+  //
   // Returns the next counter value. `thread_hint` identifies the calling
   // process (used to pick the entry wire, l mod w, per paper §1.2); callers
   // should pass a stable per-thread index.
-  virtual std::int64_t fetch_increment(std::size_t thread_hint) = 0;
+  std::int64_t fetch_increment(std::size_t thread_hint) {
+    std::int64_t value = 0;
+    fetch_increment_batch(thread_hint, 1, &value);
+    return value;
+  }
+
+  // Tries to take back one outstanding value, so that a later
+  // fetch_increment hands it out again: try_fetch_decrement_n of one.
+  bool try_fetch_decrement(std::size_t thread_hint,
+                           std::int64_t* reclaimed = nullptr) {
+    return try_fetch_decrement_n(thread_hint, 1, reclaimed) == 1;
+  }
 
   // Claims `k` counter values at once, writing them (in no particular
   // order) to out_values[0..k). The values are exactly those that k
   // back-to-back fetch_increment calls could have returned — no gaps, no
-  // duplicates across concurrent callers. The default loops over
-  // fetch_increment; batching backends override it to amortize the atomic
-  // traffic: a central counter claims the whole block with one RMW, a
-  // batched network with one RMW per balancer touched instead of per token.
+  // duplicates across concurrent callers. Batching backends amortize the
+  // atomic traffic: a central counter claims the whole block with one RMW,
+  // a network with one RMW per balancer touched instead of per token.
   //
   // A null out_values means "add k tokens, discard the values": the same
   // k increments, with no value written anywhere. This is organic supply
@@ -34,40 +47,26 @@ class Counter {
   // the same bulk step, but decorators may treat it as traffic of their
   // own where refunds pass straight through (svc::ElimCounter pairs it).
   virtual void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
-                                     std::int64_t* out_values) {
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::int64_t v = fetch_increment(thread_hint);
-      if (out_values != nullptr) out_values[i] = v;
-    }
-  }
+                                     std::int64_t* out_values) = 0;
 
-  // Tries to take back one outstanding value, so that a later
-  // fetch_increment hands it out again. On success returns true and, when
-  // `reclaimed` is non-null, stores the reclaimed value. Returns false when
-  // no value is observably available to take back — the counter then stays
-  // semantically unchanged (net handed-out count is preserved). Unlike
-  // NetworkCounter::fetch_decrement, callers need no external accounting:
-  // the implementation itself bounds the net outstanding count at zero.
+  // Takes back up to `n` outstanding values and returns how many were
+  // actually taken (0 when none is observably available — the counter then
+  // stays semantically unchanged). When `out_values` is non-null, the
+  // reclaimed values are written to out_values[0..got): the values later
+  // fetch_increments hand out again. Unlike NetworkCounter::fetch_decrement,
+  // callers need no external accounting: the implementation itself bounds
+  // the net outstanding count at zero.
   //
   // This is the primitive the svc layer's token buckets consume through:
   // increments refill the pool, try-decrements drain it, and the bound at
   // zero is what makes "never over-admit" a local property. The default
   // says take-back is unsupported; backends that can bound the count
-  // (central counters, network counters) override it.
-  virtual bool try_fetch_decrement(std::size_t /*thread_hint*/,
-                                   std::int64_t* /*reclaimed*/ = nullptr) {
-    return false;
-  }
-
-  // Bulk form: takes back up to `n` outstanding values and returns how
-  // many were actually taken (0 when none are observably available). Same
-  // bound-at-zero guarantee as try_fetch_decrement; backends override to
-  // amortize (one CAS for a whole block instead of one per value).
-  virtual std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
-                                              std::uint64_t n) {
-    std::uint64_t got = 0;
-    while (got < n && try_fetch_decrement(thread_hint)) ++got;
-    return got;
+  // (central counters, network counters) override it, taking a whole block
+  // in one step (one CAS, or one antitoken traversal plus block claims).
+  virtual std::uint64_t try_fetch_decrement_n(
+      std::size_t /*thread_hint*/, std::uint64_t /*n*/,
+      std::int64_t* /*out_values*/ = nullptr) {
+    return 0;
   }
 
   // Returns `n` tokens to the pool. Count-wise this is exactly a
@@ -90,12 +89,12 @@ class Counter {
   // implementation tracks them; 0 otherwise.
   virtual std::uint64_t stall_count() const { return 0; }
 
-  // Total tokens and antitokens that entered the backing structure: one per
-  // fetch_increment / (try_)fetch_decrement traversal, k per k-token batch,
-  // one antitoken per try_fetch_decrement_n call. Central counters have no
-  // structure to traverse and report 0; the elimination layer's whole point
-  // is keeping this number below the op count, so it is the denominator of
-  // the "traversals per op" benches.
+  // Total tokens and antitokens that entered the backing structure: k per
+  // k-token batch (one per fetch_increment), one antitoken per
+  // try_fetch_decrement_n call and per fetch_decrement. Central counters
+  // have no structure to traverse and report 0; the elimination layer's
+  // whole point is keeping this number below the op count, so it is the
+  // denominator of the "traversals per op" benches.
   virtual std::uint64_t traversal_count() const { return 0; }
 
   // Amortized batch passes taken through the structure (one per

@@ -88,8 +88,7 @@ unsigned DiffractingTreeCounter::visit_node(std::size_t node,
       nodes_[node].toggle.fetch_add(1, std::memory_order_relaxed) & 1u);
 }
 
-std::int64_t DiffractingTreeCounter::fetch_increment(
-    std::size_t thread_hint) {
+std::int64_t DiffractingTreeCounter::walk(std::size_t thread_hint) {
   thread_local std::uint64_t rng_state = 0;
   if (rng_state == 0) {
     rng_state = 0x9e3779b97f4a7c15ULL * (thread_hint + 1) + 0x1998;
@@ -105,6 +104,15 @@ std::int64_t DiffractingTreeCounter::fetch_increment(
   // once the structure is quiescent, exactly like a counting network.
   return cells_[leaf_bits].value.fetch_add(
       static_cast<std::int64_t>(cfg_.leaves), std::memory_order_relaxed);
+}
+
+void DiffractingTreeCounter::fetch_increment_batch(std::size_t thread_hint,
+                                                   std::size_t k,
+                                                   std::int64_t* out_values) {
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::int64_t v = walk(thread_hint);
+    if (out_values != nullptr) out_values[i] = v;
+  }
 }
 
 std::string DiffractingTreeCounter::name() const {

@@ -35,7 +35,10 @@ class DiffractingTreeCounter final : public Counter {
 
   explicit DiffractingTreeCounter(const Config& config);
 
-  std::int64_t fetch_increment(std::size_t thread_hint) override;
+  // One token at a time: a collision pairs single tokens, so a batch of
+  // k is k tree walks.
+  void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
+                             std::int64_t* out_values) override;
   std::string name() const override;
 
   // Telemetry: how many node visits were resolved by collision vs toggle.
@@ -55,6 +58,8 @@ class DiffractingTreeCounter final : public Counter {
     std::atomic<std::uint64_t> toggle{0};
   };
 
+  // One token's walk from the root to a leaf cell; returns its value.
+  std::int64_t walk(std::size_t thread_hint);
   // Returns 0 (up) or 1 (down) for one node visit.
   unsigned visit_node(std::size_t node, std::uint64_t& rng_state);
 

@@ -26,13 +26,13 @@ class NetworkCounter final : public Counter {
   NetworkCounter(std::shared_ptr<const CompiledShape> shape, std::string label,
                  BalancerMode mode = BalancerMode::kFetchAdd);
 
-  std::int64_t fetch_increment(std::size_t thread_hint) override;
-
-  // Shepherds all k tokens through the network in one traverse_batch pass
-  // and claims each exit wire's values with a single cell fetch_add(count ·
-  // t), handing out a contiguous-per-wire block base, base+t, ...,
-  // base+(count-1)·t. Per-value atomic traffic drops by up to k× against k
-  // fetch_increment calls (bench_tab_throughput's per-token baseline). With
+  // Shepherds all k tokens through the network and claims each exit wire's
+  // values with a single cell fetch_add(count · t), handing out a
+  // contiguous-per-wire block base, base+t, ..., base+(count-1)·t. A lone
+  // token takes the single-token walk (the batch machinery costs
+  // Θ(balancers) in scratch resets per call); more take one traverse_batch
+  // pass, which cuts per-value atomic traffic by up to k× against k
+  // single-token calls (bench_tab_throughput's per-token baseline). With
   // null out_values the pass writes no values; refund_n (inherited) takes
   // exactly that pass for any n: one RMW per balancer touched plus one per
   // exit wire, n traversals and 1 batch pass.
@@ -46,38 +46,33 @@ class NetworkCounter final : public Counter {
   // like a semaphore.
   std::int64_t fetch_decrement(std::size_t thread_hint);
 
-  // Bounded Fetch&Decrement: an antitoken traversal whose exit-cell claim
-  // only succeeds while that wire has a net-positive handed-out count, so
-  // the total of successful try-decrements can never exceed the total of
-  // increments — no external semaphore discipline needed. When the exit
-  // wire is drained the op falls back to one bounded round-robin sweep of
-  // the other exit cells, so it only reports empty when every cell sat at
-  // its floor during the pass (the pool is genuinely empty, or concurrent
-  // consumers are emptying it). On failure the antitoken stays absorbed in
+  // Bounded Fetch&Decrement of up to n values: one antitoken traversal,
+  // then block claims, each cell CAS taking min(still needed, that wire's
+  // surplus) values at once. A claim only succeeds while its wire has a
+  // net-positive handed-out count, so the total taken can never exceed the
+  // total of increments — no external semaphore discipline needed. The
+  // claims sweep the exit cells round-robin from the antitoken's own exit
+  // wire (under balanced traffic exactly where the most recent token's
+  // value sits), so the op only comes up short when every cell sat at its
+  // floor during the pass (the pool is genuinely empty, or concurrent
+  // consumers are emptying it). On a miss the antitoken stays absorbed in
   // the balancer states and the next token through cancels it (paper
   // §1.4.2 token/antitoken duality): counts stay conserved and no value is
   // duplicated, but the quiescent outstanding set is no longer guaranteed
   // to be the exact prefix {0..c-1}. Use fetch_decrement when values are
   // identities (IDs); use this when they are pool tokens
   // (svc::NetTokenBucket).
-  bool try_fetch_decrement(std::size_t thread_hint,
-                           std::int64_t* reclaimed = nullptr) override;
-
-  // Bulk form: one antitoken traversal, then block claims — each cell CAS
-  // takes min(still needed, that wire's surplus) values at once, sweeping
-  // wires from the traversal's exit. Same per-cell floor bound, so the
-  // never-exceeds-increments guarantee is unchanged; cost drops from one
-  // traversal per value to one traversal per call.
-  std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
-                                      std::uint64_t n) override;
+  std::uint64_t try_fetch_decrement_n(
+      std::size_t thread_hint, std::uint64_t n,
+      std::int64_t* out_values = nullptr) override;
 
   std::string name() const override { return label_; }
   std::uint64_t stall_count() const override {
     return lines_.total(kStalls);
   }
-  // Tokens + antitokens that entered the network: 1 per (fetch|try_fetch_)
-  // increment/decrement, k per k-token batch pass, 1 antitoken per
-  // try_fetch_decrement_n call. The number the elimination layer exists to
+  // Tokens + antitokens that entered the network: k per k-token batch (1
+  // per single token), 1 antitoken per try_fetch_decrement_n call and per
+  // fetch_decrement. The number the elimination layer exists to
   // shrink relative to the op count.
   std::uint64_t traversal_count() const override {
     return lines_.total(kTraversals);
@@ -119,11 +114,9 @@ class NetworkCounter final : public Counter {
   // The input wire a token from `thread_hint` enters on: the hint mod
   // width_in(), by mask when the width allows.
   std::size_t entry_wire(std::size_t thread_hint) const noexcept;
-
-  bool try_claim_cell(std::size_t wire, std::size_t thread_hint,
-                      std::int64_t* reclaimed);
-  std::uint64_t try_claim_cell_n(std::size_t wire, std::size_t thread_hint,
-                                 std::uint64_t n);
+  // One token (step +1) or antitoken (step -1) through the network from
+  // `thread_hint`'s entry wire, tallied; returns its exit wire.
+  std::size_t walk(std::size_t thread_hint, std::int64_t step);
 };
 
 }  // namespace cnet::rt

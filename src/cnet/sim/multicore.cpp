@@ -203,11 +203,12 @@ class NetworkModel final : public PoolBase {
 
 // EliminationLayer in virtual time: the same slot state machine (empty /
 // waiting-inc / waiting-dec, epoch bumped on every return to empty) run by
-// the deterministic executor instead of CASes. Single-token ops deposit and
-// wait elim_wait before withdrawing to the backend; bulk ops catch already-
-// waiting partners only — the exact call-path split of the real
-// ElimCounter. Pair values come from the shared svc::elimination_pair_value
-// rule, so model and real multisets cancel identically.
+// the deterministic executor instead of CASes. A lone token (a batch of one,
+// a take of one) deposits and waits elim_wait before withdrawing to the
+// backend; larger calls catch already-waiting partners only — the rule the
+// real ElimCounter applies. Pair values come from the shared
+// svc::elimination_pair_value rule, so model and real multisets cancel
+// identically.
 class ElimModel final : public CounterModel {
  public:
   ElimModel(Engine& eng, std::unique_ptr<CounterModel> inner,
@@ -627,14 +628,14 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
   CounterModel& parent = *parent_stack.root;
   parent.inject_pool_now(cfg.parent_initial);
 
-  // Per-tenant child pools: central-word models, matching the real
-  // hierarchy's default child backend — cheap alone, and honestly a queue
-  // when many hot cores share one tenant.
+  // Per-tenant child pools: models of the real hierarchy's child backend
+  // (svc::kLocalPoolKind) — cheap alone, and honestly a queue when many hot
+  // cores share one tenant.
   std::vector<std::unique_ptr<CounterModel>> children;
   children.reserve(cfg.tenants);
   for (std::size_t t = 0; t < cfg.tenants; ++t) {
-    children.push_back(make_backend_model(svc::BackendKind::kCentralAtomic, eng,
-                                          cfg.base, rng));
+    children.push_back(
+        make_backend_model(svc::kLocalPoolKind, eng, cfg.base, rng));
     children.back()->inject_pool_now(cfg.child_initial);
   }
 

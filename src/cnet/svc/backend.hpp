@@ -31,6 +31,11 @@ inline constexpr BackendKind kAllBackendKinds[] = {
     BackendKind::kBatchedNetwork,
 };
 
+// The backend of every pool that sees only one party's traffic: a quota
+// tenant's child bucket, a dist node's local pool, and their simulator
+// models. Alone, the cheap central word beats any network.
+inline constexpr BackendKind kLocalPoolKind = BackendKind::kCentralAtomic;
+
 // Shape of the counting network behind the network-backed kinds; ignored by
 // the central ones. Defaults to C(w, w·lg w) sized to the host by
 // util::counting_shape(): w is the CPU count rounded up to a power of two,

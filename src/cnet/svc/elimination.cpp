@@ -111,27 +111,19 @@ std::size_t ElimCounter::spin_budget(std::size_t base) const noexcept {
   return base * cfg_.overload_spin_boost;
 }
 
-std::int64_t ElimCounter::fetch_increment(std::size_t thread_hint) {
-  std::int64_t v = 0;
-  if (layer_.try_exchange(EliminationLayer::Role::kInc, thread_hint,
-                          spin_budget(cfg_.inc_spins), &v)) {
-    return v;
-  }
-  return inner_->fetch_increment(thread_hint);
-}
-
 void ElimCounter::fetch_increment_batch(std::size_t thread_hint,
                                         std::size_t k,
                                         std::int64_t* out_values) {
-  // Catch-only: hand tokens directly to already-waiting decrements, but
-  // never deposit — per-token spin budgets would serialize the batch and
-  // defeat the amortized traversal the batched backends provide. A
-  // value-free batch (null out_values) discards the caught values and
-  // passes null on: no arithmetic on the null pointer.
+  // A lone token waits for a partner decrement within the increment spin
+  // budget. A larger batch only catches: per-token spin budgets would
+  // serialize it and defeat the amortized traversal the batched backends
+  // provide. A value-free batch (null out_values) discards the caught
+  // values and passes null on: no arithmetic on the null pointer.
+  const std::size_t spins = k == 1 ? spin_budget(cfg_.inc_spins) : 0;
   std::size_t filled = 0;
   std::int64_t v = 0;
   while (filled < k && layer_.try_exchange(EliminationLayer::Role::kInc,
-                                           thread_hint, 0, &v)) {
+                                           thread_hint, spins, &v)) {
     if (out_values != nullptr) out_values[filled] = v;
     ++filled;
   }
@@ -142,26 +134,24 @@ void ElimCounter::fetch_increment_batch(std::size_t thread_hint,
   }
 }
 
-bool ElimCounter::try_fetch_decrement(std::size_t thread_hint,
-                                      std::int64_t* reclaimed) {
-  std::int64_t v = 0;
-  if (layer_.try_exchange(EliminationLayer::Role::kDec, thread_hint,
-                          spin_budget(cfg_.dec_spins), &v)) {
-    if (reclaimed != nullptr) *reclaimed = v;
-    return true;
-  }
-  return inner_->try_fetch_decrement(thread_hint, reclaimed);
-}
-
 std::uint64_t ElimCounter::try_fetch_decrement_n(std::size_t thread_hint,
-                                                 std::uint64_t n) {
+                                                 std::uint64_t n,
+                                                 std::int64_t* out_values) {
+  // The mirror rule: a lone take waits within the decrement budget, so a
+  // consume of one can pair with a racing batch refill; larger takes catch.
+  const std::size_t spins = n == 1 ? spin_budget(cfg_.dec_spins) : 0;
   std::uint64_t got = 0;
   std::int64_t v = 0;
   while (got < n && layer_.try_exchange(EliminationLayer::Role::kDec,
-                                        thread_hint, 0, &v)) {
+                                        thread_hint, spins, &v)) {
+    if (out_values != nullptr) out_values[got] = v;
     ++got;
   }
-  if (got < n) got += inner_->try_fetch_decrement_n(thread_hint, n - got);
+  if (got < n) {
+    got += inner_->try_fetch_decrement_n(
+        thread_hint, n - got,
+        out_values != nullptr ? out_values + got : nullptr);
+  }
   return got;
 }
 

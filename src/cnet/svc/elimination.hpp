@@ -106,10 +106,11 @@ class EliminationLayer {
 };
 
 // The front-end counter: it owns an inner backend and forwards to it
-// whatever the layer does not pair. Increments spin briefly for a partner
-// decrement (and vice versa on the single-op path); batch increments and
-// bulk decrements catch already-waiting partners without spinning, then
-// send the remainder to the inner counter. Refunds and telemetry reads go
+// whatever the layer does not pair. A lone token (a batch of one, or a
+// take of one) catches a waiting partner or deposits itself and spins for
+// one within its role's budget; larger calls catch already-waiting
+// partners without spinning, then send the remainder to the inner counter
+// (sim::ElimModel applies the same rule). Refunds and telemetry reads go
 // straight to the inner counter. Counts are conserved exactly — each
 // elimination pairs one inc with one dec, linearized back-to-back — and the
 // inner backend's bound-at-zero guarantee is preserved, because an
@@ -126,13 +127,13 @@ class ElimCounter final : public rt::Counter {
  public:
   struct Config {
     EliminationLayer::Config layer;
-    // Spin budgets per role on the single-op paths (0 = catch-only).
+    // Spin budgets per role for a lone token (0 = catch-only).
     // Increments wait by default (ISSUE archetype: inc spins, dec cancels);
     // decrements get a short budget so consume-heavy buckets still pair
     // with batch refills.
     std::size_t inc_spins = 512;
     std::size_t dec_spins = 64;
-    // Multiplier applied to both single-op spin budgets while an attached
+    // Multiplier applied to both lone-token spin budgets while an attached
     // overload manager's tier carries force_eliminate: waiting longer for
     // a partner trades per-op latency for fewer backend traversals, the
     // right trade exactly when the backend is the saturated resource.
@@ -143,13 +144,11 @@ class ElimCounter final : public rt::Counter {
   explicit ElimCounter(std::unique_ptr<rt::Counter> inner)
       : ElimCounter(std::move(inner), Config{}) {}
 
-  std::int64_t fetch_increment(std::size_t thread_hint) override;
   void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
                              std::int64_t* out_values) override;
-  bool try_fetch_decrement(std::size_t thread_hint,
-                           std::int64_t* reclaimed = nullptr) override;
-  std::uint64_t try_fetch_decrement_n(std::size_t thread_hint,
-                                      std::uint64_t n) override;
+  std::uint64_t try_fetch_decrement_n(
+      std::size_t thread_hint, std::uint64_t n,
+      std::int64_t* out_values = nullptr) override;
 
   // Give-backs land in the inner pool unconditionally: they are never
   // parked in an exchange slot waiting for a partner.
@@ -167,7 +166,7 @@ class ElimCounter final : public rt::Counter {
   }
 
   // Overload hook (NetTokenBucket::attach_overload): force_eliminate widens
-  // the single-op pairing window by Config::overload_spin_boost. Pure
+  // the lone-token pairing window by Config::overload_spin_boost. Pure
   // routing — pairs still conserve counts exactly, and misses still fall
   // through to the inner backend. The manager must outlive the counter;
   // nullptr detaches.
@@ -181,7 +180,7 @@ class ElimCounter final : public rt::Counter {
   const EliminationLayer& layer() const noexcept { return layer_; }
 
  private:
-  // The spin budget for one single-op attempt under the current tier.
+  // The spin budget for one lone-token attempt under the current tier.
   std::size_t spin_budget(std::size_t base) const noexcept;
 
   std::unique_ptr<rt::Counter> inner_;

@@ -49,25 +49,19 @@ std::uint64_t NetTokenBucket::consume(std::size_t thread_hint,
   engine_.tally(kAttempts, thread_hint, 1);
   const std::uint64_t got =
       engine_.read(thread_hint, [&](PoolState& state) -> std::uint64_t {
-        if (tokens == 1) {
-          // The common admit(1) case takes the single-op path: same
-          // conclusive miss-means-empty contract, no bulk machinery — and
-          // on an ElimCounter pool it is the path that deposits in the
-          // exchange slots, so lone consumes can pair with a racing batch
-          // refill.
-          return state.pool->try_fetch_decrement(thread_hint) ? 1 : 0;
-        }
-        // The grab/refund plan is the shared svc::bucket_consume policy (the
+        // Every consume runs the shared svc::bucket_consume plan (the
         // virtual-time simulator runs the identical plan against its pool
         // models). Bulk claims: central backends take the whole remainder in
         // one CAS, network backends in one antitoken traversal + block cell
-        // claims. A zero return is conclusive — the pool was observably
-        // empty — and an all-or-nothing shortfall goes back through
-        // refund_n, not refill(): count-wise the same increments, but a
-        // give-back that bypasses any elimination front-end. Grab and
-        // shortfall-refund run inside one read section, so a racing respec
-        // migrates either the untouched pool or the fully settled one —
-        // never a half-refunded state.
+        // claims; a consume of one is the take of one, which on an
+        // ElimCounter pool deposits in the exchange slots, so lone consumes
+        // can pair with a racing batch refill. A zero return is conclusive
+        // — the pool was observably empty — and an all-or-nothing shortfall
+        // goes back through refund_n, not refill(): count-wise the same
+        // increments, but a give-back that bypasses any elimination
+        // front-end. Grab and shortfall-refund run inside one read section,
+        // so a racing respec migrates either the untouched pool or the
+        // fully settled one — never a half-refunded state.
         return bucket_consume(
             tokens, opts,
             [&](std::uint64_t want) {

@@ -6,7 +6,7 @@
 // refills ride the batched traversal path.
 //
 // The never-over-admit guarantee is local to the backend: Counter::
-// try_fetch_decrement only succeeds against a specific prior increment
+// try_fetch_decrement_n only succeeds against a specific prior increment
 // (central backends bound one value at zero; network backends bound each
 // exit cell at its floor, sweeping the other cells when the antitoken's
 // exit wire is drained), so at every moment the number of tokens handed
@@ -36,7 +36,7 @@ namespace cnet::svc {
 
 class OverloadManager;
 
-class NetTokenBucket : public Reconfigurable {
+class NetTokenBucket {
  public:
   struct Config {
     // Seeded through refund() in one bulk step: a seed is not load.
@@ -57,7 +57,7 @@ class NetTokenBucket : public Reconfigurable {
   };
 
   // Takes ownership of the pool counter. The backend must support
-  // try_fetch_decrement (central and network counters do); on one that
+  // try_fetch_decrement_n (central and network counters do); on one that
   // does not, consume() always reports an empty pool.
   NetTokenBucket(std::unique_ptr<rt::Counter> pool, Config cfg);
   explicit NetTokenBucket(std::unique_ptr<rt::Counter> pool);
@@ -102,12 +102,12 @@ class NetTokenBucket : public Reconfigurable {
   std::uint64_t respec(std::size_t thread_hint, const Respec& r);
 
   // Version stamp: bumped once per committed respec (starts at 1).
-  std::uint64_t config_version() const noexcept override {
+  std::uint64_t config_version() const noexcept {
     return engine_.config_version();
   }
-  // Watch respec commits (Reconfigurable contract; delivered by the engine
-  // on the committing thread, under the commit lock).
-  void subscribe(CommitCallback on_commit) override {
+  // Watch respec commits (ReconfigEngine::subscribe contract; delivered by
+  // the engine on the committing thread, under the commit lock).
+  void subscribe(CommitCallback on_commit) {
     engine_.subscribe(std::move(on_commit));
   }
   // The refill chunk of the currently published configuration.
@@ -125,7 +125,6 @@ class NetTokenBucket : public Reconfigurable {
   // caller can record the partial charge for a later exact refund. The
   // manager must outlive the bucket; nullptr detaches.
   void attach_overload(const OverloadManager* manager) noexcept;
-  const OverloadManager* overload() const noexcept { return overload_; }
 
   // Contention events observed by the pool backends (CAS retries / lock
   // waits), cumulative across respecs; the numerator of the stall-rate

@@ -41,7 +41,7 @@ QuotaHierarchy::QuotaHierarchy(const Config& cfg,
   CNET_REQUIRE(!tenants.empty(), "at least one tenant");
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     tenants_[i].bucket = std::make_unique<NetTokenBucket>(
-        make_counter(cfg.child, cfg.net),
+        make_counter(kLocalPoolKind),
         NetTokenBucket::Config{tenants[i].initial_tokens,
                                cfg.bucket.refill_chunk});
   }
@@ -125,21 +125,7 @@ QuotaHierarchy::Grant QuotaHierarchy::acquire(std::size_t thread_hint,
 }
 
 void QuotaHierarchy::release(std::size_t thread_hint, const Grant& grant) {
-  CNET_REQUIRE(grant.admitted, "release of a rejected grant");
-  CNET_REQUIRE(grant.tenant < tenants_.size(), "grant tenant out of range");
-  TenantState& state = tenants_[grant.tenant];
-  if (grant.from_child > 0) {
-    state.bucket->refund(thread_hint, grant.from_child);
-  }
-  if (grant.from_parent > 0) {
-    // Pool before headroom: once the borrowed tokens are observable in the
-    // parent again, shrinking `borrowed` may let a waiting reservation win
-    // — and it will find what it reserved. Reweigh-independent: the grant
-    // records what was borrowed under whatever limits then held, so this
-    // undo is exact under any current weight generation.
-    parent_.refund(thread_hint, grant.from_parent);
-    state.borrowed.fetch_sub(grant.from_parent, std::memory_order_release);
-  }
+  settle_spent(thread_hint, grant, grant.from_child, grant.from_parent);
 }
 
 void QuotaHierarchy::settle_spent(std::size_t thread_hint, const Grant& grant,
@@ -155,10 +141,14 @@ void QuotaHierarchy::settle_spent(std::size_t thread_hint, const Grant& grant,
   if (refund_child > 0) {
     state.bucket->refund(thread_hint, refund_child);
   }
-  // Pool before headroom, as in release(). The headroom freed is the whole
-  // from_parent — the spent remainder left the system for good and must not
-  // keep occupying the tenant's weighted limit — but only the unspent part
-  // goes back to the pool, so the parent's count stays exact.
+  // Pool before headroom: once the borrowed tokens are observable in the
+  // parent again, shrinking `borrowed` may let a waiting reservation win —
+  // and it will find what it reserved. Reweigh-independent: the grant
+  // records what was borrowed under whatever limits then held, so the undo
+  // is exact under any current weight generation. The headroom freed is
+  // the whole from_parent — a spent remainder left the system for good and
+  // must not keep occupying the tenant's weighted limit — but only the
+  // unspent part goes back to the pool, so the parent's count stays exact.
   if (refund_parent > 0) {
     parent_.refund(thread_hint, refund_parent);
   }

@@ -61,7 +61,7 @@ namespace cnet::svc {
 
 class OverloadManager;
 
-class QuotaHierarchy : public Reconfigurable {
+class QuotaHierarchy {
  public:
   struct TenantConfig {
     std::uint64_t initial_tokens = 0;  // child bucket's starting pool
@@ -70,11 +70,9 @@ class QuotaHierarchy : public Reconfigurable {
 
   struct Config {
     // Parent pool backend — the shared, contended structure. Any spec,
-    // including "elim+...".
+    // including "elim+...". Each tenant's child bucket sees only its own
+    // tenant's traffic and is always a kLocalPoolKind pool.
     BackendSpec parent{BackendKind::kBatchedNetwork, false};
-    // Per-tenant child bucket backend. Children see only their own
-    // tenant's traffic, so the cheap central word is the right default.
-    BackendSpec child{BackendKind::kCentralAtomic, false};
     BackendConfig net;               // network shape for network kinds
     NetTokenBucket::Config bucket;   // refill chunking for every bucket
     std::uint64_t parent_initial_tokens = 0;
@@ -162,12 +160,12 @@ class QuotaHierarchy : public Reconfigurable {
                         const std::vector<std::uint64_t>& weights);
 
   // Version stamp: bumped once per committed reweigh (starts at 1).
-  std::uint64_t config_version() const noexcept override {
+  std::uint64_t config_version() const noexcept {
     return weights_.config_version();
   }
-  // Watch reweigh commits (Reconfigurable contract; delivered by the engine
-  // on the committing thread, under the commit lock).
-  void subscribe(CommitCallback on_commit) override {
+  // Watch reweigh commits (ReconfigEngine::subscribe contract; delivered by
+  // the engine on the committing thread, under the commit lock).
+  void subscribe(CommitCallback on_commit) {
     weights_.subscribe(std::move(on_commit));
   }
 

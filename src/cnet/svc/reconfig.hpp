@@ -40,7 +40,7 @@
 // `pool()` accessors) stay valid, merely stale. The memory cost is one
 // retired state per commit, paid only by reconfiguring consumers.
 //
-// Consumers expose the stamp through the Reconfigurable protocol below;
+// Consumers expose the stamp as config_version() and subscribe();
 // validity rules for *what* may be staged (chunk bounds, weight vectors)
 // are pure functions in svc/policy.hpp (respec_safe / reweigh_safe),
 // shared with the virtual-time simulator's sim::simulate_reconfig mirror.
@@ -62,33 +62,12 @@
 
 namespace cnet::svc {
 
-// The version-stamp protocol: anything that can be re-specced mid-traffic
-// reports a monotone config version, bumped once per committed staged
-// config. Observers (benches, operators, the simulator's golden traces)
-// use the stamp to tell which configuration an observation belongs to.
-class Reconfigurable {
- public:
-  // Invoked once per committed reconfiguration with the freshly bumped
-  // version (SDS-style watch: push on update instead of polling).
-  using CommitCallback = std::function<void(std::uint64_t version)>;
-
-  virtual ~Reconfigurable() = default;
-  // Starts at 1; each committed reconfiguration increments it by one. A
-  // reader that sees the same version before and after an observation knows
-  // no commit landed in between. Kept alongside subscribe() — a one-shot
-  // stamp read is still the right tool for bracketing an observation.
-  virtual std::uint64_t config_version() const noexcept = 0;
-  // Registers a callback fired after each commit completes (migration done,
-  // version bumped), on the committing thread and under the commit lock —
-  // so callbacks see a fully consistent new state, must stay cheap, and
-  // must not re-enter commit()/subscribe() on the same engine. Callbacks
-  // cannot be unregistered and must outlive the engine; distinct commits
-  // are delivered in order with strictly increasing versions.
-  virtual void subscribe(CommitCallback on_commit) = 0;
-};
+// Invoked once per committed reconfiguration with the freshly bumped
+// version (SDS-style watch: push on update instead of polling).
+using CommitCallback = std::function<void(std::uint64_t version)>;
 
 template <class State, std::size_t Tallies = 0>
-class ReconfigEngine final : public Reconfigurable {
+class ReconfigEngine final {
  public:
   explicit ReconfigEngine(std::unique_ptr<State> initial)
       : current_(std::move(initial)),
@@ -137,11 +116,23 @@ class ReconfigEngine final : public Reconfigurable {
     return *active_.load(std::memory_order_acquire);
   }
 
-  std::uint64_t config_version() const noexcept override {
+  // The version stamp: starts at 1; each committed reconfiguration
+  // increments it by one. A reader that sees the same version before and
+  // after an observation knows no commit landed in between. Kept alongside
+  // subscribe() — a one-shot stamp read is still the right tool for
+  // bracketing an observation. Every reconfigurable consumer
+  // (NetTokenBucket, QuotaHierarchy) reports its engine's stamp.
+  std::uint64_t config_version() const noexcept {
     return version_.load(std::memory_order_acquire);
   }
 
-  void subscribe(CommitCallback on_commit) override CNET_EXCLUDES(commit_mutex_) {
+  // Registers a callback fired after each commit completes (migration done,
+  // version bumped), on the committing thread and under the commit lock —
+  // so callbacks see a fully consistent new state, must stay cheap, and
+  // must not re-enter commit()/subscribe() on the same engine. Callbacks
+  // cannot be unregistered and must outlive the engine; distinct commits
+  // are delivered in order with strictly increasing versions.
+  void subscribe(CommitCallback on_commit) CNET_EXCLUDES(commit_mutex_) {
     CNET_REQUIRE(on_commit != nullptr, "null commit callback");
     const util::MutexLock lock(commit_mutex_);
     subscribers_.push_back(std::move(on_commit));
@@ -180,7 +171,7 @@ class ReconfigEngine final : public Reconfigurable {
         version_.fetch_add(1, std::memory_order_acq_rel) + 1;
     // Notify under the commit lock: subscribers see commits in order with
     // strictly increasing versions, and never concurrently with the next
-    // migration. The contract (Reconfigurable::subscribe) forbids
+    // migration. The contract (subscribe() above) forbids
     // re-entering commit() from a callback.
     for (const auto& on_commit : subscribers_) on_commit(version);
     return version;

@@ -31,7 +31,6 @@ using cnet::svc::QuotaHierarchy;
 std::shared_ptr<QuotaHierarchy> tiny_quota() {
   QuotaHierarchy::Config cfg;
   cfg.parent = {BackendKind::kCentralAtomic, false};
-  cfg.child = {BackendKind::kCentralAtomic, false};
   cfg.parent_initial_tokens = 4;
   cfg.borrow_budget = 2;  // weights {1,1} -> limit 1 per tenant
   return std::make_shared<QuotaHierarchy>(

@@ -166,7 +166,7 @@ TEST(SharedShape, OpStreamMatchesTopologyCounter) {
     NetworkCounter own(net, "own", mode);
     NetworkCounter shared(shape, "shared", mode);
     util::Xoshiro256 rng(1998);
-    std::int64_t own_buf[32], shared_buf[32];
+    std::int64_t own_buf[48], shared_buf[48];
     for (int op = 0; op < 4000; ++op) {
       const std::size_t hint = rng.below(8);
       switch (rng.below(5)) {
@@ -189,8 +189,9 @@ TEST(SharedShape, OpStreamMatchesTopologyCounter) {
         }
         case 3: {
           const std::uint64_t n = rng.below(48);
-          ASSERT_EQ(own.try_fetch_decrement_n(hint, n),
-                    shared.try_fetch_decrement_n(hint, n));
+          const std::uint64_t got = own.try_fetch_decrement_n(hint, n, own_buf);
+          ASSERT_EQ(got, shared.try_fetch_decrement_n(hint, n, shared_buf));
+          ASSERT_TRUE(std::equal(own_buf, own_buf + got, shared_buf)) << op;
           break;
         }
         default: {

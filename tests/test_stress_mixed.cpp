@@ -118,13 +118,19 @@ TEST(StressTryDecrement, NeverReclaimsMoreThanHandedOutAndNoDuplicates) {
       workers.emplace_back([&, t] {
         util::Xoshiro256 rng(0x7D3C + t);
         ThreadLog& log = logs[t];
-        std::int64_t reclaimed = 0;
+        std::int64_t reclaimed[8];
         for (std::size_t i = 0; i < kOps; ++i) {
-          // Ungated: try_fetch_decrement must bound itself at empty.
-          if (rng.below(2) == 0) {
-            if (counter.try_fetch_decrement(t, &reclaimed)) {
-              log.decs.push_back(reclaimed);
+          // Ungated: single and bulk takes must bound themselves at empty,
+          // and a bulk take reports every value it reclaims.
+          const std::uint64_t draw = rng.below(4);
+          if (draw == 0) {
+            if (counter.try_fetch_decrement(t, reclaimed)) {
+              log.decs.push_back(reclaimed[0]);
             }
+          } else if (draw == 1) {
+            const std::uint64_t got =
+                counter.try_fetch_decrement_n(t, 1 + rng.below(8), reclaimed);
+            log.decs.insert(log.decs.end(), reclaimed, reclaimed + got);
           } else {
             log.incs.push_back(counter.fetch_increment(t));
           }
@@ -149,9 +155,10 @@ TEST(StressTryDecrement, NeverReclaimsMoreThanHandedOutAndNoDuplicates) {
 }
 
 TEST(StressTryDecrement, BulkClaimsConserveCountsUnderConcurrency) {
-  // try_fetch_decrement_n has no reclaimed-value output, so the property
-  // under stress is pure conservation: claims never exceed increments, and
-  // a quiescent drain recovers exactly what was left.
+  // Value-free bulk claims: the property under stress is pure
+  // conservation — claims never exceed increments, and a quiescent drain
+  // recovers exactly what was left. The test above checks the values bulk
+  // claims report.
   NetworkCounter counter(core::make_counting(8, 16), "C(8,16)");
   constexpr std::size_t kThreads = 6, kOps = 1200;
   std::vector<std::uint64_t> incs(kThreads, 0), decs(kThreads, 0);
@@ -191,8 +198,8 @@ TEST(StressTryDecrement, BulkClaimsConserveCountsUnderConcurrency) {
 // and single try-decrements (which wait briefly). Every op logs its value,
 // so eliminated pairs — which report the same synthesized negative value on
 // both sides — cancel in the inc-minus-dec multiset and the conservation
-// argument is identical to the unwrapped counter's. (Bulk decrements return
-// anonymous counts, not values; the count-only stress below covers them.)
+// argument is identical to the unwrapped counter's. (The count-only stress
+// below covers bulk decrements.)
 std::vector<ThreadLog> run_elim_mixed(rt::Counter& counter,
                                       std::size_t threads,
                                       std::size_t ops_per_thread,

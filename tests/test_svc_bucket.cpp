@@ -186,7 +186,13 @@ INSTANTIATE_TEST_SUITE_P(AllSpecs, BucketSpecs,
 // empty" rather than over-admit.
 class NoTakebackCounter final : public rt::Counter {
  public:
-  std::int64_t fetch_increment(std::size_t) override { return next_++; }
+  void fetch_increment_batch(std::size_t, std::size_t k,
+                             std::int64_t* out_values) override {
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::int64_t v = next_++;
+      if (out_values != nullptr) out_values[i] = v;
+    }
+  }
   std::string name() const override { return "no-takeback"; }
 
  private:

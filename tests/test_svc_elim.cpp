@@ -146,6 +146,40 @@ TEST(ElimCounter, FallsThroughToBackingWithoutAPartner) {
   EXPECT_EQ(counter.layer().pairs(), 0u);
 }
 
+// A take of one and a batch of one are lone tokens, whichever entry point
+// they come through: with no partner each deposits in a slot, spins out its
+// role's budget and withdraws to the backend, as sim::ElimModel's lone
+// tokens do. Larger calls only catch.
+ElimCounter lone_token_counter() {
+  return ElimCounter(
+      std::make_unique<rt::NetworkCounter>(core::make_counting(4, 8),
+                                           "C(4,8)"),
+      {.layer = {.slots = 2, .max_spins = 16},
+       .inc_spins = 16,
+       .dec_spins = 16});
+}
+
+TEST(ElimCounter, LoneBatchOfOneDepositsAndWithdraws) {
+  ElimCounter counter = lone_token_counter();
+  std::int64_t value = -1;
+  counter.fetch_increment_batch(0, 1, &value);
+  EXPECT_EQ(value, 0);
+  EXPECT_EQ(counter.layer().withdrawals(), 1u);
+  counter.fetch_increment_batch(0, 2, nullptr);
+  EXPECT_EQ(counter.layer().withdrawals(), 1u) << "a batch of 2 deposited";
+  EXPECT_EQ(counter.traversal_count(), 3u);
+}
+
+TEST(ElimCounter, LoneTakeOfOneDepositsAndWithdraws) {
+  ElimCounter counter = lone_token_counter();
+  counter.refund_n(0, 3);
+  EXPECT_EQ(counter.try_fetch_decrement_n(0, 1), 1u);
+  EXPECT_EQ(counter.layer().withdrawals(), 1u);
+  EXPECT_EQ(counter.try_fetch_decrement_n(0, 2), 2u);
+  EXPECT_EQ(counter.layer().withdrawals(), 1u) << "a take of 2 deposited";
+  EXPECT_EQ(counter.layer().pairs(), 0u);
+}
+
 TEST(BackendSpec, ParsesAndRoundTrips) {
   const auto plain = parse_backend_spec("batched-network");
   ASSERT_TRUE(plain.has_value());

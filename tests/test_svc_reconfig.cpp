@@ -281,7 +281,6 @@ INSTANTIATE_TEST_SUITE_P(
 QuotaHierarchy::Config small_quota_config() {
   QuotaHierarchy::Config cfg;
   cfg.parent = {BackendKind::kCentralAtomic, false};
-  cfg.child = {BackendKind::kCentralAtomic, false};
   cfg.parent_initial_tokens = 100;
   cfg.borrow_budget = 100;
   return cfg;
@@ -468,7 +467,6 @@ TEST(ReconfigHammer, QuotaStaysReleaseExactUnderConcurrentReweighs) {
   constexpr std::uint64_t kRounds = 1500;
   QuotaHierarchy::Config cfg;
   cfg.parent = {BackendKind::kCentralAtomic, false};
-  cfg.child = {BackendKind::kCentralAtomic, false};
   cfg.parent_initial_tokens = 200;
   cfg.borrow_budget = 120;
   QuotaHierarchy quota(cfg, {{.initial_tokens = 10, .weight = 4},
