@@ -224,7 +224,7 @@ bool sim_identical(const sim::ClusterSimResult& a,
 
 int main(int argc, char** argv) {
   const auto opts = bench::ReportOptions::parse(argc, argv);
-  const svc::BackendSpec parent{svc::BackendKind::kBatchedNetwork, false};
+  constexpr auto parent = svc::BackendKind::kBatchedNetwork;
 
   bench::section("Table G: live peer cluster, lease ledger end to end");
   {

@@ -17,16 +17,16 @@
 //           deterministic on any host.
 //
 // Named checks (--json + exit code, the artifact CI gates on):
-//   E:ladder[spec]       — observed tier at every script step matches the
+//   E:ladder[kind]       — observed tier at every script step matches the
 //       hysteretic expectation, and history() records exactly the expected
 //       transitions in order;
-//   E:degrade[spec]      — nominal admission stays all-or-nothing; under
+//   E:degrade[kind]      — nominal admission stays all-or-nothing; under
 //       tier 3 the short pool admits partially with the exact charge and
 //       grant parts reported;
-//   E:shed_restore[spec] — tier 4 sheds exactly shed_set's pick, shed
+//   E:shed_restore[kind] — tier 4 sheds exactly shed_set's pick, shed
 //       acquires reject without touching pools, unshed tenants still
 //       admit, and the descent restores everyone;
-//   E:conservation[spec] — after releasing every grant and refunding every
+//   E:conservation[kind] — after releasing every grant and refunding every
 //       charge, all pools drain to exactly their initial counts with zero
 //       outstanding borrow;
 //   overload_actions_monotone   — the tier→action table only accumulates
@@ -37,7 +37,7 @@
 //       hysteresis band correctly, and every simulated trace satisfied the
 //       per-transition hysteresis predicate;
 //   overload_sim_conservation / overload_sim_recovered — the model mirror,
-//       for every backend spec;
+//       for every backend kind;
 //   overload_sim_full_ladder    — the reference workload drives the
 //       central-word parent through the complete ladder: peak tier 4,
 //       genuinely short (degraded) grants, and shed-time force-refunds;
@@ -73,7 +73,7 @@ struct ScriptStep {
 constexpr ScriptStep kScript[] = {
     {0, svc::OverloadTier::kNominal},
     {55, svc::OverloadTier::kShrinkBatch},
-    {75, svc::OverloadTier::kForceEliminate},
+    {75, svc::OverloadTier::kPreDegrade},
     {88, svc::OverloadTier::kDegradePartial},
     {97, svc::OverloadTier::kShedTenants},
     {80, svc::OverloadTier::kDegradePartial},
@@ -104,14 +104,14 @@ struct LiveCellResult {
 };
 
 // One Table E cell: a hierarchy (4 tenants, weights {4,2,1,1}) and an
-// admission controller on the same backend spec, governed by one manager
+// admission controller on the same backend kind, governed by one manager
 // whose only meaningful signal is the scripted gauge (the real stall /
 // reject / borrow monitors are registered too, but a single-threaded
 // script keeps them well below the gauge — the max-combine makes the
 // script the driver).
-LiveCellResult run_live_cell(const svc::BackendSpec& spec) {
+LiveCellResult run_live_cell(svc::BackendKind kind) {
   svc::QuotaHierarchy::Config qcfg;
-  qcfg.parent = spec;
+  qcfg.parent = kind;
   qcfg.parent_initial_tokens = kParentInitial;
   qcfg.borrow_budget = kBorrowBudget;
   std::vector<svc::QuotaHierarchy::TenantConfig> tenants(4);
@@ -123,8 +123,7 @@ LiveCellResult run_live_cell(const svc::BackendSpec& spec) {
   svc::QuotaHierarchy hierarchy(qcfg, std::move(tenants));
 
   svc::AdmissionConfig acfg;
-  acfg.backend = spec.kind;
-  acfg.elimination = spec.elimination;
+  acfg.backend = kind;
   acfg.bucket.initial_tokens = kAdmitPool;
   svc::AdmissionController admission(acfg);
 
@@ -223,7 +222,7 @@ LiveCellResult run_live_cell(const svc::BackendSpec& spec) {
   const auto history = manager.history();
   const svc::OverloadTier expected_path[] = {
       svc::OverloadTier::kNominal,        svc::OverloadTier::kShrinkBatch,
-      svc::OverloadTier::kForceEliminate, svc::OverloadTier::kDegradePartial,
+      svc::OverloadTier::kPreDegrade, svc::OverloadTier::kDegradePartial,
       svc::OverloadTier::kShedTenants,    svc::OverloadTier::kDegradePartial,
       svc::OverloadTier::kShrinkBatch,    svc::OverloadTier::kNominal,
   };
@@ -280,19 +279,18 @@ std::string shed_cell(const std::vector<std::size_t>& shed) {
 bool actions_monotone() {
   bool ok = true;
   auto prev = svc::overload_actions(svc::OverloadTier::kNominal);
-  ok = ok && !prev.force_eliminate && !prev.degrade_to_partial &&
-       !prev.shed_tenants && prev.batch_divisor == 1;
+  ok = ok && !prev.degrade_to_partial && !prev.shed_tenants &&
+       prev.batch_divisor == 1;
   for (int t = 1; t < static_cast<int>(svc::kNumOverloadTiers); ++t) {
     const auto cur =
         svc::overload_actions(static_cast<svc::OverloadTier>(t));
-    ok = ok && (cur.force_eliminate || !prev.force_eliminate) &&
-         (cur.degrade_to_partial || !prev.degrade_to_partial) &&
+    ok = ok && (cur.degrade_to_partial || !prev.degrade_to_partial) &&
          (cur.shed_tenants || !prev.shed_tenants) &&
          cur.batch_divisor >= prev.batch_divisor;
     prev = cur;
   }
-  ok = ok && prev.force_eliminate && prev.degrade_to_partial &&
-       prev.shed_tenants && prev.batch_divisor == svc::kOverloadBatchDivisor;
+  ok = ok && prev.degrade_to_partial && prev.shed_tenants &&
+       prev.batch_divisor == svc::kOverloadBatchDivisor;
   return ok;
 }
 
@@ -300,7 +298,6 @@ bool actions_monotone() {
 
 int main(int argc, char** argv) {
   const auto opts = bench::ReportOptions::parse(argc, argv);
-  const auto specs = sim::multicore_sweep_specs();
 
   bench::check("overload_actions_monotone", actions_monotone(), opts);
 
@@ -310,18 +307,19 @@ int main(int argc, char** argv) {
   {
     util::Table table({"backend", "tier ladder", "quota grant",
                        "admit charge", "shed", "conserved"});
-    for (const auto& spec : specs) {
-      const auto r = run_live_cell(spec);
+    for (const svc::BackendKind kind : svc::kAllBackendKinds) {
+      const std::string name = svc::backend_kind_name(kind);
+      const auto r = run_live_cell(kind);
       all_live_conserved = all_live_conserved && r.conserved;
       all_live_hysteresis = all_live_hysteresis && r.ladder_ok;
       table.add_row(
-          {svc::backend_spec_name(spec), r.ladder,
+          {name, r.ladder,
            util::fmt_int(static_cast<std::int64_t>(r.quota_granted)) + "/" +
                util::fmt_int(static_cast<std::int64_t>(kQuotaAsk)),
            util::fmt_int(static_cast<std::int64_t>(r.admit_charged)) + "/" +
                util::fmt_int(static_cast<std::int64_t>(kAdmitCost)),
            shed_cell(r.shed), r.conserved ? "yes" : "NO"});
-      const std::string tag = "[" + svc::backend_spec_name(spec) + "]";
+      const std::string tag = "[" + name + "]";
       bench::check("E:ladder" + tag, r.ladder_ok, opts);
       bench::check("E:degrade" + tag, r.degrade_ok, opts);
       bench::check("E:shed_restore" + tag, r.shed_ok, opts);
@@ -344,14 +342,14 @@ int main(int argc, char** argv) {
                        "ok"});
     bool all_conserved = true, all_hysteresis = true, all_recovered = true;
     const auto cfg = sim::overload_sim_reference_config();
-    for (const auto& spec : specs) {
-      const auto r = sim::simulate_overload(spec, cfg);
+    for (const svc::BackendKind kind : svc::kAllBackendKinds) {
+      const auto r = sim::simulate_overload(kind, cfg);
       all_conserved = all_conserved && r.conserved;
       all_hysteresis = all_hysteresis && r.hysteresis_respected;
       all_recovered = all_recovered && r.recovered;
       const bool ok = r.conserved && r.hysteresis_respected && r.recovered;
       table.add_row(
-          {svc::backend_spec_name(spec), util::fmt_double(r.makespan, 2),
+          {svc::backend_kind_name(kind), util::fmt_double(r.makespan, 2),
            util::fmt_int(static_cast<std::int64_t>(r.admitted)),
            util::fmt_int(static_cast<std::int64_t>(r.rejected)),
            util::fmt_int(static_cast<std::int64_t>(r.degraded_admits)),
@@ -380,7 +378,7 @@ int main(int argc, char** argv) {
     // The headline cell must ride the whole ladder: the central word under
     // 48 staggered cores reaches the shed tier, produces genuinely short
     // grants under degrade, and force-refunds held parts when shedding.
-    const svc::BackendSpec headline{svc::BackendKind::kCentralAtomic, false};
+    constexpr auto headline = svc::BackendKind::kCentralAtomic;
     const auto first = sim::simulate_overload(headline, cfg);
     bench::check("overload_sim_full_ladder",
                  first.peak_tier == svc::OverloadTier::kShedTenants &&

@@ -4,7 +4,7 @@
 //
 // Table D — svc::QuotaHierarchy: aggregate acquire/sec and per-tenant
 //           fairness for {4, 16, 64} tenants × {uniform, hot} skews ×
-//           every parent backend spec. Each thread holds a small ring of
+//           every parent backend kind. Each thread holds a small ring of
 //           grants (acquire → hold → release-oldest), so demand exceeds
 //           the child buckets and shortfalls exercise the weighted
 //           max-borrow path on the shared parent.
@@ -14,15 +14,15 @@
 //           observable and deterministic on any host.
 //
 // Named checks (--json + exit code, the artifact CI gates on):
-//   D:conservation[spec,T,skew] — quiescent drain returns every pool to
+//   D:conservation[kind,T,skew] — quiescent drain returns every pool to
 //       exactly its initial level with zero outstanding borrow, and the
 //       run completed ops (a zero-op run must not pass vacuously);
-//   D:isolation[spec,T,skew]    — no tenant's outstanding borrow ever
+//   D:isolation[kind,T,skew]    — no tenant's outstanding borrow ever
 //       exceeded its weighted limit, and no cold-tenant acquire was
 //       rejected (hot tenants saturating their cap cannot starve the
 //       cold ones);
 //   quota_sim_conservation / quota_sim_isolation — the model mirror, for
-//       every spec × core count;
+//       every kind × core count;
 //   quota_sim_parent_crossover  — batched-network parent >= central parent
 //       goodput at 64 simulated cores;
 //   quota_sim_central_wins_lowcores — and the inversion at 4 cores;
@@ -65,12 +65,12 @@ struct QuotaRunResult {
 // One Table D cell: T tenants, hot skew gives tenant 0 kHotExtraThreads
 // extra threads and a proportional weight; every thread runs the
 // acquire/hold/release ring against one shared hierarchy.
-QuotaRunResult run_quota(const svc::BackendSpec& parent_spec,
-                         std::size_t tenants, bool hot_skew, bool smoke) {
+QuotaRunResult run_quota(svc::BackendKind parent_kind, std::size_t tenants,
+                         bool hot_skew, bool smoke) {
   const std::size_t threads = tenants + (hot_skew ? kHotExtraThreads : 0);
 
   svc::QuotaHierarchy::Config cfg;
-  cfg.parent = parent_spec;
+  cfg.parent = parent_kind;
   // Budget scales with the tenant count; parent capacity exceeds it by
   // the acquire cost, so a won reservation always finds its tokens (the
   // isolation sizing rule from svc/quota.hpp).
@@ -188,20 +188,20 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> tenant_sweep =
       opts.smoke ? std::vector<std::size_t>{4, 16}
                  : std::vector<std::size_t>{4, 16, 64};
-  const auto specs = sim::multicore_sweep_specs();
 
   bench::section(
       "Table D: QuotaHierarchy acquire/sec + fairness, live threads");
   {
     util::Table table({"backend", "tenants", "skew", "ops/s", "admit%",
                        "cold%", "hot%", "peak/cap", "conserved"});
-    for (const auto& spec : specs) {
+    for (const svc::BackendKind kind : svc::kAllBackendKinds) {
+      const std::string name = svc::backend_kind_name(kind);
       for (const auto tenants : tenant_sweep) {
         for (const bool hot_skew : {false, true}) {
-          const auto r = run_quota(spec, tenants, hot_skew, opts.smoke);
+          const auto r = run_quota(kind, tenants, hot_skew, opts.smoke);
           const std::string skew = hot_skew ? "hot" : "uniform";
           table.add_row(
-              {svc::backend_spec_name(spec), util::fmt_int(tenants), skew,
+              {name, util::fmt_int(tenants), skew,
                bench::fmt_rate(r.ops_per_sec),
                pct_cell(r.admitted, r.attempts),
                pct_cell(r.cold_admitted, r.cold_attempts),
@@ -210,8 +210,8 @@ int main(int argc, char** argv) {
                    "/" +
                    util::fmt_int(static_cast<std::int64_t>(r.hot_limit)),
                r.conserved ? "yes" : "NO"});
-          const std::string tag = "[" + svc::backend_spec_name(spec) + "," +
-                                  std::to_string(tenants) + "," + skew + "]";
+          const std::string tag =
+              "[" + name + "," + std::to_string(tenants) + "," + skew + "]";
           bench::check("D:conservation" + tag,
                        r.conserved && r.attempts > 0, opts);
           bench::check("D:isolation" + tag,
@@ -239,20 +239,20 @@ int main(int argc, char** argv) {
                        "isolated"});
     bool all_conserved = true, all_isolated = true;
     double central4 = 0.0, network4 = 0.0, central64 = 0.0, network64 = 0.0;
-    for (const auto& spec : specs) {
+    for (const svc::BackendKind kind : svc::kAllBackendKinds) {
       for (const auto cores : core_sweep) {
         const auto r = sim::simulate_quota(
-            spec, sim::quota_sim_reference_config(cores));
+            kind, sim::quota_sim_reference_config(cores));
         all_conserved = all_conserved && r.conserved;
         all_isolated = all_isolated && r.isolation;
-        if (!spec.elimination && (cores == 4 || cores == 64)) {
-          if (spec.kind == svc::BackendKind::kCentralAtomic) {
+        if (cores == 4 || cores == 64) {
+          if (kind == svc::BackendKind::kCentralAtomic) {
             (cores == 4 ? central4 : central64) = r.goodput_per_vtime;
-          } else if (spec.kind == svc::BackendKind::kBatchedNetwork) {
+          } else if (kind == svc::BackendKind::kBatchedNetwork) {
             (cores == 4 ? network4 : network64) = r.goodput_per_vtime;
           }
         }
-        table.add_row({svc::backend_spec_name(spec),
+        table.add_row({svc::backend_kind_name(kind),
                        util::fmt_int(cores),
                        util::fmt_double(r.goodput_per_vtime, 3),
                        util::fmt_double(r.ops_per_vtime, 3),
@@ -279,8 +279,7 @@ int main(int argc, char** argv) {
                  opts);
 
     // Determinism: re-run the headline cell and require bit-identity.
-    const svc::BackendSpec headline{svc::BackendKind::kBatchedNetwork,
-                                    false};
+    constexpr auto headline = svc::BackendKind::kBatchedNetwork;
     const auto first =
         sim::simulate_quota(headline, sim::quota_sim_reference_config(64));
     const auto again =

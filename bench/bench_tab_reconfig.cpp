@@ -3,7 +3,7 @@
 //
 // Table F — NetTokenBucket::respec under real threads: consume/refill
 //           workers race a reconfigurer cycling the pool through every
-//           backend spec mid-traffic. Conservation must be exact at
+//           backend kind mid-traffic. Conservation must be exact at
 //           quiescence — every token the workers pushed in was either
 //           handed out or is still drainable, across every commit's
 //           migration — and never-over-admit must hold throughout.
@@ -19,9 +19,9 @@
 //           test_multicore_sim).
 //
 // Named checks (--json + exit code, the artifact CI gates on):
-//   F:conservation[spec] — the mid-traffic respec sweep starting from
-//       `spec` conserved tokens exactly and committed at least once;
-//   F:reweigh[spec]      — live re-division over a `spec` parent kept the
+//   F:conservation[kind] — the mid-traffic respec sweep starting from
+//       `kind` conserved tokens exactly and committed at least once;
+//   F:reweigh[kind]      — live re-division over a `kind` parent kept the
 //       in-flight grant release-exact and the parent pool drained to its
 //       initial count;
 //   reconfig_batch_divisor_end_to_end — under overload tier >= 1 a respec
@@ -29,7 +29,7 @@
 //       backend's own batch_pass_count proves the smaller holds actually
 //       traversed the network (the tentpole's motivating bug);
 //   reconfig_sim_conservation — the model mirror conserves across the
-//       commit for every backend spec, version bumped, retired pool empty;
+//       commit for every backend kind, version bumped, retired pool empty;
 //   reconfig_sim_determinism  — a re-run of the headline cell reproduces
 //       the trace bit-identically, commit instant included.
 #include <atomic>
@@ -61,17 +61,16 @@ struct LiveCellResult {
 };
 
 // One Table F cell: 3 consume/refill workers against a bucket that starts
-// on `spec`, while a reconfigurer thread cycles it through the whole sweep
-// axis with varying chunks. One deterministic final respec after the
+// on `kind`, while a reconfigurer thread cycles it through every kind with
+// varying chunks. One deterministic final respec after the
 // workers drain guarantees at least one commit even in the tiniest smoke
 // run (and exercises the idle-respec degenerate case).
-LiveCellResult run_live_cell(const svc::BackendSpec& spec,
-                             std::uint64_t rounds) {
+LiveCellResult run_live_cell(svc::BackendKind kind, std::uint64_t rounds) {
   constexpr std::size_t kWorkers = 3;
   svc::NetTokenBucket bucket(
-      make_counter(spec),
+      make_counter(kind),
       svc::NetTokenBucket::Config{/*initial_tokens=*/0, /*refill_chunk=*/64});
-  const auto specs = sim::multicore_sweep_specs();
+  const auto& kinds = svc::kAllBackendKinds;
 
   LiveCellResult res;
   // Commit-count via the subscribe push (SDS-style watch) instead of the
@@ -99,15 +98,15 @@ LiveCellResult run_live_cell(const svc::BackendSpec& spec,
   threads.emplace_back([&] {
     std::size_t i = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      bucket.respec(kWorkers, {specs[i % specs.size()], svc::BackendConfig{},
-                               1 + (i * 37) % 256});
+      bucket.respec(kWorkers, {kinds[i % std::size(kinds)],
+                               svc::BackendConfig{}, 1 + (i * 37) % 256});
       ++i;
     }
   });
   for (std::size_t w = 0; w < kWorkers; ++w) threads[w].join();
   stop.store(true, std::memory_order_release);
   threads.back().join();
-  bucket.respec(0, {spec, svc::BackendConfig{}, 64});  // guaranteed commit
+  bucket.respec(0, {kind, svc::BackendConfig{}, 64});  // guaranteed commit
 
   std::uint64_t got = 0;
   while ((got = bucket.consume(0, 64, svc::kPartialOk)) != 0) {
@@ -130,12 +129,12 @@ struct ReweighCellResult {
 };
 
 // One Table F2 cell: tenant 0 borrows 40 of its 50-limit from a parent on
-// `spec`, the weights re-divide live to {1, 9}, and the whole in-flight /
+// `kind`, the weights re-divide live to {1, 9}, and the whole in-flight /
 // overage / sibling / release-exact story must hold under the new
 // generation, ending in an exact parent drain.
-ReweighCellResult run_reweigh_cell(const svc::BackendSpec& spec) {
+ReweighCellResult run_reweigh_cell(svc::BackendKind kind) {
   svc::QuotaHierarchy::Config cfg;
-  cfg.parent = spec;
+  cfg.parent = kind;
   cfg.parent_initial_tokens = 100;
   cfg.borrow_budget = 100;
   svc::QuotaHierarchy quota(cfg, {{.initial_tokens = 0, .weight = 1},
@@ -185,7 +184,7 @@ ReweighCellResult run_reweigh_cell(const svc::BackendSpec& spec) {
 // batch_pass_count proves the smaller exclusive holds actually traversed.
 bool batch_divisor_end_to_end() {
   svc::NetTokenBucket bucket(
-      make_counter(svc::BackendSpec{svc::BackendKind::kBatchedNetwork, false}),
+      make_counter(svc::BackendKind::kBatchedNetwork),
       svc::NetTokenBucket::Config{0, 64});
   svc::OverloadManager mgr;
   auto gauge = std::make_unique<svc::GaugeMonitor>("script", 100);
@@ -201,8 +200,7 @@ bool batch_divisor_end_to_end() {
   const std::size_t divisor = mgr.actions().batch_divisor;
   ok = ok && divisor > 1;
 
-  bucket.respec(0,
-                {{svc::BackendKind::kBatchedNetwork, false}, {}, 64});
+  bucket.respec(0, {svc::BackendKind::kBatchedNetwork, {}, 64});
   const std::uint64_t passes_before = bucket.batch_pass_count();
   const std::uint64_t traversals_before = bucket.traversal_count();
   bucket.refill(0, 128);
@@ -222,7 +220,6 @@ bool batch_divisor_end_to_end() {
 
 int main(int argc, char** argv) {
   const auto opts = bench::ReportOptions::parse(argc, argv);
-  const auto specs = sim::multicore_sweep_specs();
   const std::uint64_t rounds = opts.smoke ? 200 : 4000;
 
   bench::check("reconfig_batch_divisor_end_to_end", batch_divisor_end_to_end(),
@@ -232,22 +229,22 @@ int main(int argc, char** argv) {
   {
     util::Table table({"backend", "respecs", "refilled", "consumed",
                        "drained", "conserved"});
-    for (const auto& spec : specs) {
-      const auto r = run_live_cell(spec, rounds);
+    for (const svc::BackendKind kind : svc::kAllBackendKinds) {
+      const std::string name = svc::backend_kind_name(kind);
+      const auto r = run_live_cell(kind, rounds);
       table.add_row(
-          {svc::backend_spec_name(spec),
+          {name,
            util::fmt_int(static_cast<std::int64_t>(r.respecs)),
            util::fmt_int(static_cast<std::int64_t>(r.refilled)),
            util::fmt_int(static_cast<std::int64_t>(r.consumed)),
            util::fmt_int(static_cast<std::int64_t>(r.drained)),
            r.conserved ? "yes" : "NO"});
-      bench::check("F:conservation[" + svc::backend_spec_name(spec) + "]",
-                   r.conserved, opts);
+      bench::check("F:conservation[" + name + "]", r.conserved, opts);
     }
     bench::emit(table, opts);
     bench::note(
         "\n3 consume/refill workers race a reconfigurer cycling the pool\n"
-        "through every backend spec; every commit migrates the remaining\n"
+        "through every backend kind; every commit migrates the remaining\n"
         "count exactly, so refilled == consumed + drained at quiescence\n"
         "and no consume was ever over-admitted.",
         opts);
@@ -258,18 +255,18 @@ int main(int argc, char** argv) {
   {
     util::Table table({"parent backend", "limit 0", "overage",
                        "parent drain", "ok"});
-    for (const auto& spec : specs) {
-      const auto r = run_reweigh_cell(spec);
+    for (const svc::BackendKind kind : svc::kAllBackendKinds) {
+      const std::string name = svc::backend_kind_name(kind);
+      const auto r = run_reweigh_cell(kind);
       table.add_row(
-          {svc::backend_spec_name(spec),
+          {name,
            util::fmt_int(static_cast<std::int64_t>(r.limit_before)) + "->" +
                util::fmt_int(static_cast<std::int64_t>(r.limit_after)),
            util::fmt_int(static_cast<std::int64_t>(r.overage)),
            util::fmt_int(static_cast<std::int64_t>(r.parent_drained)) +
                "/100",
            r.ok ? "yes" : "NO"});
-      bench::check("F:reweigh[" + svc::backend_spec_name(spec) + "]", r.ok,
-                   opts);
+      bench::check("F:reweigh[" + name + "]", r.ok, opts);
     }
     bench::emit(table, opts);
     bench::note(
@@ -286,14 +283,14 @@ int main(int argc, char** argv) {
     util::Table table({"backend", "target", "staged", "commit", "migrated",
                        "chunk", "ver", "conserved"});
     bool all_conserved = true;
-    for (const auto& spec : specs) {
+    for (const svc::BackendKind kind : svc::kAllBackendKinds) {
       sim::ReconfigSimConfig cfg = sim::reconfig_sim_reference_config();
-      cfg.spec_to = sim::reconfig_respec_target(spec);
-      const auto r = sim::simulate_reconfig(spec, cfg);
+      cfg.spec_to = sim::reconfig_respec_target(kind);
+      const auto r = sim::simulate_reconfig(kind, cfg);
       all_conserved = all_conserved && r.conserved &&
                       r.config_version == 2 && r.migrated_tokens > 0;
       table.add_row(
-          {svc::backend_spec_name(spec), svc::backend_spec_name(cfg.spec_to),
+          {svc::backend_kind_name(kind), svc::backend_spec_name(cfg.spec_to),
            util::fmt_double(r.respec_staged_time, 1),
            util::fmt_double(r.respec_commit_time, 2),
            util::fmt_int(static_cast<std::int64_t>(r.migrated_tokens)),
@@ -310,7 +307,7 @@ int main(int argc, char** argv) {
         opts);
     bench::check("reconfig_sim_conservation", all_conserved, opts);
 
-    const svc::BackendSpec headline{svc::BackendKind::kBatchedNetwork, false};
+    constexpr auto headline = svc::BackendKind::kBatchedNetwork;
     sim::ReconfigSimConfig cfg = sim::reconfig_sim_reference_config();
     cfg.spec_to = sim::reconfig_respec_target(headline);
     const auto first = sim::simulate_reconfig(headline, cfg);

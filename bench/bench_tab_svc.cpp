@@ -188,8 +188,7 @@ void shape_tables(const bench::ReportOptions& opts) {
     util::Table table(header);
     for (const auto shape : kTableShapes) {
       const svc::BackendConfig net{.width_in = shape.width_in,
-                                   .width_out = shape.width_out,
-                                   .elim = {}};
+                                   .width_out = shape.width_out};
       std::vector<std::string> row{shape_name(shape)};
       for (const auto threads : thread_sweep) {
         row.push_back(bench::fmt_rate(bucket_rate(

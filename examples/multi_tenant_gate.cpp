@@ -7,9 +7,9 @@
 // shared pool.
 //
 // Usage: ./examples/multi_tenant_gate [parent-backend] [tenants] [hot-extra]
-//   parent-backend: the parent pool's backend spec (docs/OPERATIONS.md),
-//                   optionally "elim+"-prefixed; a bad one prints every
-//                   known kind                  (default: batched-network)
+//   parent-backend: the parent pool's backend kind (docs/OPERATIONS.md);
+//                   a bad one prints every known kind
+//                                               (default: batched-network)
 //   tenants:        tenant count (>= 2)         (default: 4)
 //   hot-extra:      extra threads piled onto tenant 0, which also gets
 //                   weight 1 + hot-extra        (default: 4)

@@ -7,9 +7,7 @@
 // the refiller, service capacity set by the bucket.
 //
 // Usage: ./examples/rate_gate [backend] [threads] [rate]
-//   backend: a backend spec (docs/OPERATIONS.md), optionally prefixed
-//            with "elim+" to put the elimination front-end before the
-//            bucket pool (e.g. elim+batched-network); a bad one prints
+//   backend: a backend kind (docs/OPERATIONS.md); a bad one prints
 //            every known kind                   (default: batched-network)
 //   threads: total threads incl. the refiller   (default: 5)
 //   rate:    tokens/sec fed to the bucket       (default: 100000)
@@ -21,7 +19,6 @@
 #include <vector>
 
 #include "cnet/svc/admission.hpp"
-#include "cnet/svc/elimination.hpp"
 #include "cnet/util/cacheline.hpp"
 #include "support/loadgen.hpp"
 
@@ -45,7 +42,6 @@ int main(int argc, char** argv) {
 
   cnet::svc::AdmissionConfig cfg;
   cfg.backend = spec->kind;
-  cfg.elimination = spec->elimination;
   cfg.shards = 4;
   cfg.ids.max_threads = threads;
   cnet::svc::AdmissionController gate(cfg);
@@ -105,13 +101,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(attempts - ids.size()));
   std::printf("observed stalls: %llu\n",
               static_cast<unsigned long long>(gate.stall_count()));
-  if (const auto* elim = dynamic_cast<const cnet::svc::ElimCounter*>(
-          &gate.bucket().pool())) {
-    std::printf("eliminated pairs: %llu (refill/consume collisions that "
-                "never touched the backend; %llu backend traversals)\n",
-                static_cast<unsigned long long>(elim->layer().pairs()),
-                static_cast<unsigned long long>(elim->traversal_count()));
-  }
 
   // Safety checks: never over-admit, and no request ID handed out twice.
   const bool bounded = ids.size() <= refilled;

@@ -33,10 +33,16 @@
 // Teardown discipline: a failure (driver invariant throw) flips the run
 // into free mode — no more tree extension, remaining threads are scheduled
 // round-robin until everything finishes, so locks release and the body
-// completes. Only a true deadlock (no enabled thread) needs unwinding
-// parked threads, and every parked-disabled thread is by construction
-// inside a throwing-safe frame (mutex lock / join / yield — atomic points
-// are always enabled), so aborting them with an exception is safe.
+// completes. Two cases need unwinding threads that would never finish on
+// their own, and both throw from throwing-safe frames (mutex lock / join /
+// yield — no yield site runs inside a noexcept function):
+//   - a true deadlock (no enabled thread): every parked-disabled thread is
+//     aborted, and the aborted threads run their teardown uncontrolled;
+//   - a livelock (the execution passed hard_step_limit): each thread that
+//     reaches a yield unwinds from it and is scheduled as usual while it
+//     does, so its peers still finish and a join_all() still returns.
+// A spin that never yields is not unwound: past 4x the hard limit the
+// process aborts.
 namespace cnet::check {
 
 namespace {
@@ -46,9 +52,11 @@ using util::SchedOpKind;
 
 constexpr std::uint32_t kNoThread = 0xffffffffu;
 constexpr const char* kScheduleTag = "cnet-sched-v1;";
+constexpr const char* kLivelockMessage =
+    "execution exceeded hard_step_limit (suspected livelock)";
 
-// Internal unwinder for threads that can never be scheduled again
-// (deadlock teardown). Deliberately not derived from std::exception so
+// Internal unwinder for threads that can never finish (deadlock and
+// livelock teardown). Deliberately not derived from std::exception so
 // driver-level `catch (const std::exception&)` invariant handling cannot
 // swallow it.
 struct ExecutionAborted {};
@@ -216,6 +224,12 @@ class Run final : public util::SchedHooks, public TestContext {
     ThreadRec* rec = self();
     std::unique_lock<std::mutex> l(mu_);
     if (rec->aborting) return;
+    if (step_ >= opts_.hard_step_limit) {
+      // Still waiting past the hard limit: unwind this waiter instead of
+      // free-running it toward the abort backstop.
+      record_failure_locked(kLivelockMessage);
+      throw ExecutionAborted{};
+    }
     rec->arrival_step = step_;
     arrive_and_wait(l, rec, SchedOp{SchedOpKind::kYield, nullptr});
   }
@@ -269,7 +283,7 @@ class Run final : public util::SchedHooks, public TestContext {
       try {
         rec->fn();
       } catch (const ExecutionAborted&) {
-        // Unwound during deadlock teardown; already accounted for.
+        // Unwound by deadlock or livelock teardown; already accounted for.
       } catch (const std::exception& e) {
         on_failure(e.what());
       } catch (...) {
@@ -428,12 +442,12 @@ class Run final : public util::SchedHooks, public TestContext {
       if (step_ >= opts_.hard_step_limit * 4) {
         std::fprintf(stderr,
                      "cnet::check: execution exceeded %llu steps even in "
-                     "free-run teardown; genuine livelock — aborting\n",
+                     "free-run teardown; a spin that never yields — "
+                     "aborting\n",
                      static_cast<unsigned long long>(step_));
         std::abort();
       }
-      record_failure_locked(
-          "execution exceeded hard_step_limit (suspected livelock)");
+      record_failure_locked(kLivelockMessage);
     } else if (mode_ == Mode::kExplore && step_ >= opts_.max_steps) {
       mode_ = Mode::kFree;  // too deep to keep branching; finish cheaply
     }

@@ -3,7 +3,7 @@
 // The simulator's sim/model_check.{hpp,cpp} already runs the paper's
 // adversary scheduler exhaustively, but only against the *model* of the
 // core network. This explorer runs the adversary against the shipped
-// implementations: real threads executing real EliminationLayer /
+// implementations: real threads executing real NetworkCounter /
 // ReconfigEngine / QuotaHierarchy / dist-ledger code, serialized through
 // the util::SchedPoint seam (CNET_SCHED_CHECK) so that exactly one thread
 // runs at a time and every synchronization operation is one schedulable
@@ -64,8 +64,10 @@ struct Options {
   // and free-runs to completion (keeps pathological schedules cheap).
   std::uint64_t max_steps = 20'000;
   // Hard per-execution step cap: past it the execution is failed as a
-  // suspected livelock (and past 4x, the process aborts — a thread
-  // spinning inside noexcept code cannot be unwound safely).
+  // suspected livelock, with the replay string of its schedule up to the
+  // cap, and every thread that reaches a util::sched_yield() point is
+  // unwound. Past 4x the process aborts: the backstop for a spin that
+  // never yields, which nothing can unwind.
   std::uint64_t hard_step_limit = 200'000;
 };
 

@@ -43,9 +43,7 @@ class Counter {
   //
   // A null out_values means "add k tokens, discard the values": the same
   // k increments, with no value written anywhere. This is organic supply
-  // (a token bucket's refill). Count-wise it equals refund_n(k) and takes
-  // the same bulk step, but decorators may treat it as traffic of their
-  // own where refunds pass straight through (svc::ElimCounter pairs it).
+  // (a token bucket's refill), and refund_n(k) is exactly this call.
   virtual void fetch_increment_batch(std::size_t thread_hint, std::size_t k,
                                      std::int64_t* out_values) = 0;
 
@@ -69,17 +67,12 @@ class Counter {
     return 0;
   }
 
-  // Returns `n` tokens to the pool. Count-wise this is exactly a
-  // value-free fetch_increment_batch of n — the default is just that, so
-  // each backend's bulk step serves both (central: one RMW; batched
-  // network: one traversal pass). It carries every give-back: the
-  // un-consume of an all-or-nothing shortfall, a release of tokens granted
-  // earlier, a respec migration, and a bucket's constructor seed. It is a
-  // distinct operation so decorators can tell give-backs from organic
-  // refills: svc::ElimCounter sends refunds straight to its inner counter
-  // and never parks a give-back in its exchange slots waiting for a
-  // partner.
-  virtual void refund_n(std::size_t thread_hint, std::uint64_t n) {
+  // Returns `n` tokens to the pool: a value-free fetch_increment_batch of
+  // n, so each backend's bulk step serves it (central: one RMW; batched
+  // network: one traversal pass). It names every give-back: the un-consume
+  // of an all-or-nothing shortfall, a release of tokens granted earlier, a
+  // respec migration, and a bucket's constructor seed.
+  void refund_n(std::size_t thread_hint, std::uint64_t n) {
     fetch_increment_batch(thread_hint, static_cast<std::size_t>(n), nullptr);
   }
 
@@ -92,9 +85,8 @@ class Counter {
   // Total tokens and antitokens that entered the backing structure: k per
   // k-token batch (one per fetch_increment), one antitoken per
   // try_fetch_decrement_n call and per fetch_decrement. Central counters
-  // have no structure to traverse and report 0; the elimination layer's
-  // whole point is keeping this number below the op count, so it is the
-  // denominator of the "traversals per op" benches.
+  // have no structure to traverse and report 0. It is the numerator of the
+  // "traversals per op" benches.
   virtual std::uint64_t traversal_count() const { return 0; }
 
   // Amortized batch passes taken through the structure (one per

@@ -72,8 +72,7 @@ class NetworkCounter final : public Counter {
   }
   // Tokens + antitokens that entered the network: k per k-token batch (1
   // per single token), 1 antitoken per try_fetch_decrement_n call and per
-  // fetch_decrement. The number the elimination layer exists to
-  // shrink relative to the op count.
+  // fetch_decrement.
   std::uint64_t traversal_count() const override {
     return lines_.total(kTraversals);
   }

@@ -37,13 +37,6 @@ class CounterModel {
   virtual void increment_n(std::size_t core, std::uint64_t k, Done done) = 0;
   virtual void try_decrement_n(std::size_t core, std::uint64_t n,
                                DoneN done) = 0;
-  // Refund traffic (shortfall un-consume, quota releases): count-wise the
-  // same deposits as increment_n — the default — but a distinct entry
-  // point so ElimModel can send it straight to its backend, mirroring
-  // rt::Counter::refund_n and svc::ElimCounter's override.
-  virtual void refund_n(std::size_t core, std::uint64_t k, Done done) {
-    increment_n(core, k, std::move(done));
-  }
 
   virtual std::uint64_t stalls() const = 0;
   virtual std::int64_t pool() const = 0;
@@ -199,192 +192,7 @@ class NetworkModel final : public PoolBase {
   des::BalancerServers servers_;
 };
 
-// ------------------------------------------------------- elimination model
-
-// EliminationLayer in virtual time: the same slot state machine (empty /
-// waiting-inc / waiting-dec, epoch bumped on every return to empty) run by
-// the deterministic executor instead of CASes. A lone token (a batch of one,
-// a take of one) deposits and waits elim_wait before withdrawing to the
-// backend; larger calls catch already-waiting partners only — the rule the
-// real ElimCounter applies. Pair values come from the shared
-// svc::elimination_pair_value rule, so model and real multisets cancel
-// identically.
-class ElimModel final : public CounterModel {
- public:
-  ElimModel(Engine& eng, std::unique_ptr<CounterModel> inner,
-            const ModelConfig& cfg, util::Xoshiro256& rng)
-      : eng_(eng),
-        inner_(std::move(inner)),
-        slots_(cfg.elim_slots),
-        exchange_(cfg.exchange_time),
-        inc_wait_(cfg.elim_inc_wait),
-        dec_wait_(cfg.elim_dec_wait),
-        rng_(rng) {
-    CNET_REQUIRE(cfg.elim_slots > 0, "at least one elimination slot");
-    CNET_REQUIRE(cfg.exchange_time >= 0.0 && cfg.elim_inc_wait >= 0.0 &&
-                     cfg.elim_dec_wait >= 0.0,
-                 "elimination windows must be nonnegative");
-  }
-
-  void increment_n(std::size_t core, std::uint64_t k, Done done) override {
-    // Catch pass (any k): hand tokens to already-waiting decrements.
-    std::uint64_t remaining = k;
-    while (remaining > 0 && catch_partner(SlotState::kWaitDec)) --remaining;
-    if (remaining == 0) {
-      eng_.at(eng_.now() + exchange_, std::move(done));
-      return;
-    }
-    if (remaining == 1 && k == 1) {
-      // Single-op path: deposit and wait for a partner decrement (its token
-      // goes straight to it); on withdrawal the token goes to the backend.
-      // `done` is copied so the fall-through below stays valid on a full
-      // slot array.
-      auto fulfilled = [done](std::int64_t) { done(); };
-      auto withdrawn = [this, core, done] {
-        inner_->increment_n(core, 1, done);
-      };
-      if (deposit(SlotState::kWaitInc, std::move(fulfilled),
-                  std::move(withdrawn))) {
-        return;
-      }
-    }
-    inner_->increment_n(core, remaining, std::move(done));
-  }
-
-  void try_decrement_n(std::size_t core, std::uint64_t n,
-                       DoneN done) override {
-    std::uint64_t got = 0;
-    while (got < n && catch_partner(SlotState::kWaitInc)) ++got;
-    if (got == n) {
-      eng_.at(eng_.now() + exchange_,
-              [got, done = std::move(done)] { done(got); });
-      return;
-    }
-    if (n == 1 && got == 0) {
-      // Single-op path: deposit; a catching increment completes us with one
-      // token (the pairing continuation already runs exchange_time after
-      // the catch), the withdrawal falls through to the backend. On a full
-      // slot array, so does the op itself, below.
-      auto fulfilled = [done](std::int64_t) { done(1); };
-      auto withdrawn = [this, core, done] {
-        inner_->try_decrement_n(core, 1, done);
-      };
-      if (deposit(SlotState::kWaitDec, std::move(fulfilled),
-                  std::move(withdrawn))) {
-        return;
-      }
-    }
-    // The backend claims whatever the catch pass left short.
-    auto add_caught = [got, done = std::move(done)](std::uint64_t inner_got) {
-      done(got + inner_got);
-    };
-    inner_->try_decrement_n(core, n - got, std::move(add_caught));
-  }
-
-  // Refunds skip the exchange slots (svc::ElimCounter's override does the
-  // same): give-backs land in the pool unconditionally.
-  void refund_n(std::size_t core, std::uint64_t k, Done done) override {
-    inner_->refund_n(core, k, std::move(done));
-  }
-
-  std::uint64_t stalls() const override { return inner_->stalls(); }
-  std::int64_t pool() const override { return inner_->pool(); }
-  bool pool_ever_negative() const override {
-    return inner_->pool_ever_negative();
-  }
-  std::uint64_t drain_pool_now() override { return inner_->drain_pool_now(); }
-  void inject_pool_now(std::uint64_t k) override {
-    inner_->inject_pool_now(k);
-  }
-
-  std::uint64_t pairs() const { return pairs_; }
-  std::uint64_t withdrawals() const { return withdrawals_; }
-  std::int64_t value_sum() const { return value_sum_; }
-
- private:
-  // Empty, or holding one waiting op of the named role.
-  enum class SlotState : std::uint8_t { kEmpty, kWaitInc, kWaitDec };
-  struct Slot {
-    SlotState state = SlotState::kEmpty;
-    std::uint64_t epoch = 0;
-    // Waiter continuation: runs when an opposite role catches the slot.
-    std::function<void(std::int64_t)> on_pair;
-  };
-
-  // Scans the slots from a random start for one in state `want`; returns
-  // slots_.size() when there is none.
-  std::size_t find_slot(SlotState want) {
-    const std::size_t start = static_cast<std::size_t>(
-        rng_.below(static_cast<std::uint64_t>(slots_.size())));
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      const std::size_t s = (start + i) % slots_.size();
-      if (slots_[s].state == want) return s;
-    }
-    return slots_.size();
-  }
-
-  // Back to empty with a bumped epoch, dropping the waiter's continuation.
-  static void empty_slot(Slot& slot) {
-    slot.state = SlotState::kEmpty;
-    slot.on_pair = nullptr;
-    ++slot.epoch;
-  }
-
-  // Finds a waiter in state `waiter` and pairs with it: its continuation
-  // fires exchange_ later, the slot returns to empty with a bumped epoch.
-  bool catch_partner(SlotState waiter) {
-    const std::size_t s = find_slot(waiter);
-    if (s == slots_.size()) return false;
-    Slot& slot = slots_[s];
-    const std::int64_t value = svc::elimination_pair_value(
-        slots_.size(), s, slot.epoch);
-    ++pairs_;
-    value_sum_ += value;
-    auto on_pair = std::move(slot.on_pair);
-    empty_slot(slot);
-    eng_.at(eng_.now() + exchange_,
-            [value, on_pair = std::move(on_pair)] { on_pair(value); });
-    return true;
-  }
-
-  // Deposits a waiter; schedules the withdrawal at the deposit window's
-  // end (per-role windows mirror the real inc_spins/dec_spins asymmetry:
-  // increments wait long, decrements only briefly). Returns false when
-  // every slot is occupied (fall through).
-  bool deposit(SlotState as, std::function<void(std::int64_t)> on_pair,
-               Done on_withdraw) {
-    const std::size_t s = find_slot(SlotState::kEmpty);
-    if (s == slots_.size()) return false;
-    Slot& slot = slots_[s];
-    slot.state = as;
-    slot.on_pair = std::move(on_pair);
-    const std::uint64_t epoch = slot.epoch;
-    eng_.at(eng_.now() + (as == SlotState::kWaitInc ? inc_wait_ : dec_wait_),
-            [this, s, epoch, on_withdraw = std::move(on_withdraw)] {
-              Slot& sl = slots_[s];
-              if (sl.epoch != epoch || sl.state == SlotState::kEmpty) {
-                return;  // already paired; the pairing continuation ran
-              }
-              empty_slot(sl);
-              ++withdrawals_;
-              on_withdraw();
-            });
-    return true;
-  }
-
-  Engine& eng_;
-  std::unique_ptr<CounterModel> inner_;
-  std::vector<Slot> slots_;
-  double exchange_;
-  double inc_wait_;
-  double dec_wait_;
-  util::Xoshiro256& rng_;
-  std::uint64_t pairs_ = 0;
-  std::uint64_t withdrawals_ = 0;
-  std::int64_t value_sum_ = 0;
-};
-
-// ------------------------------------------------------------ model stack
+// ------------------------------------------------------------- model pool
 
 // Every core must have completed its loop: the event queue drains only
 // when no completion is pending.
@@ -395,16 +203,13 @@ void ensure_finished(const std::vector<std::size_t>& ops_done,
   }
 }
 
-struct ModelStack {
-  std::unique_ptr<CounterModel> root;
-  // Non-owning views into the stack for stats extraction.
-  ElimModel* elim = nullptr;
-};
-
-std::unique_ptr<CounterModel> make_backend_model(svc::BackendKind kind,
-                                                 Engine& eng,
-                                                 const ModelConfig& cfg,
-                                                 util::Xoshiro256& rng) {
+// Every driver builds its pools here, so the model knobs are validated
+// once, here: a zero batch_k deposits empty chunks forever.
+std::unique_ptr<CounterModel> make_model(svc::BackendKind kind, Engine& eng,
+                                         const ModelConfig& cfg,
+                                         util::Xoshiro256& rng) {
+  CNET_REQUIRE(cfg.batch_k >= 1, "batch_k must be positive");
+  CNET_REQUIRE(cfg.wire_delay >= 0.0, "wire delay must be nonnegative");
   const auto draw = [&](double mean) {
     return ServiceDraw(mean, cfg.exponential_service, rng);
   };
@@ -420,25 +225,8 @@ std::unique_ptr<CounterModel> make_backend_model(svc::BackendKind kind,
           eng, core::make_counting(cfg.net.width_in, cfg.net.width_out),
           cfg.wire_delay, cfg.batch_k, draw(cfg.balancer_service));
   }
+  CNET_REQUIRE(false, "unknown backend kind");
   return nullptr;
-}
-
-// Every driver builds its pools here, so the model knobs are validated
-// once, here: a zero batch_k deposits empty chunks forever.
-ModelStack make_model(const svc::BackendSpec& spec, Engine& eng,
-                      const ModelConfig& cfg, util::Xoshiro256& rng) {
-  CNET_REQUIRE(cfg.batch_k >= 1, "batch_k must be positive");
-  CNET_REQUIRE(cfg.wire_delay >= 0.0, "wire delay must be nonnegative");
-  ModelStack stack;
-  stack.root = make_backend_model(spec.kind, eng, cfg, rng);
-  CNET_REQUIRE(stack.root != nullptr, "unknown backend kind");
-  if (spec.elimination) {
-    auto elim = std::make_unique<ElimModel>(
-        eng, std::move(stack.root), cfg, rng);
-    stack.elim = elim.get();
-    stack.root = std::move(elim);
-  }
-  return stack;
 }
 
 // ----------------------------------------------------- Table B closed loop
@@ -467,17 +255,18 @@ MulticoreResult run_table_b(const svc::BackendSpec& spec,
 
   Engine eng;
   util::Xoshiro256 rng(cfg.seed);
-  ModelStack old_stack = make_model(spec, eng, cfg, rng);
-  ModelStack new_stack;  // built off to the side at the stage instant
+  std::unique_ptr<CounterModel> old_pool = make_model(spec.kind, eng, cfg, rng);
+  // Built off to the side at the stage instant.
+  std::unique_ptr<CounterModel> new_pool;
 
   MulticoreResult res;
   res.initial_tokens = cfg.initial_tokens_per_core * cfg.cores;
-  old_stack.root->inject_pool_now(res.initial_tokens);
+  old_pool->inject_pool_now(res.initial_tokens);
 
   // The RCU mirror: `active` is the published pointer new ops load at
   // issue; ops already in flight on the old stack are the reader sections
   // the commit must wait out. outstanding_old counts them exactly.
-  CounterModel* active = old_stack.root.get();
+  CounterModel* active = old_pool.get();
   std::uint64_t outstanding_old = 0;
   bool staged = false;
   bool committed = false;
@@ -489,8 +278,8 @@ MulticoreResult run_table_b(const svc::BackendSpec& spec,
     // reverse — and the migration is one exact instantaneous transfer.
     committed = true;
     stage->res.respec_commit_time = eng.now();
-    stage->res.migrated_tokens = old_stack.root->drain_pool_now();
-    new_stack.root->inject_pool_now(stage->res.migrated_tokens);
+    stage->res.migrated_tokens = old_pool->drain_pool_now();
+    new_pool->inject_pool_now(stage->res.migrated_tokens);
     stage->res.config_version = 2;
   };
 
@@ -498,8 +287,8 @@ MulticoreResult run_table_b(const svc::BackendSpec& spec,
     eng.at(stage->cfg.respec_at, [&] {
       ModelConfig staged_cfg = static_cast<const ModelConfig&>(cfg);
       staged_cfg.batch_k = stage->res.staged_chunk;
-      new_stack = make_model(stage->cfg.spec_to, eng, staged_cfg, rng);
-      active = new_stack.root.get();
+      new_pool = make_model(stage->cfg.spec_to.kind, eng, staged_cfg, rng);
+      active = new_pool.get();
       staged = true;
       stage->res.respec_staged_time = eng.now();
       maybe_commit();
@@ -560,8 +349,8 @@ MulticoreResult run_table_b(const svc::BackendSpec& spec,
   res.makespan = makespan;
   res.ops_per_vtime =
       static_cast<double>(res.consume_ops) / std::max(makespan, 1e-12);
-  const CounterModel& old_root = *old_stack.root;
-  const CounterModel* new_root = new_stack.root.get();
+  const CounterModel& old_root = *old_pool;
+  const CounterModel* new_root = new_pool.get();
   const std::uint64_t new_stalls = new_root != nullptr ? new_root->stalls() : 0;
   res.stall_events = old_root.stalls() + new_stalls;
   res.final_pool =
@@ -574,11 +363,6 @@ MulticoreResult run_table_b(const svc::BackendSpec& spec,
       (!committed || old_root.pool() == 0) &&  // the retired pool stays drained
       res.consumed + static_cast<std::uint64_t>(res.final_pool) ==
           res.refilled + res.initial_tokens;
-  if (old_stack.elim != nullptr) {
-    res.elim_pairs = old_stack.elim->pairs();
-    res.elim_withdrawals = old_stack.elim->withdrawals();
-    res.elim_value_sum = old_stack.elim->value_sum();
-  }
   if (stage != nullptr) {
     stage->res.old_stalls = old_root.stalls();
     stage->res.new_stalls = new_stalls;
@@ -624,8 +408,9 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
 
   Engine eng;
   util::Xoshiro256 rng(cfg.base.seed);
-  ModelStack parent_stack = make_model(parent_spec, eng, cfg.base, rng);
-  CounterModel& parent = *parent_stack.root;
+  const std::unique_ptr<CounterModel> parent_pool =
+      make_model(parent_spec.kind, eng, cfg.base, rng);
+  CounterModel& parent = *parent_pool;
   parent.inject_pool_now(cfg.parent_initial);
 
   // Per-tenant child pools: models of the real hierarchy's child backend
@@ -635,7 +420,7 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
   children.reserve(cfg.tenants);
   for (std::size_t t = 0; t < cfg.tenants; ++t) {
     children.push_back(
-        make_backend_model(svc::kLocalPoolKind, eng, cfg.base, rng));
+        make_model(svc::kLocalPoolKind, eng, cfg.base, rng));
     children.back()->inject_pool_now(cfg.child_initial);
   }
 
@@ -727,10 +512,10 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
         }
         const std::uint64_t k = std::min(
             n, std::max<std::uint64_t>(1, n / actions.batch_divisor));
-        model->refund_n(c, k,
-                        [&, model, c, n, k, done = std::move(done)]() mutable {
-                          refund(model, c, n - k, std::move(done));
-                        });
+        model->increment_n(
+            c, k, [&, model, c, n, k, done = std::move(done)]() mutable {
+              refund(model, c, n - k, std::move(done));
+            });
       };
 
   // Returns one grant part to the level it came from, then runs `then`;
@@ -981,16 +766,6 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
 
 }  // namespace
 
-std::vector<svc::BackendSpec> multicore_sweep_specs() {
-  std::vector<svc::BackendSpec> specs;
-  for (const auto kind : svc::kAllBackendKinds) {
-    specs.push_back({kind, false});
-  }
-  specs.push_back({svc::BackendKind::kCentralAtomic, true});
-  specs.push_back({svc::BackendKind::kBatchedNetwork, true});
-  return specs;
-}
-
 MulticoreResult simulate_multicore(const svc::BackendSpec& spec,
                                    const MulticoreConfig& cfg) {
   return run_table_b(spec, cfg, nullptr);
@@ -1067,20 +842,16 @@ ReconfigSimConfig reconfig_sim_reference_config() {
   cfg.base.initial_tokens_per_core = 64;
   cfg.base.exponential_service = true;
   cfg.base.seed = 0x5EC0AD;
-  cfg.spec_to = {svc::BackendKind::kCentralAtomic, false};
+  cfg.spec_to = svc::BackendKind::kCentralAtomic;
   cfg.respec_at = 300.0;
   cfg.rechunk_divisor = 4;
   return cfg;
 }
 
 svc::BackendSpec reconfig_respec_target(const svc::BackendSpec& spec_from) {
-  switch (spec_from.kind) {
-    case svc::BackendKind::kCentralAtomic:
-    case svc::BackendKind::kCentralCas:
-      return {svc::BackendKind::kBatchedNetwork, false};
-    default:
-      return {svc::BackendKind::kCentralAtomic, false};
-  }
+  return spec_from.kind == svc::BackendKind::kBatchedNetwork
+             ? svc::BackendKind::kCentralAtomic
+             : svc::BackendKind::kBatchedNetwork;
 }
 
 ReconfigSimResult simulate_reconfig(const svc::BackendSpec& spec_from,
@@ -1163,8 +934,9 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
 
   Engine eng;
   util::Xoshiro256 rng(cfg.base.seed);
-  ModelStack parent_stack = make_model(parent_spec, eng, cfg.base, rng);
-  CounterModel& parent = *parent_stack.root;
+  const std::unique_ptr<CounterModel> parent_pool =
+      make_model(parent_spec.kind, eng, cfg.base, rng);
+  CounterModel& parent = *parent_pool;
 
   ClusterSimResult res;
   res.initial_tokens =
@@ -1254,7 +1026,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
     if (is_debt) res.debt_reconciled += r.recovered;
     touch();
     if (split.refund_parent > 0) {
-      parent.refund_n(r.tenant, split.refund_parent, [&] { touch(); });
+      parent.increment_n(r.tenant, split.refund_parent, [&] { touch(); });
     }
   };
 

@@ -1,8 +1,8 @@
 // Virtual-time multicore simulator for the service layer (the answer to
 // "Table B needs real cores"): P simulated cores drive model counterparts
 // of the svc-layer state machines through a discrete-event executor, so the
-// paper's central-vs-network scaling claims — and the elimination
-// hit-rates — become deterministic, CI-checkable numbers on a 1-vCPU box.
+// paper's central-vs-network scaling claims become deterministic,
+// CI-checkable numbers on a 1-vCPU box.
 // Same methodology as the simulation side of the study the paper cites
 // ([19,20]), on the discrete-event core sim::simulate_timed also runs on
 // (discrete_event.hpp), extended from bare token traversals up to the
@@ -18,10 +18,6 @@
 //     (des::BalancerServers, also simulate_timed's) over the real
 //     topo::Topology, tokens and antitokens traversing wires with delay;
 //     the batched backend carries up to batch_k tokens per traversal;
-//   - EliminationLayer     -> exchange slots in virtual time: a depositing
-//     op waits elim_wait before withdrawing, an opposite-role arrival
-//     pairs with it (value from svc::elimination_pair_value) and neither
-//     touches the backend;
 //   - NetTokenBucket       -> the pool count driven through
 //     svc::bucket_consume, bounded at zero at every event.
 //
@@ -65,18 +61,10 @@ struct ModelConfig {
   double wire_delay = 0.2;
   std::size_t batch_k = 64;  // tokens per batched-network traversal
 
-  // Elimination model (mirrors EliminationLayer::Config in virtual time;
-  // the per-role deposit windows mirror ElimCounter's inc_spins=512 /
-  // dec_spins=64 asymmetry).
-  std::size_t elim_slots = 8;
-  double exchange_time = 0.5;   // paired completion cost
-  double elim_inc_wait = 4.0;   // increment deposit window before withdrawal
-  double elim_dec_wait = 0.5;   // decrement deposit window
-
   // Shape of the counting network behind the network-backed kinds. Fixed
   // at C(8,24), not the host-sized default, so virtual-time results do not
   // depend on the machine that runs them.
-  svc::BackendConfig net{.width_in = 8, .width_out = 24, .elim = {}};
+  svc::BackendConfig net{.width_in = 8, .width_out = 24};
 
   bool exponential_service = false;  // exp-distributed service draws
   std::uint64_t seed = 1998;
@@ -104,13 +92,6 @@ struct MulticoreResult {
   // consumed + final_pool == refilled + initial_tokens, and no model pool
   // ever went negative — checked at every claim, reported here.
   bool conserved = false;
-
-  // Elimination model outcome (zero unless the spec has the front-end).
-  std::uint64_t elim_pairs = 0;
-  std::uint64_t elim_withdrawals = 0;
-  // Sum of the synthesized pair values (negative), from the shared
-  // svc::elimination_pair_value rule — pins model/real value agreement.
-  std::int64_t elim_value_sum = 0;
 };
 
 // One-shot simulation of `spec` under `cfg`. Deterministic: the same spec,
@@ -128,7 +109,7 @@ MulticoreResult simulate_multicore(const svc::BackendSpec& spec,
 // The borrow decisions are the same pure rules the real hierarchy runs
 // (svc::borrow_allowance / quota_settle from svc/policy.hpp), driven in
 // continuation-passing form, and releases return each grant part to the
-// level it came from through the models' probe-invisible refund path.
+// level it came from as a deposit on that level's pool model.
 struct QuotaSimConfig {
   ModelConfig base;
 
@@ -191,8 +172,7 @@ QuotaSimResult simulate_quota(const svc::BackendSpec& parent_spec,
 // The Table D′ reference workload at `cores` (8 tenants, 1 hot taking 75%
 // of the cores, fixed seed) — shared by bench_tab_quota and the sim tests
 // so the CI-gated crossover/determinism checks and the golden-seed tests
-// can never drift onto different configs (the same pattern as
-// multicore_sweep_specs).
+// can never drift onto different configs.
 QuotaSimConfig quota_sim_reference_config(std::size_t cores);
 
 // --------------------------------------------------------------- overload
@@ -211,8 +191,7 @@ QuotaSimConfig quota_sim_reference_config(std::size_t cores);
 //   - kShrinkBatch      -> release/shed refunds go back in chunks of
 //                          max(1, tokens / batch_divisor) instead of one
 //                          bulk traversal;
-//   - kForceEliminate   -> traced only: ElimModel's deposit windows are
-//                          fixed, so the tier changes nothing in the model;
+//   - kPreDegrade       -> tier 1's actions, nothing more;
 //   - kDegradePartial   -> settles run with allow_partial: a grant may
 //                          admit with fewer tokens than asked, parts
 //                          recorded exactly for release;
@@ -313,7 +292,7 @@ struct ReconfigSimConfig {
   // (staged chunk = svc::divided_chunk(base.batch_k, rechunk_divisor),
   // validated by svc::respec_safe — the same rules the live
   // NetTokenBucket::respec applies).
-  svc::BackendSpec spec_to{svc::BackendKind::kCentralAtomic, false};
+  svc::BackendSpec spec_to = svc::BackendKind::kCentralAtomic;
   double respec_at = 300.0;
   std::size_t rechunk_divisor = 4;
 };
@@ -361,12 +340,6 @@ ReconfigSimConfig reconfig_sim_reference_config();
 // direction). Both directions cross the batching boundary, which is what
 // exercises the chunk re-division.
 svc::BackendSpec reconfig_respec_target(const svc::BackendSpec& spec_from);
-
-// The Table B' sweep axis, shared by bench_tab_svc_sim and the sim tests
-// so they can never drift apart: every kind plain, plus the
-// elimination front-end on the two bookend backends (central word and
-// batched network).
-std::vector<svc::BackendSpec> multicore_sweep_specs();
 
 // ---------------------------------------------------------------- cluster
 

@@ -13,8 +13,6 @@ namespace {
 std::vector<std::unique_ptr<rt::Counter>> make_shards(
     const AdmissionConfig& cfg) {
   CNET_REQUIRE(cfg.shards > 0, "at least one shard");
-  // IDs are identities: shards never take the elimination wrapper (an
-  // eliminated increment's value is reclaimed on the spot, not unique).
   std::vector<std::unique_ptr<rt::Counter>> shards;
   shards.reserve(cfg.shards);
   for (std::size_t s = 0; s < cfg.shards; ++s) {
@@ -26,9 +24,7 @@ std::vector<std::unique_ptr<rt::Counter>> make_shards(
 }  // namespace
 
 AdmissionController::AdmissionController(const AdmissionConfig& cfg)
-    : bucket_(make_counter(BackendSpec{cfg.backend, cfg.elimination},
-                           cfg.net),
-              cfg.bucket),
+    : bucket_(make_counter(cfg.backend, cfg.net), cfg.bucket),
       ids_(make_shards(cfg), cfg.ids) {}
 
 AdmissionController::Ticket AdmissionController::admit(

@@ -22,11 +22,6 @@ struct AdmissionConfig {
   std::size_t shards = 4;
   ShardedIdAllocator::Config ids;
   NetTokenBucket::Config bucket;
-  // Places an ElimCounter in front of the bucket pool, so colliding
-  // refill/consume pairs cancel before touching the backend. Pool-only: the
-  // ID shards always run the plain `backend` kind, whose values are
-  // identities.
-  bool elimination = false;
 };
 
 class OverloadManager;
@@ -61,10 +56,10 @@ class AdmissionController {
     bucket_.refill(thread_hint, tokens);
   }
 
-  // Puts the admission path under an overload manager: the bucket (and its
-  // pool's aware layers) get the shrink/force actions, and admit() starts
-  // honoring degrade_to_partial as described above. The manager must
-  // outlive this controller; nullptr detaches.
+  // Puts the admission path under an overload manager: the bucket gets the
+  // shrink action, and admit() starts honoring degrade_to_partial as
+  // described above. The manager must outlive this controller; nullptr
+  // detaches.
   void attach_overload(const OverloadManager* manager) noexcept {
     overload_ = manager;
     bucket_.attach_overload(manager);

@@ -11,10 +11,6 @@
 
 namespace cnet::svc {
 
-namespace {
-constexpr std::string_view kElimPrefix = "elim+";
-}  // namespace
-
 const char* backend_kind_name(BackendKind kind) noexcept {
   switch (kind) {
     case BackendKind::kCentralAtomic: return "central-atomic";
@@ -32,9 +28,7 @@ std::optional<BackendKind> parse_backend_kind(std::string_view name) noexcept {
 }
 
 std::string backend_spec_name(const BackendSpec& spec) {
-  return spec.elimination
-             ? std::string(kElimPrefix) + backend_kind_name(spec.kind)
-             : std::string(backend_kind_name(spec.kind));
+  return backend_kind_name(spec.kind);
 }
 
 namespace {
@@ -50,39 +44,26 @@ std::string known_kinds_list() {
 
 ParseResult parse_backend_spec(std::string_view name) {
   ParseResult result;
-  BackendSpec spec;
-  std::string_view rest = name;
-  if (rest.substr(0, kElimPrefix.size()) == kElimPrefix) {
-    spec.elimination = true;
-    rest.remove_prefix(kElimPrefix.size());
-    if (rest.empty()) {
-      result.error = "bare \"elim+\" prefix in \"" + std::string(name) +
-                     "\": expected elim+<kind>";
-      return result;
-    }
-  }
-  const auto kind = parse_backend_kind(rest);
+  const auto kind = parse_backend_kind(name);
   if (!kind) {
     // Distinguish "right kind, junk appended" from "no such kind": the
     // former is usually a typo'd suffix worth pointing at directly.
     for (const BackendKind k : kAllBackendKinds) {
       const std::string_view kind_name = backend_kind_name(k);
-      if (rest.size() > kind_name.size() &&
-          rest.substr(0, kind_name.size()) == kind_name) {
+      if (name.size() > kind_name.size() &&
+          name.substr(0, kind_name.size()) == kind_name) {
         result.error = "trailing garbage \"" +
-                       std::string(rest.substr(kind_name.size())) +
+                       std::string(name.substr(kind_name.size())) +
                        "\" after backend kind \"" + std::string(kind_name) +
                        "\" in \"" + std::string(name) + "\"";
         return result;
       }
     }
-    result.error = "unknown backend kind \"" + std::string(rest) + "\" in \"" +
-                   std::string(name) + "\" (known: " + known_kinds_list() +
-                   "; prefix with \"elim+\" for the elimination front-end)";
+    result.error = "unknown backend kind \"" + std::string(name) +
+                   "\" (known: " + known_kinds_list() + ")";
     return result;
   }
-  spec.kind = *kind;
-  result.spec = spec;
+  result.spec = BackendSpec(*kind);
   return result;
 }
 
@@ -138,15 +119,6 @@ std::unique_ptr<rt::Counter> make_counter(BackendKind kind,
               std::to_string(cfg.width_out) + ")");
   }
   return nullptr;
-}
-
-std::unique_ptr<rt::Counter> make_counter(const BackendSpec& spec,
-                                          const BackendConfig& cfg) {
-  auto counter = make_counter(spec.kind, cfg);
-  if (spec.elimination) {
-    counter = std::make_unique<ElimCounter>(std::move(counter), cfg.elim);
-  }
-  return counter;
 }
 
 }  // namespace cnet::svc

@@ -1,9 +1,7 @@
 // Counter-backend selection for the service layer: one factory that every
 // svc consumer, bench driver, and property test goes through, so "compare
 // central vs. network" is a loop over BackendKind instead of hand-rolled
-// constructions. The factory also composes the one pool-oriented layer its
-// consumers opt into: the elimination front-end (BackendSpec::elimination
-// wraps any kind in svc::ElimCounter).
+// constructions.
 #pragma once
 
 #include <memory>
@@ -12,7 +10,7 @@
 #include <string_view>
 
 #include "cnet/runtime/counter.hpp"
-#include "cnet/svc/elimination.hpp"
+#include "cnet/util/ensure.hpp"
 #include "cnet/util/scatter.hpp"
 
 namespace cnet::svc {
@@ -43,31 +41,36 @@ inline constexpr BackendKind kLocalPoolKind = BackendKind::kCentralAtomic;
 struct BackendConfig {
   std::size_t width_in = util::counting_shape().width_in;
   std::size_t width_out = util::counting_shape().width_out;
-  // Knobs for the elimination front-end; used only where the spec asks
-  // for it.
-  ElimCounter::Config elim;
 };
 
-// A backend choice plus the composable elimination front-end: parsed from
-// specs like "batched-network" or "elim+central-atomic".
+// A parsed backend choice, e.g. "batched-network". The constructor's second
+// argument keeps `{kind, false}` initializers compiling (e2ebench's
+// quota_skew parent is one) now that a spec can no longer ask for the
+// elimination front-end; it rejects `true`. Moving e2ebench to a plain
+// BackendKind replaces BackendSpec with BackendKind and drops the
+// constructor.
 struct BackendSpec {
-  BackendKind kind = BackendKind::kBatchedNetwork;
-  bool elimination = false;
+  BackendSpec(BackendKind k = BackendKind::kBatchedNetwork,
+              bool elimination = false)
+      : kind(k) {
+    CNET_REQUIRE(!elimination, "the elimination front-end was removed");
+  }
+
+  BackendKind kind;
 };
 
 const char* backend_kind_name(BackendKind kind) noexcept;
 std::optional<BackendKind> parse_backend_kind(std::string_view name) noexcept;
 
-// "elim+<kind>" or "<kind>"; round-trips with backend_spec_name.
+// The kind's name; round-trips with parse_backend_spec.
 std::string backend_spec_name(const BackendSpec& spec);
 
 // Outcome of parsing a backend spec string: on success `spec` is set and
 // `error` empty; on failure `spec` is empty and `error` carries the
-// human-readable reason (unknown kind, bare/bad "elim+" prefix, trailing
-// garbage after a known kind) so benches and examples can report *why* a
-// --backend argument was rejected instead of silently falling back. The
-// optional-style accessors keep `if (parsed)` / `*parsed` call sites
-// reading naturally.
+// human-readable reason (unknown kind, trailing garbage after a known
+// kind) so benches and examples can report *why* a --backend argument was
+// rejected instead of silently falling back. The optional-style accessors
+// keep `if (parsed)` / `*parsed` call sites reading naturally.
 struct ParseResult {
   std::optional<BackendSpec> spec;
   std::string error;
@@ -81,8 +84,6 @@ struct ParseResult {
 ParseResult parse_backend_spec(std::string_view name);
 
 std::unique_ptr<rt::Counter> make_counter(BackendKind kind,
-                                          const BackendConfig& cfg = {});
-std::unique_ptr<rt::Counter> make_counter(const BackendSpec& spec,
                                           const BackendConfig& cfg = {});
 
 }  // namespace cnet::svc

@@ -3,24 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include "cnet/svc/elimination.hpp"
 #include "cnet/svc/overload.hpp"
 #include "cnet/svc/policy.hpp"
 #include "cnet/util/ensure.hpp"
 
 namespace cnet::svc {
-
-namespace {
-
-// The elimination front-end is the one pool layer that acts on overload
-// tiers (force_eliminate widens its pairing window).
-void attach_elim(rt::Counter* pool, const OverloadManager* manager) noexcept {
-  if (auto* elim = dynamic_cast<ElimCounter*>(pool)) {
-    elim->attach_overload(manager);
-  }
-}
-
-}  // namespace
 
 std::unique_ptr<NetTokenBucket::PoolState> NetTokenBucket::make_state(
     std::unique_ptr<rt::Counter> pool, std::size_t refill_chunk) {
@@ -53,15 +40,12 @@ std::uint64_t NetTokenBucket::consume(std::size_t thread_hint,
         // virtual-time simulator runs the identical plan against its pool
         // models). Bulk claims: central backends take the whole remainder in
         // one CAS, network backends in one antitoken traversal + block cell
-        // claims; a consume of one is the take of one, which on an
-        // ElimCounter pool deposits in the exchange slots, so lone consumes
-        // can pair with a racing batch refill. A zero return is conclusive
-        // — the pool was observably empty — and an all-or-nothing shortfall
-        // goes back through refund_n, not refill(): count-wise the same
-        // increments, but a give-back that bypasses any elimination
-        // front-end. Grab and shortfall-refund run inside one read section,
-        // so a racing respec migrates either the untouched pool or the
-        // fully settled one — never a half-refunded state.
+        // claims. A zero return is conclusive — the pool was observably
+        // empty — and an all-or-nothing shortfall goes back through
+        // refund_n in one bulk step, not refill()'s chunked passes. Grab and
+        // shortfall-refund run inside one read section, so a racing respec
+        // migrates either the untouched pool or the fully settled one —
+        // never a half-refunded state.
         return bucket_consume(
             tokens, opts,
             [&](std::uint64_t want) {
@@ -108,11 +92,7 @@ void NetTokenBucket::refund(std::size_t thread_hint, std::uint64_t tokens) {
 std::uint64_t NetTokenBucket::respec(std::size_t thread_hint, const Respec& r) {
   CNET_REQUIRE(respec_safe(r.refill_chunk),
                "staged refill_chunk must be in 1..256");
-  auto next = make_state(make_counter(r.spec, r.net), r.refill_chunk);
-  // Wire the staged pool to the attached manager *before* publish: the very
-  // first refill routed to it must already see the shrunken chunk /
-  // forced-eliminate posture, with no unattached window.
-  attach_elim(next->pool.get(), overload_);
+  auto next = make_state(make_counter(r.spec.kind, r.net), r.refill_chunk);
   return engine_.commit(
       std::move(next), [&](PoolState& old_state, PoolState& new_state) {
         // Post-quiescence: no consume/refill/refund can touch the old pool
@@ -139,11 +119,9 @@ std::uint64_t NetTokenBucket::respec(std::size_t thread_hint, const Respec& r) {
 }
 
 void NetTokenBucket::attach_overload(const OverloadManager* manager) noexcept {
-  // Not synchronized with a concurrent respec(): attach before opening the
-  // bucket to reconfiguration traffic (respec snapshots overload_ when it
-  // wires the staged pool).
+  // Not synchronized with a concurrent refill(), which reads overload_:
+  // attach before opening the bucket to traffic.
   overload_ = manager;
-  attach_elim(engine_.current().pool.get(), manager);
 }
 
 }  // namespace cnet::svc

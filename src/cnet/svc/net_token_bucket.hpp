@@ -51,7 +51,7 @@ class NetTokenBucket {
   // and the refill chunking the new configuration adopts. Validated by the
   // pure respec_safe rule before anything is constructed.
   struct Respec {
-    BackendSpec spec{BackendKind::kBatchedNetwork, false};
+    BackendSpec spec;
     BackendConfig net;
     std::size_t refill_chunk = kMaxRefillChunk;
   };
@@ -78,27 +78,25 @@ class NetTokenBucket {
                         ConsumeOptions opts = kAllOrNothing);
 
   // Adds `tokens` to the pool in ceil(tokens / chunk) value-free batch
-  // passes (fetch_increment_batch with null values): organic supply, which
-  // an elimination front-end may pair with waiting consumes.
+  // passes (fetch_increment_batch with null values): organic supply, whose
+  // chunk the overload manager's shrink-batch action divides.
   void refill(std::size_t thread_hint, std::uint64_t tokens);
 
   // Returns previously consumed tokens to the pool. Count-wise identical
   // to refill(), but routed through Counter::refund_n — one bulk step for
-  // any count, no refill_chunk batching — so give-backs (the all-or-nothing
-  // shortfall un-consume above, a QuotaHierarchy release, the constructor's
-  // initial_tokens seed) pass an elimination front-end straight to its
-  // backend instead of waiting in an exchange slot.
+  // any count, no refill_chunk batching — for give-backs: the
+  // all-or-nothing shortfall un-consume above, a QuotaHierarchy release,
+  // the constructor's initial_tokens seed.
   void refund(std::size_t thread_hint, std::uint64_t tokens);
 
   // Applies a staged pool replacement mid-traffic (ReconfigEngine commit):
-  // the new backend is built and wired to any attached overload manager,
-  // published, and — after reader quiescence — the old pool's remaining
-  // tokens are drained and re-injected into it exactly. Consumers racing
-  // the commit see tokens in one pool or the other, never both; a consume
-  // against the new pool during the drain window can transiently
-  // under-admit, never over-admit. Concurrent respecs serialize; consume/
-  // refill/refund never block. Returns the new config version. Requires
-  // respec_safe(r.refill_chunk).
+  // the new backend is built, published, and — after reader quiescence —
+  // the old pool's remaining tokens are drained and re-injected into it
+  // exactly. Consumers racing the commit see tokens in one pool or the
+  // other, never both; a consume against the new pool during the drain
+  // window can transiently under-admit, never over-admit. Concurrent
+  // respecs serialize; consume/refill/refund never block. Returns the new
+  // config version. Requires respec_safe(r.refill_chunk).
   std::uint64_t respec(std::size_t thread_hint, const Respec& r);
 
   // Version stamp: bumped once per committed respec (starts at 1).
@@ -117,9 +115,8 @@ class NetTokenBucket {
 
   // Puts the bucket under an overload manager: refills shrink their chunk
   // size by the tier's batch divisor (count-conserving — the same tokens in
-  // smaller exclusive holds), and an elimination front-end pool is
-  // attached too — including the pools a later respec() installs. The
-  // manager never changes *whether* tokens are admitted here — consume()
+  // smaller exclusive holds), on the pools a later respec() installs too.
+  // The manager never changes *whether* tokens are admitted here — consume()
   // stays exact; degrading to partial grants is the caller's
   // (AdmissionController's / QuotaHierarchy's) decision, because only the
   // caller can record the partial charge for a later exact refund. The

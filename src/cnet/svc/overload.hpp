@@ -9,8 +9,8 @@
 //
 //   tier 1  shrink-batch      refill/batch chunks divide by 4 — bounds the
 //                             latency one exclusive bulk hold can impose
-//   tier 2  force-eliminate   elimination front-ends widen their pairing
-//                             window
+//   tier 2  pre-degrade       tier 1's actions, nothing more: the band
+//                             just below degradation
 //   tier 3  degrade-partial   all-or-nothing consumes/acquires degrade to
 //                             allow_partial grants (callers are told the
 //                             exact charged amount, so conservation holds)
@@ -26,9 +26,9 @@
 // virtual time and pin the transition instants in CI.
 //
 // Conservation contract: no action ever creates or destroys tokens. Shrink
-// only re-chunks; force-eliminate only re-routes pairs; degrade admits a
-// partial grant whose exact parts the caller receives and must release;
-// shed refunds every held part to the level it was taken from. The bench's
+// only re-chunks; degrade admits a partial grant whose exact parts the
+// caller receives and must release; shed refunds every held part to the
+// level it was taken from. The bench's
 // shed-conservation check drains every pool after a full
 // escalate-shed-recover cycle and requires the exact initial totals.
 #pragma once

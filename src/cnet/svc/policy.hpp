@@ -1,10 +1,9 @@
 // Backend-independent *decision* logic of the service layer, factored out
 // of the concurrent implementations so the virtual-time multicore simulator
 // (sim::MulticoreModel) runs the exact same rules as the real machinery —
-// what value an eliminated pair agrees on, how a bucket consume grabs and
-// refunds, which overload tier a pressure reading lands in — instead of a
-// drifting reimplementation. Everything here is pure: no atomics, no time,
-// no I/O.
+// how a bucket consume grabs and refunds, which overload tier a pressure
+// reading lands in — instead of a drifting reimplementation. Everything
+// here is pure: no atomics, no time, no I/O.
 #pragma once
 
 #include <algorithm>
@@ -26,17 +25,6 @@ struct LoadWindow {
                     : static_cast<double>(events) / static_cast<double>(ops);
   }
 };
-
-// The elimination pairing name: the value both sides of a collision agree
-// on, derived from the slot index and the slot's epoch at pairing time.
-// Always negative, unique per collision, never collides with the
-// non-negative values real backends assign — so paired inc/dec cancel
-// exactly in any inc-minus-dec multiset.
-constexpr std::int64_t elimination_pair_value(std::size_t num_slots,
-                                              std::size_t slot,
-                                              std::uint64_t epoch) noexcept {
-  return -1 - static_cast<std::int64_t>(epoch * num_slots + slot);
-}
 
 // How a consume/acquire settles a short pool, as one options struct rather
 // than a bare positional bool (which read as line noise at call sites).
@@ -219,11 +207,13 @@ QuotaGrantPlan quota_acquire(std::uint64_t tokens, TakeChild&& take_child,
 // The escalation ladder. Tiers are ordered by severity and the action table
 // below is monotone — every tier keeps the interventions of the tiers under
 // it — so operators can reason in "at least" terms: a system at
-// kDegradePartial already has shrunken batches and forced elimination.
+// kDegradePartial already has shrunken batches. kPreDegrade adds no
+// intervention of its own: it keeps tier 1's actions, and it marks the
+// pressure band just below degradation.
 enum class OverloadTier : std::uint8_t {
   kNominal = 0,         // no intervention
   kShrinkBatch = 1,     // shrink batch/refill chunks (bound exclusive holds)
-  kForceEliminate = 2,  // force elimination pairing
+  kPreDegrade = 2,      // tier 1's actions; degradation is next
   kDegradePartial = 3,  // all-or-nothing consumes degrade to partial grants
   kShedTenants = 4,     // shed whole tenants by weight, refund held grants
 };
@@ -236,8 +226,8 @@ constexpr const char* overload_tier_name(OverloadTier tier) noexcept {
       return "nominal";
     case OverloadTier::kShrinkBatch:
       return "shrink-batch";
-    case OverloadTier::kForceEliminate:
-      return "force-eliminate";
+    case OverloadTier::kPreDegrade:
+      return "pre-degrade";
     case OverloadTier::kDegradePartial:
       return "degrade-partial";
     case OverloadTier::kShedTenants:
@@ -287,8 +277,6 @@ struct OverloadActions {
   // Batched refills/traversals divide their chunk size by this (floor 1):
   // smaller exclusive holds bound the latency a single batch can impose.
   std::size_t batch_divisor = 1;
-  // Force the elimination front-end to pair aggressively.
-  bool force_eliminate = false;
   // Degrade all-or-nothing consumes/acquires to allow_partial grants.
   bool degrade_to_partial = false;
   // Shed whole tenants (shed_set below) with exact refund of held grants.
@@ -300,7 +288,6 @@ inline constexpr std::size_t kOverloadBatchDivisor = 4;
 constexpr OverloadActions overload_actions(OverloadTier tier) noexcept {
   OverloadActions a;
   if (tier >= OverloadTier::kShrinkBatch) a.batch_divisor = kOverloadBatchDivisor;
-  if (tier >= OverloadTier::kForceEliminate) a.force_eliminate = true;
   if (tier >= OverloadTier::kDegradePartial) a.degrade_to_partial = true;
   if (tier >= OverloadTier::kShedTenants) a.shed_tenants = true;
   return a;

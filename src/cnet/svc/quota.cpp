@@ -31,7 +31,7 @@ std::vector<std::uint64_t> initial_weights(
 
 QuotaHierarchy::QuotaHierarchy(const Config& cfg,
                                std::vector<TenantConfig> tenants)
-    : parent_(make_counter(cfg.parent, cfg.net),
+    : parent_(make_counter(cfg.parent.kind, cfg.net),
               NetTokenBucket::Config{cfg.parent_initial_tokens,
                                      cfg.bucket.refill_chunk}),
       tenants_(tenants.size()),

@@ -1,10 +1,10 @@
 // Multi-tenant quota hierarchy over counting-network pools: each tenant
 // owns a NetTokenBucket child, and a shortfall at the child borrows from a
-// shared parent pool (any Counter backend spec, including elim+ fronts)
-// under a weighted max-borrow policy — the two-level shape real rate-limit
-// deployments run (per-tenant buckets over a shared cluster budget), and
-// exactly the workload a counting network exists for:
-// many cold tenants and a few hot ones all contending on one parent pool.
+// shared parent pool (any Counter backend kind) under a weighted
+// max-borrow policy — the two-level shape real rate-limit deployments run
+// (per-tenant buckets over a shared cluster budget), and exactly the
+// workload a counting network exists for: many cold tenants and a few hot
+// ones all contending on one parent pool.
 //
 //            ┌────────────── parent pool (shared, any spec) ─────────────┐
 //            │   borrow ≤ weighted limit   ▲ release returns the borrow  │
@@ -69,10 +69,10 @@ class QuotaHierarchy {
   };
 
   struct Config {
-    // Parent pool backend — the shared, contended structure. Any spec,
-    // including "elim+...". Each tenant's child bucket sees only its own
-    // tenant's traffic and is always a kLocalPoolKind pool.
-    BackendSpec parent{BackendKind::kBatchedNetwork, false};
+    // Parent pool backend — the shared, contended structure. Any kind.
+    // Each tenant's child bucket sees only its own tenant's traffic and is
+    // always a kLocalPoolKind pool.
+    BackendSpec parent;
     BackendConfig net;               // network shape for network kinds
     NetTokenBucket::Config bucket;   // refill chunking for every bucket
     std::uint64_t parent_initial_tokens = 0;

@@ -2,17 +2,17 @@
 //
 // Every protocol word whose interleavings the checker explores (balancer
 // states and exit cells of the network counters, the value words of the
-// central atomic and CAS counters, SlotArray tallies,
-// EliminationLayer exchange slots, ReconfigEngine reader counts and
-// active-state pointer, the quota borrow reservation, PeerCluster's
-// per-node balance and spent ledgers, CountingBarrier's epoch) is declared
-// as util::Atomic instead of std::atomic. With CNET_SCHED_CHECK off this is a
-// pure forwarding shim over std::atomic — same layout, same memory orders,
-// inline calls, zero overhead. With it on, each operation first announces
-// itself at a util::SchedPoint, making it one explorable step of the
-// controlled scheduler (see util/sched_point.hpp); the real std::atomic
-// operation then executes with its original memory order, so the checked
-// code is the shipped code, not a model of it.
+// central atomic and CAS counters, SlotArray tallies, ReconfigEngine
+// reader counts and active-state pointer, the quota borrow reservation,
+// PeerCluster's per-node balance and spent ledgers, CountingBarrier's
+// epoch) is declared as util::Atomic instead of std::atomic. With
+// CNET_SCHED_CHECK off this is a pure forwarding shim over std::atomic —
+// same layout, same memory orders, inline calls, zero overhead. With it on,
+// each operation first announces itself at a util::SchedPoint, making it
+// one explorable step of the controlled scheduler (see
+// util/sched_point.hpp); the real std::atomic operation then executes with
+// its original memory order, so the checked code is the shipped code, not
+// a model of it.
 //
 // Only the operations the tree actually uses are provided — add more
 // forwarders as call sites need them rather than pre-paving the full

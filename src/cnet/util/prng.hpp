@@ -30,8 +30,8 @@ class SplitMix64 {
 
 // xorshift64* (Marsaglia's xorshift, Vigna's * scrambler): the cheap
 // inline step for call sites where carrying a full Xoshiro256 would be
-// overkill — diffracting-tree prism choice, elimination slot probes, bench
-// mix draws. Mutates `state`, which must be seeded nonzero.
+// overkill, such as the diffracting tree's prism choice. Mutates `state`,
+// which must be seeded nonzero.
 inline constexpr std::uint64_t xorshift64_star(std::uint64_t& state) noexcept {
   state ^= state >> 12;
   state ^= state << 25;

@@ -30,7 +30,7 @@ using cnet::svc::QuotaHierarchy;
 // reservation CAS loop, the weights read section, and the commit protocol.
 std::shared_ptr<QuotaHierarchy> tiny_quota() {
   QuotaHierarchy::Config cfg;
-  cfg.parent = {BackendKind::kCentralAtomic, false};
+  cfg.parent = BackendKind::kCentralAtomic;
   cfg.parent_initial_tokens = 4;
   cfg.borrow_budget = 2;  // weights {1,1} -> limit 1 per tenant
   return std::make_shared<QuotaHierarchy>(

@@ -107,7 +107,7 @@ void consume_vs_respec_tallies(TestContext& ctx) {
   ctx.spawn([bucket, got] { got[0] = bucket->consume(0, 1); });
   ctx.spawn([bucket, got] { got[1] = bucket->consume(2, 1); });
   ctx.spawn([bucket] {
-    bucket->respec(2, {{BackendKind::kCentralAtomic, false}, {}, 1});
+    bucket->respec(2, {BackendKind::kCentralAtomic, {}, 1});
   });
   ctx.join_all();
   CNET_ENSURE(bucket->config_version() == 2, "respec did not commit");

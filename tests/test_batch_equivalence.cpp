@@ -175,10 +175,10 @@ INSTANTIATE_TEST_SUITE_P(
     test::backend_param_name);
 
 // refund_n(n) and the value-free batch fetch_increment_batch(hint, n,
-// nullptr) are each count-wise exactly n increments on every pool spec: a
+// nullptr) are each count-wise exactly n increments on every pool kind: a
 // drain from quiescence takes back exactly n, whatever bulk step the
 // backend used to add them.
-class RefundN : public ::testing::TestWithParam<BackendSpec> {};
+class RefundN : public ::testing::TestWithParam<BackendKind> {};
 
 struct BulkAdd {
   const char* name;
@@ -213,9 +213,9 @@ TEST_P(RefundN, DrainReturnsExactlyTheRefundedCount) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSpecs, RefundN,
-                         ::testing::ValuesIn(test::all_pool_backend_specs()),
-                         test::backend_spec_param_name);
+INSTANTIATE_TEST_SUITE_P(AllBackends, RefundN,
+                         ::testing::ValuesIn(kAllBackendKinds),
+                         test::backend_param_name);
 
 TEST(BatchedNetworkRefund, OneBatchPassForAnyCount) {
   // No 256-token chunking: 16384 tokens enter in one traverse_batch.

@@ -204,7 +204,7 @@ TEST(Footprint, QuotaSkewHierarchy) {
   const auto fp = warm_footprint<svc::QuotaHierarchy>(
       "quota_skew_hierarchy", [](auto& out) {
         svc::QuotaHierarchy::Config cfg;
-        cfg.parent = {svc::BackendKind::kBatchedNetwork, false};
+        cfg.parent = svc::BackendKind::kBatchedNetwork;
         cfg.borrow_budget = 64 * 8;
         std::vector<svc::QuotaHierarchy::TenantConfig> tenants(8, {0, 1});
         tenants[0].weight = 4;

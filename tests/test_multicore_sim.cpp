@@ -2,7 +2,7 @@
 // bit-deterministic from its seed — that is the whole point of answering
 // "Table B needs real cores" in virtual time — (b) shaped like the paper
 // (central wins uncontended, network wins contended), and (c) exactly
-// token-conserving for every backend spec.
+// token-conserving for every backend kind.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -29,12 +29,12 @@ MulticoreConfig small_config(std::size_t cores) {
 }
 
 TEST(MulticoreSim, GoldenSeedDeterminism) {
-  // Same seed -> identical Table B' numbers, for every spec, including the
-  // exponential-service draws and elimination pairings.
-  for (const auto& spec : multicore_sweep_specs()) {
-    const auto a = simulate_multicore(spec, small_config(8));
-    const auto b = simulate_multicore(spec, small_config(8));
-    SCOPED_TRACE(svc::backend_spec_name(spec));
+  // Same seed -> identical Table B' numbers, for every kind, including the
+  // exponential-service draws.
+  for (const svc::BackendKind kind : svc::kAllBackendKinds) {
+    const auto a = simulate_multicore(kind, small_config(8));
+    const auto b = simulate_multicore(kind, small_config(8));
+    SCOPED_TRACE(svc::backend_kind_name(kind));
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.ops_per_vtime, b.ops_per_vtime);
     EXPECT_EQ(a.consume_ops, b.consume_ops);
@@ -43,15 +43,12 @@ TEST(MulticoreSim, GoldenSeedDeterminism) {
     EXPECT_EQ(a.refilled, b.refilled);
     EXPECT_EQ(a.stall_events, b.stall_events);
     EXPECT_EQ(a.final_pool, b.final_pool);
-    EXPECT_EQ(a.elim_pairs, b.elim_pairs);
-    EXPECT_EQ(a.elim_withdrawals, b.elim_withdrawals);
-    EXPECT_EQ(a.elim_value_sum, b.elim_value_sum);
   }
 }
 
 TEST(MulticoreSim, SeedChangesTheExponentialDraws) {
   auto cfg = small_config(8);
-  const svc::BackendSpec network{svc::BackendKind::kBatchedNetwork, false};
+  constexpr auto network = svc::BackendKind::kBatchedNetwork;
   const auto a = simulate_multicore(network, cfg);
   cfg.seed ^= 0xDEAD;
   const auto b = simulate_multicore(network, cfg);
@@ -59,10 +56,10 @@ TEST(MulticoreSim, SeedChangesTheExponentialDraws) {
 }
 
 TEST(MulticoreSim, ConservesTokensForEverySpec) {
-  for (const auto& spec : multicore_sweep_specs()) {
+  for (const svc::BackendKind kind : svc::kAllBackendKinds) {
     for (const std::size_t cores : {1u, 4u, 16u}) {
-      const auto r = simulate_multicore(spec, small_config(cores));
-      SCOPED_TRACE(svc::backend_spec_name(spec) + " @ " +
+      const auto r = simulate_multicore(kind, small_config(cores));
+      SCOPED_TRACE(std::string(svc::backend_kind_name(kind)) + " @ " +
                    std::to_string(cores));
       EXPECT_TRUE(r.conserved);
       EXPECT_EQ(r.consumed + static_cast<std::uint64_t>(r.final_pool),
@@ -73,8 +70,8 @@ TEST(MulticoreSim, ConservesTokensForEverySpec) {
 }
 
 TEST(MulticoreSim, CentralNetworkCrossoverShape) {
-  const svc::BackendSpec central{svc::BackendKind::kCentralAtomic, false};
-  const svc::BackendSpec network{svc::BackendKind::kBatchedNetwork, false};
+  constexpr auto central = svc::BackendKind::kCentralAtomic;
+  constexpr auto network = svc::BackendKind::kBatchedNetwork;
   // Uncontended: the single word beats a deep network traversal.
   EXPECT_GT(simulate_multicore(central, small_config(1)).ops_per_vtime,
             simulate_multicore(network, small_config(1)).ops_per_vtime);
@@ -84,17 +81,6 @@ TEST(MulticoreSim, CentralNetworkCrossoverShape) {
             2.0 * simulate_multicore(central, small_config(32)).ops_per_vtime);
 }
 
-TEST(MulticoreSim, EliminationPairsUnderContendedMix) {
-  // Contended batched-network spec with the elimination front-end: some
-  // waiting decrements must be caught by bulk refills, and every pair
-  // value from the shared rule is negative (the value sum strictly so).
-  const auto r = simulate_multicore({svc::BackendKind::kBatchedNetwork, true},
-                                    small_config(32));
-  EXPECT_GT(r.elim_pairs, 0u);
-  EXPECT_LT(r.elim_value_sum, 0);
-  EXPECT_TRUE(r.conserved);
-}
-
 // The bench's exact Table D' workload (quota_sim_reference_config is
 // shared so the CI-gated checks and these tests cannot drift apart).
 QuotaSimConfig quota_config(std::size_t cores) {
@@ -102,10 +88,10 @@ QuotaSimConfig quota_config(std::size_t cores) {
 }
 
 TEST(QuotaSim, GoldenSeedDeterminism) {
-  for (const auto& spec : multicore_sweep_specs()) {
-    const auto a = simulate_quota(spec, quota_config(16));
-    const auto b = simulate_quota(spec, quota_config(16));
-    SCOPED_TRACE(svc::backend_spec_name(spec));
+  for (const svc::BackendKind kind : svc::kAllBackendKinds) {
+    const auto a = simulate_quota(kind, quota_config(16));
+    const auto b = simulate_quota(kind, quota_config(16));
+    SCOPED_TRACE(svc::backend_kind_name(kind));
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.goodput_per_vtime, b.goodput_per_vtime);
     EXPECT_EQ(a.acquire_ops, b.acquire_ops);
@@ -119,10 +105,10 @@ TEST(QuotaSim, GoldenSeedDeterminism) {
 }
 
 TEST(QuotaSim, ConservesAndIsolatesForEverySpec) {
-  for (const auto& spec : multicore_sweep_specs()) {
+  for (const svc::BackendKind kind : svc::kAllBackendKinds) {
     for (const std::size_t cores : {4u, 64u}) {
-      const auto r = simulate_quota(spec, quota_config(cores));
-      SCOPED_TRACE(svc::backend_spec_name(spec) + " @ " +
+      const auto r = simulate_quota(kind, quota_config(cores));
+      SCOPED_TRACE(std::string(svc::backend_kind_name(kind)) + " @ " +
                    std::to_string(cores));
       EXPECT_TRUE(r.conserved);
       EXPECT_TRUE(r.isolation);
@@ -140,7 +126,7 @@ TEST(QuotaSim, HotTenantSaturatesItsCapAtScale) {
   // 48 of 64 cores hammer tenant 0: its demand far exceeds child + cap,
   // so the weighted limit must be pinned and the overflow rejected —
   // while every cold tenant stays inside its own cap, rejection-free.
-  const auto r = simulate_quota({svc::BackendKind::kBatchedNetwork, false},
+  const auto r = simulate_quota(svc::BackendKind::kBatchedNetwork,
                                 quota_config(64));
   EXPECT_GT(r.hot_rejected, 0u);
   EXPECT_EQ(r.cold_rejected, 0u);
@@ -149,8 +135,8 @@ TEST(QuotaSim, HotTenantSaturatesItsCapAtScale) {
 }
 
 TEST(QuotaSim, ParentContentionOrderingMatchesThePaper) {
-  const svc::BackendSpec central{svc::BackendKind::kCentralAtomic, false};
-  const svc::BackendSpec network{svc::BackendKind::kBatchedNetwork, false};
+  constexpr auto central = svc::BackendKind::kCentralAtomic;
+  constexpr auto network = svc::BackendKind::kBatchedNetwork;
   // Uncontended the central parent wins; at 64 cores every hot acquire
   // funnels through the shared parent and the network parent admits more
   // grants per unit virtual time.
@@ -163,9 +149,9 @@ TEST(QuotaSim, ParentContentionOrderingMatchesThePaper) {
 TEST(OverloadSim, GoldenSeedReferenceTrace) {
   // The bench's exact Table E' reference cell, pinned golden: the virtual
   // clock makes the whole escalate→shed→recover trace a pure function of
-  // (spec, config, seed), so any drift in the engine, the quota model, or
+  // (kind, config, seed), so any drift in the engine, the quota model, or
   // the shared policy rules shows up here as an exact-value diff.
-  const auto r = simulate_overload({svc::BackendKind::kCentralAtomic, false},
+  const auto r = simulate_overload(svc::BackendKind::kCentralAtomic,
                                    overload_sim_reference_config());
   EXPECT_EQ(r.attempts, 9216u);  // 48 cores x 192 attempts
   EXPECT_EQ(r.admitted, 2654u);
@@ -191,7 +177,7 @@ TEST(OverloadSim, GoldenSeedReferenceTrace) {
   EXPECT_EQ(r.transitions[0].pressure, 1.0);
   EXPECT_EQ(r.transitions[1].time, 960.0);
   EXPECT_EQ(r.transitions[1].from, svc::OverloadTier::kShedTenants);
-  EXPECT_EQ(r.transitions[1].to, svc::OverloadTier::kForceEliminate);
+  EXPECT_EQ(r.transitions[1].to, svc::OverloadTier::kPreDegrade);
   EXPECT_NEAR(r.transitions[1].pressure, 0.72040816326530612, 1e-12);
 
   // Shedding hits only the cold weight-1 tenants (shed_set: tenant 0
@@ -207,9 +193,9 @@ TEST(OverloadSim, GoldenSeedReferenceTrace) {
 }
 
 TEST(OverloadSim, ConservesAndRecoversForEverySpec) {
-  for (const auto& spec : multicore_sweep_specs()) {
-    const auto r = simulate_overload(spec, overload_sim_reference_config());
-    SCOPED_TRACE(svc::backend_spec_name(spec));
+  for (const svc::BackendKind kind : svc::kAllBackendKinds) {
+    const auto r = simulate_overload(kind, overload_sim_reference_config());
+    SCOPED_TRACE(svc::backend_kind_name(kind));
     EXPECT_EQ(r.attempts, 9216u);
     // The reference ramp pushes every backend through the full ladder and
     // back: whatever was shed was restored, every grant part (released or
@@ -225,10 +211,10 @@ TEST(OverloadSim, ConservesAndRecoversForEverySpec) {
 }
 
 TEST(OverloadSim, GoldenSeedDeterminism) {
-  for (const auto& spec : multicore_sweep_specs()) {
-    const auto a = simulate_overload(spec, overload_sim_reference_config());
-    const auto b = simulate_overload(spec, overload_sim_reference_config());
-    SCOPED_TRACE(svc::backend_spec_name(spec));
+  for (const svc::BackendKind kind : svc::kAllBackendKinds) {
+    const auto a = simulate_overload(kind, overload_sim_reference_config());
+    const auto b = simulate_overload(kind, overload_sim_reference_config());
+    SCOPED_TRACE(svc::backend_kind_name(kind));
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.admitted, b.admitted);
     EXPECT_EQ(a.rejected, b.rejected);
@@ -254,10 +240,10 @@ ReconfigSimConfig reconfig_config(const svc::BackendSpec& spec_from) {
 }
 
 TEST(ReconfigSim, GoldenSeedDeterminism) {
-  for (const auto& spec : multicore_sweep_specs()) {
-    const auto a = simulate_reconfig(spec, reconfig_config(spec));
-    const auto b = simulate_reconfig(spec, reconfig_config(spec));
-    SCOPED_TRACE(svc::backend_spec_name(spec));
+  for (const svc::BackendKind kind : svc::kAllBackendKinds) {
+    const auto a = simulate_reconfig(kind, reconfig_config(kind));
+    const auto b = simulate_reconfig(kind, reconfig_config(kind));
+    SCOPED_TRACE(svc::backend_kind_name(kind));
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.consume_ops, b.consume_ops);
     EXPECT_EQ(a.consumed, b.consumed);
@@ -273,9 +259,9 @@ TEST(ReconfigSim, GoldenSeedDeterminism) {
 }
 
 TEST(ReconfigSim, ConservesAcrossTheCommitForEverySpec) {
-  for (const auto& spec : multicore_sweep_specs()) {
-    const auto r = simulate_reconfig(spec, reconfig_config(spec));
-    SCOPED_TRACE(svc::backend_spec_name(spec));
+  for (const svc::BackendKind kind : svc::kAllBackendKinds) {
+    const auto r = simulate_reconfig(kind, reconfig_config(kind));
+    SCOPED_TRACE(svc::backend_kind_name(kind));
     EXPECT_TRUE(r.conserved);
     EXPECT_EQ(r.consumed + static_cast<std::uint64_t>(r.final_pool),
               r.refilled + r.initial_tokens);
@@ -293,14 +279,14 @@ TEST(ReconfigSim, ConservesAcrossTheCommitForEverySpec) {
 }
 
 TEST(ReconfigSim, GoldenCommitInstants) {
-  // The quiescence instant is a pure function of (spec, config, seed): the
+  // The quiescence instant is a pure function of (kind, config, seed): the
   // commit fires exactly when the last op in flight on the old stack at
   // t = 300 completes. Pinned to the bit for the two bookend directions —
   // any drift in the engine, the drain accounting, or the staged publish
   // shows up here as an exact-value diff.
   const auto up = simulate_reconfig(
-      {svc::BackendKind::kCentralAtomic, false},
-      reconfig_config({svc::BackendKind::kCentralAtomic, false}));
+      svc::BackendKind::kCentralAtomic,
+      reconfig_config(svc::BackendKind::kCentralAtomic));
   EXPECT_DOUBLE_EQ(up.respec_commit_time, 307.26134860564667);
   EXPECT_EQ(up.migrated_tokens, 303u);
   EXPECT_EQ(up.consumed, 15905u);
@@ -308,8 +294,8 @@ TEST(ReconfigSim, GoldenCommitInstants) {
   EXPECT_DOUBLE_EQ(up.makespan, 17943.989688889873);
 
   const auto down = simulate_reconfig(
-      {svc::BackendKind::kBatchedNetwork, false},
-      reconfig_config({svc::BackendKind::kBatchedNetwork, false}));
+      svc::BackendKind::kBatchedNetwork,
+      reconfig_config(svc::BackendKind::kBatchedNetwork));
   EXPECT_DOUBLE_EQ(down.respec_commit_time, 307.69616677734183);
   EXPECT_EQ(down.migrated_tokens, 215u);
   EXPECT_EQ(down.consumed, 15872u);
@@ -323,10 +309,10 @@ TEST(ReconfigSim, IdleStageCommitsAtTheStageInstant) {
   // the commit fires at the very same instant the stage publishes — the
   // engine's "uncontended respec is instantaneous" degenerate case. The
   // whole leftover pool migrates in the one transfer.
-  const svc::BackendSpec spec{svc::BackendKind::kCentralAtomic, false};
-  ReconfigSimConfig cfg = reconfig_config(spec);
+  constexpr auto central = svc::BackendKind::kCentralAtomic;
+  ReconfigSimConfig cfg = reconfig_config(central);
   cfg.respec_at = 1e9;
-  const auto r = simulate_reconfig(spec, cfg);
+  const auto r = simulate_reconfig(central, cfg);
   EXPECT_EQ(r.config_version, 2u);
   EXPECT_DOUBLE_EQ(r.respec_staged_time, 1e9);
   EXPECT_DOUBLE_EQ(r.respec_commit_time, 1e9);
@@ -341,7 +327,7 @@ TEST(MulticoreSim, RejectsWhenThePoolRunsDry) {
   cfg.initial_tokens_per_core = 0;
   cfg.refill_every = 32;
   const auto r =
-      simulate_multicore({svc::BackendKind::kCentralAtomic, false}, cfg);
+      simulate_multicore(svc::BackendKind::kCentralAtomic, cfg);
   EXPECT_GT(r.rejected, 0u);
   EXPECT_TRUE(r.conserved);
 }
@@ -350,8 +336,8 @@ TEST(MulticoreSim, RejectsWhenThePoolRunsDry) {
 TEST(MulticoreSim, RejectsBadConfig) {
   // Each of these once hung, crashed, or ran on undefined behaviour; the
   // drivers now reject them where they take their inputs.
-  const svc::BackendSpec central{svc::BackendKind::kCentralAtomic, false};
-  const svc::BackendSpec batched{svc::BackendKind::kBatchedNetwork, false};
+  constexpr auto central = svc::BackendKind::kCentralAtomic;
+  constexpr auto batched = svc::BackendKind::kBatchedNetwork;
 
   MulticoreConfig zero_batch = small_config(2);
   zero_batch.batch_k = 0;  // deposited empty chunks forever
@@ -379,12 +365,6 @@ TEST(MulticoreSim, RejectsBadConfig) {
   nan_service.balancer_service = std::nan("");
   EXPECT_THROW(simulate_multicore(batched, nan_service),
                std::invalid_argument);
-  MulticoreConfig negative_elim = small_config(2);
-  negative_elim.exchange_time = -2.0;
-  negative_elim.elim_inc_wait = -1.0;
-  EXPECT_THROW(simulate_multicore({svc::BackendKind::kCentralAtomic, true},
-                                  negative_elim),
-               std::invalid_argument);
   ClusterSimConfig negative_think = cluster_sim_reference_config(4);
   negative_think.think_time = -5.0;
   EXPECT_THROW(simulate_cluster(batched, negative_think),
@@ -397,11 +377,11 @@ TEST(MulticoreSim, RejectsBadConfig) {
 // could pass while changing every number. These pin the values themselves
 // for the bench reference workloads: counts with EXPECT_EQ, virtual times
 // and rates with EXPECT_DOUBLE_EQ (the same split as the overload golden
-// trace above). Rows follow multicore_sweep_specs() order.
+// trace above). Rows follow svc::kAllBackendKinds order.
 
 constexpr auto kNominal = svc::OverloadTier::kNominal;
 constexpr auto kShrinkBatch = svc::OverloadTier::kShrinkBatch;
-constexpr auto kForceEliminate = svc::OverloadTier::kForceEliminate;
+constexpr auto kPreDegrade = svc::OverloadTier::kPreDegrade;
 constexpr auto kDegradePartial = svc::OverloadTier::kDegradePartial;
 constexpr auto kShedTenants = svc::OverloadTier::kShedTenants;
 
@@ -416,9 +396,6 @@ void expect_same(const MulticoreResult& got, const MulticoreResult& want) {
   EXPECT_EQ(got.stall_events, want.stall_events);
   EXPECT_EQ(got.final_pool, want.final_pool);
   EXPECT_EQ(got.conserved, want.conserved);
-  EXPECT_EQ(got.elim_pairs, want.elim_pairs);
-  EXPECT_EQ(got.elim_withdrawals, want.elim_withdrawals);
-  EXPECT_EQ(got.elim_value_sum, want.elim_value_sum);
 }
 
 void expect_same(const QuotaSimResult& got, const QuotaSimResult& want) {
@@ -528,22 +505,19 @@ MulticoreConfig table_b_config(std::size_t cores) {
 
 TEST(MulticoreSim, GoldenValuesTableBAt8Cores) {
   // {makespan, ops_per_vtime, consume_ops, consumed, rejected, refilled,
-  //  initial_tokens, stall_events, final_pool, conserved, elim_pairs,
-  //  elim_withdrawals, elim_value_sum}
+  //  initial_tokens, stall_events, final_pool, conserved}
   // clang-format off
   const MulticoreResult golden[] = {
-      {53309.08556018184, 0.30733973070132165, 16384u, 16384u, 0u, 16384u, 2048u, 112990u, 2048, true, 0u, 0u, 0},  // central-atomic
-      {78171.156945686162, 0.20959137155132182, 16384u, 16384u, 0u, 16384u, 2048u, 113669u, 2048, true, 0u, 0u, 0},  // central-cas
-      {17073.541217278547, 0.95961346222769961, 16384u, 16384u, 0u, 16384u, 2048u, 13137u, 2048, true, 0u, 0u, 0},  // batched-network
-      {48700.568888148715, 0.33642317480170231, 16384u, 16384u, 0u, 16384u, 2048u, 107698u, 2048, true, 3u, 16381u, -40997},  // elim+central-atomic
-      {18196.280003780575, 0.90040381861545082, 16384u, 16384u, 0u, 16384u, 2048u, 12745u, 2048, true, 24u, 16360u, -187578},  // elim+batched-network
+      {53309.08556018184, 0.30733973070132165, 16384u, 16384u, 0u, 16384u, 2048u, 112990u, 2048, true},  // central-atomic
+      {78171.156945686162, 0.20959137155132182, 16384u, 16384u, 0u, 16384u, 2048u, 113669u, 2048, true},  // central-cas
+      {17073.541217278547, 0.95961346222769961, 16384u, 16384u, 0u, 16384u, 2048u, 13137u, 2048, true},  // batched-network
   };
   // clang-format on
-  const auto specs = multicore_sweep_specs();
-  ASSERT_EQ(specs.size(), std::size(golden));
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE(svc::backend_spec_name(specs[i]));
-    expect_same(simulate_multicore(specs[i], table_b_config(8)), golden[i]);
+  const auto& kinds = svc::kAllBackendKinds;
+  ASSERT_EQ(std::size(kinds), std::size(golden));
+  for (std::size_t i = 0; i < std::size(kinds); ++i) {
+    SCOPED_TRACE(svc::backend_kind_name(kinds[i]));
+    expect_same(simulate_multicore(kinds[i], table_b_config(8)), golden[i]);
   }
 }
 
@@ -570,23 +544,13 @@ TEST(QuotaSim, GoldenValuesReference16) {
        {6144, 512, 512, 512, 512, 0, 0, 0},
        {16, 2, 2, 2, 2, 2, 2, 2},
        {10, 0, 0, 0, 0, 0, 0, 0}},  // batched-network
-      {10395.323751537459, 0.7880466444143609, 0.7880466444143609, 8192u, 8192u, 0u, 0u, 0u, 4875u, 3317u, 42525u, 5655u, true, true,
-       {6144, 512, 512, 512, 512, 0, 0, 0},
-       {6144, 512, 512, 512, 512, 0, 0, 0},
-       {16, 2, 2, 2, 2, 2, 2, 2},
-       {10, 0, 0, 0, 0, 0, 0, 0}},  // elim+central-atomic
-      {9012.8198289136071, 0.9089275227403999, 0.9089275227403999, 8192u, 8192u, 0u, 0u, 0u, 4431u, 3761u, 5840u, 6480u, true, true,
-       {6144, 512, 512, 512, 512, 0, 0, 0},
-       {6144, 512, 512, 512, 512, 0, 0, 0},
-       {16, 2, 2, 2, 2, 2, 2, 2},
-       {10, 0, 0, 0, 0, 0, 0, 0}},  // elim+batched-network
   };
   // clang-format on
-  const auto specs = multicore_sweep_specs();
-  ASSERT_EQ(specs.size(), std::size(golden));
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE(svc::backend_spec_name(specs[i]));
-    expect_same(simulate_quota(specs[i], quota_config(16)), golden[i]);
+  const auto& kinds = svc::kAllBackendKinds;
+  ASSERT_EQ(std::size(kinds), std::size(golden));
+  for (std::size_t i = 0; i < std::size(kinds); ++i) {
+    SCOPED_TRACE(svc::backend_kind_name(kinds[i]));
+    expect_same(simulate_quota(kinds[i], quota_config(16)), golden[i]);
   }
 }
 
@@ -601,12 +565,12 @@ TEST(OverloadSim, GoldenValuesReference) {
       {5580.1720385393346, 9216u, 2654u, 5550u, 12u, 1012u, 4u, 4u, 8u,
        kShedTenants, kNominal,
        {{128.0, kNominal, kShedTenants, 1.0},
-        {960.0, kShedTenants, kForceEliminate, 0.7204081632653061},
-        {992.0, kForceEliminate, kDegradePartial, 0.9193083573487032},
+        {960.0, kShedTenants, kPreDegrade, 0.7204081632653061},
+        {992.0, kPreDegrade, kDegradePartial, 0.9193083573487032},
         {1216.0, kDegradePartial, kShedTenants, 1.0},
         {1248.0, kShedTenants, kShrinkBatch, 0.59677419354838712},
-        {1280.0, kShrinkBatch, kForceEliminate, 0.84158415841584155},
-        {1312.0, kForceEliminate, kShedTenants, 1.0},
+        {1280.0, kShrinkBatch, kPreDegrade, 0.84158415841584155},
+        {1312.0, kPreDegrade, kShedTenants, 1.0},
         {1344.0, kShedTenants, kShrinkBatch, 0.59677419354838712},
         {1376.0, kShrinkBatch, kShedTenants, 1.0},
         {4704.0, kShedTenants, kShrinkBatch, 0.4642857142857143},
@@ -615,18 +579,18 @@ TEST(OverloadSim, GoldenValuesReference) {
        true, true, true},  // central-atomic
       {7065.3297321904911, 9216u, 2918u, 5381u, 4u, 917u, 5u, 5u, 6u,
        kShedTenants, kNominal,
-       {{128.0, kNominal, kForceEliminate, 0.75},
-        {160.0, kForceEliminate, kShedTenants, 1.0},
-        {960.0, kShedTenants, kForceEliminate, 0.6820276497695853},
-        {992.0, kForceEliminate, kDegradePartial, 0.91691394658753711},
-        {1344.0, kDegradePartial, kForceEliminate, 0.68367346938775508},
-        {1472.0, kForceEliminate, kShedTenants, 1.0},
-        {1504.0, kShedTenants, kForceEliminate, 0.61290322580645162},
-        {1536.0, kForceEliminate, kShedTenants, 1.0},
+       {{128.0, kNominal, kPreDegrade, 0.75},
+        {160.0, kPreDegrade, kShedTenants, 1.0},
+        {960.0, kShedTenants, kPreDegrade, 0.6820276497695853},
+        {992.0, kPreDegrade, kDegradePartial, 0.91691394658753711},
+        {1344.0, kDegradePartial, kPreDegrade, 0.68367346938775508},
+        {1472.0, kPreDegrade, kShedTenants, 1.0},
+        {1504.0, kShedTenants, kPreDegrade, 0.61290322580645162},
+        {1536.0, kPreDegrade, kShedTenants, 1.0},
         {1600.0, kShedTenants, kShrinkBatch, 0.59677419354838712},
         {1632.0, kShrinkBatch, kShedTenants, 1.0},
-        {1664.0, kShedTenants, kForceEliminate, 0.70180722891566261},
-        {1696.0, kForceEliminate, kShedTenants, 1.0},
+        {1664.0, kShedTenants, kPreDegrade, 0.70180722891566261},
+        {1696.0, kPreDegrade, kShedTenants, 1.0},
         {6688.0, kShedTenants, kShrinkBatch, 0.45833333333333331},
         {6720.0, kShrinkBatch, kNominal, 0.40000000000000002},
         {6752.0, kNominal, kDegradePartial, 0.9375},
@@ -637,15 +601,15 @@ TEST(OverloadSim, GoldenValuesReference) {
       {3772.3576493603341, 9216u, 3590u, 5626u, 1u, 0u, 1u, 1u, 0u,
        kShedTenants, kNominal,
        {{224.0, kNominal, kShrinkBatch, 0.53333333333333333},
-        {288.0, kShrinkBatch, kForceEliminate, 0.78125},
-        {352.0, kForceEliminate, kShedTenants, 1.0},
+        {288.0, kShrinkBatch, kPreDegrade, 0.78125},
+        {352.0, kPreDegrade, kShedTenants, 1.0},
         {480.0, kShedTenants, kDegradePartial, 0.84999999999999998},
-        {512.0, kDegradePartial, kForceEliminate, 0.68367346938775508},
-        {672.0, kForceEliminate, kDegradePartial, 0.86861313868613144},
-        {1120.0, kDegradePartial, kForceEliminate, 0.66666666666666663},
-        {1152.0, kForceEliminate, kDegradePartial, 0.89834515366430256},
-        {1408.0, kDegradePartial, kForceEliminate, 0.72222222222222221},
-        {1472.0, kForceEliminate, kShrinkBatch, 0.59677419354838712},
+        {512.0, kDegradePartial, kPreDegrade, 0.68367346938775508},
+        {672.0, kPreDegrade, kDegradePartial, 0.86861313868613144},
+        {1120.0, kDegradePartial, kPreDegrade, 0.66666666666666663},
+        {1152.0, kPreDegrade, kDegradePartial, 0.89834515366430256},
+        {1408.0, kDegradePartial, kPreDegrade, 0.72222222222222221},
+        {1472.0, kPreDegrade, kShrinkBatch, 0.59677419354838712},
         {1632.0, kShrinkBatch, kDegradePartial, 0.94047619047619047},
         {1664.0, kDegradePartial, kShrinkBatch, 0.55555555555555558},
         {1696.0, kShrinkBatch, kDegradePartial, 0.86363636363636365},
@@ -653,57 +617,13 @@ TEST(OverloadSim, GoldenValuesReference) {
         {2048.0, kShrinkBatch, kNominal, 0.39285714285714285}},
        {0, 0, 0, 0, 0, 0, 0, 0},
        true, true, true},  // batched-network
-      {4438.7779310173546, 9216u, 2433u, 5858u, 36u, 925u, 5u, 5u, 12u,
-       kShedTenants, kNominal,
-       {{96.0, kNominal, kForceEliminate, 0.75},
-        {128.0, kForceEliminate, kShedTenants, 1.0},
-        {960.0, kShedTenants, kShrinkBatch, 0.54838709677419351},
-        {992.0, kShrinkBatch, kDegradePartial, 0.8970588235294118},
-        {1152.0, kDegradePartial, kShedTenants, 0.98756218905472637},
-        {1184.0, kShedTenants, kForceEliminate, 0.62903225806451613},
-        {1280.0, kForceEliminate, kDegradePartial, 0.90175438596491231},
-        {1504.0, kDegradePartial, kShedTenants, 1.0},
-        {1536.0, kShedTenants, kShrinkBatch, 0.59677419354838712},
-        {1568.0, kShrinkBatch, kShedTenants, 1.0},
-        {1600.0, kShedTenants, kForceEliminate, 0.67045454545454541},
-        {1632.0, kForceEliminate, kShedTenants, 1.0},
-        {3680.0, kShedTenants, kDegradePartial, 0.83333333333333337},
-        {3712.0, kDegradePartial, kShrinkBatch, 0.59615384615384615},
-        {3744.0, kShrinkBatch, kForceEliminate, 0.7857142857142857},
-        {3776.0, kForceEliminate, kShrinkBatch, 0.42857142857142855},
-        {3808.0, kShrinkBatch, kNominal, 0.26190476190476192}},
-       {0, 0, 0, 0, 319, 328, 139, 139},
-       true, true, true},  // elim+central-atomic
-      {3749.4623499340782, 9216u, 3458u, 5637u, 0u, 121u, 2u, 2u, 0u,
-       kShedTenants, kNominal,
-       {{128.0, kNominal, kShrinkBatch, 0.5},
-        {160.0, kShrinkBatch, kNominal, 0.29166666666666669},
-        {224.0, kNominal, kShrinkBatch, 0.6071428571428571},
-        {256.0, kShrinkBatch, kDegradePartial, 0.93333333333333335},
-        {320.0, kDegradePartial, kShedTenants, 0.96875},
-        {512.0, kShedTenants, kForceEliminate, 0.69565217391304346},
-        {640.0, kForceEliminate, kDegradePartial, 0.89570552147239269},
-        {864.0, kDegradePartial, kShedTenants, 0.9631578947368421},
-        {960.0, kShedTenants, kForceEliminate, 0.64622641509433965},
-        {992.0, kForceEliminate, kDegradePartial, 0.86037735849056607},
-        {1408.0, kDegradePartial, kForceEliminate, 0.73936170212765961},
-        {1472.0, kForceEliminate, kShrinkBatch, 0.58064516129032262},
-        {1632.0, kShrinkBatch, kForceEliminate, 0.76056338028169013},
-        {1696.0, kForceEliminate, kDegradePartial, 0.92553191489361697},
-        {1728.0, kDegradePartial, kForceEliminate, 0.66326530612244894},
-        {1824.0, kForceEliminate, kDegradePartial, 0.86904761904761907},
-        {1888.0, kDegradePartial, kForceEliminate, 0.70930232558139539},
-        {1920.0, kForceEliminate, kShrinkBatch, 0.55952380952380953},
-        {2240.0, kShrinkBatch, kNominal, 0.32558139534883723}},
-       {0, 0, 0, 0, 120, 1, 0, 0},
-       true, true, true},  // elim+batched-network
   };
   // clang-format on
-  const auto specs = multicore_sweep_specs();
-  ASSERT_EQ(specs.size(), std::size(golden));
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE(svc::backend_spec_name(specs[i]));
-    expect_same(simulate_overload(specs[i], overload_sim_reference_config()),
+  const auto& kinds = svc::kAllBackendKinds;
+  ASSERT_EQ(std::size(kinds), std::size(golden));
+  for (std::size_t i = 0; i < std::size(kinds); ++i) {
+    SCOPED_TRACE(svc::backend_kind_name(kinds[i]));
+    expect_same(simulate_overload(kinds[i], overload_sim_reference_config()),
                 golden[i]);
   }
 }
@@ -718,24 +638,21 @@ TEST(ReconfigSim, GoldenValuesReference) {
       {17943.989688889873, 16384u, 15905u, 479u, 16384u, 512u, 300.0, 307.26134860564667, 303u, 16u, 2u, 1411u, 13552u, 991, true},  // central-atomic
       {18120.814773443228, 16384u, 15894u, 490u, 16384u, 512u, 300.0, 318.6780618295773, 370u, 16u, 2u, 953u, 13576u, 1002, true},  // central-cas
       {50688.496555901685, 16384u, 15872u, 512u, 16384u, 512u, 300.0, 307.69616677734183, 215u, 16u, 2u, 247u, 107863u, 1024, true},  // batched-network
-      {18029.732204471391, 16384u, 15894u, 490u, 16384u, 512u, 300.0, 311.25159066057097, 293u, 16u, 2u, 1403u, 13634u, 1002, true},  // elim+central-atomic
-      {48445.018804063089, 16384u, 15872u, 512u, 16384u, 512u, 300.0, 312.2042279799997, 226u, 16u, 2u, 207u, 107926u, 1024, true},  // elim+batched-network
   };
   // clang-format on
-  const auto specs = multicore_sweep_specs();
-  ASSERT_EQ(specs.size(), std::size(golden));
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE(svc::backend_spec_name(specs[i]));
-    expect_same(simulate_reconfig(specs[i], reconfig_config(specs[i])),
+  const auto& kinds = svc::kAllBackendKinds;
+  ASSERT_EQ(std::size(kinds), std::size(golden));
+  for (std::size_t i = 0; i < std::size(kinds); ++i) {
+    SCOPED_TRACE(svc::backend_kind_name(kinds[i]));
+    expect_same(simulate_reconfig(kinds[i], reconfig_config(kinds[i])),
                 golden[i]);
   }
 }
 
 // ---------------------------------------------------------------- cluster
 
-// bench_tab_dist's parent spec for Table G'.
-const svc::BackendSpec kClusterParent{svc::BackendKind::kBatchedNetwork,
-                                      false};
+// bench_tab_dist's parent kind for Table G'.
+constexpr auto kClusterParent = svc::BackendKind::kBatchedNetwork;
 
 // Short-TTL churn plus two scripted partitions, so leases expire on dark
 // nodes and their refunds escrow into debt until the heal.

@@ -37,7 +37,7 @@ std::uint64_t drain(NetTokenBucket& bucket) {
 }
 
 TEST(QuotaHierarchy, BorrowsFromTheParentOnChildShortfall) {
-  QuotaHierarchy q(base_config({BackendKind::kCentralAtomic, false}, 10, 8),
+  QuotaHierarchy q(base_config(BackendKind::kCentralAtomic, 10, 8),
                    {{.initial_tokens = 2, .weight = 1}});
   const auto grant = q.acquire(0, 0, 5);
   ASSERT_TRUE(grant.admitted);
@@ -57,7 +57,7 @@ TEST(QuotaHierarchy, RejectionRefundsEachLevelExactly) {
   // Child holds 2, borrow limit is 3, parent has plenty: a request for 7
   // cannot be covered (shortfall 5 > limit 3) and must put the child's 2
   // tokens straight back.
-  QuotaHierarchy q(base_config({BackendKind::kCentralAtomic, false}, 20, 3),
+  QuotaHierarchy q(base_config(BackendKind::kCentralAtomic, 20, 3),
                    {{.initial_tokens = 2, .weight = 1}});
   const auto grant = q.acquire(0, 0, 7);
   EXPECT_FALSE(grant.admitted);
@@ -71,7 +71,7 @@ TEST(QuotaHierarchy, ParentShortfallRefundsTheParentGrab) {
   // Limit allows the borrow but the parent pool itself is short: the
   // partial parent grab goes back to the parent, the child part to the
   // child, the reservation is fully returned.
-  QuotaHierarchy q(base_config({BackendKind::kCentralAtomic, false}, 3, 50),
+  QuotaHierarchy q(base_config(BackendKind::kCentralAtomic, 3, 50),
                    {{.initial_tokens = 1, .weight = 1}});
   const auto grant = q.acquire(0, 0, 6);  // needs 5 from a parent of 3
   EXPECT_FALSE(grant.admitted);
@@ -81,7 +81,7 @@ TEST(QuotaHierarchy, ParentShortfallRefundsTheParentGrab) {
 }
 
 TEST(QuotaHierarchy, WeightedLimitsSplitTheBudget) {
-  QuotaHierarchy q(base_config({BackendKind::kCentralAtomic, false}, 20, 12),
+  QuotaHierarchy q(base_config(BackendKind::kCentralAtomic, 20, 12),
                    {{.initial_tokens = 0, .weight = 2},
                     {.initial_tokens = 0, .weight = 1},
                     {.initial_tokens = 0, .weight = 1}});
@@ -103,7 +103,7 @@ TEST(QuotaHierarchy, WeightedLimitsSplitTheBudget) {
 }
 
 TEST(QuotaHierarchy, ZeroTokenAcquireIsAnAdmittedNoOp) {
-  QuotaHierarchy q(base_config({BackendKind::kBatchedNetwork, false}, 5, 4),
+  QuotaHierarchy q(base_config(BackendKind::kBatchedNetwork, 5, 4),
                    {{.initial_tokens = 3, .weight = 1}});
   const auto grant = q.acquire(0, 0, 0);
   EXPECT_TRUE(grant.admitted);
@@ -115,7 +115,7 @@ TEST(QuotaHierarchy, ZeroTokenAcquireIsAnAdmittedNoOp) {
 }
 
 TEST(QuotaHierarchy, RefillsAddCapacityAtTheRightLevel) {
-  QuotaHierarchy q(base_config({BackendKind::kCentralAtomic, false}, 0, 4),
+  QuotaHierarchy q(base_config(BackendKind::kCentralAtomic, 0, 4),
                    {{.initial_tokens = 0, .weight = 1}});
   EXPECT_FALSE(q.acquire(0, 0, 1).admitted);  // both levels empty
   q.refill_tenant(0, 0, 2);
@@ -131,14 +131,14 @@ TEST(QuotaHierarchy, RefillsAddCapacityAtTheRightLevel) {
 
 TEST(QuotaHierarchy, RejectsMisuse) {
   EXPECT_THROW(
-      QuotaHierarchy(base_config({BackendKind::kCentralAtomic, false}, 0, 0),
+      QuotaHierarchy(base_config(BackendKind::kCentralAtomic, 0, 0),
                      {}),
       std::invalid_argument);
   EXPECT_THROW(
-      QuotaHierarchy(base_config({BackendKind::kCentralAtomic, false}, 0, 0),
+      QuotaHierarchy(base_config(BackendKind::kCentralAtomic, 0, 0),
                      {{.initial_tokens = 0, .weight = 0}}),
       std::invalid_argument);
-  QuotaHierarchy q(base_config({BackendKind::kCentralAtomic, false}, 4, 2),
+  QuotaHierarchy q(base_config(BackendKind::kCentralAtomic, 4, 2),
                    {{.initial_tokens = 1, .weight = 1}});
   EXPECT_THROW(q.acquire(0, 7, 1), std::invalid_argument);
   QuotaHierarchy::Grant rejected;  // admitted == false
@@ -146,49 +146,45 @@ TEST(QuotaHierarchy, RejectsMisuse) {
 }
 
 TEST(QuotaHierarchy, NameReflectsTheParentSpec) {
-  auto cfg = base_config({BackendKind::kBatchedNetwork, true}, 1, 1);
+  auto cfg = base_config(BackendKind::kBatchedNetwork, 1, 1);
   const QuotaHierarchy::Config host_sized = cfg;
   cfg.net = test::shape_config({8, 24});
   QuotaHierarchy q(cfg, {{.initial_tokens = 0, .weight = 1}});
-  EXPECT_EQ(q.name(), "quota·elim·batched C(8,24)");
+  EXPECT_EQ(q.name(), "quota·batched C(8,24)");
   // A default-built parent carries the host-sized shape.
   EXPECT_EQ(QuotaHierarchy(host_sized, {{.initial_tokens = 0, .weight = 1}})
                 .name(),
-            "quota·elim·batched " + test::shape_label(util::counting_shape()));
+            "quota·batched " + test::shape_label(util::counting_shape()));
 }
 
-// Every parent backend spec (all pool kinds plain, the elimination
-// front-end on the bookends — the bench's 8-spec axis) conserves tokens
-// through a sequential acquire/release mix.
+// Every parent backend kind conserves tokens through a sequential
+// acquire/release mix.
 class QuotaParentSpecs : public ::testing::TestWithParam<BackendKind> {};
 
-TEST_P(QuotaParentSpecs, SequentialConservationPlainAndElim) {
-  for (const bool elim : {false, true}) {
-    QuotaHierarchy q(base_config({GetParam(), elim}, 12, 10),
-                     {{.initial_tokens = 2, .weight = 3},
-                      {.initial_tokens = 1, .weight = 1}});
-    std::vector<QuotaHierarchy::Grant> held;
-    util::Xoshiro256 rng(0x0D0A + static_cast<std::uint64_t>(elim));
-    for (int i = 0; i < 200; ++i) {
-      const auto tenant = static_cast<std::size_t>(rng.below(2));
-      if (!held.empty() && rng.below(2) == 0) {
-        q.release(0, held.back());
-        held.pop_back();
-      } else {
-        const auto grant =
-            q.acquire(0, tenant, 1 + rng.below(4));
-        if (grant.admitted) held.push_back(grant);
-      }
-      EXPECT_LE(q.borrowed(0), q.borrow_limit(0));
-      EXPECT_LE(q.borrowed(1), q.borrow_limit(1));
+TEST_P(QuotaParentSpecs, SequentialConservation) {
+  QuotaHierarchy q(base_config(GetParam(), 12, 10),
+                   {{.initial_tokens = 2, .weight = 3},
+                    {.initial_tokens = 1, .weight = 1}});
+  std::vector<QuotaHierarchy::Grant> held;
+  util::Xoshiro256 rng(0x0D0A);
+  for (int i = 0; i < 200; ++i) {
+    const auto tenant = static_cast<std::size_t>(rng.below(2));
+    if (!held.empty() && rng.below(2) == 0) {
+      q.release(0, held.back());
+      held.pop_back();
+    } else {
+      const auto grant = q.acquire(0, tenant, 1 + rng.below(4));
+      if (grant.admitted) held.push_back(grant);
     }
-    for (const auto& grant : held) q.release(0, grant);
-    EXPECT_EQ(q.borrowed(0), 0u);
-    EXPECT_EQ(q.borrowed(1), 0u);
-    EXPECT_EQ(drain(q.child(0)), 2u);
-    EXPECT_EQ(drain(q.child(1)), 1u);
-    EXPECT_EQ(drain(q.parent()), 12u);
+    EXPECT_LE(q.borrowed(0), q.borrow_limit(0));
+    EXPECT_LE(q.borrowed(1), q.borrow_limit(1));
   }
+  for (const auto& grant : held) q.release(0, grant);
+  EXPECT_EQ(q.borrowed(0), 0u);
+  EXPECT_EQ(q.borrowed(1), 0u);
+  EXPECT_EQ(drain(q.child(0)), 2u);
+  EXPECT_EQ(drain(q.child(1)), 1u);
+  EXPECT_EQ(drain(q.parent()), 12u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPoolBackends, QuotaParentSpecs,
@@ -205,7 +201,7 @@ TEST(QuotaHierarchy, ConcurrentMixedAcquireReleaseConservesBothLevels) {
   constexpr std::uint64_t kParentTokens = 33, kBudget = 32;
   constexpr std::uint64_t kChildTokens = 3;
   QuotaHierarchy q(
-      base_config({BackendKind::kBatchedNetwork, false}, kParentTokens,
+      base_config(BackendKind::kBatchedNetwork, kParentTokens,
                   kBudget),
       std::vector<QuotaHierarchy::TenantConfig>(
           kTenants, {.initial_tokens = kChildTokens, .weight = 1}));
@@ -250,7 +246,7 @@ TEST(QuotaHierarchy, ConcurrentMixedAcquireReleaseConservesBothLevels) {
 // reservation always finds its tokens, so the cold tenant's single-token
 // borrows never fail even while hot threads hammer the parent.
 TEST(QuotaHierarchy, HotTenantCannotStarveAColdTenant) {
-  QuotaHierarchy q(base_config({BackendKind::kBatchedNetwork, false}, 9, 8),
+  QuotaHierarchy q(base_config(BackendKind::kBatchedNetwork, 9, 8),
                    {{.initial_tokens = 0, .weight = 3},
                     {.initial_tokens = 0, .weight = 1}});
   ASSERT_GE(q.borrow_limit(1), 1u);

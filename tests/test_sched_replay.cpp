@@ -6,12 +6,14 @@
 // CNET_SCHED_CHECK seam). The exploration entry points are exercised
 // adaptively: in a seam build they run a real two-thread interleaving
 // sweep; in a normal build they must refuse loudly rather than "explore"
-// a single uninstrumented schedule and report false confidence.
+// a single uninstrumented schedule and report false confidence. The
+// livelock cases need the seam and are skipped without it.
 #include "cnet/check/explorer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "cnet/util/atomic.hpp"
 #include "cnet/util/sched_point.hpp"
@@ -94,6 +96,46 @@ TEST(Explorer, ExploreMatchesBuildFlavor) {
   const Result rr = explorer.replay(encode_schedule({}), solo);
   EXPECT_FALSE(rr.failed) << rr.message;
   EXPECT_EQ(rr.executions, 1u);
+}
+
+// A waiter that can never leave its util::sched_yield() loop: past the
+// hard step limit the explorer unwinds it and reports a replayable failure
+// instead of aborting the process.
+void expect_livelock_replays(const Body& body) {
+  if (!util::kSchedCheckEnabled) {
+    GTEST_SKIP() << "the yield seam is compiled out of this build";
+  }
+  Options opts;
+  opts.max_steps = 200;
+  opts.hard_step_limit = 200;
+  Explorer explorer(opts);
+  const Result r = explorer.explore(body);
+  ASSERT_TRUE(r.failed);
+  EXPECT_NE(r.message.find("hard_step_limit"), std::string::npos)
+      << r.message;
+  EXPECT_EQ(r.schedule.rfind("cnet-sched-v1;", 0), 0u) << r.schedule;
+  EXPECT_EQ(r.executions, 1u);
+
+  const Result rr = explorer.replay(r.schedule, body);
+  ASSERT_TRUE(rr.failed);
+  EXPECT_EQ(rr.message, r.message);
+  EXPECT_EQ(rr.failure_step, r.failure_step);
+  EXPECT_EQ(rr.schedule, r.schedule);
+}
+
+TEST(Explorer, LoneYieldSpinnerFailsWithAReplayString) {
+  expect_livelock_replays([](TestContext&) {
+    for (;;) util::sched_yield();
+  });
+}
+
+TEST(Explorer, JoinedYieldSpinnerFailsWithAReplayString) {
+  expect_livelock_replays([](TestContext& ctx) {
+    ctx.spawn([] {
+      for (;;) util::sched_yield();
+    });
+    ctx.join_all();
+  });
 }
 
 }  // namespace

@@ -5,11 +5,7 @@
 // duplicate-free prefix {0..c-1} (paper §1.4.2 net-balance semantics).
 // A second suite stresses the bounded try_fetch_decrement, whose weaker
 // contract (counts conserved, no duplicates, but not necessarily a prefix)
-// is what svc::NetTokenBucket relies on. A third suite wraps the counter in
-// the svc::ElimCounter front-end and replays the ungated mix: eliminated
-// pairs exchange synthesized values that must cancel exactly, so the same
-// conservation assertions hold with collisions happening before the
-// network.
+// is what svc::NetTokenBucket relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +16,6 @@
 
 #include "cnet/core/counting.hpp"
 #include "cnet/runtime/network_counter.hpp"
-#include "cnet/svc/elimination.hpp"
 #include "cnet/util/prng.hpp"
 
 namespace cnet::rt {
@@ -187,140 +182,6 @@ TEST(StressTryDecrement, BulkClaimsConserveCountsUnderConcurrency) {
   std::uint64_t drained = 0, grabbed = 0;
   while ((grabbed = counter.try_fetch_decrement_n(0, 5)) != 0) {
     drained += grabbed;
-  }
-  EXPECT_EQ(total_decs + drained, total_incs);
-}
-
-// --- elimination front-end -------------------------------------------------
-
-// Ungated mixed stress through svc::ElimCounter: single increments (which
-// deposit in the exchange slots), k-token batch increments (catch-only),
-// and single try-decrements (which wait briefly). Every op logs its value,
-// so eliminated pairs — which report the same synthesized negative value on
-// both sides — cancel in the inc-minus-dec multiset and the conservation
-// argument is identical to the unwrapped counter's. (The count-only stress
-// below covers bulk decrements.)
-std::vector<ThreadLog> run_elim_mixed(rt::Counter& counter,
-                                      std::size_t threads,
-                                      std::size_t ops_per_thread,
-                                      std::uint64_t seed) {
-  std::vector<ThreadLog> logs(threads);
-  {
-    std::vector<std::jthread> workers;
-    workers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        util::Xoshiro256 rng(seed + t);
-        ThreadLog& log = logs[t];
-        std::int64_t reclaimed = 0;
-        std::int64_t batch[16];
-        for (std::size_t i = 0; i < ops_per_thread; ++i) {
-          switch (rng.below(6)) {
-            case 0:
-            case 1: {  // ungated single decrement (may pair or fall through)
-              if (counter.try_fetch_decrement(t, &reclaimed)) {
-                log.decs.push_back(reclaimed);
-              }
-              break;
-            }
-            case 2:
-            case 3: {  // k-token batch increment (catch-only elimination)
-              const std::size_t k = 2 + rng.below(15);  // 2..16
-              counter.fetch_increment_batch(t, k, batch);
-              log.incs.insert(log.incs.end(), batch, batch + k);
-              break;
-            }
-            default: {  // single increment (deposits and spins)
-              log.incs.push_back(counter.fetch_increment(t));
-              break;
-            }
-          }
-        }
-      });
-    }
-  }
-  return logs;
-}
-
-TEST(StressElimination, UngatedMixConservesValueMultisetsExactly) {
-  svc::ElimCounter counter(
-      std::make_unique<NetworkCounter>(core::make_counting(8, 16),
-                                       "C(8,16)"),
-      {.layer = {.slots = 2, .max_spins = 256},
-       .inc_spins = 128,
-       .dec_spins = 128});
-  auto logs = run_elim_mixed(counter, 8, 1000, 0xE11A);
-
-  // Quiescent drain through the wrapper (no waiters left, so every claim
-  // falls through to the backing network): afterwards the outstanding
-  // multiset must be exactly empty — elimination neither minted nor leaked
-  // a single token.
-  ThreadLog drain_log;
-  std::int64_t reclaimed = 0;
-  while (counter.try_fetch_decrement(0, &reclaimed)) {
-    drain_log.decs.push_back(reclaimed);
-  }
-  logs.push_back(std::move(drain_log));
-  EXPECT_TRUE(outstanding_of(logs).empty())
-      << "drained counter still has outstanding values";
-}
-
-TEST(StressElimination, CountOnlyMixNeverOverReclaims) {
-  // The bucket-shaped workload: batch refills against bulk consumes, all
-  // catch-only or briefly-waiting, tracked purely as counts. The bound
-  // under test is the svc guarantee: successful decrements never exceed
-  // increments at the end, and a quiescent drain recovers the exact
-  // difference.
-  svc::ElimCounter counter(
-      std::make_unique<NetworkCounter>(core::make_counting(8, 24),
-                                       "C(8,24)"),
-      {.layer = {.slots = 4, .max_spins = 256},
-       .inc_spins = 64,
-       .dec_spins = 64});
-  constexpr std::size_t kThreads = 8, kOps = 1200;
-  std::vector<std::uint64_t> incs(kThreads, 0), decs(kThreads, 0);
-  {
-    std::vector<std::jthread> workers;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&, t] {
-        util::Xoshiro256 rng(0xE11B + t);
-        std::int64_t batch[8];
-        for (std::size_t i = 0; i < kOps; ++i) {
-          switch (rng.below(4)) {
-            case 0: {
-              const std::size_t k = 1 + rng.below(8);
-              counter.fetch_increment_batch(t, k, batch);
-              incs[t] += k;
-              break;
-            }
-            case 1: {
-              decs[t] += counter.try_fetch_decrement_n(t, 1 + rng.below(8));
-              break;
-            }
-            case 2: {
-              if (counter.try_fetch_decrement(t)) ++decs[t];
-              break;
-            }
-            default: {
-              (void)counter.fetch_increment(t);
-              ++incs[t];
-              break;
-            }
-          }
-        }
-      });
-    }
-  }
-  std::uint64_t total_incs = 0, total_decs = 0;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    total_incs += incs[t];
-    total_decs += decs[t];
-  }
-  ASSERT_LE(total_decs, total_incs);
-  std::uint64_t drained = 0;
-  for (std::uint64_t got;
-       (got = counter.try_fetch_decrement_n(0, 16)) != 0;) {
-    drained += got;
   }
   EXPECT_EQ(total_decs + drained, total_incs);
 }

@@ -133,16 +133,7 @@ TEST_P(BucketBackends, AllOrNothingGrabsAreMultiplesOfCost) {
   EXPECT_EQ(total + drain(bucket), 1000u);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, BucketBackends,
-                         ::testing::ValuesIn(kAllBackendKinds),
-                         test::backend_param_name);
-
-// Spec-level coverage (every pool kind, plain and elim+): the zero-token
-// contract and the shortfall-refund path must behave identically on every
-// composition the factory can produce.
-class BucketSpecs : public ::testing::TestWithParam<BackendSpec> {};
-
-TEST_P(BucketSpecs, ZeroTokenConsumeIsATrivialNoOp) {
+TEST_P(BucketBackends, ZeroTokenConsumeIsATrivialNoOp) {
   // Regression: consume(hint, 0, ...) was undefined by the bucket_consume
   // plan (AdmissionController only guards cost > 0 at its own layer). It
   // is now a defined no-op: returns 0, succeeds, and never touches the
@@ -160,7 +151,7 @@ TEST_P(BucketSpecs, ZeroTokenConsumeIsATrivialNoOp) {
   EXPECT_EQ(bucket.consume(0, 0, kPartialOk), 0u);
 }
 
-TEST_P(BucketSpecs, ShortfallRefundConservesThePool) {
+TEST_P(BucketBackends, ShortfallRefundConservesThePool) {
   // A storm of oversized all-or-nothing consumes: every call grabs the
   // partial pool and must put it back through the refund path, leaving
   // the pool bit-exact.
@@ -171,16 +162,16 @@ TEST_P(BucketSpecs, ShortfallRefundConservesThePool) {
   EXPECT_EQ(drain(bucket), 7u) << "the refund path minted or lost tokens";
 }
 
-TEST_P(BucketSpecs, LargeInitialSeedDrainsExactly) {
+TEST_P(BucketBackends, LargeInitialSeedDrainsExactly) {
   // The constructor seeds initial_tokens through refund_n in one bulk step;
-  // every composition must end up holding exactly that many.
+  // every kind must end up holding exactly that many.
   NetTokenBucket bucket(make_counter(GetParam()), {.initial_tokens = 16384});
   EXPECT_EQ(drain(bucket), 16384u);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSpecs, BucketSpecs,
-                         ::testing::ValuesIn(test::all_pool_backend_specs()),
-                         test::backend_spec_param_name);
+INSTANTIATE_TEST_SUITE_P(AllBackends, BucketBackends,
+                         ::testing::ValuesIn(kAllBackendKinds),
+                         test::backend_param_name);
 
 // A backend without take-back support: consume must degrade to "always
 // empty" rather than over-admit.

@@ -82,7 +82,7 @@ TEST(OverloadManager, CombinesMonitorsByWorstReading) {
   GaugeMonitor* high = add_gauge(mgr, "high", 100);
   low->set(20);
   high->set(75);
-  EXPECT_EQ(mgr.evaluate(), OverloadTier::kForceEliminate);
+  EXPECT_EQ(mgr.evaluate(), OverloadTier::kPreDegrade);
   EXPECT_DOUBLE_EQ(mgr.pressure(), 0.75);  // max, not mean
   EXPECT_DOUBLE_EQ(mgr.pressure_of("low"), 0.20);
   EXPECT_DOUBLE_EQ(mgr.pressure_of("high"), 0.75);
@@ -113,7 +113,7 @@ TEST(OverloadManager, WindowedMonitorFirstSampleExcludesPreAttachHistory) {
   // first sample read the *lifetime* totals as one window. Attaching a
   // monitor to a bucket with a long, stall-heavy past then reported
   // saturation pressure for activity that predated the monitor — one
-  // spurious force-eliminate/shed tier entry at attach time.
+  // spurious pre-degrade/shed tier entry at attach time.
   std::uint64_t ops = 1'000'000, events = 900'000;  // heavy pre-attach past
   WindowedRateMonitor mon(
       "late-attach", [&] { return ops; }, [&] { return events; },
@@ -137,7 +137,7 @@ TEST(OverloadManager, GaugeWithZeroCapacityReportsBinaryPressure) {
 
 TEST(OverloadManager, GovernedShedAndRestoreFollowTheTier) {
   QuotaHierarchy::Config cfg;
-  cfg.parent = {BackendKind::kCentralAtomic, false};
+  cfg.parent = BackendKind::kCentralAtomic;
   cfg.parent_initial_tokens = 8;
   cfg.borrow_budget = 8;
   QuotaHierarchy quota(cfg, {{.initial_tokens = 2, .weight = 4},
@@ -192,7 +192,7 @@ TEST(OverloadManager, DegradePartialFlowsThroughAdmissionAndQuota) {
   admission.attach_overload(&mgr);
 
   QuotaHierarchy::Config qcfg;
-  qcfg.parent = {BackendKind::kCentralAtomic, false};
+  qcfg.parent = BackendKind::kCentralAtomic;
   qcfg.parent_initial_tokens = 1;  // smaller than the borrow cap
   qcfg.borrow_budget = 4;
   QuotaHierarchy quota(qcfg, {{.initial_tokens = 2, .weight = 1}});
@@ -230,7 +230,7 @@ TEST(OverloadManager, ConcurrentEvaluatorsAndTenantsStayConserved) {
   // acquires benignly (reject-or-admit, never corrupt), and the ledger
   // must balance exactly once everything quiesces.
   QuotaHierarchy::Config cfg;
-  cfg.parent = {BackendKind::kBatchedNetwork, false};
+  cfg.parent = BackendKind::kBatchedNetwork;
   cfg.parent_initial_tokens = 24;
   cfg.borrow_budget = 16;
   QuotaHierarchy quota(cfg, {{.initial_tokens = 4, .weight = 4},

@@ -20,25 +20,6 @@ TEST(WindowPolicy, EmptyWindowRateIsZero) {
   EXPECT_DOUBLE_EQ((LoadWindow{200, 10}).event_rate(), 0.05);
 }
 
-TEST(ElimPolicy, PairValuesAreNegativeAndUniquePerCollision) {
-  // Value = -1 - (epoch * slots + slot): injective over (slot, epoch), so
-  // no two distinct collisions can agree on the same value, and never >= 0
-  // (real backends own the non-negative range).
-  constexpr std::size_t kSlots = 8;
-  std::vector<std::int64_t> seen;
-  for (std::uint64_t epoch = 0; epoch < 4; ++epoch) {
-    for (std::size_t slot = 0; slot < kSlots; ++slot) {
-      const std::int64_t v = elimination_pair_value(kSlots, slot, epoch);
-      EXPECT_LT(v, 0);
-      for (const std::int64_t prior : seen) EXPECT_NE(v, prior);
-      seen.push_back(v);
-    }
-  }
-  EXPECT_EQ(elimination_pair_value(kSlots, 0, 0), -1);
-  EXPECT_EQ(elimination_pair_value(kSlots, 7, 0), -8);
-  EXPECT_EQ(elimination_pair_value(kSlots, 0, 1), -9);
-}
-
 TEST(BucketPolicy, PartialGrabAllowed) {
   // Pool of 10 claimed through a take that hands out at most 4 per call:
   // partial mode drains all 10 across the loop.
@@ -236,7 +217,7 @@ TEST(OverloadPolicy, EscalationIsImmediate) {
   EXPECT_EQ(overload_tier(0.97, OverloadTier::kNominal, th),
             OverloadTier::kShedTenants);
   EXPECT_EQ(overload_tier(0.72, OverloadTier::kNominal, th),
-            OverloadTier::kForceEliminate);
+            OverloadTier::kPreDegrade);
   EXPECT_EQ(overload_tier(0.49, OverloadTier::kNominal, th),
             OverloadTier::kNominal);
   EXPECT_EQ(overload_tier(0.50, OverloadTier::kNominal, th),
@@ -261,27 +242,33 @@ TEST(OverloadPolicy, DescentIsHysteretic) {
   // tier 2 does keep it alive once entered.
   EXPECT_EQ(overload_tier(0.65, OverloadTier::kNominal, th),
             OverloadTier::kShrinkBatch);
-  EXPECT_EQ(overload_tier(0.65, OverloadTier::kForceEliminate, th),
-            OverloadTier::kForceEliminate);
+  EXPECT_EQ(overload_tier(0.65, OverloadTier::kPreDegrade, th),
+            OverloadTier::kPreDegrade);
 }
 
 TEST(OverloadPolicy, ActionTableIsMonotone) {
   auto prev = overload_actions(OverloadTier::kNominal);
   EXPECT_EQ(prev.batch_divisor, 1u);
-  EXPECT_FALSE(prev.force_eliminate || prev.degrade_to_partial ||
-               prev.shed_tenants);
+  EXPECT_FALSE(prev.degrade_to_partial || prev.shed_tenants);
   for (std::size_t t = 1; t < kNumOverloadTiers; ++t) {
     const auto cur = overload_actions(static_cast<OverloadTier>(t));
     EXPECT_GE(cur.batch_divisor, prev.batch_divisor) << "tier " << t;
-    EXPECT_TRUE(cur.force_eliminate || !prev.force_eliminate) << "tier " << t;
     EXPECT_TRUE(cur.degrade_to_partial || !prev.degrade_to_partial)
         << "tier " << t;
     EXPECT_TRUE(cur.shed_tenants || !prev.shed_tenants) << "tier " << t;
     prev = cur;
   }
   EXPECT_EQ(prev.batch_divisor, kOverloadBatchDivisor);
-  EXPECT_TRUE(prev.force_eliminate && prev.degrade_to_partial &&
-              prev.shed_tenants);
+  EXPECT_TRUE(prev.degrade_to_partial && prev.shed_tenants);
+}
+
+TEST(OverloadPolicy, PreDegradeKeepsTierOnesActions) {
+  const auto shrink = overload_actions(OverloadTier::kShrinkBatch);
+  const auto pre = overload_actions(OverloadTier::kPreDegrade);
+  EXPECT_EQ(pre.batch_divisor, shrink.batch_divisor);
+  EXPECT_EQ(pre.degrade_to_partial, shrink.degrade_to_partial);
+  EXPECT_EQ(pre.shed_tenants, shrink.shed_tenants);
+  EXPECT_STREQ(overload_tier_name(OverloadTier::kPreDegrade), "pre-degrade");
 }
 
 TEST(OverloadPolicy, PressureRulesClampAndTreatEmptiesAsIdle) {

@@ -106,17 +106,6 @@ TEST(ReconfigEngine, NullStagedStateThrows) {
 
 // ---------------------------------------------------- bucket live respec
 
-// Every pool spec the respec conservation sweep covers: the five kinds
-// plain, plus the elimination front over the two contended favourites
-// (mirrors the simulator's multicore_sweep_specs axis).
-std::vector<BackendSpec> respec_sweep_specs() {
-  std::vector<BackendSpec> specs;
-  for (BackendKind kind : kAllBackendKinds) specs.push_back({kind, false});
-  specs.push_back({BackendKind::kCentralAtomic, true});
-  specs.push_back({BackendKind::kBatchedNetwork, true});
-  return specs;
-}
-
 std::uint64_t drain(NetTokenBucket& bucket) {
   std::uint64_t total = 0, got = 0;
   while ((got = bucket.consume(0, 64, kPartialOk)) != 0) {
@@ -127,13 +116,13 @@ std::uint64_t drain(NetTokenBucket& bucket) {
 
 TEST(BucketRespec, MigratesTheRemainingCountExactlyAcrossEverySpec) {
   NetTokenBucket bucket(
-      make_counter(BackendSpec{BackendKind::kCentralAtomic, false}),
+      make_counter(BackendKind::kCentralAtomic),
       NetTokenBucket::Config{/*initial_tokens=*/1000, /*refill_chunk=*/64});
   ASSERT_EQ(bucket.consume(0, 300, kAllOrNothing), 300u);
   std::uint64_t version = 1;
-  for (const BackendSpec& spec : respec_sweep_specs()) {
-    EXPECT_EQ(bucket.respec(0, {spec, BackendConfig{}, 32}), ++version)
-        << backend_spec_name(spec);
+  for (const BackendKind kind : kAllBackendKinds) {
+    EXPECT_EQ(bucket.respec(0, {kind, BackendConfig{}, 32}), ++version)
+        << backend_kind_name(kind);
     EXPECT_EQ(bucket.config_version(), version);
     EXPECT_EQ(bucket.refill_chunk(), 32u);
   }
@@ -145,24 +134,24 @@ TEST(BucketRespec, MigratesTheRemainingCountExactlyAcrossEverySpec) {
 TEST(BucketRespec, RejectsAnOutOfRangeChunk) {
   NetTokenBucket bucket(make_counter(BackendKind::kCentralAtomic));
   EXPECT_THROW(bucket.respec(
-                   0, {{BackendKind::kCentralAtomic, false}, {}, 0}),
+                   0, {BackendKind::kCentralAtomic, {}, 0}),
                std::exception);
   EXPECT_THROW(
-      bucket.respec(0, {{BackendKind::kCentralAtomic, false}, {}, 257}),
+      bucket.respec(0, {BackendKind::kCentralAtomic, {}, 257}),
       std::exception);
   EXPECT_EQ(bucket.config_version(), 1u);  // nothing committed
 }
 
 TEST(BucketRespec, TelemetryNeverRegressesAcrossACommit) {
   NetTokenBucket bucket(
-      make_counter(BackendSpec{BackendKind::kBatchedNetwork, false}),
+      make_counter(BackendKind::kBatchedNetwork),
       NetTokenBucket::Config{0, 64});
   bucket.refill(0, 512);  // 8 passes of 64 through the batched network
   const std::uint64_t traversals = bucket.traversal_count();
   const std::uint64_t passes = bucket.batch_pass_count();
   EXPECT_EQ(traversals, 512u);
   EXPECT_EQ(passes, 8u);
-  bucket.respec(0, {{BackendKind::kCentralAtomic, false}, {}, 64});
+  bucket.respec(0, {BackendKind::kCentralAtomic, {}, 64});
   // Retired totals rolled up: the counts are still visible (migration may
   // add traversals on top, never subtract).
   EXPECT_GE(bucket.traversal_count(), traversals);
@@ -177,7 +166,7 @@ TEST(BucketRespec, BatchDivisorReachesTheRespeccedBackendEndToEnd) {
   // that observable: traversals / passes == the chunk that actually
   // traversed the network.
   NetTokenBucket bucket(
-      make_counter(BackendSpec{BackendKind::kBatchedNetwork, false}),
+      make_counter(BackendKind::kBatchedNetwork),
       NetTokenBucket::Config{0, 64});
   OverloadManager mgr;
   auto gauge = std::make_unique<GaugeMonitor>("script", 100);
@@ -195,7 +184,7 @@ TEST(BucketRespec, BatchDivisorReachesTheRespeccedBackendEndToEnd) {
 
   // Re-spec mid-overload: the staged pool is wired to the manager before
   // publish, so its first refill already runs divided.
-  bucket.respec(0, {{BackendKind::kBatchedNetwork, false}, {}, 64});
+  bucket.respec(0, {BackendKind::kBatchedNetwork, {}, 64});
   const std::uint64_t passes_before = bucket.batch_pass_count();
   const std::uint64_t traversals_before = bucket.traversal_count();
   bucket.refill(0, 128);
@@ -280,7 +269,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 QuotaHierarchy::Config small_quota_config() {
   QuotaHierarchy::Config cfg;
-  cfg.parent = {BackendKind::kCentralAtomic, false};
+  cfg.parent = BackendKind::kCentralAtomic;
   cfg.parent_initial_tokens = 100;
   cfg.borrow_budget = 100;
   return cfg;
@@ -353,7 +342,7 @@ TEST(QuotaReweigh, InFlightGrantsStayReleaseExactUnderAShrunkenLimit) {
 
 TEST(ReconfigHammer, BucketConservesTokensUnderConcurrentRespecs) {
   // N consume/refill threads race M stage/commit threads cycling the pool
-  // through every sweep spec. At quiescence conservation must be exact:
+  // through every backend kind. At quiescence conservation must be exact:
   // refilled == consumed + remaining, and never-over-admit held throughout
   // (each consume was bounded by a pool that only ever held real tokens).
   // Workers keep going past kRounds until a commit has been delivered, so
@@ -363,9 +352,8 @@ TEST(ReconfigHammer, BucketConservesTokensUnderConcurrentRespecs) {
   constexpr std::uint64_t kRounds = 2000;
 
   NetTokenBucket bucket(
-      make_counter(BackendSpec{BackendKind::kCentralAtomic, false}),
+      make_counter(BackendKind::kCentralAtomic),
       NetTokenBucket::Config{0, 32});
-  const auto specs = respec_sweep_specs();
   std::atomic<bool> committed{false};
   bucket.subscribe(
       [&](std::uint64_t) { committed.store(true, std::memory_order_release); });
@@ -390,9 +378,10 @@ TEST(ReconfigHammer, BucketConservesTokensUnderConcurrentRespecs) {
     threads.emplace_back([&, r] {
       std::size_t i = r;
       while (!stop.load(std::memory_order_acquire)) {
-        const BackendSpec& spec = specs[i++ % specs.size()];
+        const BackendKind kind =
+            kAllBackendKinds[i++ % std::size(kAllBackendKinds)];
         bucket.respec(kWorkers + r,
-                      {spec, BackendConfig{}, 1 + (i * 37) % 256});
+                      {kind, BackendConfig{}, 1 + (i * 37) % 256});
       }
     });
   }
@@ -422,7 +411,7 @@ TEST(ReconfigHammer, HintsSharingScatterSlotsStayExact) {
 
   util::SlotArray<1> tallies;
   NetTokenBucket bucket(
-      make_counter(BackendSpec{BackendKind::kBatchedNetwork, false}),
+      make_counter(BackendKind::kBatchedNetwork),
       NetTokenBucket::Config{kInitial, /*refill_chunk=*/16});
   std::atomic<std::uint64_t> events{0}, attempts{0}, rejects{0};
   std::atomic<std::uint64_t> consumed{0}, refilled{0};
@@ -431,7 +420,7 @@ TEST(ReconfigHammer, HintsSharingScatterSlotsStayExact) {
     threads.emplace_back([&, t] {
       for (std::uint64_t i = 0; i < kRounds; ++i) {
         if (t == 0 && i == kRounds / 2) {
-          bucket.respec(0, {{BackendKind::kCentralAtomic, false}, {}, 8});
+          bucket.respec(0, {BackendKind::kCentralAtomic, {}, 8});
         }
         for (std::size_t hint = t; hint <= top_hint; hint += kThreads) {
           tallies.add(0, hint, 1 + hint % 3);
@@ -466,7 +455,7 @@ TEST(ReconfigHammer, QuotaStaysReleaseExactUnderConcurrentReweighs) {
   constexpr std::size_t kTenants = 4;
   constexpr std::uint64_t kRounds = 1500;
   QuotaHierarchy::Config cfg;
-  cfg.parent = {BackendKind::kCentralAtomic, false};
+  cfg.parent = BackendKind::kCentralAtomic;
   cfg.parent_initial_tokens = 200;
   cfg.borrow_budget = 120;
   QuotaHierarchy quota(cfg, {{.initial_tokens = 10, .weight = 4},

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "cnet/svc/backend.hpp"
 #include "cnet/util/scatter.hpp"
@@ -23,33 +22,12 @@ inline std::string backend_param_name(
   return name;
 }
 
-// Same for full backend specs ("elim_central_atomic", ...).
-inline std::string backend_spec_param_name(
-    const ::testing::TestParamInfo<svc::BackendSpec>& pinfo) {
-  std::string name = svc::backend_spec_name(pinfo.param);
-  std::replace(name.begin(), name.end(), '-', '_');
-  std::replace(name.begin(), name.end(), '+', '_');
-  return name;
-}
-
-// Every kind plain and behind the elimination front-end — the axis for
-// suites that must cover "all backends including elim+".
-inline std::vector<svc::BackendSpec> all_pool_backend_specs() {
-  std::vector<svc::BackendSpec> specs;
-  for (const svc::BackendKind kind : svc::kAllBackendKinds) {
-    specs.push_back({kind, false});
-    specs.push_back({kind, true});
-  }
-  return specs;
-}
-
 // Every shape util::counting_shape_for can pick, C(w, w·lg w) for w = 2, 4
 // and 8, so each host covers the shapes every other host builds.
 inline constexpr util::CountingShape kRuleShapes[] = {{2, 2}, {4, 8}, {8, 24}};
 
 inline svc::BackendConfig shape_config(util::CountingShape shape) {
-  return {.width_in = shape.width_in, .width_out = shape.width_out,
-          .elim = {}};
+  return {.width_in = shape.width_in, .width_out = shape.width_out};
 }
 
 // gtest-safe suffix ("C4_8", ...) for suites parameterized over shapes.
