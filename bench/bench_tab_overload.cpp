@@ -1,13 +1,12 @@
-// The overload manager's tiered ladder, live and in virtual time — the
-// graceful-shedding subsystem ISSUE 6 builds over the counting-network
-// service layer.
+// The overload manager's tiered ladder, live and in virtual time, over the
+// counting-network service layer.
 //
 // Table E — svc::OverloadManager over a real AdmissionController and
 //           QuotaHierarchy: a scripted GaugeMonitor ramps pressure
 //           0 → 0.97 → 0 and every tier's actuation is verified in place —
-//           tier 1 publishes the batch divisor, tier 3 degrades both the
+//           tier 1 publishes the batch divisor, tier 2 degrades both the
 //           admission charge (Ticket::charged < cost) and the quota grant
-//           (parts < asked, recorded exactly), tier 4 sheds the
+//           (parts < asked, recorded exactly), tier 3 sheds the
 //           lowest-weight tenants (policy shed_set) while held grants stay
 //           releasable, and the descent restores them under hysteresis.
 //           The cell ends with an exact-drain conservation audit.
@@ -21,9 +20,9 @@
 //       hysteretic expectation, and history() records exactly the expected
 //       transitions in order;
 //   E:degrade[kind]      — nominal admission stays all-or-nothing; under
-//       tier 3 the short pool admits partially with the exact charge and
+//       tier 2 the short pool admits partially with the exact charge and
 //       grant parts reported;
-//   E:shed_restore[kind] — tier 4 sheds exactly shed_set's pick, shed
+//   E:shed_restore[kind] — tier 3 sheds exactly shed_set's pick, shed
 //       acquires reject without touching pools, unshed tenants still
 //       admit, and the descent restores everyone;
 //   E:conservation[kind] — after releasing every grant and refunding every
@@ -39,11 +38,12 @@
 //   overload_sim_conservation / overload_sim_recovered — the model mirror,
 //       for every backend kind;
 //   overload_sim_full_ladder    — the reference workload drives the
-//       central-word parent through the complete ladder: peak tier 4,
+//       central-word parent through the complete ladder: peak tier 3,
 //       genuinely short (degraded) grants, and shed-time force-refunds;
 //   overload_sim_determinism    — a re-run with the same seed reproduces
 //       the headline cell bit-identically, transition instants included.
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,9 +63,9 @@ using namespace cnet;
 
 // The scripted pressure ramp (gauge value out of 100) and the tier the
 // hysteretic rule must be in after evaluating each step. The descent
-// values sit inside the hysteresis bands: 0.80 releases tier 4 (<= 0.85)
-// but holds tier 3 (> 0.75), 0.55 holds tier 1 (> 0.40) after tiers 3 and
-// 2 let go.
+// values sit inside the hysteresis bands: 0.80 releases tier 3 (<= 0.85)
+// but holds tier 2 (> 0.75), 0.55 holds tier 1 (> 0.40) after tier 2 lets
+// go.
 struct ScriptStep {
   std::uint64_t gauge;
   svc::OverloadTier expect;
@@ -73,7 +73,6 @@ struct ScriptStep {
 constexpr ScriptStep kScript[] = {
     {0, svc::OverloadTier::kNominal},
     {55, svc::OverloadTier::kShrinkBatch},
-    {75, svc::OverloadTier::kPreDegrade},
     {88, svc::OverloadTier::kDegradePartial},
     {97, svc::OverloadTier::kShedTenants},
     {80, svc::OverloadTier::kDegradePartial},
@@ -100,7 +99,7 @@ struct LiveCellResult {
   bool conserved = false;          // exact drain after the full cycle
   std::uint64_t quota_granted = 0; // degraded grant tokens (of kQuotaAsk)
   std::uint64_t admit_charged = 0; // degraded ticket charge (of kAdmitCost)
-  std::vector<std::size_t> shed;   // tenants shed at tier 4
+  std::vector<std::size_t> shed;   // tenants shed at tier 3
 };
 
 // One Table E cell: a hierarchy (4 tenants, weights {4,2,1,1}) and an
@@ -174,7 +173,7 @@ LiveCellResult run_live_cell(svc::BackendKind kind) {
                           svc::kOverloadBatchDivisor;
     } else if (step.expect == svc::OverloadTier::kDegradePartial &&
                !degraded_grant.admitted) {
-      // Tier 3, on the way up: both degrade paths produce exact partials.
+      // Tier 2, on the way up: both degrade paths produce exact partials.
       // Quota: child has 2, the weight-2 tenant reserves its full cap of 2
       // but the parent pool holds only 1 — an ask of 4 admits with exactly
       // 3, parts recorded, and the unused headroom is unreserved so the
@@ -191,7 +190,7 @@ LiveCellResult run_live_cell(svc::BackendKind kind) {
       res.degrade_ok = res.degrade_ok && degraded_ticket.admitted &&
                        degraded_ticket.charged == kAdmitPool;
     } else if (step.expect == svc::OverloadTier::kShedTenants) {
-      // Tier 4: shed_set over weights {4,2,1,1} at fraction 0.25 sheds
+      // Tier 3: shed_set over weights {4,2,1,1} at fraction 0.25 sheds
       // weight 2 of 8 — the two weight-1 tenants, highest index first,
       // reported ascending.
       res.shed = manager.shed_tenants();
@@ -207,8 +206,8 @@ LiveCellResult run_live_cell(svc::BackendKind kind) {
       res.shed_ok = res.shed_ok && alive.admitted;
       if (alive.admitted) hierarchy.release(0, alive);
     } else if (step.gauge == 80) {
-      // Descent out of tier 4: the restore fired and the tenant admits
-      // again (tier 3 is still degrade, so a 1-token ask in a live child
+      // Descent out of tier 3: the restore fired and the tenant admits
+      // again (tier 2 is still degrade, so a 1-token ask in a live child
       // is an exact full grant either way).
       res.shed_ok = res.shed_ok && manager.shed_tenants().empty() &&
                     !hierarchy.is_shed(2) && !hierarchy.is_shed(3);
@@ -222,13 +221,14 @@ LiveCellResult run_live_cell(svc::BackendKind kind) {
   const auto history = manager.history();
   const svc::OverloadTier expected_path[] = {
       svc::OverloadTier::kNominal,        svc::OverloadTier::kShrinkBatch,
-      svc::OverloadTier::kPreDegrade, svc::OverloadTier::kDegradePartial,
-      svc::OverloadTier::kShedTenants,    svc::OverloadTier::kDegradePartial,
-      svc::OverloadTier::kShrinkBatch,    svc::OverloadTier::kNominal,
+      svc::OverloadTier::kDegradePartial, svc::OverloadTier::kShedTenants,
+      svc::OverloadTier::kDegradePartial, svc::OverloadTier::kShrinkBatch,
+      svc::OverloadTier::kNominal,
   };
-  res.ladder_ok = res.ladder_ok && history.size() == 7;
-  if (history.size() == 7) {
-    for (std::size_t i = 0; i < 7; ++i) {
+  constexpr std::size_t kChanges = std::size(expected_path) - 1;
+  res.ladder_ok = res.ladder_ok && history.size() == kChanges;
+  if (history.size() == kChanges) {
+    for (std::size_t i = 0; i < kChanges; ++i) {
       res.ladder_ok = res.ladder_ok &&
                       history[i].from == expected_path[i] &&
                       history[i].to == expected_path[i + 1];
@@ -328,9 +328,9 @@ int main(int argc, char** argv) {
     bench::emit(table, opts);
     bench::note(
         "\nthe scripted gauge walks pressure 0 -> 0.97 -> 0; every backend\n"
-        "must ride the same hysteretic ladder 0-1-2-3-4-3-1-0, degrade to\n"
-        "exact partial charges at tier 3, shed the two weight-1 tenants at\n"
-        "tier 4, and drain back to its exact initial pools afterwards.",
+        "must ride the same hysteretic ladder 0-1-2-3-2-1-0, degrade to\n"
+        "exact partial charges at tier 2, shed the two weight-1 tenants at\n"
+        "tier 3, and drain back to its exact initial pools afterwards.",
         opts);
   }
 

@@ -285,12 +285,12 @@ int main(int argc, char** argv) {
     bool all_conserved = true;
     for (const svc::BackendKind kind : svc::kAllBackendKinds) {
       sim::ReconfigSimConfig cfg = sim::reconfig_sim_reference_config();
-      cfg.spec_to = sim::reconfig_respec_target(kind);
+      cfg.kind_to = sim::reconfig_respec_target(kind);
       const auto r = sim::simulate_reconfig(kind, cfg);
       all_conserved = all_conserved && r.conserved &&
                       r.config_version == 2 && r.migrated_tokens > 0;
       table.add_row(
-          {svc::backend_kind_name(kind), svc::backend_spec_name(cfg.spec_to),
+          {svc::backend_kind_name(kind), svc::backend_kind_name(cfg.kind_to),
            util::fmt_double(r.respec_staged_time, 1),
            util::fmt_double(r.respec_commit_time, 2),
            util::fmt_int(static_cast<std::int64_t>(r.migrated_tokens)),
@@ -309,7 +309,7 @@ int main(int argc, char** argv) {
 
     constexpr auto headline = svc::BackendKind::kBatchedNetwork;
     sim::ReconfigSimConfig cfg = sim::reconfig_sim_reference_config();
-    cfg.spec_to = sim::reconfig_respec_target(headline);
+    cfg.kind_to = sim::reconfig_respec_target(headline);
     const auto first = sim::simulate_reconfig(headline, cfg);
     const auto again = sim::simulate_reconfig(headline, cfg);
     const bool identical =

@@ -29,14 +29,14 @@ int main(int argc, char** argv) {
   const std::size_t hot_extra =
       argc > 3 ? static_cast<std::size_t>(std::atoll(argv[3])) : 4;
 
-  const auto spec = cnet::svc::parse_backend_spec(backend_name);
-  if (!spec) {
+  const auto parsed = cnet::svc::parse_backend_kind(backend_name);
+  if (!parsed.kind) {
     std::fprintf(stderr, "bad backend \"%s\": %s\n", backend_name,
-                 spec.error.c_str());
+                 parsed.error.c_str());
   }
-  if (!spec || tenants < 2 || tenants > 128 || hot_extra > 64) {
+  if (!parsed.kind || tenants < 2 || tenants > 128 || hot_extra > 64) {
     std::fprintf(stderr,
-                 "usage: multi_tenant_gate [<backend-spec>] "
+                 "usage: multi_tenant_gate [<backend-kind>] "
                  "[2<=tenants<=128] [hot-extra<=64]\n");
     return 2;
   }
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   // tenant, capacity one above it (the isolation sizing rule), split by
   // weight: tenant 0 carries 1 + hot_extra, everyone else 1.
   cnet::svc::QuotaHierarchy::Config cfg;
-  cfg.parent = *spec;
+  cfg.parent = *parsed.kind;
   cfg.borrow_budget = 2 * tenants;
   cfg.parent_initial_tokens = cfg.borrow_budget + 1;
   std::vector<cnet::svc::QuotaHierarchy::TenantConfig> tenant_cfgs(tenants);

@@ -28,20 +28,20 @@ int main(int argc, char** argv) {
       argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 5;
   const double rate = argc > 3 ? std::atof(argv[3]) : 100000.0;
 
-  const auto spec = cnet::svc::parse_backend_spec(backend_name);
-  if (!spec) {
+  const auto parsed = cnet::svc::parse_backend_kind(backend_name);
+  if (!parsed.kind) {
     std::fprintf(stderr, "bad backend \"%s\": %s\n", backend_name,
-                 spec.error.c_str());
+                 parsed.error.c_str());
   }
-  if (!spec || threads < 2 || threads > 256 || rate < 1.0) {
+  if (!parsed.kind || threads < 2 || threads > 256 || rate < 1.0) {
     std::fprintf(stderr,
-                 "usage: rate_gate [<backend-spec>] [threads>=2] "
+                 "usage: rate_gate [<backend-kind>] [threads>=2] "
                  "[rate>=1]\n");
     return 2;
   }
 
   cnet::svc::AdmissionConfig cfg;
-  cfg.backend = spec->kind;
+  cfg.backend = *parsed.kind;
   cfg.shards = 4;
   cfg.ids.max_threads = threads;
   cnet::svc::AdmissionController gate(cfg);

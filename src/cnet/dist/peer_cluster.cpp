@@ -17,7 +17,7 @@ PeerCluster::PeerCluster(Topology topo, const ClusterConfig& cfg)
   const std::size_t n = topo_.num_nodes();
 
   svc::QuotaHierarchy::Config qcfg;
-  qcfg.parent = cfg.parent_spec;
+  qcfg.parent = cfg.parent_kind;
   qcfg.net = cfg.net;
   qcfg.bucket.refill_chunk = cfg.refill_chunk;
   qcfg.parent_initial_tokens = cfg.parent_initial;

@@ -64,7 +64,7 @@ struct ClusterConfig {
   // The global hierarchy: per-node lease accounts (children) over the
   // shared cluster budget (parent). Any backend kind for the parent, the
   // contended structure.
-  svc::BackendSpec parent_spec;
+  svc::BackendKind parent_kind = svc::BackendKind::kBatchedNetwork;
   svc::BackendConfig net;
   std::uint64_t parent_initial = 4096;
   std::uint64_t node_account_initial = 256;  // per-node child pool

@@ -78,8 +78,9 @@ class Counter {
 
   virtual std::string name() const = 0;
 
-  // Total observed contention events (CAS retries / lock waits), if the
-  // implementation tracks them; 0 otherwise.
+  // Total observed contention events (failed CAS attempts on a balancer,
+  // an exit cell or the central word), if the implementation tracks them;
+  // 0 otherwise.
   virtual std::uint64_t stall_count() const { return 0; }
 
   // Total tokens and antitokens that entered the backing structure: k per

@@ -246,7 +246,7 @@ struct Stage {
 // (the event-driven mirror of the engine's reader-quiescence wait) and
 // migrates the old pool's remainder in one exact transfer. Without a stage
 // every op runs on the one stack.
-MulticoreResult run_table_b(const svc::BackendSpec& spec,
+MulticoreResult run_table_b(svc::BackendKind kind,
                             const MulticoreConfig& cfg, Stage* stage) {
   CNET_REQUIRE(cfg.cores >= 1, "need at least one simulated core");
   CNET_REQUIRE(cfg.ops_per_core >= 1, "need at least one op per core");
@@ -255,7 +255,7 @@ MulticoreResult run_table_b(const svc::BackendSpec& spec,
 
   Engine eng;
   util::Xoshiro256 rng(cfg.seed);
-  std::unique_ptr<CounterModel> old_pool = make_model(spec.kind, eng, cfg, rng);
+  std::unique_ptr<CounterModel> old_pool = make_model(kind, eng, cfg, rng);
   // Built off to the side at the stage instant.
   std::unique_ptr<CounterModel> new_pool;
 
@@ -287,7 +287,7 @@ MulticoreResult run_table_b(const svc::BackendSpec& spec,
     eng.at(stage->cfg.respec_at, [&] {
       ModelConfig staged_cfg = static_cast<const ModelConfig&>(cfg);
       staged_cfg.batch_k = stage->res.staged_chunk;
-      new_pool = make_model(stage->cfg.spec_to.kind, eng, staged_cfg, rng);
+      new_pool = make_model(stage->cfg.kind_to, eng, staged_cfg, rng);
       active = new_pool.get();
       staged = true;
       stage->res.respec_staged_time = eng.now();
@@ -389,7 +389,7 @@ struct Manager {
 // mirror of QuotaHierarchy::attach_overload) cores enter staggered and a
 // periodic sampler plays OverloadManager::evaluate, whose tier the loop
 // reads at its decision points; without one the tier stays nominal.
-QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
+QuotaSimResult run_tenants(svc::BackendKind parent_kind,
                            const QuotaSimConfig& cfg, Manager* mgr) {
   CNET_REQUIRE(cfg.cores >= 1, "need at least one simulated core");
   CNET_REQUIRE(cfg.tenants >= 1, "need at least one tenant");
@@ -409,7 +409,7 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
   Engine eng;
   util::Xoshiro256 rng(cfg.base.seed);
   const std::unique_ptr<CounterModel> parent_pool =
-      make_model(parent_spec.kind, eng, cfg.base, rng);
+      make_model(parent_kind, eng, cfg.base, rng);
   CounterModel& parent = *parent_pool;
   parent.inject_pool_now(cfg.parent_initial);
 
@@ -766,9 +766,9 @@ QuotaSimResult run_tenants(const svc::BackendSpec& parent_spec,
 
 }  // namespace
 
-MulticoreResult simulate_multicore(const svc::BackendSpec& spec,
+MulticoreResult simulate_multicore(svc::BackendKind kind,
                                    const MulticoreConfig& cfg) {
-  return run_table_b(spec, cfg, nullptr);
+  return run_table_b(kind, cfg, nullptr);
 }
 
 QuotaSimConfig quota_sim_reference_config(std::size_t cores) {
@@ -783,9 +783,9 @@ QuotaSimConfig quota_sim_reference_config(std::size_t cores) {
   return cfg;
 }
 
-QuotaSimResult simulate_quota(const svc::BackendSpec& parent_spec,
+QuotaSimResult simulate_quota(svc::BackendKind parent_kind,
                               const QuotaSimConfig& cfg) {
-  return run_tenants(parent_spec, cfg, nullptr);
+  return run_tenants(parent_kind, cfg, nullptr);
 }
 
 OverloadSimConfig overload_sim_reference_config() {
@@ -803,7 +803,7 @@ OverloadSimConfig overload_sim_reference_config() {
   return cfg;
 }
 
-OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
+OverloadSimResult simulate_overload(svc::BackendKind parent_kind,
                                     const OverloadSimConfig& cfg) {
   CNET_REQUIRE(cfg.core_start_stagger >= 0.0, "delays must be nonnegative");
   CNET_REQUIRE(cfg.sample_every > 0.0, "sample cadence must be positive");
@@ -813,7 +813,7 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
                "shed_fraction must be in [0, 1]");
   OverloadSimResult res;
   Manager mgr{cfg, res};
-  const QuotaSimResult run = run_tenants(parent_spec, cfg, &mgr);
+  const QuotaSimResult run = run_tenants(parent_kind, cfg, &mgr);
   res.makespan = run.makespan;
   res.attempts = run.acquire_ops + res.shed_rejects;
   res.admitted = run.admitted;
@@ -842,19 +842,19 @@ ReconfigSimConfig reconfig_sim_reference_config() {
   cfg.base.initial_tokens_per_core = 64;
   cfg.base.exponential_service = true;
   cfg.base.seed = 0x5EC0AD;
-  cfg.spec_to = svc::BackendKind::kCentralAtomic;
+  cfg.kind_to = svc::BackendKind::kCentralAtomic;
   cfg.respec_at = 300.0;
   cfg.rechunk_divisor = 4;
   return cfg;
 }
 
-svc::BackendSpec reconfig_respec_target(const svc::BackendSpec& spec_from) {
-  return spec_from.kind == svc::BackendKind::kBatchedNetwork
+svc::BackendKind reconfig_respec_target(svc::BackendKind kind_from) {
+  return kind_from == svc::BackendKind::kBatchedNetwork
              ? svc::BackendKind::kCentralAtomic
              : svc::BackendKind::kBatchedNetwork;
 }
 
-ReconfigSimResult simulate_reconfig(const svc::BackendSpec& spec_from,
+ReconfigSimResult simulate_reconfig(svc::BackendKind kind_from,
                                     const ReconfigSimConfig& cfg) {
   CNET_REQUIRE(cfg.respec_at >= 0.0, "respec instant must be nonnegative");
   // The same staging rules the live NetTokenBucket::respec enforces: the
@@ -868,7 +868,7 @@ ReconfigSimResult simulate_reconfig(const svc::BackendSpec& spec_from,
   ReconfigSimResult res;
   res.staged_chunk = staged_chunk;
   Stage stage{cfg, res};
-  const MulticoreResult run = run_table_b(spec_from, cfg.base, &stage);
+  const MulticoreResult run = run_table_b(kind_from, cfg.base, &stage);
   res.makespan = run.makespan;
   res.consume_ops = run.consume_ops;
   res.consumed = run.consumed;
@@ -911,7 +911,7 @@ ClusterSimConfig cluster_sim_reference_config(std::size_t nodes) {
   return cfg;
 }
 
-ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
+ClusterSimResult simulate_cluster(svc::BackendKind parent_kind,
                                   const ClusterSimConfig& cfg) {
   const std::size_t n = cfg.nodes.size();
   CNET_REQUIRE(n >= 1, "need at least one node");
@@ -935,7 +935,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
   Engine eng;
   util::Xoshiro256 rng(cfg.base.seed);
   const std::unique_ptr<CounterModel> parent_pool =
-      make_model(parent_spec.kind, eng, cfg.base, rng);
+      make_model(parent_kind, eng, cfg.base, rng);
   CounterModel& parent = *parent_pool;
 
   ClusterSimResult res;

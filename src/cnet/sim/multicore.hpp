@@ -94,9 +94,9 @@ struct MulticoreResult {
   bool conserved = false;
 };
 
-// One-shot simulation of `spec` under `cfg`. Deterministic: the same spec,
+// One-shot simulation of `kind` under `cfg`. Deterministic: the same kind,
 // config, and seed produce bit-identical results on any host.
-MulticoreResult simulate_multicore(const svc::BackendSpec& spec,
+MulticoreResult simulate_multicore(svc::BackendKind kind,
                                    const MulticoreConfig& cfg);
 
 // ------------------------------------------------------------------ quota
@@ -104,7 +104,7 @@ MulticoreResult simulate_multicore(const svc::BackendSpec& spec,
 // The svc::QuotaHierarchy workload in virtual time (Table D's model
 // counterpart): `cores` simulated cores, each pinned to a tenant, run an
 // acquire → hold → release loop against per-tenant child pool models and
-// one shared parent pool model built from `parent_spec`. Hot/cold skew
+// one shared parent pool model built from `parent_kind`. Hot/cold skew
 // pins `hot_core_share` of the cores to the first `hot_tenants` tenants.
 // The borrow decisions are the same pure rules the real hierarchy runs
 // (svc::borrow_allowance / quota_settle from svc/policy.hpp), driven in
@@ -164,9 +164,9 @@ struct QuotaSimResult {
   std::vector<std::uint64_t> peak_borrowed_per_tenant;
 };
 
-// Deterministic from (parent_spec, cfg, cfg.base.seed), like
+// Deterministic from (parent_kind, cfg, cfg.base.seed), like
 // simulate_multicore.
-QuotaSimResult simulate_quota(const svc::BackendSpec& parent_spec,
+QuotaSimResult simulate_quota(svc::BackendKind parent_kind,
                               const QuotaSimConfig& cfg);
 
 // The Table D′ reference workload at `cores` (8 tenants, 1 hot taking 75%
@@ -191,7 +191,6 @@ QuotaSimConfig quota_sim_reference_config(std::size_t cores);
 //   - kShrinkBatch      -> release/shed refunds go back in chunks of
 //                          max(1, tokens / batch_divisor) instead of one
 //                          bulk traversal;
-//   - kPreDegrade       -> tier 1's actions, nothing more;
 //   - kDegradePartial   -> settles run with allow_partial: a grant may
 //                          admit with fewer tokens than asked, parts
 //                          recorded exactly for release;
@@ -252,9 +251,9 @@ struct OverloadSimResult {
   bool recovered = false;
 };
 
-// Deterministic from (parent_spec, cfg, cfg.base.seed), like
+// Deterministic from (parent_kind, cfg, cfg.base.seed), like
 // simulate_quota.
-OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
+OverloadSimResult simulate_overload(svc::BackendKind parent_kind,
                                     const OverloadSimConfig& cfg);
 
 // The Table E′ reference workload (48 staggered cores, 8 tenants, 1 hot,
@@ -274,8 +273,8 @@ OverloadSimConfig overload_sim_reference_config();
 
 // The svc::ReconfigEngine staged-commit protocol in virtual time (Table
 // F's model counterpart): the simulate_multicore loop runs against a
-// pool built from `spec_from`, and at `respec_at` a full replacement stack
-// — `spec_to`, with the batch chunk re-divided through the same
+// pool built from `kind_from`, and at `respec_at` a full replacement stack
+// — `kind_to`, with the batch chunk re-divided through the same
 // svc::divided_chunk rule the live respec bakes in — is *staged*: new ops
 // route to it immediately (the RCU publish), while ops already in flight
 // on the old stack drain. The *commit* fires at the exact instant the last
@@ -287,12 +286,12 @@ OverloadSimConfig overload_sim_reference_config();
 struct ReconfigSimConfig {
   MulticoreConfig base;  // the Table B workload the stage interrupts
 
-  // The staged replacement: target spec, the virtual instant the stage
+  // The staged replacement: target kind, the virtual instant the stage
   // publishes, and the divisor folded into the staged batch chunk
   // (staged chunk = svc::divided_chunk(base.batch_k, rechunk_divisor),
   // validated by svc::respec_safe — the same rules the live
   // NetTokenBucket::respec applies).
-  svc::BackendSpec spec_to = svc::BackendKind::kCentralAtomic;
+  svc::BackendKind kind_to = svc::BackendKind::kCentralAtomic;
   double respec_at = 300.0;
   std::size_t rechunk_divisor = 4;
 };
@@ -323,9 +322,9 @@ struct ReconfigSimResult {
   bool conserved = false;
 };
 
-// Deterministic from (spec_from, cfg, cfg.base.seed), like
+// Deterministic from (kind_from, cfg, cfg.base.seed), like
 // simulate_multicore.
-ReconfigSimResult simulate_reconfig(const svc::BackendSpec& spec_from,
+ReconfigSimResult simulate_reconfig(svc::BackendKind kind_from,
                                     const ReconfigSimConfig& cfg);
 
 // The Table F reference workload (8 cores, mid-run respec, fixed seed) —
@@ -339,14 +338,14 @@ ReconfigSimConfig reconfig_sim_reference_config();
 // other kind re-specs down to the central word (the de-escalation
 // direction). Both directions cross the batching boundary, which is what
 // exercises the chunk re-division.
-svc::BackendSpec reconfig_respec_target(const svc::BackendSpec& spec_from);
+svc::BackendKind reconfig_respec_target(svc::BackendKind kind_from);
 
 // ---------------------------------------------------------------- cluster
 
 // The dist::PeerCluster tier in virtual time (Table G′'s model
 // counterpart): N nodes — each a simulated multicore machine with a local
 // admission pool — joined to a global quota coordinator (per-node lease
-// accounts over a shared parent pool built from `parent_spec`) by per-link
+// accounts over a shared parent pool built from `parent_kind`) by per-link
 // FIFO latency servers whose service time depends on dc/rack proximity.
 // Every decision runs the exact rules the live tier runs: lease_grant /
 // lease_expiry_refund / debt_reconcile / renewal_target / peer_surplus /
@@ -442,9 +441,9 @@ struct ClusterSimResult {
   std::uint64_t parent_stalls = 0;
 };
 
-// Deterministic from (parent_spec, cfg, cfg.base.seed), like the other
+// Deterministic from (parent_kind, cfg, cfg.base.seed), like the other
 // simulators.
-ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
+ClusterSimResult simulate_cluster(svc::BackendKind parent_kind,
                                   const ClusterSimConfig& cfg);
 
 // The Table G′ reference topology at `nodes` nodes — striped across 2 dcs

@@ -20,17 +20,6 @@ const char* backend_kind_name(BackendKind kind) noexcept {
   return "?";
 }
 
-std::optional<BackendKind> parse_backend_kind(std::string_view name) noexcept {
-  for (const BackendKind kind : kAllBackendKinds) {
-    if (name == backend_kind_name(kind)) return kind;
-  }
-  return std::nullopt;
-}
-
-std::string backend_spec_name(const BackendSpec& spec) {
-  return backend_kind_name(spec.kind);
-}
-
 namespace {
 std::string known_kinds_list() {
   std::string list;
@@ -42,28 +31,29 @@ std::string known_kinds_list() {
 }
 }  // namespace
 
-ParseResult parse_backend_spec(std::string_view name) {
+ParseResult parse_backend_kind(std::string_view name) {
   ParseResult result;
-  const auto kind = parse_backend_kind(name);
-  if (!kind) {
-    // Distinguish "right kind, junk appended" from "no such kind": the
-    // former is usually a typo'd suffix worth pointing at directly.
-    for (const BackendKind k : kAllBackendKinds) {
-      const std::string_view kind_name = backend_kind_name(k);
-      if (name.size() > kind_name.size() &&
-          name.substr(0, kind_name.size()) == kind_name) {
-        result.error = "trailing garbage \"" +
-                       std::string(name.substr(kind_name.size())) +
-                       "\" after backend kind \"" + std::string(kind_name) +
-                       "\" in \"" + std::string(name) + "\"";
-        return result;
-      }
+  for (const BackendKind k : kAllBackendKinds) {
+    if (name == backend_kind_name(k)) {
+      result.kind = k;
+      return result;
     }
-    result.error = "unknown backend kind \"" + std::string(name) +
-                   "\" (known: " + known_kinds_list() + ")";
-    return result;
   }
-  result.spec = BackendSpec(*kind);
+  // Distinguish "right kind, junk appended" from "no such kind": the
+  // former is usually a typo'd suffix worth pointing at directly.
+  for (const BackendKind k : kAllBackendKinds) {
+    const std::string_view kind_name = backend_kind_name(k);
+    if (name.size() > kind_name.size() &&
+        name.substr(0, kind_name.size()) == kind_name) {
+      result.error = "trailing garbage \"" +
+                     std::string(name.substr(kind_name.size())) +
+                     "\" after backend kind \"" + std::string(kind_name) +
+                     "\" in \"" + std::string(name) + "\"";
+      return result;
+    }
+  }
+  result.error = "unknown backend kind \"" + std::string(name) +
+                 "\" (known: " + known_kinds_list() + ")";
   return result;
 }
 

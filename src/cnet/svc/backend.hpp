@@ -43,12 +43,12 @@ struct BackendConfig {
   std::size_t width_out = util::counting_shape().width_out;
 };
 
-// A parsed backend choice, e.g. "batched-network". The constructor's second
-// argument keeps `{kind, false}` initializers compiling (e2ebench's
-// quota_skew parent is one) now that a spec can no longer ask for the
-// elimination front-end; it rejects `true`. Moving e2ebench to a plain
-// BackendKind replaces BackendSpec with BackendKind and drops the
-// constructor.
+// The type of QuotaHierarchy::Config::parent, and nowhere else: a kind in a
+// one-field struct whose `(kind, bool)` constructor keeps e2ebench's
+// quota_skew `{kind, false}` initializer compiling and rejects `true`, the
+// removed elimination front-end. Every other interface takes a plain
+// BackendKind. The benchmark-type change that makes that line a plain kind
+// deletes this struct.
 struct BackendSpec {
   BackendSpec(BackendKind k = BackendKind::kBatchedNetwork,
               bool elimination = false)
@@ -60,28 +60,19 @@ struct BackendSpec {
 };
 
 const char* backend_kind_name(BackendKind kind) noexcept;
-std::optional<BackendKind> parse_backend_kind(std::string_view name) noexcept;
 
-// The kind's name; round-trips with parse_backend_spec.
-std::string backend_spec_name(const BackendSpec& spec);
-
-// Outcome of parsing a backend spec string: on success `spec` is set and
-// `error` empty; on failure `spec` is empty and `error` carries the
-// human-readable reason (unknown kind, trailing garbage after a known
-// kind) so benches and examples can report *why* a --backend argument was
-// rejected instead of silently falling back. The optional-style accessors
-// keep `if (parsed)` / `*parsed` call sites reading naturally.
+// Outcome of parsing a backend kind's name, e.g. "batched-network": on
+// success `kind` is set and `error` empty; on failure `kind` is empty and
+// `error` carries the human-readable reason (unknown kind, trailing garbage
+// after a known kind) so benches and examples can report *why* a --backend
+// argument was rejected instead of silently falling back. Round-trips with
+// backend_kind_name.
 struct ParseResult {
-  std::optional<BackendSpec> spec;
+  std::optional<BackendKind> kind;
   std::string error;
-
-  bool has_value() const noexcept { return spec.has_value(); }
-  explicit operator bool() const noexcept { return spec.has_value(); }
-  const BackendSpec& operator*() const { return *spec; }
-  const BackendSpec* operator->() const { return &*spec; }
 };
 
-ParseResult parse_backend_spec(std::string_view name);
+ParseResult parse_backend_kind(std::string_view name);
 
 std::unique_ptr<rt::Counter> make_counter(BackendKind kind,
                                           const BackendConfig& cfg = {});

@@ -92,7 +92,7 @@ void NetTokenBucket::refund(std::size_t thread_hint, std::uint64_t tokens) {
 std::uint64_t NetTokenBucket::respec(std::size_t thread_hint, const Respec& r) {
   CNET_REQUIRE(respec_safe(r.refill_chunk),
                "staged refill_chunk must be in 1..256");
-  auto next = make_state(make_counter(r.spec.kind, r.net), r.refill_chunk);
+  auto next = make_state(make_counter(r.kind, r.net), r.refill_chunk);
   return engine_.commit(
       std::move(next), [&](PoolState& old_state, PoolState& new_state) {
         // Post-quiescence: no consume/refill/refund can touch the old pool

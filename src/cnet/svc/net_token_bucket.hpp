@@ -14,7 +14,7 @@
 // failed consume means the pool was observably empty.
 //
 // The pool configuration is hot-reconfigurable (svc::ReconfigEngine): a
-// respec() stages a whole replacement — new backend spec, new network
+// respec() stages a whole replacement — new backend kind, new network
 // shape, new refill chunk — and commits it mid-traffic with the remaining
 // pool count migrated exactly into the new backend. This is what finally
 // lets the overload manager's batch_divisor reach a backend's own batch
@@ -51,7 +51,7 @@ class NetTokenBucket {
   // and the refill chunking the new configuration adopts. Validated by the
   // pure respec_safe rule before anything is constructed.
   struct Respec {
-    BackendSpec spec;
+    BackendKind kind = BackendKind::kBatchedNetwork;
     BackendConfig net;
     std::size_t refill_chunk = kMaxRefillChunk;
   };
@@ -123,8 +123,8 @@ class NetTokenBucket {
   // manager must outlive the bucket; nullptr detaches.
   void attach_overload(const OverloadManager* manager) noexcept;
 
-  // Contention events observed by the pool backends (CAS retries / lock
-  // waits), cumulative across respecs; the numerator of the stall-rate
+  // Contention events observed by the pool backends (failed CAS
+  // attempts), cumulative across respecs; the numerator of the stall-rate
   // overload monitor. A respec rolls the retired pool's final totals into
   // these sums only in its migration step, after the new pool is published
   // and the readers have drained. Between that publish and the rollup,

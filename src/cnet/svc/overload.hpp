@@ -9,12 +9,10 @@
 //
 //   tier 1  shrink-batch      refill/batch chunks divide by 4 — bounds the
 //                             latency one exclusive bulk hold can impose
-//   tier 2  pre-degrade       tier 1's actions, nothing more: the band
-//                             just below degradation
-//   tier 3  degrade-partial   all-or-nothing consumes/acquires degrade to
+//   tier 2  degrade-partial   all-or-nothing consumes/acquires degrade to
 //                             allow_partial grants (callers are told the
 //                             exact charged amount, so conservation holds)
-//   tier 4  shed-tenants      whole tenants shed by weight (policy
+//   tier 3  shed-tenants      whole tenants shed by weight (policy
 //                             shed_set), already-held grant parts refunded
 //                             exactly to the level they came from
 //
@@ -235,9 +233,9 @@ class OverloadManager {
       CNET_EXCLUDES(mutex_);
 
   OverloadConfig cfg_;
-  std::atomic<bool> evaluating_{false};
-  std::atomic<std::uint8_t> tier_{0};
-  std::atomic<double> pressure_{0.0};
+  util::Atomic<bool> evaluating_{false};
+  util::Atomic<std::uint8_t> tier_{0};
+  util::Atomic<double> pressure_{0.0};
   // Set once by govern() before sampling traffic starts (the manager/
   // hierarchy attachment contract); never flips between hierarchies.
   QuotaHierarchy* governed_ = nullptr;

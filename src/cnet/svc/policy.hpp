@@ -1,9 +1,9 @@
 // Backend-independent *decision* logic of the service layer, factored out
 // of the concurrent implementations so the virtual-time multicore simulator
-// (sim::MulticoreModel) runs the exact same rules as the real machinery —
-// how a bucket consume grabs and refunds, which overload tier a pressure
-// reading lands in — instead of a drifting reimplementation. Everything
-// here is pure: no atomics, no time, no I/O.
+// (the sim::simulate_* functions of sim/multicore.hpp) runs the exact same
+// rules as the real machinery — how a bucket consume grabs and refunds,
+// which overload tier a pressure reading lands in — instead of a drifting
+// reimplementation. Everything here is pure: no atomics, no time, no I/O.
 #pragma once
 
 #include <algorithm>
@@ -207,18 +207,16 @@ QuotaGrantPlan quota_acquire(std::uint64_t tokens, TakeChild&& take_child,
 // The escalation ladder. Tiers are ordered by severity and the action table
 // below is monotone — every tier keeps the interventions of the tiers under
 // it — so operators can reason in "at least" terms: a system at
-// kDegradePartial already has shrunken batches. kPreDegrade adds no
-// intervention of its own: it keeps tier 1's actions, and it marks the
-// pressure band just below degradation.
+// kDegradePartial already has shrunken batches. Every tier adds an
+// intervention of its own.
 enum class OverloadTier : std::uint8_t {
   kNominal = 0,         // no intervention
   kShrinkBatch = 1,     // shrink batch/refill chunks (bound exclusive holds)
-  kPreDegrade = 2,      // tier 1's actions; degradation is next
-  kDegradePartial = 3,  // all-or-nothing consumes degrade to partial grants
-  kShedTenants = 4,     // shed whole tenants by weight, refund held grants
+  kDegradePartial = 2,  // all-or-nothing consumes degrade to partial grants
+  kShedTenants = 3,     // shed whole tenants by weight, refund held grants
 };
 
-inline constexpr std::size_t kNumOverloadTiers = 5;
+inline constexpr std::size_t kNumOverloadTiers = 4;
 
 constexpr const char* overload_tier_name(OverloadTier tier) noexcept {
   switch (tier) {
@@ -226,8 +224,6 @@ constexpr const char* overload_tier_name(OverloadTier tier) noexcept {
       return "nominal";
     case OverloadTier::kShrinkBatch:
       return "shrink-batch";
-    case OverloadTier::kPreDegrade:
-      return "pre-degrade";
     case OverloadTier::kDegradePartial:
       return "degrade-partial";
     case OverloadTier::kShedTenants:
@@ -243,7 +239,7 @@ constexpr const char* overload_tier_name(OverloadTier tier) noexcept {
 // keeps a signal oscillating around a boundary from flapping actions on
 // and off every sample.
 struct OverloadThresholds {
-  double enter[kNumOverloadTiers] = {0.0, 0.50, 0.70, 0.85, 0.95};
+  double enter[kNumOverloadTiers] = {0.0, 0.50, 0.85, 0.95};
   double hysteresis = 0.10;
 };
 
@@ -394,7 +390,7 @@ constexpr std::size_t divided_chunk(std::size_t chunk,
 inline constexpr std::size_t kMaxRefillChunk = 256;
 
 // When a staged bucket re-spec is safe to commit: the chunk must be a legal
-// refill chunk. (The backend spec itself needs no rule — every pool kind
+// refill chunk. (The backend kind itself needs no rule — every pool kind
 // migrates by drain/re-inject, conserving the count exactly.)
 constexpr bool respec_safe(std::size_t refill_chunk) noexcept {
   return refill_chunk >= 1 && refill_chunk <= kMaxRefillChunk;

@@ -71,7 +71,9 @@ class QuotaHierarchy {
   struct Config {
     // Parent pool backend — the shared, contended structure. Any kind.
     // Each tenant's child bucket sees only its own tenant's traffic and is
-    // always a kLocalPoolKind pool.
+    // always a kLocalPoolKind pool. A BackendSpec rather than a plain
+    // BackendKind only so that `{kind, false}` initializers still compile
+    // (svc/backend.hpp).
     BackendSpec parent;
     BackendConfig net;               // network shape for network kinds
     NetTokenBucket::Config bucket;   // refill chunking for every bucket

@@ -5,7 +5,8 @@
 // central atomic and CAS counters, SlotArray tallies, ReconfigEngine
 // reader counts and active-state pointer, the quota borrow reservation,
 // PeerCluster's per-node balance and spent ledgers, CountingBarrier's
-// epoch) is declared as util::Atomic instead of std::atomic. With
+// epoch, OverloadManager's tier word, sampler claim and last pressure) is
+// declared as util::Atomic instead of std::atomic. With
 // CNET_SCHED_CHECK off this is a pure forwarding shim over std::atomic —
 // same layout, same memory orders, inline calls, zero overhead. With it on,
 // each operation first announces itself at a util::SchedPoint, making it

@@ -31,7 +31,7 @@ using cnet::dist::Topology;
 // one explored step per op (check_central covers that word on its own).
 std::shared_ptr<PeerCluster> tiny_cluster() {
   ClusterConfig cfg;
-  cfg.parent_spec = cnet::svc::BackendKind::kCentralAtomic;
+  cfg.parent_kind = cnet::svc::BackendKind::kCentralAtomic;
   cfg.parent_initial = 8;
   cfg.node_account_initial = 4;
   cfg.borrow_budget = 4;

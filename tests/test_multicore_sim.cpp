@@ -170,14 +170,14 @@ TEST(OverloadSim, GoldenSeedReferenceTrace) {
   // sample, so the first transition jumps straight to the shed tier; the
   // first descent drops two tiers at once, exactly as the hysteretic rule
   // dictates at that pressure.
-  ASSERT_EQ(r.transitions.size(), 11u);
+  ASSERT_EQ(r.transitions.size(), 10u);
   EXPECT_EQ(r.transitions[0].time, 128.0);
   EXPECT_EQ(r.transitions[0].from, svc::OverloadTier::kNominal);
   EXPECT_EQ(r.transitions[0].to, svc::OverloadTier::kShedTenants);
   EXPECT_EQ(r.transitions[0].pressure, 1.0);
   EXPECT_EQ(r.transitions[1].time, 960.0);
   EXPECT_EQ(r.transitions[1].from, svc::OverloadTier::kShedTenants);
-  EXPECT_EQ(r.transitions[1].to, svc::OverloadTier::kPreDegrade);
+  EXPECT_EQ(r.transitions[1].to, svc::OverloadTier::kShrinkBatch);
   EXPECT_NEAR(r.transitions[1].pressure, 0.72040816326530612, 1e-12);
 
   // Shedding hits only the cold weight-1 tenants (shed_set: tenant 0
@@ -233,9 +233,9 @@ TEST(OverloadSim, GoldenSeedDeterminism) {
 // The bench's exact Table F workload: reconfig_sim_reference_config plus
 // the shared pairing rule, so the CI-gated checks and these goldens
 // cannot drift apart.
-ReconfigSimConfig reconfig_config(const svc::BackendSpec& spec_from) {
+ReconfigSimConfig reconfig_config(svc::BackendKind kind_from) {
   ReconfigSimConfig cfg = reconfig_sim_reference_config();
-  cfg.spec_to = reconfig_respec_target(spec_from);
+  cfg.kind_to = reconfig_respec_target(kind_from);
   return cfg;
 }
 
@@ -381,7 +381,6 @@ TEST(MulticoreSim, RejectsBadConfig) {
 
 constexpr auto kNominal = svc::OverloadTier::kNominal;
 constexpr auto kShrinkBatch = svc::OverloadTier::kShrinkBatch;
-constexpr auto kPreDegrade = svc::OverloadTier::kPreDegrade;
 constexpr auto kDegradePartial = svc::OverloadTier::kDegradePartial;
 constexpr auto kShedTenants = svc::OverloadTier::kShedTenants;
 
@@ -565,12 +564,11 @@ TEST(OverloadSim, GoldenValuesReference) {
       {5580.1720385393346, 9216u, 2654u, 5550u, 12u, 1012u, 4u, 4u, 8u,
        kShedTenants, kNominal,
        {{128.0, kNominal, kShedTenants, 1.0},
-        {960.0, kShedTenants, kPreDegrade, 0.7204081632653061},
-        {992.0, kPreDegrade, kDegradePartial, 0.9193083573487032},
+        {960.0, kShedTenants, kShrinkBatch, 0.7204081632653061},
+        {992.0, kShrinkBatch, kDegradePartial, 0.9193083573487032},
         {1216.0, kDegradePartial, kShedTenants, 1.0},
         {1248.0, kShedTenants, kShrinkBatch, 0.59677419354838712},
-        {1280.0, kShrinkBatch, kPreDegrade, 0.84158415841584155},
-        {1312.0, kPreDegrade, kShedTenants, 1.0},
+        {1312.0, kShrinkBatch, kShedTenants, 1.0},
         {1344.0, kShedTenants, kShrinkBatch, 0.59677419354838712},
         {1376.0, kShrinkBatch, kShedTenants, 1.0},
         {4704.0, kShedTenants, kShrinkBatch, 0.4642857142857143},
@@ -579,18 +577,18 @@ TEST(OverloadSim, GoldenValuesReference) {
        true, true, true},  // central-atomic
       {7065.3297321904911, 9216u, 2918u, 5381u, 4u, 917u, 5u, 5u, 6u,
        kShedTenants, kNominal,
-       {{128.0, kNominal, kPreDegrade, 0.75},
-        {160.0, kPreDegrade, kShedTenants, 1.0},
-        {960.0, kShedTenants, kPreDegrade, 0.6820276497695853},
-        {992.0, kPreDegrade, kDegradePartial, 0.91691394658753711},
-        {1344.0, kDegradePartial, kPreDegrade, 0.68367346938775508},
-        {1472.0, kPreDegrade, kShedTenants, 1.0},
-        {1504.0, kShedTenants, kPreDegrade, 0.61290322580645162},
-        {1536.0, kPreDegrade, kShedTenants, 1.0},
+       {{128.0, kNominal, kShrinkBatch, 0.75},
+        {160.0, kShrinkBatch, kShedTenants, 1.0},
+        {960.0, kShedTenants, kShrinkBatch, 0.6820276497695853},
+        {992.0, kShrinkBatch, kDegradePartial, 0.91691394658753711},
+        {1344.0, kDegradePartial, kShrinkBatch, 0.68367346938775508},
+        {1472.0, kShrinkBatch, kShedTenants, 1.0},
+        {1504.0, kShedTenants, kShrinkBatch, 0.61290322580645162},
+        {1536.0, kShrinkBatch, kShedTenants, 1.0},
         {1600.0, kShedTenants, kShrinkBatch, 0.59677419354838712},
         {1632.0, kShrinkBatch, kShedTenants, 1.0},
-        {1664.0, kShedTenants, kPreDegrade, 0.70180722891566261},
-        {1696.0, kPreDegrade, kShedTenants, 1.0},
+        {1664.0, kShedTenants, kShrinkBatch, 0.70180722891566261},
+        {1696.0, kShrinkBatch, kShedTenants, 1.0},
         {6688.0, kShedTenants, kShrinkBatch, 0.45833333333333331},
         {6720.0, kShrinkBatch, kNominal, 0.40000000000000002},
         {6752.0, kNominal, kDegradePartial, 0.9375},
@@ -601,15 +599,13 @@ TEST(OverloadSim, GoldenValuesReference) {
       {3772.3576493603341, 9216u, 3590u, 5626u, 1u, 0u, 1u, 1u, 0u,
        kShedTenants, kNominal,
        {{224.0, kNominal, kShrinkBatch, 0.53333333333333333},
-        {288.0, kShrinkBatch, kPreDegrade, 0.78125},
-        {352.0, kPreDegrade, kShedTenants, 1.0},
+        {352.0, kShrinkBatch, kShedTenants, 1.0},
         {480.0, kShedTenants, kDegradePartial, 0.84999999999999998},
-        {512.0, kDegradePartial, kPreDegrade, 0.68367346938775508},
-        {672.0, kPreDegrade, kDegradePartial, 0.86861313868613144},
-        {1120.0, kDegradePartial, kPreDegrade, 0.66666666666666663},
-        {1152.0, kPreDegrade, kDegradePartial, 0.89834515366430256},
-        {1408.0, kDegradePartial, kPreDegrade, 0.72222222222222221},
-        {1472.0, kPreDegrade, kShrinkBatch, 0.59677419354838712},
+        {512.0, kDegradePartial, kShrinkBatch, 0.68367346938775508},
+        {672.0, kShrinkBatch, kDegradePartial, 0.86861313868613144},
+        {1120.0, kDegradePartial, kShrinkBatch, 0.66666666666666663},
+        {1152.0, kShrinkBatch, kDegradePartial, 0.89834515366430256},
+        {1408.0, kDegradePartial, kShrinkBatch, 0.72222222222222221},
         {1632.0, kShrinkBatch, kDegradePartial, 0.94047619047619047},
         {1664.0, kDegradePartial, kShrinkBatch, 0.55555555555555558},
         {1696.0, kShrinkBatch, kDegradePartial, 0.86363636363636365},

@@ -1,7 +1,7 @@
 // svc::QuotaHierarchy: child-first acquisition, weighted max-borrow from
 // the shared parent, all-or-nothing refunds to the level each token came
 // from, and exact two-level conservation — sequentially, across every
-// parent backend spec, and under concurrent tenant threads (the TSan
+// parent backend kind, and under concurrent tenant threads (the TSan
 // concurrency label covers the reservation CAS and the release ordering).
 #include "cnet/svc/quota.hpp"
 
@@ -19,7 +19,7 @@
 namespace cnet::svc {
 namespace {
 
-QuotaHierarchy::Config base_config(BackendSpec parent,
+QuotaHierarchy::Config base_config(BackendKind parent,
                                    std::uint64_t parent_tokens,
                                    std::uint64_t budget) {
   QuotaHierarchy::Config cfg;

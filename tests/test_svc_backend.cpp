@@ -1,7 +1,7 @@
-// The backend-spec parser and the BackendSpec shim: every kind round-trips
-// through its name, a rejected spec names the reason, a seeded property
-// test over malformed spec strings never throws, and the shim's
-// constructor refuses the removed front-end.
+// The backend-kind parser and the BackendSpec shim: every kind round-trips
+// through its name, a rejected name says why, a seeded property test over
+// malformed names never throws, and the shim's constructor refuses the
+// removed front-end.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -15,39 +15,24 @@
 namespace cnet::svc {
 namespace {
 
-TEST(BackendSpec, ParsesAndRoundTrips) {
-  const auto plain = parse_backend_spec("batched-network");
-  ASSERT_TRUE(plain.has_value());
-  EXPECT_EQ(plain->kind, BackendKind::kBatchedNetwork);
-  EXPECT_EQ(backend_spec_name(*plain), "batched-network");
-
-  // The retired adaptive kind parses as nothing.
-  EXPECT_FALSE(parse_backend_spec("adaptive").has_value());
-  EXPECT_FALSE(parse_backend_spec("bogus").has_value());
-  EXPECT_FALSE(parse_backend_spec("").has_value());
-}
-
-TEST(BackendSpec, ParseFailuresNameTheReason) {
-  // A successful parse carries no error text.
-  EXPECT_TRUE(parse_backend_spec("batched-network").error.empty());
-
+TEST(BackendKindParse, ParseFailuresNameTheReason) {
   // Unknown kinds list what IS known, so a typo'd flag is self-correcting.
-  const auto unknown = parse_backend_spec("bogus");
-  ASSERT_FALSE(unknown.has_value());
+  const auto unknown = parse_backend_kind("bogus");
+  ASSERT_FALSE(unknown.kind.has_value());
   EXPECT_NE(unknown.error.find("unknown backend kind \"bogus\""),
             std::string::npos)
       << unknown.error;
   EXPECT_NE(unknown.error.find("batched-network"), std::string::npos)
       << "the known-kinds list should appear in: " << unknown.error;
 
-  // A retired kind, or a spec with the removed front-end prefix, is an
-  // unknown kind like any other, and the list it points at names exactly
-  // the three that remain.
+  // A retired kind, a name with the removed front-end prefix, or the empty
+  // name is an unknown kind like any other, and the list it points at
+  // names exactly the three that remain.
   for (const std::string retired :
        {"adaptive", "network", "central-mutex", "elim+batched-network",
-        "elim+central-atomic"}) {
-    const auto gone = parse_backend_spec(retired);
-    ASSERT_FALSE(gone.has_value()) << retired;
+        "elim+central-atomic", ""}) {
+    const auto gone = parse_backend_kind(retired);
+    ASSERT_FALSE(gone.kind.has_value()) << retired;
     EXPECT_NE(gone.error.find("unknown backend kind \"" + retired + "\""),
               std::string::npos)
         << gone.error;
@@ -59,29 +44,27 @@ TEST(BackendSpec, ParseFailuresNameTheReason) {
 
   // A valid kind with junk appended is called out as trailing garbage
   // rather than lumped in with unknown kinds.
-  const auto trailing = parse_backend_spec("central-atomicx");
-  ASSERT_FALSE(trailing.has_value());
+  const auto trailing = parse_backend_kind("central-atomicx");
+  ASSERT_FALSE(trailing.kind.has_value());
   EXPECT_NE(trailing.error.find("trailing garbage \"x\""), std::string::npos)
       << trailing.error;
   EXPECT_NE(trailing.error.find("\"central-atomic\""), std::string::npos)
       << trailing.error;
 }
 
-TEST(BackendSpec, EveryNameRoundTrips) {
+TEST(BackendKindParse, EveryNameRoundTrips) {
   for (const BackendKind kind : kAllBackendKinds) {
-    const std::string name = backend_spec_name(kind);
-    EXPECT_EQ(name, backend_kind_name(kind));
-    const auto parsed = parse_backend_spec(name);
-    ASSERT_TRUE(parsed.has_value()) << name << ": " << parsed.error;
+    const std::string name = backend_kind_name(kind);
+    const auto parsed = parse_backend_kind(name);
+    ASSERT_TRUE(parsed.kind.has_value()) << name << ": " << parsed.error;
     EXPECT_TRUE(parsed.error.empty()) << name;
-    EXPECT_EQ(parsed->kind, kind) << name;
-    EXPECT_EQ(backend_spec_name(*parsed), name);
+    EXPECT_EQ(*parsed.kind, kind) << name;
   }
 }
 
-// One seeded malformation of a spec string: truncation, appended junk, a
+// One seeded malformation of a kind's name: truncation, appended junk, a
 // repeat of the string's own head, or flipped letter case.
-std::string mutate_spec(std::string s, util::Xoshiro256& rng) {
+std::string mutate_name(std::string s, util::Xoshiro256& rng) {
   static constexpr char kJunk[] = {'x', '-', '+', ' ', '9', 'Z', '\0', '.'};
   switch (rng.below(4)) {
     case 0:
@@ -110,7 +93,7 @@ std::string mutate_spec(std::string s, util::Xoshiro256& rng) {
   return s;
 }
 
-TEST(BackendSpec, SeededMutationsParseOrExplainNeverThrow) {
+TEST(BackendKindParse, SeededMutationsParseOrExplainNeverThrow) {
   util::Xoshiro256 rng(0x5bec'1998);
   std::size_t parsed_count = 0, rejected_count = 0;
   for (int i = 0; i < 20000; ++i) {
@@ -118,14 +101,14 @@ TEST(BackendSpec, SeededMutationsParseOrExplainNeverThrow) {
         kAllBackendKinds[rng.below(std::size(kAllBackendKinds))];
     std::string s = backend_kind_name(kind);
     for (std::uint64_t rounds = 1 + rng.below(3); rounds > 0; --rounds) {
-      s = mutate_spec(std::move(s), rng);
+      s = mutate_name(std::move(s), rng);
     }
     ParseResult result;
-    ASSERT_NO_THROW(result = parse_backend_spec(s)) << '"' << s << '"';
-    if (result.has_value()) {
+    ASSERT_NO_THROW(result = parse_backend_kind(s)) << '"' << s << '"';
+    if (result.kind) {
       // Only a canonical name parses, so the parse names the input back.
       EXPECT_TRUE(result.error.empty()) << '"' << s << '"';
-      EXPECT_EQ(backend_spec_name(*result), s);
+      EXPECT_EQ(backend_kind_name(*result.kind), s);
       ++parsed_count;
     } else {
       EXPECT_FALSE(result.error.empty()) << '"' << s << '"';

@@ -59,9 +59,9 @@ TEST(OverloadManager, TierFollowsTheHystereticLadder) {
   gauge->set(97);
   EXPECT_EQ(mgr.evaluate(), OverloadTier::kShedTenants);  // immediate jump
   EXPECT_DOUBLE_EQ(mgr.pressure(), 0.97);
-  gauge->set(90);  // inside tier 4's hysteresis band: held
+  gauge->set(90);  // inside tier 3's hysteresis band: held
   EXPECT_EQ(mgr.evaluate(), OverloadTier::kShedTenants);
-  gauge->set(80);  // released; tier 3 still holds (> 0.75)
+  gauge->set(80);  // released; tier 2 still holds (> 0.75)
   EXPECT_EQ(mgr.evaluate(), OverloadTier::kDegradePartial);
   gauge->set(5);
   EXPECT_EQ(mgr.evaluate(), OverloadTier::kNominal);
@@ -82,7 +82,7 @@ TEST(OverloadManager, CombinesMonitorsByWorstReading) {
   GaugeMonitor* high = add_gauge(mgr, "high", 100);
   low->set(20);
   high->set(75);
-  EXPECT_EQ(mgr.evaluate(), OverloadTier::kPreDegrade);
+  EXPECT_EQ(mgr.evaluate(), OverloadTier::kShrinkBatch);
   EXPECT_DOUBLE_EQ(mgr.pressure(), 0.75);  // max, not mean
   EXPECT_DOUBLE_EQ(mgr.pressure_of("low"), 0.20);
   EXPECT_DOUBLE_EQ(mgr.pressure_of("high"), 0.75);
@@ -113,7 +113,7 @@ TEST(OverloadManager, WindowedMonitorFirstSampleExcludesPreAttachHistory) {
   // first sample read the *lifetime* totals as one window. Attaching a
   // monitor to a bucket with a long, stall-heavy past then reported
   // saturation pressure for activity that predated the monitor — one
-  // spurious pre-degrade/shed tier entry at attach time.
+  // spurious degrade/shed tier entry at attach time.
   std::uint64_t ops = 1'000'000, events = 900'000;  // heavy pre-attach past
   WindowedRateMonitor mon(
       "late-attach", [&] { return ops; }, [&] { return events; },

@@ -217,7 +217,9 @@ TEST(OverloadPolicy, EscalationIsImmediate) {
   EXPECT_EQ(overload_tier(0.97, OverloadTier::kNominal, th),
             OverloadTier::kShedTenants);
   EXPECT_EQ(overload_tier(0.72, OverloadTier::kNominal, th),
-            OverloadTier::kPreDegrade);
+            OverloadTier::kShrinkBatch);
+  EXPECT_EQ(overload_tier(0.85, OverloadTier::kNominal, th),
+            OverloadTier::kDegradePartial);
   EXPECT_EQ(overload_tier(0.49, OverloadTier::kNominal, th),
             OverloadTier::kNominal);
   EXPECT_EQ(overload_tier(0.50, OverloadTier::kNominal, th),
@@ -225,25 +227,25 @@ TEST(OverloadPolicy, EscalationIsImmediate) {
 }
 
 TEST(OverloadPolicy, DescentIsHysteretic) {
-  const OverloadThresholds th;  // enter {-, .50, .70, .85, .95}, hyst .10
-  // Inside tier 4's band (> .85): held.
+  const OverloadThresholds th;  // enter {-, .50, .85, .95}, hyst .10
+  // Inside tier 3's band (> .85): held.
   EXPECT_EQ(overload_tier(0.90, OverloadTier::kShedTenants, th),
             OverloadTier::kShedTenants);
   // At the exit threshold exactly: released, down to the highest tier
-  // still held (tier 3 holds above .75).
+  // still held (tier 2 holds above .75).
   EXPECT_EQ(overload_tier(0.85, OverloadTier::kShedTenants, th),
             OverloadTier::kDegradePartial);
-  // .55 releases tiers 4..2 but tier 1 still holds (> .40).
+  // .55 releases tiers 3 and 2 but tier 1 still holds (> .40).
   EXPECT_EQ(overload_tier(0.55, OverloadTier::kShedTenants, th),
             OverloadTier::kShrinkBatch);
   EXPECT_EQ(overload_tier(0.40, OverloadTier::kShrinkBatch, th),
             OverloadTier::kNominal);
-  // The band is what prevents flapping: the same .65 that cannot *enter*
+  // The band is what prevents flapping: the same .80 that cannot *enter*
   // tier 2 does keep it alive once entered.
-  EXPECT_EQ(overload_tier(0.65, OverloadTier::kNominal, th),
+  EXPECT_EQ(overload_tier(0.80, OverloadTier::kNominal, th),
             OverloadTier::kShrinkBatch);
-  EXPECT_EQ(overload_tier(0.65, OverloadTier::kPreDegrade, th),
-            OverloadTier::kPreDegrade);
+  EXPECT_EQ(overload_tier(0.80, OverloadTier::kDegradePartial, th),
+            OverloadTier::kDegradePartial);
 }
 
 TEST(OverloadPolicy, ActionTableIsMonotone) {
@@ -262,13 +264,19 @@ TEST(OverloadPolicy, ActionTableIsMonotone) {
   EXPECT_TRUE(prev.degrade_to_partial && prev.shed_tenants);
 }
 
-TEST(OverloadPolicy, PreDegradeKeepsTierOnesActions) {
-  const auto shrink = overload_actions(OverloadTier::kShrinkBatch);
-  const auto pre = overload_actions(OverloadTier::kPreDegrade);
-  EXPECT_EQ(pre.batch_divisor, shrink.batch_divisor);
-  EXPECT_EQ(pre.degrade_to_partial, shrink.degrade_to_partial);
-  EXPECT_EQ(pre.shed_tenants, shrink.shed_tenants);
-  EXPECT_STREQ(overload_tier_name(OverloadTier::kPreDegrade), "pre-degrade");
+// A tier whose action row equals the one below it only splits a band and
+// fills the transition history: every tier must do something new.
+TEST(OverloadPolicy, EveryTierAddsAnIntervention) {
+  for (std::size_t t = 1; t < kNumOverloadTiers; ++t) {
+    const auto tier = static_cast<OverloadTier>(t);
+    const auto below = overload_actions(static_cast<OverloadTier>(t - 1));
+    const auto cur = overload_actions(tier);
+    EXPECT_TRUE(cur.batch_divisor != below.batch_divisor ||
+                cur.degrade_to_partial != below.degrade_to_partial ||
+                cur.shed_tenants != below.shed_tenants)
+        << "tier " << t << " (" << overload_tier_name(tier)
+        << ") repeats tier " << t - 1 << "'s actions";
+  }
 }
 
 TEST(OverloadPolicy, PressureRulesClampAndTreatEmptiesAsIdle) {

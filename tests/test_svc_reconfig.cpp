@@ -1,6 +1,6 @@
 // svc::ReconfigEngine and its consumers: the staged-commit protocol itself
 // (version stamps, quiescent migration, retired-state lifetime), the
-// NetTokenBucket live respec (exact token migration across backend specs,
+// NetTokenBucket live respec (exact token migration across backend kinds,
 // the batch_divisor finally reaching the backend's own batch size), the
 // QuotaHierarchy live reweigh (whole-vector limit publish, in-flight
 // grants release-exact), and the concurrency hammer — consume/refill
@@ -234,7 +234,7 @@ TEST_P(BucketTallies, PinnedExactlyAcrossOneRespec) {
 
   // The migration drains the old pool in two calls, 3 then 0: (2, 0) on
   // it; and refunds 3 into the new pool in one pass: (3, 1) on that.
-  EXPECT_EQ(bucket.respec(7, {{to, false}, {}, /*refill_chunk=*/2}), 2u);
+  EXPECT_EQ(bucket.respec(7, {to, {}, /*refill_chunk=*/2}), 2u);
   EXPECT_EQ(bucket.traversal_count(), from_net * 41 + to_net * 3);
   EXPECT_EQ(bucket.batch_pass_count(), from_net * 5 + to_net * 1);
 
